@@ -165,7 +165,7 @@ def cmd_simulate(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
         "n": n, "d": d, "seed": seed, "samples": samples,
-        "terminal_state": [int(z) for z in run.trajectory[-1].counts],
+        "terminal_state": [int(z) for z in run.counts[-1]],
     }
     if samples > 1:
         terminal = simulator.run_ensemble_terminal(n, d, sched, state0,
@@ -268,7 +268,7 @@ def cmd_rate(args) -> int:
     if path_csv:
         path = _path_from_csv(path_csv)
         rep = rate.path_rate_Id(path, sched, profile, tol=min(tol, 1e-8))
-        cond = rate.condensation_term(path, sched, profile, tol)
+        cond = rate.condensation_term(path, sched, profile)
         report.update({
             "input": path_csv, "d": path.d, "value": rep.value,
             "condensation_term": cond, "error": rep.error,
@@ -301,7 +301,7 @@ def cmd_rate(args) -> int:
     elif preset == "lln":
         sol = lln.solve_lln_closed(d, sched, profile, rel_spacing=2e-3)
         rep = rate.path_rate_Id(sol.path(), sched, profile, tol=1e-10)
-        cond = rate.condensation_term(sol.path(), sched, profile, 1e-10)
+        cond = rate.condensation_term(sol.path(), sched, profile)
         report.update({
             "preset": "lln", "d": d, "value": rep.value,
             "condensation_term": cond, "error": rep.error,

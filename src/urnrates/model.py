@@ -4,8 +4,9 @@ A scheme adds one urn per step and places one ball, either into the new
 urn (probability p(j/n)) or into an existing urn chosen proportionally
 to (balls + beta(j/n)).  This module holds the parameter schedule, the
 limiting initial degree profile, integer count states truncated at a
-size cutoff d, piecewise-linear scaled trajectories, and the shared
-admissibility checks for deviation paths.
+size cutoff d, the one-step transition law over the d+2 increments,
+piecewise-linear scaled trajectories, and the shared admissibility checks
+for deviation paths.
 """
 from __future__ import annotations
 
@@ -15,9 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-
-# Number of sample points used to certify schedule bounds on [0,1].
-BOUND_CHECK_POINTS = 10_001
 
 # Default absolute tolerance on path derivative constraints.
 PATH_TOL = 1e-9
@@ -64,6 +62,14 @@ def _polyval(coeffs: tuple, t) -> np.ndarray:
     return out
 
 
+def _extreme_values(coeffs: tuple, a: float, b: float) -> np.ndarray:
+    """Polynomial values on [a, b] that include its minimum and maximum:
+    the endpoints and the real parts of the derivative's roots inside."""
+    crit = np.polynomial.polynomial.polyroots(
+        np.polynomial.polynomial.polyder([float(c) for c in coeffs])).real
+    return _polyval(coeffs, np.concatenate([[a, b], crit[(crit > a) & (crit < b)]]))
+
+
 @dataclass(frozen=True)
 class ScheduleSegment:
     """One piece of the schedule: valid on [t_start, next start)."""
@@ -82,9 +88,10 @@ class Schedule:
     """Piecewise-polynomial selection parameters p(t), beta(t) on [0,1].
 
     Evaluation is right-continuous at the segment breakpoints.  The
-    bounds p_max, beta_min, beta_max certify 0 <= p <= p_max < 1 and
-    0 < beta_min <= beta <= beta_max; they are sampled on a dense grid
-    at construction (exact for constant segments).
+    bounds p_min, p_max, beta_min, beta_max certify 0 <= p_min <= p <=
+    p_max < 1 and 0 < beta_min <= beta <= beta_max; they are computed at
+    construction from each segment's values on its closed interval at the
+    endpoints and at the critical points of the polynomial inside it.
     """
 
     segments: tuple
@@ -110,22 +117,20 @@ class Schedule:
         if starts[-1] >= 1.0:
             raise ValueError("segment starts must lie in [0,1)")
 
-        sched = cls(tuple(segs), p_max=0.0, beta_min=0.0, beta_max=0.0, p_min=0.0)
-        # Certify bounds: segment endpoints plus a dense grid.
-        ts = np.union1d(np.linspace(0.0, 1.0, BOUND_CHECK_POINTS), np.array(starts))
-        pv = sched.p_at(ts)
-        bv = sched.beta_at(ts)
+        ends = starts[1:] + [1.0]
+        pv, bv = [], []
+        for seg, a, b in zip(segs, starts, ends):
+            pv.append(_extreme_values(seg.p_coeffs, a, b))
+            bv.append(_extreme_values(seg.beta_coeffs, a, b))
+        pv, bv = np.concatenate(pv), np.concatenate(bv)
         p_max, p_min = float(pv.max()), float(pv.min())
         beta_min, beta_max = float(bv.min()), float(bv.max())
         if p_min < 0.0 or p_max >= 1.0:
-            raise ValueError(f"p(t) must stay in [0,1): sampled range [{p_min}, {p_max}]")
+            raise ValueError(f"p(t) must stay in [0,1): range [{p_min}, {p_max}]")
         if beta_min <= 0.0:
-            raise ValueError(f"beta(t) must be positive: sampled min {beta_min}")
-        object.__setattr__(sched, "p_max", p_max)
-        object.__setattr__(sched, "p_min", p_min)
-        object.__setattr__(sched, "beta_min", beta_min)
-        object.__setattr__(sched, "beta_max", beta_max)
-        return sched
+            raise ValueError(f"beta(t) must be positive: min {beta_min}")
+        return cls(tuple(segs), p_max=p_max, beta_min=beta_min, beta_max=beta_max,
+                   p_min=p_min)
 
     @classmethod
     def constant(cls, p: float, beta: float) -> "Schedule":
@@ -286,6 +291,34 @@ def increments(d: int) -> np.ndarray:
         f[i, i + 1] += 1
     f[d + 1, 0] = 1
     return f
+
+
+def transition_law(p, beta, z, s) -> np.ndarray:
+    """One-step law of linear selection over the d+2 increments.
+
+    z holds (Z_0, ..., Z_d, Zbar), as counts or scaled masses, in its last
+    axis; s is the total selection weight (balls + beta*urns) and p, beta
+    and s broadcast against the leading axes of z.  Entry 0 is
+    p + (1-p)*beta*Z_0/s (the new urn or an empty one), entry i is
+    (1-p)*(i+beta)*Z_i/s for 1 <= i <= d, and the last entry is the
+    complement (a ball into an aggregated urn), clipped at 0 since it only
+    goes negative through round-off.
+    """
+    p, beta, s = (np.asarray(x, dtype=float)[..., None] for x in (p, beta, s))
+    z = np.asarray(z)
+    d = z.shape[-1] - 2
+    # In place, so that a call holds one law-sized array: the simulator
+    # steps up to 10^6 replicas at once.  The last column is computed only
+    # to keep z's layout, and overwritten.
+    law = np.empty(np.broadcast_shapes(p.shape, beta.shape, s.shape, z.shape))
+    np.multiply((1.0 - p) * (np.arange(d + 2) + beta), z, out=law)
+    law /= s
+    law[..., 0] += p[..., 0]
+    rest = law[..., d + 1]
+    # einsum: sum() over a short last axis is several times slower
+    np.subtract(1.0, np.einsum("...i->...", law[..., : d + 1]), out=rest)
+    np.maximum(rest, 0.0, out=rest)
+    return law
 
 
 @dataclass(frozen=True)

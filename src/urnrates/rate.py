@@ -7,9 +7,11 @@ The cost of holding the scaled trajectory at phi with slope v at time t is
 
 which is attained at nu0 with nu0_i = 1 - [v]_i for i <= d (partial sums
 of the slope) and the complement on the aggregate slot; u is the natural
-transition law of the scheme along the path.  The path functional
-integrates L over [0,1] with an adaptive Gauss-Kronrod rule, and the
-untruncated functional is the increasing limit of the truncated values.
+transition law of the scheme along the path, model.transition_law at
+(phi, sigma).  nu0 and L are computed for whole arrays of slopes and
+times at once: the path functional integrates L over [0,1] with an
+adaptive Gauss-Kronrod rule on batches of panels, and the untruncated
+functional is the increasing limit of the truncated values.
 """
 from __future__ import annotations
 
@@ -19,7 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lln import ReferenceLaw
-from .model import InitialProfile, Path, Schedule, entropy_term, entropy_terms, sigma
+from .model import (
+    InitialProfile,
+    Path,
+    Schedule,
+    entropy_term,
+    entropy_terms,
+    sigma,
+    transition_law,
+)
 
 # 15-point Kronrod extension of 7-point Gauss on [-1,1] (nodes symmetric;
 # the embedded Gauss rule sits at the odd positions)
@@ -43,6 +53,9 @@ _WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
 _GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])           # 7 weights
 
+# Panels evaluated per vectorized batch; bounds the node arrays' memory.
+_BLOCK = 256
+
 
 def relative_entropy(w, u, tol: float = 1e-12) -> float:
     """KL divergence sum_k w_k log(w_k/u_k) between laws on the increments."""
@@ -57,93 +70,94 @@ def relative_entropy(w, u, tol: float = 1e-12) -> float:
     return float(sum(entropy_term(max(x, 0.0), max(y, 0.0)) for x, y in zip(w, u)))
 
 
+def _nu0_rows(v, tol: float = 1e-9):
+    """nu0 for each slope row in the last axis of v, clipped at 0, and the
+    mask of rows that are admissible within tol."""
+    d = v.shape[-1] - 2
+    partial = np.cumsum(v, axis=-1)[..., : d + 1]
+    w = np.empty(v.shape)
+    w[..., : d + 1] = 1.0 - partial
+    w[..., d + 1] = partial.sum(axis=-1) - d
+    ok = (np.abs(v.sum(axis=-1) - 1.0) <= tol) & np.all(w >= -tol, axis=-1)
+    return np.clip(w, 0.0, None), ok
+
+
 def minimizer_nu0(slope, tol: float = 1e-9) -> np.ndarray:
     """The cost-minimizing increment law with mean equal to the given slope.
 
     Requires an admissible slope: nonnegative, summing to 1, partial sums
-    at most 1, and total escape sum_{i<=d}(1-[v]_i) at most 1.
+    at most 1, and total escape sum_{i<=d}(1-[v]_i) at most 1.  slope may
+    hold one row or many in its last axis; any inadmissible row raises.
     """
     v = np.asarray(slope, dtype=float)
-    d = v.size - 2
-    if d < 0:
+    if v.ndim == 0 or v.shape[-1] < 2:
         raise ValueError("slope needs at least 2 components")
-    partial = np.cumsum(v)[: d + 1]
-    w = np.empty(d + 2)
-    w[: d + 1] = 1.0 - partial
-    w[d + 1] = partial.sum() - d
-    if abs(v.sum() - 1.0) > tol:
-        raise ValueError(f"slope components must sum to 1 (got {v.sum()})")
-    if np.any(w < -tol):
-        raise ValueError("inadmissible slope: some increment weight is negative")
-    return np.clip(w, 0.0, None)
+    w, ok = _nu0_rows(v, tol)
+    if not np.all(ok):
+        raise ValueError("inadmissible slope: it must sum to 1 and leave every "
+                         "increment weight nonnegative")
+    return w
 
 
-def _slope_law(slope, sum_tol: float = 1e-6):
-    """nu0 for a numerically admissible slope, or None.
+def _piece_slopes(path: Path, sum_tol: float = 1e-6):
+    """Slopes of the path's linear pieces renormalized to total 1, or None
+    if any piece is inadmissible (the path then costs +inf).
 
     Interpolated limit trajectories carry slope-sum noise at the
     quadrature scale; rows within sum_tol of total 1 are renormalized
-    before the strict admissibility checks, anything further off (or any
-    other constraint violation) reports None and the caller charges +inf.
+    before the strict admissibility check, anything further off fails.
     """
-    row = np.asarray(slope, dtype=float)
-    s = float(row.sum())
-    if not math.isfinite(s) or abs(s - 1.0) > sum_tol:
-        return None
-    try:
-        return minimizer_nu0(row / s)
-    except ValueError:
-        return None
+    slopes = path.slopes
+    total = slopes.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = slopes / total
+    _, ok = _nu0_rows(v)
+    return v if np.all(ok & (np.abs(total[:, 0] - 1.0) <= sum_tol)) else None
 
 
 def natural_law(t, phi, schedule: Schedule, profile: InitialProfile) -> np.ndarray:
-    """Transition law u(t, phi) on the d+2 increments at a single time.
+    """Transition law u(t, phi) on the d+2 increments at times t of any shape.
 
-    At sigma = 0 (only the initial instant of an empty configuration) the
-    law degenerates to p on the new-urn move and 1-p on the aggregate slot.
+    phi carries the shape of t plus the d+2 components, as does the
+    result.  At sigma = 0 (only the initial instant of an empty
+    configuration) the law degenerates to p on the new-urn move and 1-p on
+    the aggregate slot.
     """
-    phi = np.asarray(phi, dtype=float)
-    d = phi.size - 2
-    p = float(schedule.p_at(t))
-    beta = float(schedule.beta_at(t))
-    sig = float(sigma(schedule, profile, t))
-    u = np.zeros(d + 2)
-    if sig == 0.0:
-        u[0] = p
-        u[d + 1] = 1.0 - p
-        return u
-    u[0] = p + (1.0 - p) * beta * max(phi[0], 0.0) / sig
-    i = np.arange(1, d + 1)
-    u[1 : d + 1] = (1.0 - p) * (i + beta) * np.clip(phi[1 : d + 1], 0.0, None) / sig
-    u[d + 1] = max(1.0 - u[: d + 1].sum(), 0.0)
-    return u
-
-
-def local_cost(t, phi, slope, schedule: Schedule, profile: InitialProfile) -> float:
-    """L(t, phi, slope); +inf for inadmissible slopes or unreachable moves."""
-    try:
-        w = minimizer_nu0(slope)
-    except ValueError:
-        return math.inf
-    u = natural_law(t, phi, schedule, profile)
-    return float(sum(entropy_term(x, y) for x, y in zip(w, u)))
-
-
-def _cost_on_nodes(t, w_row, path, schedule, profile):
-    """Vectorized local cost on node times t (any shape) with fixed nu0."""
-    phi = path.at(t)
-    p = schedule.p_at(t)
-    beta = schedule.beta_at(t)
+    t = np.asarray(t, dtype=float)
     sig = sigma(schedule, profile, t)
-    d = path.d
-    u = np.empty(t.shape + (d + 2,))
-    u[..., 0] = p + (1.0 - p) * beta * np.clip(phi[..., 0], 0.0, None) / sig
-    i = np.arange(1, d + 1)
-    u[..., 1 : d + 1] = ((1.0 - p)[..., None] * (i + beta[..., None])
-                         / sig[..., None]
-                         * np.clip(phi[..., 1 : d + 1], 0.0, None))
-    u[..., d + 1] = np.clip(1.0 - u[..., : d + 1].sum(axis=-1), 0.0, None)
-    return entropy_terms(w_row, u).sum(axis=-1)
+    empty = sig == 0.0
+    z = np.where(empty[..., None], 0.0, np.clip(phi, 0.0, None))
+    return transition_law(schedule.p_at(t), schedule.beta_at(t), z,
+                          np.where(empty, 1.0, sig))
+
+
+def local_cost(t, phi, slope, schedule: Schedule, profile: InitialProfile):
+    """L(t, phi, slope) at times t of any shape; +inf where the slope is
+    inadmissible or a move unreachable.
+
+    phi and slope carry the shape of t plus the d+2 components (or
+    broadcast to it).  A scalar t gives a float.
+    """
+    w, ok = _nu0_rows(np.asarray(slope, dtype=float))
+    u = natural_law(t, phi, schedule, profile)
+    cost = np.where(ok, entropy_terms(w, u).sum(axis=-1), math.inf)
+    return float(cost) if cost.ndim == 0 else cost
+
+
+def _panels(path: Path, schedule: Schedule):
+    """Knot intervals split at schedule breakpoints (the integrand jumps
+    there): panel starts, panel ends and the path piece of each panel."""
+    cuts = np.unique(np.concatenate([path.times, schedule.breakpoints]))
+    cuts = cuts[(cuts >= path.times[0]) & (cuts <= path.times[-1])]
+    piece = np.clip(np.searchsorted(path.times, cuts[:-1], side="right") - 1,
+                    0, path.times.size - 2)
+    return cuts[:-1], cuts[1:], piece
+
+
+def _kronrod_nodes(a, b):
+    """Half-widths (P,) and the 15 Kronrod nodes (P, 15) of panels [a, b]."""
+    half = 0.5 * (b - a)
+    return half, (0.5 * (b + a))[:, None] + half[:, None] * _XK[None, :]
 
 
 @dataclass
@@ -165,21 +179,12 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
     panel whose nodes all cost +inf is declared divergent, and isolated
     endpoint singularities are bisected down to a width floor.
     """
-    cuts = np.unique(np.concatenate([path.times, schedule.breakpoints]))
-    cuts = cuts[(cuts >= path.times[0]) & (cuts <= path.times[-1])]
-    slopes = path.slopes
-    seg = np.clip(np.searchsorted(path.times, cuts[:-1], side="right") - 1,
-                  0, slopes.shape[0] - 1)
+    a0, b0, piece = _panels(path, schedule)
+    slopes = _piece_slopes(path)
+    if slopes is None:
+        return RateReport(math.inf, math.inf, a0.size, 0, True)
 
-    # precompute nu0 per knot interval; inadmissible slope => infinite rate
-    w_rows = np.empty((slopes.shape[0], path.d + 2))
-    for k in range(slopes.shape[0]):
-        w = _slope_law(slopes[k])
-        if w is None:
-            return RateReport(math.inf, math.inf, cuts.size - 1, 0, True)
-        w_rows[k] = w
-
-    span = float(cuts[-1] - cuts[0])
+    span = float(b0[-1] - a0[0])
     floor = 1e-14 * span
     total = 0.0
     err_total = 0.0
@@ -187,19 +192,16 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
     floor_hits = 0
     deepest = 0
     num_done = 0
-    stack = [(float(a), float(b), int(s), 0)
-             for a, b, s in zip(cuts[:-1], cuts[1:], seg) if b > a]
+    stack = [(float(a), float(b), int(k), 0) for a, b, k in zip(a0, b0, piece)]
 
     while stack:
-        batch = [stack.pop() for _ in range(min(len(stack), 256))]
+        batch = [stack.pop() for _ in range(min(len(stack), _BLOCK))]
         a = np.array([e[0] for e in batch])
         b = np.array([e[1] for e in batch])
         ks = np.array([e[2] for e in batch])
         depth = np.array([e[3] for e in batch])
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        nodes = mid[:, None] + half[:, None] * _XK[None, :]
-        f = _cost_on_nodes(nodes, w_rows[ks][:, None, :], path, schedule, profile)
+        half, nodes = _kronrod_nodes(a, b)
+        f = local_cost(nodes, path.at(nodes), slopes[ks][:, None, :], schedule, profile)
         finite = np.isfinite(f)
         vk = np.where(finite.all(axis=1),
                       half * (f * _WK[None, :]).sum(axis=1), math.inf)
@@ -303,43 +305,27 @@ class IinfReport:
     trace: list                 # [(d, I_d)]
     converged: bool
     escape_mass: float
-    condensation: float         # last-block integral at the final depth
+    condensation: float         # condensation_term at the final depth
     error: float
 
 
-def _last_block_integral(path: Path, schedule, profile, tol) -> float:
-    """Integral of the aggregate-slot entropy term along the path."""
-    d = path.d
+def condensation_term(path: Path, schedule: Schedule, profile: InitialProfile) -> float:
+    """Cost carried by the aggregate slot alone (the condensation charge):
+    the integral of h(nu0_{d+1}, u_{d+1}) along the path by the 15-point
+    Kronrod rule on every panel, in blocks of panels."""
+    slopes = _piece_slopes(path)
+    if slopes is None:
+        return math.inf
+    a, b, piece = _panels(path, schedule)
+    w_last = _nu0_rows(slopes)[0][piece, -1]
     total = 0.0
-    cuts = np.unique(np.concatenate([path.times, schedule.breakpoints]))
-    slopes = path.slopes
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        k = min(np.searchsorted(path.times, a, side="right") - 1,
-                slopes.shape[0] - 1)
-        w = _slope_law(slopes[k])
-        if w is None:
-            return math.inf
-        half = 0.5 * (b - a)
-        nodes = 0.5 * (b + a) + half * _XK
-        phi = path.at(nodes)
-        p = schedule.p_at(nodes)
-        beta = schedule.beta_at(nodes)
-        sig = sigma(schedule, profile, nodes)
-        i = np.arange(1, d + 1)
-        head = (p + (1.0 - p) * beta * np.clip(phi[:, 0], 0.0, None) / sig
-                + ((1.0 - p)[:, None] * (i + beta[:, None])
-                   * np.clip(phi[:, 1 : d + 1], 0.0, None)).sum(axis=1) / sig)
-        u_last = np.clip(1.0 - head, 0.0, None)
-        total += half * (_WK * entropy_terms(w[d + 1], u_last)).sum()
-    return float(total)
-
-
-def condensation_term(path: Path, schedule: Schedule, profile: InitialProfile,
-                      tol: float = 1e-9) -> float:
-    """Cost carried by the aggregate slot alone (the condensation charge)."""
-    return _last_block_integral(path, schedule, profile, tol)
+    for lo in range(0, a.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        half, nodes = _kronrod_nodes(a[blk], b[blk])
+        u_last = natural_law(nodes, path.at(nodes), schedule, profile)[..., -1]
+        h = entropy_terms(w_last[blk, None], u_last)
+        total += float((half * (h * _WK[None, :]).sum(axis=1)).sum())
+    return total
 
 
 def path_rate_Iinf(target, schedule: Schedule, profile: InitialProfile,
@@ -376,7 +362,7 @@ def path_rate_Iinf(target, schedule: Schedule, profile: InitialProfile,
         trace.append((d, rep.value))
         if math.isinf(rep.value):
             return IinfReport(math.inf, trace, True, escape, math.inf, 0.0)
-        cond = _last_block_integral(path, schedule, profile, quad_tol)
+        cond = condensation_term(path, schedule, profile)
         cond_hist.append(cond)
         if len(trace) >= 2:
             inc = trace[-1][1] - trace[-2][1]
@@ -412,15 +398,12 @@ def linear_path_rate_classical(law, p: float = 0.0,
     """
     gamma, tail_count, ball_mass = _gamma_profile(law)
     escape = min(1.0, max(0.0, 1.0 - ball_mass))
-    ratio = (1.0 - p) / (1.0 + beta)
     # 1 - [gamma]_i counts every urn above level i, tail included, since
     # the profile is normalized
     w = np.clip(1.0 - np.cumsum(gamma), 0.0, None)
-    u0 = p + (1.0 - p) * beta * gamma[0] / (1.0 + beta)
-    terms = [entropy_term(w[0], u0)]
-    if gamma.size > 1:
-        i = np.arange(1, gamma.size, dtype=float)
-        terms.extend(entropy_terms(w[1:], ratio * (i + beta) * gamma[1:]))
+    # phi/sigma = gamma/(1+beta) at every time along the path
+    u = transition_law(p, beta, np.append(gamma, 0.0), 1.0 + beta)[:-1]
+    terms = entropy_terms(w, u)
     series = float(math.fsum(terms))
     cond = escape * math.log((1.0 + beta) / (1.0 - p)) if escape > 0.0 else 0.0
     # levels beyond the stored profile hold at most the last tail weight

@@ -1,10 +1,12 @@
 """Exact simulation of the truncated count chain and tube-probability estimates.
 
-States move by one of d+2 increment vectors per step; sampling uses the
-cumulative inverse with the last entry taken as complement.  Ensemble
-routines are vectorized across independent replicas and draw from a
-single generator seeded through numpy's SeedSequence, so results are
-reproducible given (seed, num_samples).
+States move by one of d+2 increment vectors per step, drawn from
+model.transition_law by the cumulative inverse with the last entry taken
+as complement.  One stepping loop serves every routine: it is vectorized
+across independent replicas, evaluates the schedule once on the lattice
+j/n, and draws from a single generator seeded through numpy's
+SeedSequence, so results are reproducible given (seed, num_samples).  A
+single run is the one-replica ensemble.
 """
 from __future__ import annotations
 
@@ -19,15 +21,17 @@ from .model import (
     TruncatedState,
     increments,
     realize_initial,
+    transition_law,
 )
 
 
 @dataclass(frozen=True)
 class SimRun:
-    """One trajectory: integer states for j = 0..n plus the scaled path."""
+    """One trajectory: the (n+1, d+2) integer counts for j = 0..n plus the
+    scaled path."""
 
     seed: int
-    trajectory: tuple
+    counts: np.ndarray
     interpolated: Path
 
 
@@ -63,66 +67,19 @@ def _resolve_initial(initial, n: int, d: int) -> TruncatedState:
     return realize_initial(InitialProfile.empty(), n, d=d, seed_config=initial)
 
 
-def step_probabilities(state: TruncatedState, schedule: Schedule) -> np.ndarray:
-    """One-step distribution over the d+2 increments at the state's step.
-
-    Entry 0 is p + (1-p)*beta*Z_0/s, entry i is (1-p)*(i+beta)*Z_i/s for
-    1 <= i <= d, and the last entry is the complement (balls landing in
-    aggregated urns).  s = ball_total + beta*urn_total.
-    """
-    if state.j >= state.n:
-        raise ValueError("no step available at j = n")
-    t = state.j / state.n
-    p = float(schedule.p_at(t))
-    beta = float(schedule.beta_at(t))
-    s = state.ball_total + beta * state.urn_total
-    if s <= 0.0:
-        raise ValueError("selection weight is zero; configuration has no urns")
-    d = state.d
-    probs = np.empty(d + 2)
-    counts = np.asarray(state.counts, dtype=float)
-    probs[0] = p + (1.0 - p) * beta * counts[0] / s
-    idx = np.arange(1, d + 1)
-    probs[1 : d + 1] = (1.0 - p) * (idx + beta) * counts[1 : d + 1] / s
-    probs[d + 1] = 1.0 - probs[: d + 1].sum()
-    if probs[d + 1] < 0.0:
-        # complement only goes negative through float round-off
-        probs[d + 1] = max(probs[d + 1], 0.0)
-    return probs
-
-
-def run(n: int, d: int, schedule: Schedule, initial, seed: int) -> SimRun:
-    """Simulate one trajectory of the truncated chain.
-
-    initial may be an InitialProfile, a TruncatedState, or explicit counts.
-    """
+def _simulate(n, d, schedule, initial, num_samples, seed, keep_paths):
+    """The chain for num_samples independent replicas: terminal counts
+    (num_samples, d+2) and, if keep_paths, the count history
+    (num_samples, n+1, d+2)."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    state = _resolve_initial(initial, n, d)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    f = increments(d)
-    counts = np.asarray(state.counts, dtype=np.int64)
-    u0, b0 = state.urn_total, state.ball_total
-    trajectory = [state]
-    traj_counts = np.empty((n + 1, d + 2), dtype=np.int64)
-    traj_counts[0] = counts
-    for j in range(n):
-        probs = step_probabilities(trajectory[-1], schedule)
-        k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        k = min(k, d + 1)
-        counts = counts + f[k]
-        traj_counts[j + 1] = counts
-        trajectory.append(TruncatedState(n=n, j=j + 1, counts=tuple(int(z) for z in counts),
-                                         urn_total=u0 + j + 1, ball_total=b0 + j + 1))
-    times = np.arange(n + 1) / n
-    path = Path.from_knots(times, traj_counts / n)
-    return SimRun(seed=seed, trajectory=tuple(trajectory), interpolated=path)
-
-
-def _ensemble_steps(n, d, schedule, initial, num_samples, seed, keep_paths):
-    """Vectorized chain over replicas; returns terminal counts and
-    optionally the full (num_samples, n+1, d+2) count history."""
     state0 = _resolve_initial(initial, n, d)
+    steps = np.arange(n)
+    p = schedule.p_at(steps / n)
+    beta = schedule.beta_at(steps / n)
+    s = (state0.ball_total + steps) + beta * (state0.urn_total + steps)
+    if s[0] <= 0.0:
+        raise ValueError("selection weight is zero; configuration has no urns")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     f = increments(d)
     counts = np.tile(np.asarray(state0.counts, dtype=np.int64), (num_samples, 1))
@@ -130,16 +87,9 @@ def _ensemble_steps(n, d, schedule, initial, num_samples, seed, keep_paths):
     if keep_paths:
         history = np.empty((num_samples, n + 1, d + 2), dtype=np.int64)
         history[:, 0, :] = counts
-    idx = np.arange(1, d + 1)
     for j in range(n):
-        t = j / n
-        p = float(schedule.p_at(t))
-        beta = float(schedule.beta_at(t))
-        s = (state0.ball_total + j) + beta * (state0.urn_total + j)
-        probs = np.empty((num_samples, d + 2))
-        probs[:, 0] = p + (1.0 - p) * beta * counts[:, 0] / s
-        probs[:, 1 : d + 1] = (1.0 - p) * (idx + beta) * counts[:, 1 : d + 1] / s
-        cum = np.cumsum(probs[:, : d + 1], axis=1)
+        cum = transition_law(p[j], beta[j], counts, s[j])[:, : d + 1]
+        np.cumsum(cum, axis=1, out=cum)  # in place: one law-sized array per step
         u = rng.random(num_samples)
         k = (u[:, None] >= cum).sum(axis=1)  # in 0..d+1, complement last
         counts += f[k]
@@ -148,15 +98,27 @@ def _ensemble_steps(n, d, schedule, initial, num_samples, seed, keep_paths):
     return counts, history
 
 
+def run(n: int, d: int, schedule: Schedule, initial, seed: int) -> SimRun:
+    """Simulate one trajectory of the truncated chain (the one-replica ensemble).
+
+    initial may be an InitialProfile, a TruncatedState, or explicit counts.
+    """
+    _, history = _simulate(n, d, schedule, initial, 1, seed, keep_paths=True)
+    counts = history[0]
+    counts.setflags(write=False)
+    path = Path.from_knots(np.arange(n + 1) / n, counts / n)
+    return SimRun(seed=seed, counts=counts, interpolated=path)
+
+
 def run_ensemble_terminal(n, d, schedule, initial, num_samples, seed) -> np.ndarray:
     """Terminal counts for num_samples independent replicas, shape (R, d+2)."""
-    terminal, _ = _ensemble_steps(n, d, schedule, initial, num_samples, seed, keep_paths=False)
+    terminal, _ = _simulate(n, d, schedule, initial, num_samples, seed, keep_paths=False)
     return terminal
 
 
 def run_ensemble_paths(n, d, schedule, initial, num_samples, seed) -> np.ndarray:
     """Full count histories, shape (num_samples, n+1, d+2)."""
-    _, history = _ensemble_steps(n, d, schedule, initial, num_samples, seed, keep_paths=True)
+    _, history = _simulate(n, d, schedule, initial, num_samples, seed, keep_paths=True)
     return history
 
 

@@ -243,8 +243,8 @@ def criterion_8(budget: str = "default") -> CheckResult:
         costs = np.empty((21, ts.size))
         for r in range(21):
             proj = rate.project_path(path, r)
-            costs[r] = [rate.local_cost(t, proj.at(t), proj.slope_at(t),
-                                        sched, profile) for t in ts]
+            costs[r] = rate.local_cost(ts, proj.at(ts), proj.slope_at(ts),
+                                       sched, profile)
         running = np.maximum.accumulate(costs, axis=0)
         gap = float((running[:-1] - costs[1:]).max())
         worst = max(worst, gap)

@@ -1,13 +1,16 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import urnrates
 from urnrates.cli import main
 
 
@@ -199,10 +202,14 @@ def test_verify_reduced_budget_reports_expected_failure(tmp_path, capsys):
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child imports the package from wherever this process found it,
+    # installed or not
+    src = str(Path(urnrates.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "urnrates.cli", "rate", "--preset", "star",
          "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     line = next(l for l in proc.stdout.splitlines() if l.startswith("rate value:"))
     printed = float(line.split(":")[1])

@@ -72,10 +72,22 @@ def test_two_phase_schedule_bounds_and_lookup():
 def test_polynomial_schedule_sampled_bounds():
     # p(t) = 0.1 + 0.2 t on one segment
     s = Schedule.from_segments([(0.0, (0.1, 0.2), 1.0)])
-    assert_allclose(s.p_min, 0.1)
-    assert_allclose(s.p_max, 0.3)
+    assert s.p_min == 0.1 and s.p_max == 0.1 + 0.2
+    assert s.beta_min == s.beta_max == 1.0
     assert_allclose(s.p_at(np.array([0.5])), [0.2])
     assert not s.is_piecewise_constant
+
+
+def test_schedule_bounds_are_certified_inside_segments():
+    # p falls from 0.5 to -0.5 on a segment of width 1e-4: no sample grid
+    # coarser than the segment sees it, the endpoints do
+    with pytest.raises(ValueError, match="p\\(t\\) must stay in"):
+        Schedule.from_segments([(0, 0, 1), (0.5, (5000.5, -10000.0), 1), (0.5001, 0, 1)])
+    # p(t) = 0.5 + t - t^2 peaks inside its segment, at t = 0.5
+    s = Schedule.from_segments([(0.0, (0.5, 1.0, -1.0), 1.0)])
+    assert s.p_min == 0.5 and s.p_max == 0.75
+    with pytest.raises(ValueError):
+        Schedule.from_segments([(0.0, (0.5, 2.0, -2.0), 1.0)])     # peak p(0.5) = 1
 
 
 def test_schedule_rejects_bad_parameters():

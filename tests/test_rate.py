@@ -86,6 +86,43 @@ def test_local_cost_vanishes_on_limit_slope():
         assert abs(cost) < 1e-13
 
 
+def test_local_cost_array_matches_scalar_calls():
+    rng = np.random.default_rng(8)
+    d = 5
+    v1 = np.array([0.5, 0.2, 0.2, 0.05, 0.05, 0.0, 0.0])
+    v2 = np.array([0.4, 0.4, 0.1, 0.05, 0.03, 0.01, 0.01])
+    path = Path.from_knots([0.0, 0.4, 1.0], [np.zeros(d + 2), 0.4 * v1, 0.4 * v1 + 0.6 * v2])
+    ts = np.concatenate([[0.0], rng.uniform(0.0, 1.0, size=41)]).reshape(3, 2, 7)
+    phi = path.at(ts)
+    slope = path.slope_at(ts)
+    slope[0, 1, 3] = 0.4          # one inadmissible slope row: cost +inf
+    sched = Schedule.constant(0.25, 3.0)
+    costs = local_cost(ts, phi, slope, sched, EMPTY)
+    assert costs.shape == ts.shape
+    scalar = [local_cost(t, x, v, sched, EMPTY)
+              for t, x, v in zip(ts.ravel(), phi.reshape(-1, d + 2),
+                                 slope.reshape(-1, d + 2))]
+    assert all(isinstance(c, float) for c in scalar)
+    # +inf at the bad row and at t = 0, where sigma = 0 leaves only the
+    # new-urn move and the aggregate slot reachable
+    assert math.isinf(costs[0, 1, 3]) and math.isinf(costs[0, 0, 0])
+    assert np.isfinite(costs).sum() == ts.size - 2
+    # same arithmetic per entry; allow a few ulps for vectorized math kernels
+    assert_allclose(costs.ravel(), scalar, rtol=1e-14, atol=1e-15)
+
+
+def test_rate_of_straight_path_is_its_constant_cost():
+    # from the empty state under a constant schedule phi/sigma and the
+    # slope are constant along a straight path, so is the integrand
+    sched = Schedule.constant(0.25, 3.0)
+    for law in (geometric_law(), [0.5, 0.3, 0.2]):
+        path = linear_target_path(law, 6)
+        rep = path_rate_Id(path, sched, EMPTY)
+        for t in (0.1, 0.37, 0.9):
+            cost = local_cost(t, path.at(t), path.slope_at(t), sched, EMPTY)
+            assert_allclose(rep.value, cost, rtol=1e-12)
+
+
 def test_rate_vanishes_on_limit_path():
     sol = solve_lln_closed(6, CLASSICAL, EMPTY, grid=np.linspace(0.0, 1.0, 9))
     rep = path_rate_Id(sol.path(), CLASSICAL, EMPTY)
@@ -116,6 +153,10 @@ def test_star_rate_general_parameters():
 def test_star_cost_is_pure_condensation():
     path = linear_target_path(star_law(), 6)
     assert_allclose(condensation_term(path, CLASSICAL, EMPTY), LOG2, rtol=1e-13)
+    # 1000 pieces: the panels span several evaluation blocks
+    grid = np.linspace(0.0, 1.0, 1001)
+    fine = Path.from_knots(grid, path.at(grid))
+    assert abs(condensation_term(fine, CLASSICAL, EMPTY) - LOG2) <= 1e-13
     series = linear_path_rate_classical(star_law())
     assert_allclose(series.value, LOG2, rtol=1e-14)
     assert series.series_part == 0.0
