@@ -8,11 +8,14 @@ whose solution has the integral form
 
 with g_0 = 1-p, g_1 = p + (1-p) beta zeta_0 / sigma, and
 g_i = (1-p)(i-1+beta) zeta_{i-1} / sigma for i >= 2.  The aggregate
-component integrates the flux through level d.  This module evaluates
-that closed form by cell-wise propagation on a graded grid (exact
-power-law kernels on piecewise-constant schedule segments), plus an
-independent Runge-Kutta route, the constant-coefficient comparison
-family, power-law envelopes, and reference target laws.
+component integrates g_{d+1}, the flux out of level d (at d = 0 it also
+receives the new-urn ball).  This module evaluates that closed form on
+flat arrays over the cells of one graded grid: the decay integrals of
+every cell once (exact logarithms on constant schedule segments, Gauss
+rules on polynomial ones), then one affine scan across the cells per
+level.  Beside it are an independent Runge-Kutta route, the
+constant-coefficient comparison family, power-law envelopes, and
+reference target laws.
 """
 from __future__ import annotations
 
@@ -121,80 +124,65 @@ def graded_grid(schedule: Schedule, rel_spacing: float = 0.02,
     return grid[(grid >= 0.0) & (grid <= 1.0)]
 
 
-class _Kernel:
-    """Per-cell quadrature data for one schedule segment's cells.
+def _inflow(level, p, beta, zprev, sig):
+    """Source g_level of the closed form: 1-p at level 0, the new-urn ball
+    plus the flux out of level 0 at level 1, and the flux out of level
+    level-1 above that.  Level d+1 is the flux into the aggregate slot."""
+    if level == 0:
+        return 1.0 - p
+    g = (1.0 - p) * (level - 1 + beta) * zprev / sig
+    return p + g if level == 1 else g
 
-    For each cell [x,y] and each Gauss node s inside it, stores
-    W1 = int (1-p)/sigma and W2 = int (1-p)*beta/sigma over [s,y] and
-    over [x,y], so that M_i = exp(-(i*W1 + W2)) for every level i.
+
+def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, weights, const):
+    """W1 = int (1-p)/sigma and W2 = int (1-p)*beta/sigma over each cell
+    [x,y], shape (K,), and from each Gauss node s to the cell end, shape
+    (K, 15), so that M_i = exp(-(i*W1 + W2)) for every level i.
+
+    On cells of constant segments (the mask const) the integrals are exact
+    logarithms; on the others they are Gauss rules, with a nested 15-point
+    sub-rule on [s, y] for each node s.
     """
+    K = lo.size
+    W1_cell, W2_cell = np.empty(K), np.empty(K)
+    W1_nodes, W2_nodes = np.empty((K, 15)), np.empty((K, 15))
 
-    def __init__(self, schedule, profile, seg, lo, hi):
-        self.x = lo  # cell left ends, shape (K,)
-        self.y = hi
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        self.nodes = mid[:, None] + half[:, None] * _GL_X[None, :]  # (K,15)
-        self.weights = half[:, None] * _GL_W[None, :]
-        flat = self.nodes.ravel()
-        self.p_nodes = schedule.p_at(flat).reshape(self.nodes.shape)
-        self.beta_nodes = schedule.beta_at(flat).reshape(self.nodes.shape)
-        self.sigma_nodes = sigma(schedule, profile, flat).reshape(self.nodes.shape)
+    # constant segments: p, beta are the node values, sigma is linear
+    x, y, pc, bc = lo[const], hi[const], p[const, 0], beta[const, 0]
+    base = (1.0 - pc) / (1.0 + bc)
+    sx = (1.0 + bc) * x + profile.c_weighted + profile.c_total * bc
+    # log(sy/sx) = log1p((1+beta)(y-x)/sx) avoids cancellation on narrow
+    # cells where sy/sx is within a few ulps of 1
+    with np.errstate(divide="ignore"):
+        w1 = np.where(sx > 0.0,
+                      base * np.log1p((1.0 + bc) * (y - x) / np.where(sx > 0, sx, 1.0)),
+                      np.inf)
+    # y - s at the Gauss nodes, exactly half*(1 - x_q)
+    y_minus_s = (0.5 * (y - x))[:, None] * (1.0 - _GL_X[None, :])
+    w1n = base[:, None] * np.log1p((1.0 + bc)[:, None] * y_minus_s / sig[const])
+    W1_cell[const], W2_cell[const] = w1, bc * w1
+    W1_nodes[const], W2_nodes[const] = w1n, bc[:, None] * w1n
 
-        if seg.is_constant:
-            p = float(seg.p_coeffs[0])
-            beta = float(seg.beta_coeffs[0])
-            sig = lambda t: (1.0 + beta) * t + profile.c_weighted + profile.c_total * beta
-            base = (1.0 - p) / (1.0 + beta)
-            sx, sy = sig(lo), sig(hi)
-            # log(sy/sx) = log1p((1+beta)(y-x)/sx) avoids cancellation on
-            # narrow cells where sy/sx is within a few ulps of 1
-            with np.errstate(divide="ignore"):
-                w1_cell = np.where(
-                    sx > 0.0,
-                    base * np.log1p((1.0 + beta) * (hi - lo) / np.where(sx > 0, sx, 1.0)),
-                    np.inf)
-            self.W1_cell = w1_cell
-            self.W2_cell = beta * w1_cell
-            # y - s at the Gauss nodes, exactly half*(1 - x_q)
-            y_minus_s = half[:, None] * (1.0 - _GL_X[None, :])
-            w1_nodes = base * np.log1p((1.0 + beta) * y_minus_s / sig(self.nodes))
-            self.W1_nodes = w1_nodes
-            self.W2_nodes = beta * w1_nodes
-        else:
-            # polynomial coefficients: integrate (1-p)/sigma numerically on
-            # [s, y] for each node s (sub-rule per node), and on [x, y]
-            w = (1.0 - self.p_nodes) / self.sigma_nodes
-            bw = self.beta_nodes * w
-            self.W1_cell = (self.weights * w).sum(axis=1)
-            self.W2_cell = (self.weights * bw).sum(axis=1)
-            K = lo.size
-            W1n = np.empty((K, 15))
-            W2n = np.empty((K, 15))
-            for q in range(15):
-                s = self.nodes[:, q]
-                h2 = 0.5 * (hi - s)
-                m2 = 0.5 * (hi + s)
-                sub = m2[:, None] + h2[:, None] * _GL_X[None, :]
-                wsub = h2[:, None] * _GL_W[None, :]
-                pflat = schedule.p_at(sub.ravel()).reshape(sub.shape)
-                bflat = schedule.beta_at(sub.ravel()).reshape(sub.shape)
-                sflat = sigma(schedule, profile, sub.ravel()).reshape(sub.shape)
-                integ = (1.0 - pflat) / sflat
-                W1n[:, q] = (wsub * integ).sum(axis=1)
-                W2n[:, q] = (wsub * integ * bflat).sum(axis=1)
-            self.W1_nodes = W1n
-            self.W2_nodes = W2n
-
-    def decay(self, level: int):
-        """(M over full cells, M from each node to the cell end)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            e_cell = level * self.W1_cell + self.W2_cell
-            # 0 * inf from the sigma(0) = 0 cell: the kernel still vanishes
-            e_cell = np.where(np.isnan(e_cell), np.inf, e_cell)
-            m_cell = np.exp(-e_cell)
-            m_nodes = np.exp(-(level * self.W1_nodes + self.W2_nodes))
-        return m_cell, m_nodes
+    # polynomial segments
+    poly = ~const
+    w = (1.0 - p[poly]) / sig[poly]
+    bw = beta[poly] * w
+    W1_cell[poly] = (weights[poly] * w).sum(axis=1)
+    W2_cell[poly] = (weights[poly] * bw).sum(axis=1)
+    y, s_all = hi[poly], nodes[poly]
+    for q in range(15):
+        s = s_all[:, q]
+        h2 = 0.5 * (y - s)
+        m2 = 0.5 * (y + s)
+        sub = m2[:, None] + h2[:, None] * _GL_X[None, :]
+        wsub = h2[:, None] * _GL_W[None, :]
+        pflat = schedule.p_at(sub.ravel()).reshape(sub.shape)
+        bflat = schedule.beta_at(sub.ravel()).reshape(sub.shape)
+        sflat = sigma(schedule, profile, sub.ravel()).reshape(sub.shape)
+        integ = (1.0 - pflat) / sflat
+        W1_nodes[poly, q] = (wsub * integ).sum(axis=1)
+        W2_nodes[poly, q] = (wsub * integ * bflat).sum(axis=1)
+    return W1_cell, W2_cell, W1_nodes, W2_nodes
 
 
 def _singular_first_cell(level, h, p, beta, prev_interp):
@@ -207,51 +195,38 @@ def _singular_first_cell(level, h, p, beta, prev_interp):
     """
     kappa = (1.0 - p) * (level + beta) / (1.0 + beta)
     if level == 0:
-        return (1.0 - p) * h / (kappa + 1.0)
+        # constant source: the substitution integrates it exactly
+        return _inflow(0, p, beta, None, None) * h / (kappa + 1.0)
     u = 0.5 + 0.5 * _GL_X
     s = h * u ** (1.0 / (kappa + 1.0))
-    sig = (1.0 + beta) * s
-    z = prev_interp(s)
-    if level == 1:
-        g = p + (1.0 - p) * beta * z / sig
-    else:
-        g = (1.0 - p) * (level - 1 + beta) * z / sig
+    g = _inflow(level, p, beta, prev_interp(s), (1.0 + beta) * s)
     return h / (kappa + 1.0) * float((0.5 * _GL_W * g).sum())
 
 
-def _build_kernels(schedule, profile, grid):
-    """Split the cell list by schedule segment and precompute kernels."""
-    lo, hi = grid[:-1], grid[1:]
-    mids = 0.5 * (lo + hi)
-    seg_idx = schedule.segment_index(mids)
-    kernels = []
-    for k, seg in enumerate(schedule.segments):
-        mask = seg_idx == k
-        if np.any(mask):
-            kernels.append((mask, _Kernel(schedule, profile, seg, lo[mask], hi[mask])))
-    return kernels
-
-
-def _segment_interps(fine, kernels, z):
-    """One monotone cubic per schedule segment.
+def _segment_interps(fine, cells, z):
+    """One monotone cubic per schedule segment, keyed by segment index;
+    cells maps each index to the slice of its cells.
 
     The solution has slope kinks at the breakpoints; a single interpolant
     over the whole grid would leak them into the neighboring cells through
     the derivative estimates at the shared nodes.
     """
-    out = []
-    for mask, _ in kernels:
-        idx = np.flatnonzero(mask)
-        sub = slice(idx[0], idx[-1] + 2)
-        out.append(PchipInterpolator(fine[sub], z[sub], extrapolate=True))
-    return out
+    return {k: PchipInterpolator(fine[c.start : c.stop + 1], z[c.start : c.stop + 1],
+                                 extrapolate=True)
+            for k, c in cells.items()}
 
 
-def _eval_on_nodes(kernels, interps, t_nodes):
-    out = np.empty_like(t_nodes)
-    for (mask, _), itp in zip(kernels, interps):
-        out[mask] = itp(t_nodes[mask])
-    return out
+def _affine_scan(z0, m, c):
+    """z[0] = z0 and z[k+1] = m[k]*z[k] + c[k], by log2(K) doubling passes
+    that compose the affine steps pairwise; every m and c is >= 0, so no
+    pass cancels."""
+    m, c = m.copy(), c.copy()
+    shift = 1
+    while shift < m.size:
+        c[shift:] += m[shift:] * c[:-shift]
+        m[shift:] *= m[:-shift]
+        shift *= 2
+    return np.concatenate([[z0], z0 * m + c])
 
 
 def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
@@ -261,7 +236,8 @@ def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
 
     Levels are computed in increasing i by propagating across cells of a
     graded grid; each level's values are cached on the full grid and fed
-    to the next level through a monotone cubic interpolant.  If grid is
+    to the next level through a monotone cubic interpolant.  Level d+1,
+    the aggregate slot, is the same recurrence without decay.  If grid is
     given, it is merged into the computation grid and the solution is
     returned restricted to it.
     """
@@ -270,65 +246,48 @@ def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
     requested = None if grid is None else np.asarray(grid, dtype=float)
     fine = graded_grid(schedule, rel_spacing=rel_spacing, rel_floor=rel_floor,
                        extra=requested, profile=profile)
-    K = fine.size - 1
-    kernels = _build_kernels(schedule, profile, fine)
+    lo, hi = fine[:-1], fine[1:]
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_X[None, :]  # (K, 15)
+    weights = half[:, None] * _GL_W[None, :]
+    flat = nodes.ravel()
+    p = schedule.p_at(flat).reshape(nodes.shape)
+    beta = schedule.beta_at(flat).reshape(nodes.shape)
+    sig = sigma(schedule, profile, flat).reshape(nodes.shape)
+
+    # cells of one segment are contiguous: the grid holds every breakpoint
+    seg_idx = schedule.segment_index(0.5 * (lo + hi))
+    cells = {k: slice(*np.searchsorted(seg_idx, [k, k + 1]).tolist())
+             for k in np.unique(seg_idx).tolist()}
+    const = np.array([s.is_constant for s in schedule.segments])[seg_idx]
+    W1_cell, W2_cell, W1_nodes, W2_nodes = _decay_integrals(
+        schedule, profile, lo, hi, nodes, p, beta, sig, weights, const)
+
     seg0 = schedule.segments[0]
     singular0 = (profile.c_total == 0.0 and profile.c_weighted == 0.0
                  and seg0.is_constant and fine[0] == 0.0)
-
-    # per-node coefficient values, assembled in cell order
-    t_nodes = np.empty((K, 15))
-    p_nodes = np.empty((K, 15))
-    beta_nodes = np.empty((K, 15))
-    sigma_nodes = np.empty((K, 15))
-    weights = np.empty((K, 15))
-    for mask, ker in kernels:
-        t_nodes[mask] = ker.nodes
-        p_nodes[mask] = ker.p_nodes
-        beta_nodes[mask] = ker.beta_nodes
-        sigma_nodes[mask] = ker.sigma_nodes
-        weights[mask] = ker.weights
-
     init = profile.truncated(d)
     values = np.empty((fine.size, d + 2))
-    seg0_interp = None
-    for i in range(d + 1):
-        m_cell = np.empty(K)
-        m_nodes = np.empty((K, 15))
-        for mask, ker in kernels:
-            mc, mn = ker.decay(i)
-            m_cell[mask] = mc
-            m_nodes[mask] = mn
-        if i == 0:
-            g = 1.0 - p_nodes
-        else:
-            interps = _segment_interps(fine, kernels, values[:, i - 1])
-            seg0_interp = interps[0]
-            zprev = _eval_on_nodes(kernels, interps, t_nodes)
-            if i == 1:
-                g = p_nodes + (1.0 - p_nodes) * beta_nodes * zprev / sigma_nodes
-            else:
-                g = (1.0 - p_nodes) * (i - 1 + beta_nodes) * zprev / sigma_nodes
-        contrib = (weights * g * m_nodes).sum(axis=1)
-        if singular0:
+    interps = zprev = None
+    for i in range(d + 2):
+        if i <= d:
+            with np.errstate(over="ignore", invalid="ignore"):
+                e_cell = i * W1_cell + W2_cell
+                # 0 * inf from the sigma(0) = 0 cell: the kernel still vanishes
+                m_cell = np.exp(-np.where(np.isnan(e_cell), np.inf, e_cell))
+                m_nodes = np.exp(-(i * W1_nodes + W2_nodes))
+        else:  # the aggregate slot integrates its inflow without decay
+            m_cell, m_nodes = np.ones(lo.size), 1.0
+        if i > 0:
+            interps = _segment_interps(fine, cells, values[:, i - 1])
+            zprev = np.concatenate([interps[k](nodes[c]) for k, c in cells.items()])
+        contrib = (weights * _inflow(i, p, beta, zprev, sig) * m_nodes).sum(axis=1)
+        # the aggregate's integrand carries no kernel singularity at t = 0
+        if singular0 and i <= d:
             contrib[0] = _singular_first_cell(
                 i, fine[1], float(seg0.p_coeffs[0]), float(seg0.beta_coeffs[0]),
-                seg0_interp)
-        z = np.empty(fine.size)
-        z[0] = init[i]
-        for k in range(K):
-            z[k + 1] = z[k] * m_cell[k] + contrib[k]
-        values[:, i] = z
-
-    # aggregate slot: plain integral of the flux through level d
-    interps = _segment_interps(fine, kernels, values[:, d])
-    zd = _eval_on_nodes(kernels, interps, t_nodes)
-    flux = (1.0 - p_nodes) * (d + beta_nodes) * zd / sigma_nodes
-    inc = (weights * flux).sum(axis=1)
-    zbar = np.empty(fine.size)
-    zbar[0] = init[d + 1]
-    zbar[1:] = init[d + 1] + np.cumsum(inc)
-    values[:, d + 1] = zbar
+                None if interps is None else interps[0])
+        values[:, i] = _affine_scan(init[i], m_cell, contrib)
 
     sol = LLNSolution(d=d, grid=fine, values=values, method="closed-form")
     if requested is None:
@@ -343,14 +302,13 @@ def _rhs(t, y, schedule, profile, d):
     beta = schedule.beta_at(t)
     sig = sigma(schedule, profile, t)
     rates = (1.0 - p) * (np.arange(d + 1) + beta) * y[: d + 1] / sig
+    # level i+1 gains what level i loses, and the new-urn ball enters at 1
+    # (at d = 0 that is the aggregate slot, "at least one ball")
     dy = np.empty(d + 2)
     dy[0] = (1.0 - p) - rates[0]
-    if d >= 1:
-        dy[1] = p + rates[0] - rates[1]
-        dy[2 : d + 1] = rates[1:d] - rates[2 : d + 1]
-        dy[d + 1] = rates[d]
-    else:
-        dy[1] = rates[0]
+    dy[1] = p + rates[0]
+    dy[2:] = rates[1:]
+    dy[1 : d + 1] -= rates[1:]
     return dy
 
 
@@ -369,6 +327,8 @@ def _seed_values(d, schedule, profile, t0):
         y = np.empty(d + 2)
         y[: d + 1] = b * t0
         y[d + 1] = t0 * (1.0 - p0) * (d + b0) * b[d] / (1.0 + b0)
+        if d == 0:  # the aggregate slot also gains the new-urn ball
+            y[1] += t0 * p0
         return y
     coarse = solve_lln_closed(d, schedule, profile, grid=np.array([0.0, t0, 1.0]),
                               rel_spacing=0.05)

@@ -21,17 +21,9 @@ import numpy as np
 PATH_TOL = 1e-9
 
 
-def entropy_term(x: float, y: float) -> float:
-    """x*log(x/y) under the conventions 0*log0 = 0/0 = 0, x/0 = +inf (x>0)."""
-    if x == 0.0:
-        return 0.0
-    if y <= 0.0:
-        return math.inf
-    return x * math.log(x / y)
-
-
 def entropy_terms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized entropy_term over equal-shape arrays."""
+    """x*log(x/y) elementwise over broadcasting arrays, under the
+    conventions 0*log0 = 0/0 = 0 and x/0 = +inf for x > 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast(x, y).shape)
@@ -486,6 +478,20 @@ def realize_initial(profile: InitialProfile, n: int, d: int | None = None,
             )
     counts = tuple(int(z) for z in base[: d + 1]) + (int(base[d + 1 :].sum()),)
     return TruncatedState(n=n, j=0, counts=counts, urn_total=urns, ball_total=balls)
+
+
+def resolve_initial(initial, n: int, d: int) -> TruncatedState:
+    """The validated step-0 state at scheme size n for a TruncatedState, an
+    InitialProfile (realized by realize_initial) or explicit counts
+    (Z_0, ..., Z_d, Zbar)."""
+    if isinstance(initial, TruncatedState):
+        if initial.d != d:
+            raise ValueError("initial state truncation does not match d")
+        return TruncatedState(n=n, j=0, counts=initial.counts,
+                              urn_total=initial.urn_total, ball_total=initial.ball_total)
+    if isinstance(initial, InitialProfile):
+        return realize_initial(initial, n, d=d)
+    return realize_initial(InitialProfile.empty(), n, d=d, seed_config=initial)
 
 
 def config_from_dict(cfg: dict):

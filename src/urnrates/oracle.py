@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import InitialProfile, Schedule, TruncatedState, realize_initial
+from .model import Schedule, resolve_initial
 
 DEFAULT_MAX_N = 14
 DEFAULT_MAX_D = 2
@@ -50,23 +50,6 @@ class ExactDistribution:
 
     def as_floats(self) -> dict:
         return {k: float(v) for k, v in self.atoms.items()}
-
-
-def _initial_counts(initial, n, d):
-    if isinstance(initial, TruncatedState):
-        state = initial
-        if state.d != d:
-            raise ValueError("initial state truncation does not match d")
-        return state.counts, state.urn_total, state.ball_total
-    if isinstance(initial, InitialProfile):
-        state = realize_initial(initial, n, d=d)
-        return state.counts, state.urn_total, state.ball_total
-    counts = tuple(int(z) for z in initial)
-    if len(counts) != d + 2:
-        raise ValueError("initial counts must have length d+2")
-    urns = sum(counts)
-    balls = sum(i * z for i, z in enumerate(counts[:-1])) + (d + 1) * counts[-1]
-    return counts, urns, balls
 
 
 def _params_at(schedule, j, n, rational):
@@ -178,7 +161,8 @@ def enumerate_exact(n: int, d: int, schedule: Schedule, initial,
     rational = mode == "rational"
     one = Fraction(1) if rational else 1.0
 
-    counts0, urns0, balls0 = _initial_counts(initial, n, d)
+    state0 = resolve_initial(initial, n, d)
+    counts0, urns0, balls0 = state0.counts, state0.urn_total, state0.ball_total
     if marked:
         if counts0[0] < 1:
             raise ValueError("marking requires an empty urn in the initial configuration")
@@ -220,7 +204,8 @@ def enumerate_naive(n: int, d: int, schedule: Schedule, initial,
         raise ValueError("naive enumeration is capped at n = 6")
     rational = mode == "rational"
     one = Fraction(1) if rational else 1.0
-    counts0, urns0, balls0 = _initial_counts(initial, n, d)
+    state0 = resolve_initial(initial, n, d)
+    counts0, urns0, balls0 = state0.counts, state0.urn_total, state0.ball_total
     atoms = {}
 
     def descend(counts, j, prob):
@@ -246,7 +231,8 @@ def laplace_functional(n: int, d: int, schedule: Schedule, initial, h,
     routes are independent and agree to float precision.
     """
     _check_budget(n, d, max_n, max_d)
-    counts0, urns0, balls0 = _initial_counts(initial, n, d)
+    state0 = resolve_initial(initial, n, d)
+    counts0, urns0, balls0 = state0.counts, state0.urn_total, state0.ball_total
 
     if method == "forward":
         dist = enumerate_exact(n, d, schedule, counts0, mode="float",

@@ -25,7 +25,6 @@ from .model import (
     InitialProfile,
     Path,
     Schedule,
-    entropy_term,
     entropy_terms,
     sigma,
     transition_law,
@@ -67,7 +66,7 @@ def relative_entropy(w, u, tol: float = 1e-12) -> float:
         raise ValueError("negative probability")
     if abs(math.fsum(w) - 1.0) > tol or abs(math.fsum(u) - 1.0) > tol:
         raise ValueError("inputs must be normalized probability vectors")
-    return float(sum(entropy_term(max(x, 0.0), max(y, 0.0)) for x, y in zip(w, u)))
+    return math.fsum(entropy_terms(np.maximum(w, 0.0), np.maximum(u, 0.0)))
 
 
 def _nu0_rows(v, tol: float = 1e-9):

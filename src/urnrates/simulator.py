@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    InitialProfile,
-    Path,
-    Schedule,
-    TruncatedState,
-    increments,
-    realize_initial,
-    transition_law,
-)
+from .model import Path, Schedule, increments, resolve_initial, transition_law
 
 
 @dataclass(frozen=True)
@@ -55,25 +47,13 @@ class TubeEstimate:
     num_samples: int
 
 
-def _resolve_initial(initial, n: int, d: int) -> TruncatedState:
-    if isinstance(initial, TruncatedState):
-        if initial.d != d:
-            raise ValueError("initial state truncation does not match d")
-        return TruncatedState(n=n, j=0, counts=initial.counts,
-                              urn_total=initial.urn_total, ball_total=initial.ball_total)
-    if isinstance(initial, InitialProfile):
-        return realize_initial(initial, n, d=d)
-    # explicit counts
-    return realize_initial(InitialProfile.empty(), n, d=d, seed_config=initial)
-
-
 def _simulate(n, d, schedule, initial, num_samples, seed, keep_paths):
     """The chain for num_samples independent replicas: terminal counts
     (num_samples, d+2) and, if keep_paths, the count history
     (num_samples, n+1, d+2)."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    state0 = _resolve_initial(initial, n, d)
+    state0 = resolve_initial(initial, n, d)
     steps = np.arange(n)
     p = schedule.p_at(steps / n)
     beta = schedule.beta_at(steps / n)

@@ -48,12 +48,6 @@ def seed_counts(d: int) -> tuple:
     return (2,) + (0,) * (d + 1)
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
 # --------------------------------------------------------------------------
 
 def criterion_1(budget: str = "default") -> CheckResult:

@@ -74,14 +74,43 @@ def test_closed_vs_ode_two_phase():
 
 
 def test_closed_vs_ode_polynomial_coefficients():
-    # time-varying p and beta, started from positive mass so sigma(0) > 0
+    # time-varying p and beta, started from positive mass so sigma(0) > 0;
+    # at d = 0 the aggregate slot also receives the new-urn ball
     sched = Schedule.from_segments([(0.0, (0.1, 0.3), (1.0, 0.0, 2.0))])
     prof = InitialProfile.from_masses((0.2, 0.1))
     grid = np.array([0.0, 0.1, 0.4, 0.8, 1.0])
-    a = solve_lln_closed(6, sched, prof, grid=grid)
-    b = solve_lln_numeric(6, sched, prof, grid=grid)
-    assert_allclose(a.values, b.values, atol=5e-7)
-    assert a.mass_deviation(prof) < 1e-7
+    for d, mass_tol in ((6, 1e-7), (0, 5e-7)):
+        a = solve_lln_closed(d, sched, prof, grid=grid)
+        b = solve_lln_numeric(d, sched, prof, grid=grid)
+        assert_allclose(a.values, b.values, atol=5e-7)
+        assert a.mass_deviation(prof) < mass_tol
+
+
+def test_closed_vs_ode_mixed_constant_and_polynomial_segments():
+    # both decay branches (exact logarithms and nested Gauss rules) in one solve
+    sched = Schedule.from_segments([(0, 0, 8), (0.3, (0.1, 0.2), (1.0, 0.5)),
+                                    (0.7, 0.2, 2.0)])
+    grid = np.array([0.0, 0.05, 0.3, 0.5, 0.7, 0.85, 1.0])
+    for prof in (EMPTY, InitialProfile.from_masses((0.3, 0.1, 0.05))):
+        for d in (1, 6):
+            a = solve_lln_closed(d, sched, prof, grid=grid)
+            b = solve_lln_numeric(d, sched, prof, grid=grid)
+            assert_allclose(a.values, b.values, atol=1e-7)
+            assert a.mass_deviation(prof) < 1e-7
+
+
+def test_new_urn_ball_reaches_aggregate_slot_at_d0():
+    # at d = 0 the aggregate slot holds the urns with at least one ball, so
+    # it gains p + (1-p) beta zeta_0 / sigma: zetabar = (1 - b_0) t
+    sched = Schedule.constant(0.3, 1.0)
+    grid = np.linspace(0.0, 1.0, 11)
+    a = solve_lln_closed(0, sched, EMPTY, grid=grid)
+    b = solve_lln_numeric(0, sched, EMPTY, grid=grid)
+    b0 = b_sequence(EnvelopeParams(0.3, 0.3, 1.0, 1.0, 0.0), 0)[0]
+    assert_allclose(a.values[:, 1], grid * (1.0 - b0), atol=1e-12)
+    assert a.mass_deviation(EMPTY) < 1e-12
+    assert b.mass_deviation(EMPTY) < 1e-12
+    assert_allclose(a.values, b.values, atol=1e-12)
 
 
 def test_grid_restriction_matches_superset_solve():

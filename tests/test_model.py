@@ -13,7 +13,6 @@ from urnrates.model import (
     Schedule,
     TruncatedState,
     config_from_dict,
-    entropy_term,
     entropy_terms,
     increments,
     realize_initial,
@@ -25,10 +24,10 @@ from urnrates.model import (
 # ---------------------------------------------------------------- entropy
 
 def test_entropy_conventions():
-    assert entropy_term(0.0, 0.0) == 0.0
-    assert entropy_term(0.0, 0.3) == 0.0
-    assert entropy_term(0.5, 0.0) == math.inf
-    assert_allclose(entropy_term(0.5, 0.25), 0.5 * math.log(2.0))
+    assert entropy_terms(0.0, 0.0) == 0.0
+    assert entropy_terms(0.0, 0.3) == 0.0
+    assert entropy_terms(0.5, 0.0) == math.inf
+    assert_allclose(entropy_terms(0.5, 0.25), 0.5 * math.log(2.0))
 
 
 def test_entropy_terms_matches_scalar():
@@ -37,7 +36,7 @@ def test_entropy_terms_matches_scalar():
     out = entropy_terms(x, y)
     assert out[0] == 0.0
     assert out[1] == math.inf
-    assert_allclose(out[2], entropy_term(0.5, 0.25))
+    assert_allclose(out[2], 0.5 * math.log(2.0))
     assert out[3] == 0.0
 
 
@@ -50,7 +49,7 @@ def test_entropy_terms_broadcasts():
 @given(st.floats(1e-9, 1.0), st.floats(1e-9, 1.0))
 def test_entropy_term_convex_lower_bound(x, y):
     # x log(x/y) >= x - y, the standard tangent bound
-    assert entropy_term(x, y) >= (x - y) - 1e-12
+    assert entropy_terms(x, y) >= (x - y) - 1e-12
 
 
 # --------------------------------------------------------------- schedule

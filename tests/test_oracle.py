@@ -67,6 +67,17 @@ def test_marking_requires_empty_urn():
         enumerate_exact(3, 1, CLASSICAL, (0, 2, 0), marked=True)
 
 
+@pytest.mark.parametrize("counts", [(0, 0, 0, 0), (1, 0, 0, -1)])
+def test_invalid_initial_counts_are_rejected(counts):
+    # no urn to select from, and a negative count
+    with pytest.raises(ValueError):
+        enumerate_exact(3, 2, CLASSICAL, counts)
+    with pytest.raises(ValueError):
+        enumerate_naive(3, 2, CLASSICAL, counts)
+    with pytest.raises(ValueError):
+        laplace_functional(3, 2, CLASSICAL, counts, lambda x: float(x.sum()))
+
+
 def test_enumeration_budget_guard():
     with pytest.raises(ValueError, match="budget"):
         enumerate_exact(15, 1, CLASSICAL, (2, 0, 0))
