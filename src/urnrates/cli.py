@@ -19,7 +19,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import lln, rate, simulator, verify
-from .model import InitialProfile, Path, Schedule, config_from_dict
+from .model import InitialProfile, Path, config_from_dict, realize_initial
 
 SCHEMA_VERSION = 1
 
@@ -124,14 +124,21 @@ def _model_parts(cfg: dict, preset: str | None):
         raise UsageError(str(exc))
 
 
-def _opt(args, cfg, section, key, default):
+def _opt(args, cfg, section, key, default, kind=None, low=None):
+    """The flag's value, else the config section's, else the default;
+    converted by kind when given, and at least low when given."""
     val = getattr(args, key, None)
-    if val is not None:
+    if val is None:
+        val = cfg.get(section, {}).get(key, default)
+    if kind is None:
         return val
-    sec = cfg.get(section, {})
-    if key in sec:
-        return sec[key]
-    return default
+    try:
+        val = kind(val)
+    except (TypeError, ValueError):
+        raise UsageError(f"bad value for {key}: {val!r}")
+    if low is not None and val < low:
+        raise UsageError(f"{key} must be at least {low} (got {val})")
+    return val
 
 
 def _outdir(args) -> FsPath:
@@ -145,13 +152,12 @@ def _outdir(args) -> FsPath:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     sched, profile, seed_config = _model_parts(cfg, args.preset)
-    n = int(_opt(args, cfg, "simulate", "n", 1000))
-    d = int(_opt(args, cfg, "simulate", "d", 5))
-    samples = int(_opt(args, cfg, "simulate", "samples", 1))
-    seed = int(_opt(args, cfg, "simulate", "seed", 0))
+    n = _opt(args, cfg, "simulate", "n", 1000, int, low=1)
+    d = _opt(args, cfg, "simulate", "d", 5, int, low=0)
+    samples = _opt(args, cfg, "simulate", "samples", 1, int, low=1)
+    seed = _opt(args, cfg, "simulate", "seed", 0, int, low=0)
     if profile.c_total == 0.0 and seed_config is None:
         seed_config = verify.seed_counts(d)
-    from .model import realize_initial
     state0 = realize_initial(profile, n, d, seed_config=seed_config)
 
     out = _outdir(args)
@@ -182,11 +188,10 @@ def cmd_simulate(args) -> int:
 
 def _occupancy_slices(args, cfg, section: str):
     sched, profile, _ = _model_parts(cfg, args.preset)
-    d = int(_opt(args, cfg, section, "d", 30))
-    times = _opt(args, cfg, section, "times", None)
-    if times is None:
-        times = [0.01, 0.1, 1.0] if args.preset == "figure1" else [0.1, 0.5, 1.0]
-    times = [float(t) for t in times]
+    d = _opt(args, cfg, section, "d", 30, int, low=0)
+    default = [0.01, 0.1, 1.0] if args.preset == "figure1" else [0.1, 0.5, 1.0]
+    times = _opt(args, cfg, section, "times", default,
+                 lambda ts: [float(t) for t in ts])
     sol = lln.solve_lln_closed(d, sched, profile, grid=np.asarray(times))
     env = lln.power_law_envelopes(sched, profile, np.asarray(times), d)
     return sched, profile, d, times, sol, env
@@ -249,8 +254,12 @@ def _path_from_csv(fname: str) -> Path:
         raise UsageError(f"cannot read path CSV {fname}: {exc}")
     if not header or header[0] != "t" or header[-1] != "x_bar":
         raise UsageError("path CSV must have header t,x_0,...,x_d,x_bar")
-    arr = np.asarray(rows)
-    return Path.from_knots(arr[:, 0], arr[:, 1:])
+    if any(len(row) != len(header) for row in rows):
+        raise UsageError(f"every row of path CSV {fname} needs {len(header)} cells")
+    try:
+        return Path.from_knots([row[0] for row in rows], [row[1:] for row in rows])
+    except ValueError as exc:
+        raise UsageError(f"bad path in {fname}: {exc}")
 
 
 def cmd_rate(args) -> int:
@@ -258,22 +267,17 @@ def cmd_rate(args) -> int:
     sched, profile, _ = _model_parts(cfg, None)
     preset = args.preset or cfg.get("rate", {}).get("preset")
     path_csv = _opt(args, cfg, "rate", "path_csv", None)
-    d = int(_opt(args, cfg, "rate", "d", 20))
-    tol = float(_opt(args, cfg, "rate", "tol", 1e-6))
+    d = _opt(args, cfg, "rate", "d", 20, int, low=0)
+    tol = _opt(args, cfg, "rate", "tol", 1e-6, float)
     out = _outdir(args)
 
     report = {"schema_version": SCHEMA_VERSION, "command": "rate"}
     if preset and path_csv:
         raise UsageError("give either a preset or a path CSV, not both")
+    path = None
     if path_csv:
-        path = _path_from_csv(path_csv)
-        rep = rate.path_rate_Id(path, sched, profile, tol=min(tol, 1e-8))
-        cond = rate.condensation_term(path, sched, profile)
-        report.update({
-            "input": path_csv, "d": path.d, "value": rep.value,
-            "condensation_term": cond, "error": rep.error,
-            "num_panels": rep.num_panels, "diverged": rep.diverged,
-        })
+        report["input"] = path_csv
+        path, path_tol = _path_from_csv(path_csv), min(tol, 1e-8)
     elif preset in ("star", "straight-road", "geometric") or (
             preset or "").startswith("stretched"):
         if preset == "star":
@@ -299,18 +303,20 @@ def cmd_rate(args) -> int:
             "error": rep.error,
         })
     elif preset == "lln":
+        report["preset"] = "lln"
         sol = lln.solve_lln_closed(d, sched, profile, rel_spacing=2e-3)
-        rep = rate.path_rate_Id(sol.path(), sched, profile, tol=1e-10)
-        cond = rate.condensation_term(sol.path(), sched, profile)
-        report.update({
-            "preset": "lln", "d": d, "value": rep.value,
-            "condensation_term": cond, "error": rep.error,
-            "num_panels": rep.num_panels, "diverged": rep.diverged,
-        })
+        path, path_tol = sol.path(), 1e-10
     elif preset:
         raise UsageError(f"unknown rate preset: {preset}")
     else:
         raise UsageError("rate needs --preset or a path_csv in the config")
+    if path is not None:
+        rep = rate.path_rate_Id(path, sched, profile, tol=path_tol)
+        report.update({
+            "d": path.d, "value": rep.value,
+            "condensation_term": rate.condensation_term(path, sched, profile),
+            "error": rep.error, "num_panels": rep.num_panels, "diverged": rep.diverged,
+        })
 
     (out / "rate.json").write_text(emit_json(report))
     value = report["value"]
@@ -353,23 +359,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Time-dependent preferential-attachment urns: simulation, "
                     "limit trajectories, and deviation rates.")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "simulate": "sample scheme trajectories and write per-knot scaled counts",
-        "lln": "limit occupancy slices with envelope columns",
-        "rate": "evaluate the deviation rate of a path or preset",
-        "envelope": "power-law envelope slopes and tail exponents",
-        "verify": "run the acceptance battery",
+    flags = {
+        "preset": {"help": "named schedule or deviation path"},
+        "n": {"type": int, "help": "scheme size"},
+        "d": {"type": int, "help": "truncation level"},
+        "samples": {"type": int, "help": "ensemble size"},
+        "seed": {"type": int, "help": "RNG seed"},
+        "budget": {"help": "verify budget: default|reduced"},
     }
-    for name, help_text in specs.items():
+    specs = {
+        "simulate": ("sample scheme trajectories and write per-knot scaled counts",
+                     ("preset", "n", "d", "samples", "seed")),
+        "lln": ("limit occupancy slices with envelope columns", ("preset", "d")),
+        "rate": ("evaluate the deviation rate of a path or preset", ("preset", "d")),
+        "envelope": ("power-law envelope slopes and tail exponents", ("preset", "d")),
+        "verify": ("run the acceptance battery", ("budget",)),
+    }
+    for name, (help_text, own) in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default: cwd)")
-        p.add_argument("--seed", type=int, help="RNG seed (simulate)")
-        p.add_argument("--n", type=int, help="scheme size")
-        p.add_argument("--d", type=int, help="truncation level")
-        p.add_argument("--samples", type=int, help="ensemble size (simulate)")
-        p.add_argument("--preset", help="named schedule or deviation path")
-        p.add_argument("--budget", help="verify budget: default|reduced")
+        for flag in own:
+            p.add_argument(f"--{flag}", **flags[flag])
     return parser
 
 

@@ -312,27 +312,24 @@ def _rhs(t, y, schedule, profile, d):
     return dy
 
 
-def _seed_values(d, schedule, profile, t0):
+def _seed_values(d, schedule, t0):
     """Solution values at a small t0 > 0 when sigma(0) = 0.
 
-    sigma(0) = 0 forces an empty profile, and the first segment then admits
-    the exactly-linear solution zeta_i = b_i t, so constant first segments
-    are seeded in closed form; otherwise fall back to the cell solver.
+    sigma(0) = 0 forces an empty profile, and constant coefficients then
+    admit the exactly-linear solution zeta_i = b_i t.  The first segment is
+    seeded with it at (p(0), beta(0)), exact when the segment is constant
+    and within O(t0^2) otherwise.
     """
     seg = schedule.segments[0]
-    if seg.is_constant:
-        p0 = float(seg.p_coeffs[0])
-        b0 = float(seg.beta_coeffs[0])
-        b = b_sequence(EnvelopeParams(p0, p0, b0, b0, 0.0), d)
-        y = np.empty(d + 2)
-        y[: d + 1] = b * t0
-        y[d + 1] = t0 * (1.0 - p0) * (d + b0) * b[d] / (1.0 + b0)
-        if d == 0:  # the aggregate slot also gains the new-urn ball
-            y[1] += t0 * p0
-        return y
-    coarse = solve_lln_closed(d, schedule, profile, grid=np.array([0.0, t0, 1.0]),
-                              rel_spacing=0.05)
-    return coarse.values[1]
+    p0 = float(seg.p_coeffs[0])
+    b0 = float(seg.beta_coeffs[0])
+    b = b_sequence(EnvelopeParams(p0, p0, b0, b0, 0.0), d)
+    y = np.empty(d + 2)
+    y[: d + 1] = b * t0
+    y[d + 1] = t0 * (1.0 - p0) * (d + b0) * b[d] / (1.0 + b0)
+    if d == 0:  # the aggregate slot also gains the new-urn ball
+        y[1] += t0 * p0
+    return y
 
 
 def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
@@ -355,7 +352,7 @@ def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
     sig0 = float(sigma(schedule, profile, 0.0))
     if sig0 == 0.0:
         t_start = t0
-        y = _seed_values(d, schedule, profile, t0)
+        y = _seed_values(d, schedule, t0)
         small = grid < t_start
         # below the seed point the trajectory is linear to leading order
         out[small] = np.outer(grid[small] / t_start, y)

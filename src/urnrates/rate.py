@@ -10,8 +10,9 @@ of the slope) and the complement on the aggregate slot; u is the natural
 transition law of the scheme along the path, model.transition_law at
 (phi, sigma).  nu0 and L are computed for whole arrays of slopes and
 times at once: the path functional integrates L over [0,1] with an
-adaptive Gauss-Kronrod rule on batches of panels, and the untruncated
-functional is the increasing limit of the truncated values.
+adaptive Gauss-Kronrod rule that refines all panels of one bisection
+depth together, and the untruncated functional is the increasing limit
+of the truncated values.
 """
 from __future__ import annotations
 
@@ -72,11 +73,10 @@ def relative_entropy(w, u, tol: float = 1e-12) -> float:
 def _nu0_rows(v, tol: float = 1e-9):
     """nu0 for each slope row in the last axis of v, clipped at 0, and the
     mask of rows that are admissible within tol."""
-    d = v.shape[-1] - 2
-    partial = np.cumsum(v, axis=-1)[..., : d + 1]
-    w = np.empty(v.shape)
-    w[..., : d + 1] = 1.0 - partial
-    w[..., d + 1] = partial.sum(axis=-1) - d
+    # 1 - [v]_i as the suffix sum of v above i, which keeps exact zeros
+    # above the last occupied level (where u_i = 0 too)
+    w = np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
+    w = np.concatenate([w, 1.0 - w.sum(axis=-1, keepdims=True)], axis=-1)
     ok = (np.abs(v.sum(axis=-1) - 1.0) <= tol) & np.all(w >= -tol, axis=-1)
     return np.clip(w, 0.0, None), ok
 
@@ -98,9 +98,9 @@ def minimizer_nu0(slope, tol: float = 1e-9) -> np.ndarray:
     return w
 
 
-def _piece_slopes(path: Path, sum_tol: float = 1e-6):
-    """Slopes of the path's linear pieces renormalized to total 1, or None
-    if any piece is inadmissible (the path then costs +inf).
+def _piece_laws(path: Path, sum_tol: float = 1e-6):
+    """nu0 of each linear piece of the path, its slope renormalized to
+    total 1, or None if any piece is inadmissible (the path then costs +inf).
 
     Interpolated limit trajectories carry slope-sum noise at the
     quadrature scale; rows within sum_tol of total 1 are renormalized
@@ -110,8 +110,8 @@ def _piece_slopes(path: Path, sum_tol: float = 1e-6):
     total = slopes.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = slopes / total
-    _, ok = _nu0_rows(v)
-    return v if np.all(ok & (np.abs(total[:, 0] - 1.0) <= sum_tol)) else None
+    w, ok = _nu0_rows(v)
+    return w if np.all(ok & (np.abs(total[:, 0] - 1.0) <= sum_tol)) else None
 
 
 def natural_law(t, phi, schedule: Schedule, profile: InitialProfile) -> np.ndarray:
@@ -153,10 +153,17 @@ def _panels(path: Path, schedule: Schedule):
     return cuts[:-1], cuts[1:], piece
 
 
-def _kronrod_nodes(a, b):
-    """Half-widths (P,) and the 15 Kronrod nodes (P, 15) of panels [a, b]."""
+def _on_kronrod_nodes(a, b, fn):
+    """Half-widths (P,) of panels [a, b] and fn(nodes, rows) stacked to
+    (P, 15): nodes are the 15 Kronrod nodes (B, 15) of the panels a[rows],
+    _BLOCK panels at a time."""
     half = 0.5 * (b - a)
-    return half, (0.5 * (b + a))[:, None] + half[:, None] * _XK[None, :]
+    mid = 0.5 * (b + a)
+    f = np.empty((a.size, _XK.size))
+    for lo in range(0, a.size, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        f[rows] = fn(mid[rows, None] + half[rows, None] * _XK[None, :], rows)
+    return half, f
 
 
 @dataclass
@@ -174,65 +181,52 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
     """Adaptive Gauss-Kronrod integral of the local cost along the path.
 
     Panels start as knot intervals split at schedule breakpoints (the
-    integrand jumps there), each carrying its constant minimizing law; a
+    integrand jumps there), each carrying its constant minimizing law; all
+    unfinished panels of one bisection depth are refined together.  A
     panel whose nodes all cost +inf is declared divergent, and isolated
     endpoint singularities are bisected down to a width floor.
     """
-    a0, b0, piece = _panels(path, schedule)
-    slopes = _piece_slopes(path)
-    if slopes is None:
-        return RateReport(math.inf, math.inf, a0.size, 0, True)
+    a, b, piece = _panels(path, schedule)
+    w = _piece_laws(path)
+    if w is None:
+        return RateReport(math.inf, math.inf, a.size, 0, True)
 
-    span = float(b0[-1] - a0[0])
-    floor = 1e-14 * span
-    total = 0.0
-    err_total = 0.0
-    diverged = False
-    floor_hits = 0
-    deepest = 0
-    num_done = 0
-    stack = [(float(a), float(b), int(k), 0) for a, b, k in zip(a0, b0, piece)]
+    def cost(nodes, rows):  # rows of the current depth's (a, b, piece)
+        u = natural_law(nodes, path.at(nodes), schedule, profile)
+        return entropy_terms(w[piece[rows], None, :], u).sum(axis=-1)
 
-    while stack:
-        batch = [stack.pop() for _ in range(min(len(stack), _BLOCK))]
-        a = np.array([e[0] for e in batch])
-        b = np.array([e[1] for e in batch])
-        ks = np.array([e[2] for e in batch])
-        depth = np.array([e[3] for e in batch])
-        half, nodes = _kronrod_nodes(a, b)
-        f = local_cost(nodes, path.at(nodes), slopes[ks][:, None, :], schedule, profile)
+    span = float(b[-1] - a[0])
+    values, errors = [], []
+    num_done = floor_hits = depth = 0
+    while True:
+        half, f = _on_kronrod_nodes(a, b, cost)
         finite = np.isfinite(f)
-        vk = np.where(finite.all(axis=1),
-                      half * (f * _WK[None, :]).sum(axis=1), math.inf)
+        if not finite.any(axis=1).all():
+            # structurally impossible move on a whole panel
+            return RateReport(math.inf, math.inf, num_done + a.size, depth, True)
+        all_finite = finite.all(axis=1)
+        vk = np.where(all_finite, half * (f * _WK[None, :]).sum(axis=1), math.inf)
         vg = half * (np.where(finite, f, 0.0)[:, _GAUSS_IDX] * _WG[None, :]).sum(axis=1)
         err = np.abs(vk - vg)
+        width = b - a
+        done = all_finite & (err <= tol * np.maximum(width / span, 1e-6))
+        split = ~done & (width > 1e-14 * span) & (depth < max_depth)
+        # panels neither done nor split are slivers around an isolated
+        # singular point: keep their finite part, count them as unresolved
+        values.append(vk[all_finite & ~split])
+        errors.append(err[all_finite & ~split])
+        floor_hits += int((~done & ~split).sum())
+        num_done += int((~split).sum())
+        if not split.any():
+            break
+        a, b, piece = a[split], b[split], piece[split]
+        m = 0.5 * (a + b)
+        a, b, piece = np.concatenate([a, m]), np.concatenate([m, b]), np.tile(piece, 2)
+        depth += 1
 
-        for j in range(len(batch)):
-            deepest = max(deepest, int(depth[j]))
-            width = b[j] - a[j]
-            if not finite[j].any():
-                # structurally impossible move on the whole panel
-                return RateReport(math.inf, math.inf, num_done + len(stack) + 1,
-                                  deepest, True)
-            all_finite = bool(finite[j].all())
-            if all_finite and err[j] <= tol * max(width / span, 1e-6):
-                total += vk[j]
-                err_total += err[j]
-                num_done += 1
-            elif width <= floor or depth[j] >= max_depth:
-                # sliver around an isolated singular point: keep the finite
-                # part, count the remainder as unresolved
-                floor_hits += 1
-                if all_finite:
-                    total += vk[j]
-                    err_total += err[j]
-                num_done += 1
-            else:
-                m = 0.5 * (a[j] + b[j])
-                stack.append((a[j], m, int(ks[j]), int(depth[j]) + 1))
-                stack.append((m, b[j], int(ks[j]), int(depth[j]) + 1))
-
-    return RateReport(total, err_total, num_done, deepest, diverged, floor_hits)
+    return RateReport(math.fsum(np.concatenate(values)),
+                      math.fsum(np.concatenate(errors)),
+                      num_done, depth, False, floor_hits)
 
 
 def project_path(path: Path, d: int) -> Path:
@@ -312,19 +306,17 @@ def condensation_term(path: Path, schedule: Schedule, profile: InitialProfile) -
     """Cost carried by the aggregate slot alone (the condensation charge):
     the integral of h(nu0_{d+1}, u_{d+1}) along the path by the 15-point
     Kronrod rule on every panel, in blocks of panels."""
-    slopes = _piece_slopes(path)
-    if slopes is None:
+    w = _piece_laws(path)
+    if w is None:
         return math.inf
     a, b, piece = _panels(path, schedule)
-    w_last = _nu0_rows(slopes)[0][piece, -1]
-    total = 0.0
-    for lo in range(0, a.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        half, nodes = _kronrod_nodes(a[blk], b[blk])
-        u_last = natural_law(nodes, path.at(nodes), schedule, profile)[..., -1]
-        h = entropy_terms(w_last[blk, None], u_last)
-        total += float((half * (h * _WK[None, :]).sum(axis=1)).sum())
-    return total
+
+    def charge(nodes, rows):
+        u = natural_law(nodes, path.at(nodes), schedule, profile)
+        return entropy_terms(w[piece[rows], -1, None], u[..., -1])
+
+    half, h = _on_kronrod_nodes(a, b, charge)
+    return math.fsum(half * (h * _WK[None, :]).sum(axis=1))
 
 
 def path_rate_Iinf(target, schedule: Schedule, profile: InitialProfile,
@@ -397,9 +389,9 @@ def linear_path_rate_classical(law, p: float = 0.0,
     """
     gamma, tail_count, ball_mass = _gamma_profile(law)
     escape = min(1.0, max(0.0, 1.0 - ball_mass))
-    # 1 - [gamma]_i counts every urn above level i, tail included, since
-    # the profile is normalized
-    w = np.clip(1.0 - np.cumsum(gamma), 0.0, None)
+    # w_i = 1 - [gamma]_i counts every urn above level i, tail included:
+    # the minimizing law of the slope (gamma, tail) without its last slot
+    w = _nu0_rows(np.append(gamma, tail_count))[0][:-1]
     # phi/sigma = gamma/(1+beta) at every time along the path
     u = transition_law(p, beta, np.append(gamma, 0.0), 1.0 + beta)[:-1]
     terms = entropy_terms(w, u)

@@ -187,6 +187,49 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["lln", "--config", str(bad2), "--out", str(tmp_path)]) == 2
 
 
+def test_subcommands_reject_flags_they_do_not_read(tmp_path):
+    for argv in (["lln", "--seed", "3"], ["verify", "--preset", "star"],
+                 ["rate", "--samples", "2"], ["lln", "--budget", "huge"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+
+HEADER = "t,x_0,x_1,x_bar\n"
+
+
+@pytest.mark.parametrize("argv, csv_text, config", [
+    pytest.param(["simulate", "--n", "0"], None, None, id="n-0"),
+    pytest.param(["simulate", "--samples", "0"], None, None, id="samples-0"),
+    pytest.param(["simulate", "--samples", "-3"], None, None, id="samples-negative"),
+    pytest.param(["simulate", "--seed", "-1"], None, None, id="seed-negative"),
+    pytest.param(["simulate", "--d", "-1"], None, None, id="simulate-d-negative"),
+    pytest.param(["lln", "--d", "-1"], None, None, id="lln-d-negative"),
+    pytest.param(["envelope", "--d", "-1"], None, None, id="envelope-d-negative"),
+    pytest.param(["rate", "--preset", "lln", "--d", "-1"], None, None,
+                 id="rate-d-negative"),
+    pytest.param(["simulate"], None, {"simulate": {"n": "abc"}}, id="config-n-text"),
+    pytest.param(["lln"], None, {"lln": {"times": ["soon"]}}, id="config-times-text"),
+    pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": "x"}},
+                 id="config-tol-text"),
+    pytest.param(["rate"], HEADER + "0,0,0,0\n0.5,0.25,0.25,0\n", None,
+                 id="csv-knots-end-at-half"),
+    pytest.param(["rate"], HEADER + "0,0,0,0\n1,0.5,0.5\n", None, id="csv-ragged"),
+    pytest.param(["rate"], HEADER + "0,0,0\n1,0.5,0.5\n", None,
+                 id="csv-rows-one-cell-short"),
+    pytest.param(["rate"], HEADER, None, id="csv-no-knots"),
+])
+def test_malformed_input_exits_two(tmp_path, argv, csv_text, config):
+    if csv_text is not None:
+        (tmp_path / "path.csv").write_text(csv_text)
+        config = {"rate": {"path_csv": str(tmp_path / "path.csv")}}
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_verify_reduced_budget_reports_expected_failure(tmp_path, capsys):
     # the conservation check fails by design; verify must surface that
     # honestly with a nonzero exit code

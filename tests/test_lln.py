@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from urnrates import lln
 from urnrates.lln import (
     EnvelopeParams,
     b_sequence,
@@ -21,6 +22,7 @@ from urnrates.model import InitialProfile, Schedule, validate_path
 
 CLASSICAL = Schedule.constant(0.0, 1.0)
 TWO_PHASE = Schedule.from_segments([(0.0, 0.0, 8.0), (0.01, 0.0, 1.0)])
+POLY = Schedule.from_segments([(0.0, (0.1, 0.3), (1.0, 0.0, 2.0))])
 EMPTY = InitialProfile.empty()
 HOMOG = EnvelopeParams(0.0, 0.0, 1.0, 1.0, 0.0)
 
@@ -74,16 +76,25 @@ def test_closed_vs_ode_two_phase():
 
 
 def test_closed_vs_ode_polynomial_coefficients():
-    # time-varying p and beta, started from positive mass so sigma(0) > 0;
-    # at d = 0 the aggregate slot also receives the new-urn ball
-    sched = Schedule.from_segments([(0.0, (0.1, 0.3), (1.0, 0.0, 2.0))])
-    prof = InitialProfile.from_masses((0.2, 0.1))
+    # time-varying p and beta, from positive mass (sigma(0) > 0) and from
+    # empty (the ODE is seeded at t0 from the coefficients at t = 0); at
+    # d = 0 the aggregate slot also receives the new-urn ball
     grid = np.array([0.0, 0.1, 0.4, 0.8, 1.0])
-    for d, mass_tol in ((6, 1e-7), (0, 5e-7)):
-        a = solve_lln_closed(d, sched, prof, grid=grid)
-        b = solve_lln_numeric(d, sched, prof, grid=grid)
-        assert_allclose(a.values, b.values, atol=5e-7)
-        assert a.mass_deviation(prof) < mass_tol
+    for prof in (InitialProfile.from_masses((0.2, 0.1)), EMPTY):
+        for d, mass_tol in ((6, 1e-7), (0, 5e-7)):
+            a = solve_lln_closed(d, POLY, prof, grid=grid)
+            b = solve_lln_numeric(d, POLY, prof, grid=grid)
+            assert_allclose(a.values, b.values, atol=5e-7)
+            assert a.mass_deviation(prof) < mass_tol
+
+
+def test_ode_route_does_not_call_closed_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ODE route must not use the closed-form solver")
+    monkeypatch.setattr(lln, "solve_lln_closed", refuse)
+    for d in (0, 1, 6):
+        sol = solve_lln_numeric(d, POLY, EMPTY)
+        assert sol.mass_deviation(EMPTY) < 1e-12
 
 
 def test_closed_vs_ode_mixed_constant_and_polynomial_segments():

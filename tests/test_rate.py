@@ -1,11 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
-from urnrates.lln import dirac_law, geometric_law, solve_lln_closed, star_law
-from urnrates.model import InitialProfile, Path, Schedule, increments
+from urnrates.lln import (
+    dirac_law,
+    geometric_law,
+    solve_lln_closed,
+    star_law,
+    stretched_exponential,
+)
+from urnrates.model import InitialProfile, Path, Schedule, entropy_terms, increments
 from urnrates.rate import (
     condensation_term,
     linear_path_rate_classical,
@@ -115,8 +123,12 @@ def test_rate_of_straight_path_is_its_constant_cost():
     # from the empty state under a constant schedule phi/sigma and the
     # slope are constant along a straight path, so is the integrand
     sched = Schedule.constant(0.25, 3.0)
-    for law in (geometric_law(), [0.5, 0.3, 0.2]):
-        path = linear_target_path(law, 6)
+    paths = [linear_target_path(law, 6) for law in (geometric_law(), [0.5, 0.3, 0.2])]
+    # 1,000 pieces: more panels than one evaluation block, and levels 3..6
+    # stay exactly empty only if nu0 is formed without cancellation
+    grid = np.linspace(0.0, 1.0, 1001)
+    paths.append(Path.from_knots(grid, paths[-1].at(grid)))
+    for path in paths:
         rep = path_rate_Id(path, sched, EMPTY)
         for t in (0.1, 0.37, 0.9):
             cost = local_cost(t, path.at(t), path.slope_at(t), sched, EMPTY)
@@ -208,6 +220,57 @@ def test_iinf_accepts_callable_target():
                                CLASSICAL, EMPTY, tol=1e-7)
     assert via_paths.converged
     assert_allclose(via_paths.value, direct.value, atol=1e-7)
+
+
+def test_empty_levels_above_the_profile_cost_nothing():
+    # u_i = 0 above the last occupied level, so nu0_i must be exactly 0 there
+    for gamma in ((0.7, 0.1, 0.1, 0.1), (0.7, 0.1, 0.1, 0.1, 0.0, 0.0)):
+        series = linear_path_rate_classical(gamma)
+        rep = path_rate_Id(linear_target_path(gamma, 6), CLASSICAL, EMPTY)
+        assert math.isfinite(series.value)
+        assert_allclose(rep.value, series.value, rtol=1e-12)
+
+
+def test_stretched_series_matches_exact_suffix_sums():
+    law = stretched_exponential(0.7)
+    gamma = np.asarray(law.values)
+    exact = [Fraction(x) for x in gamma] + [Fraction(law.tail_mass)]
+    above, acc = [], Fraction(0)
+    for x in exact[:0:-1]:
+        acc += x
+        above.append(float(acc))
+    u = 0.5 * (np.arange(gamma.size) + 1.0) * gamma    # classical schedule
+    reference = math.fsum(entropy_terms(np.array(above[::-1]), u))
+    series = linear_path_rate_classical(law)
+    assert series.escape_mass == 0.0
+    assert_allclose(series.value, reference, rtol=1e-13)
+
+
+# -------------------------------------------------- adaptive refinement
+
+# phi_1 reaches 0 at t = 1 while nu0_1 = 0.5: a log singularity at the end
+SINGULAR = Path.from_knots([0.0, 0.5, 1.0],
+                           [(0.0, 0.0, 0.0), (0.25, 0.25, 0.0), (0.75, 0.0, 0.25)])
+
+
+def singular_reference():
+    def cost(t):
+        return local_cost(t, SINGULAR.at(t), SINGULAR.slope_at(t), CLASSICAL, EMPTY)
+    return sum(quad(cost, lo, hi, epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+               for lo, hi in ((0.0, 0.5), (0.5, 1.0)))
+
+
+def test_deep_refinement_matches_quad():
+    rep = path_rate_Id(SINGULAR, CLASSICAL, EMPTY)
+    assert (rep.deepest, rep.num_panels, rep.floor_hits) == (45, 48, 0)
+    assert not rep.diverged
+    assert abs(rep.value - singular_reference()) <= 1e-12
+
+
+def test_depth_limit_counts_floor_hit_within_error():
+    rep = path_rate_Id(SINGULAR, CLASSICAL, EMPTY, max_depth=10)
+    assert rep.floor_hits == 1 and rep.deepest == 10
+    assert abs(rep.value - singular_reference()) <= rep.error
 
 
 # ------------------------------------------------------------ truncation
