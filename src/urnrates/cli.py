@@ -111,7 +111,10 @@ def _load_config(path: str | None):
 
 def _model_parts(cfg: dict, preset: str | None):
     """(schedule, profile, seed_config) from config, preset, or defaults."""
-    if preset in ("homogeneous", "figure1"):
+    if preset not in (None, "homogeneous", "figure1"):
+        raise UsageError(f"unknown schedule preset: {preset} "
+                         "(expected homogeneous or figure1)")
+    if preset is not None:
         sched = (verify.classical_schedule() if preset == "homogeneous"
                  else verify.figure1_schedule())
         return sched, InitialProfile.empty(), None
@@ -174,9 +177,8 @@ def cmd_simulate(args) -> int:
         "terminal_state": [int(z) for z in run.counts[-1]],
     }
     if samples > 1:
-        terminal = simulator.run_ensemble_terminal(n, d, sched, state0,
-                                                   num_samples=samples, seed=seed)
-        states, counts = np.unique(terminal, axis=0, return_counts=True)
+        states, counts = simulator.run_ensemble_terminal(n, d, sched, state0,
+                                                         num_samples=samples, seed=seed)
         summary["terminal_histogram"] = {
             ",".join(str(int(x)) for x in row): int(c)
             for row, c in zip(states, counts)

@@ -343,8 +343,10 @@ def empirical_rate(event, n_list, schedule: Schedule, initial=(2, 0, 0, 0),
                 raise ValueError("mc mode supports count events only")
             from .simulator import run_ensemble_terminal
 
-            terminal = run_ensemble_terminal(n, d, schedule, initial, num_samples, seed + n)
-            hits = sum(1 for row in terminal if predicate(tuple(int(z) for z in row), n))
+            states, counts = run_ensemble_terminal(n, d, schedule, initial,
+                                                   num_samples, seed + n)
+            hits = sum(int(c) for row, c in zip(states, counts)
+                       if predicate(tuple(int(z) for z in row), n))
             if hits == 0:
                 # rule of three: P <= 3/num_samples at 95%
                 pnf = 3.0 / num_samples

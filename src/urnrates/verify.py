@@ -258,10 +258,10 @@ def criterion_9(budget: str = "default") -> CheckResult:
     sched = classical_schedule()
     initial = seed_counts(d)
     dist = oracle.enumerate_exact(n, d, sched, initial, mode="float")
-    sample = simulator.run_ensemble_terminal(n, d, sched, initial,
-                                             num_samples=1_000_000, seed=7)
-    states, counts = np.unique(sample, axis=0, return_counts=True)
-    emp = {tuple(int(x) for x in row): c / sample.shape[0]
+    num_samples = 1_000_000
+    states, counts = simulator.run_ensemble_terminal(n, d, sched, initial,
+                                                     num_samples=num_samples, seed=7)
+    emp = {tuple(int(x) for x in row): c / num_samples
            for row, c in zip(states, counts)}
     keys = set(emp) | set(dist.atoms)
     tv = 0.5 * sum(abs(emp.get(k, 0.0) - dist.atoms.get(k, 0.0)) for k in keys)
@@ -303,9 +303,8 @@ def criterion_11(budget: str = "default") -> CheckResult:
     profile = InitialProfile.empty()
     knots = np.linspace(0.0, 1.0, n + 1)
     center = lln.solve_lln_closed(d, sched, profile, grid=knots).path()
-    history = simulator.run_ensemble_paths(n, d, sched, initial,
-                                           num_samples=runs, seed=11)
-    dists = simulator.sup_l1_distance(history, center, n)
+    dists = simulator.ensemble_sup_l1_distance(center, n, d, sched, initial,
+                                               num_samples=runs, seed=11)
     mean = float(dists.mean())
     ok = mean < 0.05
     details = (f"mean sup-L1 distance over {runs} runs at n={n}: "

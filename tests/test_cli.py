@@ -218,6 +218,11 @@ HEADER = "t,x_0,x_1,x_bar\n"
     pytest.param(["rate"], HEADER + "0,0,0\n1,0.5,0.5\n", None,
                  id="csv-rows-one-cell-short"),
     pytest.param(["rate"], HEADER, None, id="csv-no-knots"),
+    pytest.param(["lln", "--preset", "star"], None, None, id="lln-unknown-preset"),
+    pytest.param(["envelope", "--preset", "geometric"], None, None,
+                 id="envelope-unknown-preset"),
+    pytest.param(["simulate", "--preset", "nonsense", "--n", "10"], None, None,
+                 id="simulate-unknown-preset"),
 ])
 def test_malformed_input_exits_two(tmp_path, argv, csv_text, config):
     if csv_text is not None:

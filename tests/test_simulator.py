@@ -1,13 +1,24 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import chisquare
 
-from urnrates.model import InitialProfile, Schedule, TruncatedState, increments, transition_law
+from urnrates import simulator
+from urnrates.model import (
+    InitialProfile,
+    Path,
+    Schedule,
+    TruncatedState,
+    increments,
+    transition_law,
+)
 from urnrates.oracle import _count_transitions, enumerate_exact
 from urnrates.simulator import (
     TubeQuery,
+    ensemble_sup_l1_distance,
     estimate_tube_probability,
     run,
     run_ensemble_paths,
@@ -113,35 +124,162 @@ def test_one_step_frequencies_match_probabilities():
     sched = Schedule.constant(0.3, 1.0)
     probs = transition_law(0.3, 1.0, init, 4 + 1.0 * 4)  # s = balls + beta*urns
     num = 40_000
-    terminal = run_ensemble_terminal(1, 2, sched, init, num, seed=99)
-    delta = terminal - np.asarray(init)
+    states, counts = run_ensemble_terminal(1, 2, sched, init, num, seed=99)
+    delta = states - np.asarray(init)
     f = np.array([[0, 1, 0, 0], [1, -1, 1, 0], [1, 0, -1, 1], [1, 0, 0, 0]])
-    freqs = np.array([(delta == row).all(axis=1).mean() for row in f])
+    freqs = np.array([counts[(delta == row).all(axis=1)].sum() / num for row in f])
     assert_allclose(freqs.sum(), 1.0, atol=1e-12)
     se = np.sqrt(probs * (1.0 - probs) / num)
     assert np.all(np.abs(freqs - probs) <= 4.0 * se + 1e-9)
 
 
-def test_ensemble_shapes_and_conservation():
+def assert_legal_histogram(states, counts, start, n, num_samples):
+    """Distinct states in lexicographic order, each reachable in n steps."""
+    d = states.shape[1] - 2
+    assert states.dtype == counts.dtype == np.int64
+    assert counts.sum() == num_samples and np.all(counts > 0)
+    assert np.all(states >= 0)
+    assert np.all(states.sum(axis=1) == sum(start) + n)  # one urn per step
+    weight = states[:, : d + 1] @ np.arange(d + 1) + (d + 1) * states[:, -1]
+    start_weight = np.dot(start[: d + 1], np.arange(d + 1)) + (d + 1) * start[-1]
+    assert np.all(weight <= start_weight + n)  # one ball per step
+    order = np.lexsort(states.T[::-1])
+    assert np.array_equal(order, np.arange(len(states)))
+    assert np.all(np.any(np.diff(states, axis=0) != 0, axis=1))
+
+
+def test_ensemble_shapes_and_conservation(monkeypatch):
     hist = run_ensemble_paths(20, 1, CLASSICAL, (3, 0, 0), num_samples=8, seed=4)
     assert hist.shape == (8, 21, 3)
     assert np.all(hist[:, 0, :] == np.array([3, 0, 0]))
     urns = hist.sum(axis=2)
     assert np.all(urns == 3 + np.arange(21)[None, :])
-    term = run_ensemble_terminal(20, 1, CLASSICAL, (3, 0, 0), num_samples=8, seed=4)
-    assert np.all(term == hist[:, -1, :])
+    states, counts = run_ensemble_terminal(20, 1, CLASSICAL, (3, 0, 0), num_samples=8,
+                                           seed=4)
+    assert_legal_histogram(states, counts, (3, 0, 0), 20, 8)
+    # expanded before the first draw, the terminal histogram is the
+    # tabulated last step of the paths, bit for bit
+    monkeypatch.setattr(simulator, "_EXPAND_FRACTION", 0.0)
+    states, counts = run_ensemble_terminal(20, 1, CLASSICAL, (3, 0, 0), num_samples=8,
+                                           seed=4)
+    ref_states, ref_counts = np.unique(hist[:, -1], axis=0, return_counts=True)
+    assert np.array_equal(states, ref_states)
+    assert np.array_equal(counts, ref_counts)
 
 
 def test_ensemble_matches_exact_distribution():
     n, d = 6, 1
     dist = enumerate_exact(n, d, CLASSICAL, (2, 0, 0)).as_floats()
-    term = run_ensemble_terminal(n, d, CLASSICAL, (2, 0, 0), num_samples=40_000, seed=21)
-    keys, counts = np.unique(term, axis=0, return_counts=True)
+    keys, counts = run_ensemble_terminal(n, d, CLASSICAL, (2, 0, 0), num_samples=40_000,
+                                         seed=21)
     emp = {tuple(int(v) for v in k): c / 40_000 for k, c in zip(keys, counts)}
     support = set(dist) | set(emp)
     tv = 0.5 * sum(abs(dist.get(k, 0.0) - emp.get(k, 0.0)) for k in support)
     assert tv < 0.02
     assert set(emp) <= set(dist)  # no impossible states sampled
+
+
+def assert_matches_exact_law(states, counts, dist, num_samples):
+    """TV below 0.01 and a chi-square goodness of fit, cells with fewer than
+    five expected samples pooled into one."""
+    emp = {tuple(int(v) for v in k): int(c) for k, c in zip(states, counts)}
+    assert set(emp) <= set(dist)  # no impossible states sampled
+    support = sorted(dist)
+    prob = np.array([dist[k] for k in support])
+    obs = np.array([emp.get(k, 0) for k in support], dtype=float)
+    tv = 0.5 * np.abs(obs / num_samples - prob).sum()
+    assert tv < 0.01
+    expected = prob * num_samples
+    small = expected < 5.0
+    f_obs = np.append(obs[~small], obs[small].sum())
+    f_exp = np.append(expected[~small], expected[small].sum())
+    assert chisquare(f_obs, f_exp * (f_obs.sum() / f_exp.sum())).pvalue > 1e-3
+
+
+def test_merged_ensemble_matches_exact_law():
+    n, d, num = 12, 2, 200_000
+    sched = Schedule.constant(0.3, 1.5)
+    dist = enumerate_exact(n, d, sched, SEED2).as_floats()
+    states, counts = run_ensemble_terminal(n, d, sched, SEED2, num, seed=31)
+    assert_legal_histogram(states, counts, SEED2, n, num)
+    assert_matches_exact_law(states, counts, dist, num)
+
+
+def rows_per_step(monkeypatch):
+    """Record how many rows the simulator steps at each j."""
+    rows = []
+    law = simulator.transition_law
+
+    def spy(p, beta, z, s):
+        rows.append(len(z))
+        return law(p, beta, z, s)
+
+    monkeypatch.setattr(simulator, "transition_law", spy)
+    return rows
+
+
+def test_expansion_mid_run_keeps_exact_law(monkeypatch):
+    n, d, num = 14, 2, 100_000
+    sched = Schedule.constant(0.1, 0.5)
+    # expand once more than 5 states are distinct: one state at j = 0, far
+    # more than 5 possible at j = n - 1
+    monkeypatch.setattr(simulator, "_EXPAND_FRACTION", 5 / num)
+    rows = rows_per_step(monkeypatch)
+    states, counts = run_ensemble_terminal(n, d, sched, SEED2, num, seed=12)
+    assert len(rows) == n and rows[0] == 1
+    switch = rows.index(num)
+    assert 0 < switch < n - 1 and max(rows[:switch]) <= 5
+    assert all(r == num for r in rows[switch:])
+    assert_legal_histogram(states, counts, SEED2, n, num)
+    dist = enumerate_exact(n, d, sched, SEED2).as_floats()
+    assert_matches_exact_law(states, counts, dist, num)
+
+
+def test_packed_key_overflow_forces_expansion(monkeypatch):
+    # at d = 8 a state holding U urns packs below (U+1)^9, past 2^62 from
+    # U = 118 on: the merged phase must end before that step although the
+    # distinct states never outnumber the replicas (at p = 0.9 most balls
+    # open a fresh urn, so they stay far fewer)
+    n, d, num = 300, 8, 2000
+    start = (2,) + (0,) * (d + 1)
+    monkeypatch.setattr(simulator, "_EXPAND_FRACTION", 2.0)
+    rows = rows_per_step(monkeypatch)
+    states, counts = run_ensemble_terminal(n, d, Schedule.constant(0.9, 1.0), start, num,
+                                           seed=5)
+    last_fit = max(j for j in range(n) if (sum(start) + j + 2) ** (d + 1) <= 2**62)
+    assert last_fit == 114 and max(rows[: last_fit + 1]) < num / 4
+    assert all(r == num for r in rows[last_fit + 1:])
+    assert_legal_histogram(states, counts, start, n, num)
+
+
+@pytest.mark.parametrize("num_samples, d", [(1, 5), (8, 5), (500, 5), (40, 9)])
+def test_streamed_sup_l1_matches_history(num_samples, d):
+    n = 150
+    sched = Schedule.constant(0.2, 1.0)
+    start = (2,) + (0,) * (d + 1)
+    own = run(n, d, sched, start, seed=1).interpolated
+    # a center that starts 0.5 away in slot 0, so the sup sits at j = 0
+    tilt = np.outer(1.0 - own.times, np.eye(d + 2)[0]) * 0.5
+    hist = run_ensemble_paths(n, d, sched, start, num_samples, seed=6)
+    for center in (own, Path.from_knots(own.times, own.values + tilt)):
+        streamed = ensemble_sup_l1_distance(center, n, d, sched, start, num_samples, seed=6)
+        assert np.array_equal(streamed, sup_l1_distance(hist, center, n))
+
+
+def test_tube_estimate_memory_is_bounded():
+    # the (R, n+1, d+2) history alone would take 107 MB
+    n, d, num = 2000, 5, 1000
+    start = (2,) + (0,) * (d + 1)
+    center = run(n, d, CLASSICAL, start, seed=1).interpolated
+    tracemalloc.start()
+    try:
+        est = estimate_tube_probability(TubeQuery(center, 0.1), n, d, CLASSICAL, start,
+                                        num, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.num_samples == num
+    assert peak < 10 * 2**20
 
 
 def test_sup_l1_distance_zero_on_own_path():
