@@ -73,18 +73,15 @@ def emit_json(obj) -> str:
     return _json_token(obj, 0) + "\n"
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return "inf" if math.isinf(x) else format(float(x), ".17g")
-    return str(x)
-
-
-def _write_csv(path: FsPath, header: list, rows) -> None:
+def _write_csv(path: FsPath, header: list, columns) -> None:
+    """Write equal-length columns under header in one row-format pass:
+    integer columns as integers, every other value with 17 significant
+    digits ("inf", "-inf" and "nan" where it is not finite)."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(x) for x in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % row for row in zip(*(c.tolist() for c in columns), strict=True))
 
 
 def _load_config(path: str | None):
@@ -165,10 +162,9 @@ def cmd_simulate(args) -> int:
 
     out = _outdir(args)
     run = simulator.run(n, d, sched, state0, seed=seed)
-    rows = [(t,) + tuple(v) for t, v in zip(run.interpolated.times,
-                                            run.interpolated.values)]
     header = ["t"] + [f"x_{i}" for i in range(d + 1)] + ["x_bar"]
-    _write_csv(out / "trajectory.csv", header, rows)
+    _write_csv(out / "trajectory.csv", header,
+               [run.interpolated.times, *run.interpolated.values.T])
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -208,10 +204,9 @@ def cmd_lln(args) -> int:
         cum = np.cumsum(sol.values[idx, : d + 1])
         hi = np.cumsum(env.upper.values[idx])
         lo = np.cumsum(env.lower.values[idx])
-        rows = [(k, cum[k], lo[k], hi[k]) for k in range(d + 1)]
         fname = out / f"lln_t{t:g}.csv"
         _write_csv(fname, ["k", "cumulative_value", "envelope_low", "envelope_high"],
-                   rows)
+                   [np.arange(d + 1), cum, lo, hi])
         files.append(str(fname))
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -230,8 +225,8 @@ def cmd_envelope(args) -> int:
     cfg = _load_config(args.config)
     sched, profile, d, times, sol, env = _occupancy_slices(args, cfg, "envelope")
     out = _outdir(args)
-    rows = [(k, env.eta_prime[k], env.eta[k]) for k in range(d + 1)]
-    _write_csv(out / "envelope_slopes.csv", ["k", "slope_low", "slope_high"], rows)
+    _write_csv(out / "envelope_slopes.csv", ["k", "slope_low", "slope_high"],
+               [np.arange(d + 1), env.eta_prime, env.eta])
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "envelope",

@@ -290,7 +290,8 @@ def transition_law(p, beta, z, s) -> np.ndarray:
 
     z holds (Z_0, ..., Z_d, Zbar), as counts or scaled masses, in its last
     axis; s is the total selection weight (balls + beta*urns) and p, beta
-    and s broadcast against the leading axes of z.  Entry 0 is
+    and s broadcast against the leading axes of z (s adds no axis of its
+    own).  Entry 0 is
     p + (1-p)*beta*Z_0/s (the new urn or an empty one), entry i is
     (1-p)*(i+beta)*Z_i/s for 1 <= i <= d, and the last entry is the
     complement (a ball into an aggregated urn), clipped at 0 since it only
@@ -300,10 +301,10 @@ def transition_law(p, beta, z, s) -> np.ndarray:
     z = np.asarray(z)
     d = z.shape[-1] - 2
     # In place, so that a call holds one law-sized array: the simulator
-    # steps up to 10^6 replicas at once.  The last column is computed only
-    # to keep z's layout, and overwritten.
-    law = np.empty(np.broadcast_shapes(p.shape, beta.shape, s.shape, z.shape))
-    np.multiply((1.0 - p) * (np.arange(d + 2) + beta), z, out=law)
+    # steps up to 10^6 replicas at once.  The ufunc lays the law out in z's
+    # memory order (the simulator's counts are column-major); the last
+    # column is computed only to keep that layout, and overwritten.
+    law = np.multiply((1.0 - p) * (np.arange(d + 2) + beta), z)
     law /= s
     law[..., 0] += p[..., 0]
     rest = law[..., d + 1]

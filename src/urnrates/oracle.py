@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .model import Schedule, resolve_initial
+from .simulator import run_ensemble_terminal
 
 DEFAULT_MAX_N = 14
 DEFAULT_MAX_D = 2
@@ -341,8 +342,6 @@ def empirical_rate(event, n_list, schedule: Schedule, initial=(2, 0, 0, 0),
         elif method == "mc":
             if kind == "marked":
                 raise ValueError("mc mode supports count events only")
-            from .simulator import run_ensemble_terminal
-
             states, counts = run_ensemble_terminal(n, d, schedule, initial,
                                                    num_samples, seed + n)
             hits = sum(int(c) for row, c in zip(states, counts)

@@ -12,6 +12,10 @@ with a multiplicity, moved by one multinomial draw, and the result is
 the histogram (states, counts), the size of the answer.  Once states are
 mostly distinct it expands to one row per replica, each drawing its move
 by the cumulative inverse with the last entry taken as complement.
+Expanded, the replica counts are column-major (a Fortran-ordered
+(R, d+2) array): each category's counts are contiguous, so the law, the
+cumulative sums and the update of a step run over unit strides.  Callers
+and observers see the same logical (R, d+2) rows.
 Paths never merge: a per-step observer sees every replica's counts, so
 the history of run and run_ensemble_paths is recorded step by step and
 the tube estimate keeps only a running per-replica sup of the L1
@@ -58,8 +62,11 @@ class TubeEstimate:
 
 # The merged phase ends once the distinct states outnumber this share of the
 # replicas: a multinomial per state costs more than one uniform per replica
-# (at R=10^4 with every state distinct, a merged step took 2.4 ms against
-# 0.76 ms for the cumulative-inverse draw).
+# (at R=10^4 with every state distinct, figure-1 schedule, d=5, a merged
+# step took 4.5 ms against 0.51 ms for the column-major cumulative-inverse
+# draw on a 2-core x86-64 box, so the two break even near 0.11).  The value
+# also fixes which draws a seed gives, so changing it changes same-seed
+# histograms.
 _EXPAND_FRACTION = 0.25
 # Packed keys are int64 and below (urns+1)**(d+1).
 _KEY_LIMIT = 2**62
@@ -92,6 +99,13 @@ def _tabulate(states, weights=None):
     return states[first], counts.astype(np.int64)
 
 
+def _expand(states, mult):
+    """Each row of states repeated mult times, column-major: the counts of
+    one category are contiguous, so the per-category steps of the expanded
+    loop run over unit strides."""
+    return np.repeat(states.T, mult, axis=1).T
+
+
 def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
     """The chain for num_samples independent replicas; returns the terminal
     histogram (states, counts), states sorted lexicographically.
@@ -101,14 +115,14 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
     observer the loop starts merged, holding (distinct states,
     multiplicities) and drawing the moves out of each state as one
     Multinomial(multiplicity, law), which samples the histogram's law
-    exactly.  It expands to one row per replica (np.repeat) once the
-    distinct states outnumber _EXPAND_FRACTION of the replicas, or before a
-    step after which packed keys could overflow.  Expanded, each replica
-    draws its move by the cumulative inverse of one uniform.  observe(j,
-    counts) sees the (num_samples, d+2) rows at j = 0 and after every step
-    j; the rows are overwritten by the next step.  With an observer the
-    loop never merges, so paths and their random stream do not depend on
-    the merging.
+    exactly.  It expands to one row per replica (_expand, column-major)
+    once the distinct states outnumber _EXPAND_FRACTION of the replicas, or
+    before a step after which packed keys could overflow.  Expanded, each
+    replica draws its move by the cumulative inverse of one uniform.
+    observe(j, counts) sees the (num_samples, d+2) rows at j = 0 and after
+    every step j; the rows are overwritten by the next step.  With an
+    observer the loop never merges, so paths and their random stream do not
+    depend on the merging.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
@@ -123,25 +137,25 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
         raise ValueError("selection weight is zero; configuration has no urns")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     f = increments(d)
+    by_count = f.T  # row i: the change of Z_i under each increment
     counts = np.asarray(state0.counts, dtype=np.int64)[None, :]
     urns = int(counts.sum())
-    mult = None
-    if observe is None:
-        mult = np.array([num_samples], dtype=np.int64)
-    else:
-        counts = np.repeat(counts, num_samples, axis=0)
+    mult = np.array([num_samples], dtype=np.int64)
+    if observe is not None:
+        counts, mult = _expand(counts, mult), None
         observe(0, counts)
     for j in range(n):
         if mult is not None and (mult.size > _EXPAND_FRACTION * num_samples
                                  or not _key_fits(urns + j + 1, d)):
-            counts, mult = np.repeat(counts, mult, axis=0), None
+            counts, mult = _expand(counts, mult), None
         law = transition_law(p[j], beta[j], counts, s[j])
         if mult is None:
             cum = law[:, : d + 1]
-            np.cumsum(cum, axis=1, out=cum)  # in place: one law-sized array per step
+            for i in range(1, d + 1):  # np.cumsum would walk the strided rows
+                cum[:, i] += cum[:, i - 1]
             u = rng.random(num_samples)
             k = (u[:, None] >= cum).sum(axis=1)  # in 0..d+1, complement last
-            counts += f[k]
+            counts += np.take(by_count, k, axis=1).T
         else:
             moves = rng.multinomial(mult, law)
             row, k = np.nonzero(moves)
@@ -196,7 +210,18 @@ def sup_l1_distance(history: np.ndarray, center: Path, n: int) -> np.ndarray:
     times = np.arange(n + 1) / n
     ref = center.at(times)  # (n+1, d+2)
     scaled = history / n
-    return np.abs(scaled - ref[None, :, :]).sum(axis=2).max(axis=1)
+    return _row_sums(np.abs(scaled - ref[None, :, :])).max(axis=1)
+
+
+def _row_sums(x):
+    """Sums over the last axis, added column by column from the left, the
+    same order for any memory layout (numpy's sum pairs the terms of
+    contiguous rows, but not of strided ones), so that the history and the
+    streamed distance agree bit for bit."""
+    total = x[..., 0].copy()
+    for i in range(1, x.shape[-1]):
+        total += x[..., i]
+    return total
 
 
 def ensemble_sup_l1_distance(center: Path, n: int, d: int, schedule: Schedule,
@@ -211,7 +236,7 @@ def ensemble_sup_l1_distance(center: Path, n: int, d: int, schedule: Schedule,
     sup = np.zeros(num_samples)
 
     def observe(j, counts):
-        np.maximum(sup, np.abs(counts / n - ref[j]).sum(axis=1), out=sup)
+        np.maximum(sup, _row_sums(np.abs(counts / n - ref[j])), out=sup)
 
     _simulate(n, d, schedule, initial, num_samples, seed, observe=observe)
     return sup

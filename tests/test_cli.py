@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import urnrates
+from urnrates import cli
 from urnrates.cli import main
 
 
@@ -173,6 +174,17 @@ def test_floats_use_full_precision(tmp_path):
     # the double exactly
     assert f'"value": {format(value, ".17g")},' in raw
     assert len(format(value, ".17g").lstrip("0.")) >= 17
+
+
+def test_csv_cells_keep_sign_and_precision(tmp_path):
+    values = [-math.inf, math.inf, math.nan, -0.0, 5e-324, 0.1]
+    header = ["k"] + [f"v{i}" for i in range(len(values))]
+    cli._write_csv(tmp_path / "t.csv", header, [np.array([3])] + [[x] for x in values])
+    got_header, rows = read_csv(tmp_path / "t.csv")
+    assert got_header == header
+    # an integer column stays an integer; floats print as format(x, ".17g")
+    assert rows == [["3"] + [format(x, ".17g") for x in values]]
+    assert rows[0][1] == "-inf" and float(rows[0][1]) == -math.inf
 
 
 def test_usage_errors_exit_two(tmp_path):

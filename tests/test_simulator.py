@@ -13,6 +13,7 @@ from urnrates.model import (
     Schedule,
     TruncatedState,
     increments,
+    resolve_initial,
     transition_law,
 )
 from urnrates.oracle import _count_transitions, enumerate_exact
@@ -163,6 +164,40 @@ def test_ensemble_shapes_and_conservation(monkeypatch):
     states, counts = run_ensemble_terminal(20, 1, CLASSICAL, (3, 0, 0), num_samples=8,
                                            seed=4)
     ref_states, ref_counts = np.unique(hist[:, -1], axis=0, return_counts=True)
+    assert np.array_equal(states, ref_states)
+    assert np.array_equal(counts, ref_counts)
+
+
+def row_major_paths(n, d, schedule, start, num_samples, seed):
+    """Second route to the expanded draw: the cumulative inverse stepped on
+    row-major counts with np.cumsum and a row gather of the increments."""
+    state0 = resolve_initial(start, n, d)
+    steps = np.arange(n)
+    p, beta = schedule.p_at(steps / n), schedule.beta_at(steps / n)
+    s = (state0.ball_total + steps) + beta * (state0.urn_total + steps)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    counts = np.tile(np.asarray(state0.counts, dtype=np.int64), (num_samples, 1))
+    history = [counts]
+    for j in range(n):
+        law = transition_law(p[j], beta[j], counts, s[j])
+        cum = np.cumsum(law[:, : d + 1], axis=1)
+        u = rng.random(num_samples)
+        counts = counts + increments(d)[(u[:, None] >= cum).sum(axis=1)]
+        history.append(counts)
+    return np.stack(history, axis=1)
+
+
+@pytest.mark.parametrize("n, d, num_samples", [(200, 0, 1), (300, 5, 37), (150, 9, 40)])
+def test_column_major_loop_matches_row_major_stepper(monkeypatch, n, d, num_samples):
+    sched = Schedule.from_segments([(0.0, 0.1, 4.0), (0.3, 0.0, 1.0)])
+    start = (2,) + (0,) * (d + 1)
+    ref = row_major_paths(n, d, sched, start, num_samples, seed=8)
+    assert np.array_equal(run_ensemble_paths(n, d, sched, start, num_samples, seed=8), ref)
+    # expanded before the first draw, the terminal histogram is the
+    # stepper's last step, tabulated
+    monkeypatch.setattr(simulator, "_EXPAND_FRACTION", 0.0)
+    states, counts = run_ensemble_terminal(n, d, sched, start, num_samples, seed=8)
+    ref_states, ref_counts = np.unique(ref[:, -1], axis=0, return_counts=True)
     assert np.array_equal(states, ref_states)
     assert np.array_equal(counts, ref_counts)
 
