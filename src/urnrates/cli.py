@@ -266,6 +266,8 @@ def cmd_rate(args) -> int:
     path_csv = _opt(args, cfg, "rate", "path_csv", None)
     d = _opt(args, cfg, "rate", "d", 20, int, low=0)
     tol = _opt(args, cfg, "rate", "tol", 1e-6, float)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise UsageError(f"tol must be finite and positive (got {tol})")
     out = _outdir(args)
 
     report = {"schema_version": SCHEMA_VERSION, "command": "rate"}
@@ -311,7 +313,7 @@ def cmd_rate(args) -> int:
         rep = rate.path_rate_Id(path, sched, profile, tol=path_tol)
         report.update({
             "d": path.d, "value": rep.value,
-            "condensation_term": rate.condensation_term(path, sched, profile),
+            "condensation_term": rep.condensation,
             "error": rep.error, "num_panels": rep.num_panels, "diverged": rep.diverged,
         })
 

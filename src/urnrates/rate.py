@@ -11,8 +11,9 @@ transition law of the scheme along the path, model.transition_law at
 (phi, sigma).  nu0 and L are computed for whole arrays of slopes and
 times at once: the path functional integrates L over [0,1] with an
 adaptive Gauss-Kronrod rule that refines all panels of one bisection
-depth together, and the untruncated functional is the increasing limit
-of the truncated values.
+depth together (the condensation charge, the aggregate slot's share of
+L, rides on the same panels), and the untruncated functional is the
+increasing limit of the truncated values.
 """
 from __future__ import annotations
 
@@ -155,15 +156,12 @@ def _panels(path: Path, schedule: Schedule):
 
 def _on_kronrod_nodes(a, b, fn):
     """Half-widths (P,) of panels [a, b] and fn(nodes, rows) stacked to
-    (P, 15): nodes are the 15 Kronrod nodes (B, 15) of the panels a[rows],
-    _BLOCK panels at a time."""
+    (P, 15, ...): nodes are the 15 Kronrod nodes (B, 15) of the panels
+    a[rows], _BLOCK panels at a time, and fn may add trailing axes."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    f = np.empty((a.size, _XK.size))
-    for lo in range(0, a.size, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        f[rows] = fn(mid[rows, None] + half[rows, None] * _XK[None, :], rows)
-    return half, f
+    nodes = 0.5 * (b + a)[:, None] + half[:, None] * _XK[None, :]
+    return half, np.concatenate([fn(nodes[lo:lo + _BLOCK], slice(lo, lo + _BLOCK))
+                                 for lo in range(0, a.size, _BLOCK)])
 
 
 @dataclass
@@ -174,6 +172,7 @@ class RateReport:
     deepest: int
     diverged: bool
     floor_hits: int = 0
+    condensation: float = math.inf  # aggregate slot's share of value
 
 
 def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
@@ -184,8 +183,12 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
     integrand jumps there), each carrying its constant minimizing law; all
     unfinished panels of one bisection depth are refined together.  A
     panel whose nodes all cost +inf is declared divergent, and isolated
-    endpoint singularities are bisected down to a width floor.
+    endpoint singularities are bisected down to a width floor.  The
+    condensation charge h(nu0_{d+1}, u_{d+1}) is integrated on the panels
+    accepted for the total; refinement looks at the total only.
     """
+    if not (math.isfinite(tol) and tol > 0.0) or max_depth < 0:
+        raise ValueError(f"need finite tol > 0 and max_depth >= 0 (got {tol}, {max_depth})")
     a, b, piece = _panels(path, schedule)
     w = _piece_laws(path)
     if w is None:
@@ -193,13 +196,15 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
 
     def cost(nodes, rows):  # rows of the current depth's (a, b, piece)
         u = natural_law(nodes, path.at(nodes), schedule, profile)
-        return entropy_terms(w[piece[rows], None, :], u).sum(axis=-1)
+        terms = entropy_terms(w[piece[rows], None, :], u)
+        return np.stack([terms.sum(axis=-1), terms[..., -1]], axis=-1)
 
     span = float(b[-1] - a[0])
-    values, errors = [], []
+    kept = []           # (value, error, charge) rows of finished panels
     num_done = floor_hits = depth = 0
     while True:
-        half, f = _on_kronrod_nodes(a, b, cost)
+        half, fc = _on_kronrod_nodes(a, b, cost)
+        f = fc[..., 0]
         finite = np.isfinite(f)
         if not finite.any(axis=1).all():
             # structurally impossible move on a whole panel
@@ -213,8 +218,8 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
         split = ~done & (width > 1e-14 * span) & (depth < max_depth)
         # panels neither done nor split are slivers around an isolated
         # singular point: keep their finite part, count them as unresolved
-        values.append(vk[all_finite & ~split])
-        errors.append(err[all_finite & ~split])
+        charge = half * (fc[..., 1] * _WK[None, :]).sum(axis=1)
+        kept.append(np.stack([vk, err, charge])[:, all_finite & ~split])
         floor_hits += int((~done & ~split).sum())
         num_done += int((~split).sum())
         if not split.any():
@@ -224,9 +229,8 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
         a, b, piece = np.concatenate([a, m]), np.concatenate([m, b]), np.tile(piece, 2)
         depth += 1
 
-    return RateReport(math.fsum(np.concatenate(values)),
-                      math.fsum(np.concatenate(errors)),
-                      num_done, depth, False, floor_hits)
+    value, error, charge = (math.fsum(row) for row in np.concatenate(kept, axis=1))
+    return RateReport(value, error, num_done, depth, False, floor_hits, charge)
 
 
 def project_path(path: Path, d: int) -> Path:
@@ -298,25 +302,16 @@ class IinfReport:
     trace: list                 # [(d, I_d)]
     converged: bool
     escape_mass: float
-    condensation: float         # condensation_term at the final depth
+    condensation: float         # condensation charge at the final depth
     error: float
 
 
 def condensation_term(path: Path, schedule: Schedule, profile: InitialProfile) -> float:
-    """Cost carried by the aggregate slot alone (the condensation charge):
-    the integral of h(nu0_{d+1}, u_{d+1}) along the path by the 15-point
-    Kronrod rule on every panel, in blocks of panels."""
-    w = _piece_laws(path)
-    if w is None:
-        return math.inf
-    a, b, piece = _panels(path, schedule)
-
-    def charge(nodes, rows):
-        u = natural_law(nodes, path.at(nodes), schedule, profile)
-        return entropy_terms(w[piece[rows], -1, None], u[..., -1])
-
-    half, h = _on_kronrod_nodes(a, b, charge)
-    return math.fsum(half * (h * _WK[None, :]).sum(axis=1))
+    """Cost carried by the aggregate slot alone (the condensation charge),
+    +inf where the path diverges.  path_rate_Id integrates it on the same
+    panels as the total, so this accessor runs that one quadrature; it
+    stays for callers that want the charge alone."""
+    return path_rate_Id(path, schedule, profile).condensation
 
 
 def path_rate_Iinf(target, schedule: Schedule, profile: InitialProfile,
@@ -333,6 +328,10 @@ def path_rate_Iinf(target, schedule: Schedule, profile: InitialProfile,
     """
     if quad_tol is None:
         quad_tol = min(1e-9, 0.01 * tol)
+    if not all(math.isfinite(x) and x > 0.0 for x in (tol, quad_tol)):
+        raise ValueError(f"tol and quad_tol must be finite and positive (got {tol}, {quad_tol})")
+    if not 0 <= d_min <= d_max:
+        raise ValueError(f"need 0 <= d_min <= d_max (got {d_min}, {d_max})")
     if callable(target):
         escape = -1.0           # unknown; rely on condensation stabilizing
         make = target
@@ -341,19 +340,16 @@ def path_rate_Iinf(target, schedule: Schedule, profile: InitialProfile,
         escape = min(1.0, max(0.0, 1.0 - ball_mass))
         make = lambda d: linear_target_path(target, d)
 
-    trace = []
-    cond_hist = []
+    trace, cond_hist = [], []
     err_acc = 0.0
-    small_steps = 0
-    cond_steps = 0
+    small_steps = cond_steps = 0
     for d in range(d_min, d_max + 1):
-        path = make(d)
-        rep = path_rate_Id(path, schedule, profile, tol=quad_tol)
+        rep = path_rate_Id(make(d), schedule, profile, tol=quad_tol)
         err_acc = max(err_acc, rep.error)
         trace.append((d, rep.value))
         if math.isinf(rep.value):
             return IinfReport(math.inf, trace, True, escape, math.inf, 0.0)
-        cond = condensation_term(path, schedule, profile)
+        cond = rep.condensation
         cond_hist.append(cond)
         if len(trace) >= 2:
             inc = trace[-1][1] - trace[-2][1]

@@ -224,6 +224,12 @@ HEADER = "t,x_0,x_1,x_bar\n"
     pytest.param(["lln"], None, {"lln": {"times": ["soon"]}}, id="config-times-text"),
     pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": "x"}},
                  id="config-tol-text"),
+    pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": math.nan}},
+                 id="config-tol-nan"),
+    pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": 0}},
+                 id="config-tol-zero"),
+    pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": -1}},
+                 id="config-tol-negative"),
     pytest.param(["rate"], HEADER + "0,0,0,0\n0.5,0.25,0.25,0\n", None,
                  id="csv-knots-end-at-half"),
     pytest.param(["rate"], HEADER + "0,0,0,0\n1,0.5,0.5\n", None, id="csv-ragged"),

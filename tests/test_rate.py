@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from urnrates import cli, rate
 from urnrates.lln import (
     dirac_law,
     geometric_law,
@@ -176,6 +178,56 @@ def test_star_cost_is_pure_condensation():
     assert_allclose(series.escape_mass, 1.0)
 
 
+def random_admissible_path(d, times, seed):
+    """Piecewise-linear path from the empty state whose every piece has
+    an admissible slope: decreasing escape weights summing below 1."""
+    rng = np.random.default_rng(seed)
+    vals = [np.zeros(d + 2)]
+    for dt in np.diff(times):
+        w = np.sort(rng.dirichlet(np.ones(d + 2))[: d + 1])[::-1]
+        v = np.concatenate([[1.0 - w[0]], w[:-1] - w[1:], [w[-1]]])
+        vals.append(vals[-1] + dt * v)
+    return Path.from_knots(times, vals)
+
+
+@pytest.mark.parametrize("sched", [
+    Schedule.from_segments([(0.0, 0.0, 8.0), (0.01, 0.0, 1.0)]),
+    Schedule.from_segments([(0.0, (0.1, 0.2), (1.0, 0.0, 2.0))]),
+], ids=["figure1", "polynomial"])
+def test_condensation_charge_matches_quad(sched):
+    # second route: scipy's quad of the aggregate slot's term alone, piece
+    # by piece and split at the schedule's breakpoints
+    path = random_admissible_path(4, [0.0, 0.3, 0.65, 1.0], seed=8)
+    cuts = np.union1d(path.times, sched.breakpoints)
+
+    def charge(t):
+        nu0 = minimizer_nu0(path.slope_at(t))
+        u = natural_law(t, path.at(t), sched, EMPTY)
+        return float(entropy_terms(nu0[-1], u[..., -1]))
+
+    reference = math.fsum(quad(charge, lo, hi, epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+                          for lo, hi in zip(cuts[:-1], cuts[1:]))
+    rep = path_rate_Id(path, sched, EMPTY)
+    assert not rep.diverged and rep.deepest > 0   # refined panels carry it too
+    assert abs(rep.condensation - reference) <= 1e-12
+    assert condensation_term(path, sched, EMPTY) == rep.condensation
+
+
+def test_one_quadrature_pass_per_rate(tmp_path, monkeypatch):
+    calls = []
+    panels = rate._panels
+    monkeypatch.setattr(rate, "_panels", lambda *args: calls.append(1) or panels(*args))
+    path_csv = tmp_path / "path.csv"
+    path_csv.write_text("t,x_0,x_1,x_bar\n0,0,0,0\n0.5,0.25,0.25,0\n1,0.75,0,0.25\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rate": {"path_csv": str(path_csv)}}))
+    assert cli.main(["rate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    out = path_rate_Iinf(geometric_law(), CLASSICAL, EMPTY, tol=1e-7)
+    assert len(calls) == len(out.trace)
+
+
 # ----------------------------------------------------------- road target
 
 def test_road_rate_is_infinite():
@@ -183,6 +235,7 @@ def test_road_rate_is_infinite():
     # law never places mass there once phi_0 = 0
     rep = path_rate_Id(linear_target_path(dirac_law(2), 3), CLASSICAL, EMPTY)
     assert math.isinf(rep.value) and rep.diverged
+    assert math.isinf(rep.condensation)
     out = path_rate_Iinf(dirac_law(2), CLASSICAL, EMPTY)
     assert math.isinf(out.value) and out.converged
     series = linear_path_rate_classical(dirac_law(2))
@@ -302,6 +355,25 @@ def test_target_profile_rejections():
         linear_target_path([-0.1, 1.1], 3)
     with pytest.raises(ValueError):
         linear_path_rate_classical([0.0, 0.0, 1.0])  # two balls per urn
+
+
+def test_rate_arguments_are_checked():
+    path = linear_target_path(star_law(), 2)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            path_rate_Id(path, CLASSICAL, EMPTY, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            path_rate_Iinf(star_law(), CLASSICAL, EMPTY, tol=bad)
+        with pytest.raises(ValueError, match="quad_tol"):
+            path_rate_Iinf(star_law(), CLASSICAL, EMPTY, quad_tol=bad)
+    with pytest.raises(ValueError, match="max_depth"):
+        path_rate_Id(path, CLASSICAL, EMPTY, max_depth=-1)
+    for d_min, d_max in ((5, 4), (-1, 3)):
+        with pytest.raises(ValueError, match="d_min"):
+            path_rate_Iinf(star_law(), CLASSICAL, EMPTY, d_min=d_min, d_max=d_max)
+    # the boundary values stay accepted
+    assert path_rate_Id(path, CLASSICAL, EMPTY, max_depth=0).deepest == 0
+    assert len(path_rate_Iinf(star_law(), CLASSICAL, EMPTY, d_min=0, d_max=0).trace) == 1
 
 
 def test_slope_sum_noise_tolerance():
