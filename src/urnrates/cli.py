@@ -266,8 +266,8 @@ def cmd_rate(args) -> int:
     path_csv = _opt(args, cfg, "rate", "path_csv", None)
     d = _opt(args, cfg, "rate", "d", 20, int, low=0)
     tol = _opt(args, cfg, "rate", "tol", 1e-6, float)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise UsageError(f"tol must be finite and positive (got {tol})")
+    if not (math.isfinite(tol) and tol >= rate.MIN_TOL):
+        raise UsageError(f"tol must be finite and at least {rate.MIN_TOL:g} (got {tol})")
     out = _outdir(args)
 
     report = {"schema_version": SCHEMA_VERSION, "command": "rate"}

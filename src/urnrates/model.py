@@ -285,6 +285,16 @@ def increments(d: int) -> np.ndarray:
     return f
 
 
+def selection_rates(p, beta, d: int) -> np.ndarray:
+    """(1-p)*(i+beta) for i = 0..d+1, in a new last axis after those of p
+    and beta: the weight of linear selection on each urn of size i, the
+    coefficient of Z_i/s in transition_law (the new urn's p is added to
+    entry 0 apart).  The simulator takes these once per run for the whole
+    lattice, so the law is written here alone."""
+    p, beta = (np.asarray(x, dtype=float)[..., None] for x in (p, beta))
+    return (1.0 - p) * (np.arange(d + 2) + beta)
+
+
 def transition_law(p, beta, z, s) -> np.ndarray:
     """One-step law of linear selection over the d+2 increments.
 
@@ -297,16 +307,15 @@ def transition_law(p, beta, z, s) -> np.ndarray:
     complement (a ball into an aggregated urn), clipped at 0 since it only
     goes negative through round-off.
     """
-    p, beta, s = (np.asarray(x, dtype=float)[..., None] for x in (p, beta, s))
+    p, s = (np.asarray(x, dtype=float) for x in (p, s))
     z = np.asarray(z)
     d = z.shape[-1] - 2
-    # In place, so that a call holds one law-sized array: the simulator
-    # steps up to 10^6 replicas at once.  The ufunc lays the law out in z's
-    # memory order (the simulator's counts are column-major); the last
-    # column is computed only to keep that layout, and overwritten.
-    law = np.multiply((1.0 - p) * (np.arange(d + 2) + beta), z)
-    law /= s
-    law[..., 0] += p[..., 0]
+    # In place, so that a call holds one law-sized array.  The ufunc lays
+    # the law out in z's memory order; the last column is computed only to
+    # keep that layout, and overwritten.
+    law = np.multiply(selection_rates(p, beta, d), z)
+    law /= s[..., None]
+    law[..., 0] += p
     rest = law[..., d + 1]
     # einsum: sum() over a short last axis is several times slower
     np.subtract(1.0, np.einsum("...i->...", law[..., : d + 1]), out=rest)

@@ -32,6 +32,14 @@ from .model import (
     transition_law,
 )
 
+# Smallest tol the quadrature accepts.  A panel is done once its error
+# estimate is within tol times its share of the path (at least 1e-6), but
+# the estimate never falls below the rounding of the panel value, about
+# 2.2e-16 times the integral, so far below that every panel is split down to
+# the width floor (about 2^46 panels).  1e-12 leaves room for integrals up to
+# about 10^3 and sits below every tolerance the package uses (1e-9 at most).
+MIN_TOL = 1e-12
+
 # 15-point Kronrod extension of 7-point Gauss on [-1,1] (nodes symmetric;
 # the embedded Gauss rule sits at the odd positions)
 _XK_HALF = np.array([
@@ -185,10 +193,12 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
     panel whose nodes all cost +inf is declared divergent, and isolated
     endpoint singularities are bisected down to a width floor.  The
     condensation charge h(nu0_{d+1}, u_{d+1}) is integrated on the panels
-    accepted for the total; refinement looks at the total only.
+    accepted for the total; refinement looks at the total only.  A tol
+    below MIN_TOL is rejected.
     """
-    if not (math.isfinite(tol) and tol > 0.0) or max_depth < 0:
-        raise ValueError(f"need finite tol > 0 and max_depth >= 0 (got {tol}, {max_depth})")
+    if not (math.isfinite(tol) and tol >= MIN_TOL) or max_depth < 0:
+        raise ValueError(f"need finite tol >= MIN_TOL = {MIN_TOL:g} and max_depth >= 0 "
+                         f"(got {tol}, {max_depth})")
     a, b, piece = _panels(path, schedule)
     w = _piece_laws(path)
     if w is None:
@@ -324,12 +334,14 @@ def path_rate_Iinf(target, schedule: Schedule, profile: InitialProfile,
     I_{d_min}, I_{d_min+1}, ... is monotone up to quadrature error; it is
     declared converged once three consecutive increments fall below tol
     and the weight escaping all finite levels is either below tol or its
-    condensation cost has stabilized.
+    condensation cost has stabilized.  tol and quad_tol (by default
+    0.01*tol, between MIN_TOL and 1e-9) must be at least MIN_TOL.
     """
     if quad_tol is None:
-        quad_tol = min(1e-9, 0.01 * tol)
-    if not all(math.isfinite(x) and x > 0.0 for x in (tol, quad_tol)):
-        raise ValueError(f"tol and quad_tol must be finite and positive (got {tol}, {quad_tol})")
+        quad_tol = max(MIN_TOL, min(1e-9, 0.01 * tol))
+    if not all(math.isfinite(x) and x >= MIN_TOL for x in (tol, quad_tol)):
+        raise ValueError(f"tol and quad_tol must be finite and at least MIN_TOL = "
+                         f"{MIN_TOL:g} (got {tol}, {quad_tol})")
     if not 0 <= d_min <= d_max:
         raise ValueError(f"need 0 <= d_min <= d_max (got {d_min}, {d_max})")
     if callable(target):

@@ -1,21 +1,25 @@
 """Exact simulation of the truncated count chain and tube-probability estimates.
 
-States move by one of d+2 increment vectors per step, drawn from
-model.transition_law.  One stepping loop serves every routine: it is
-vectorized across independent replicas, evaluates the schedule once on
-the lattice j/n, and draws from a single generator seeded through numpy's
+States move by one of d+2 increment vectors per step, drawn from the law
+of model.transition_law.  One stepping loop serves every routine: it is
+vectorized across independent replicas, evaluates the schedule and the
+selection rates (1-p)(i+beta) (model.selection_rates) once per run on the
+lattice j/n, and draws from a single generator seeded through numpy's
 SeedSequence, so results are reproducible given (seed, num_samples).
 
 Terminal ensembles only need the histogram of final states, so the loop
 starts merged: replicas in equal states advance together as one state
-with a multiplicity, moved by one multinomial draw, and the result is
-the histogram (states, counts), the size of the answer.  Once states are
-mostly distinct it expands to one row per replica, each drawing its move
-by the cumulative inverse with the last entry taken as complement.
-Expanded, the replica counts are column-major (a Fortran-ordered
-(R, d+2) array): each category's counts are contiguous, so the law, the
-cumulative sums and the update of a step run over unit strides.  Callers
-and observers see the same logical (R, d+2) rows.
+with a multiplicity, moved by one multinomial draw of transition_law,
+and the result is the histogram (states, counts), the size of the
+answer.  Once states are mostly distinct it expands to one column per
+replica, each drawing its move by the cumulative inverse with the last
+entry taken as complement.  Expanded, the counts are a float (d+2, R)
+buffer, exact since they stay far below 2**53: each category's counts
+are one contiguous row, the cumulative law of a step is written into a
+preallocated buffer, and the move is one small matrix product on the
+comparison mask.  The uniforms are drawn a block of steps at a time
+under a fixed byte budget, the same stream as one draw per step.
+Counts leave the loop as int64 (observer rows and the histogram).
 Paths never merge: a per-step observer sees every replica's counts, so
 the history of run and run_ensemble_paths is recorded step by step and
 the tube estimate keeps only a running per-replica sup of the L1
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Path, Schedule, increments, resolve_initial, transition_law
+from .model import (Path, Schedule, increments, resolve_initial, selection_rates,
+                    transition_law)
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,17 @@ class TubeEstimate:
 
 # The merged phase ends once the distinct states outnumber this share of the
 # replicas: a multinomial per state costs more than one uniform per replica
-# (at R=10^4 with every state distinct, figure-1 schedule, d=5, a merged
-# step took 4.5 ms against 0.51 ms for the column-major cumulative-inverse
-# draw on a 2-core x86-64 box, so the two break even near 0.11).  The value
-# also fixes which draws a seed gives, so changing it changes same-seed
-# histograms.
+# (at R=10^4, figure-1 schedule, d=5, on a 2-core x86-64 box, a merged step
+# over m distinct states took about 7-12 ms * m/R for m/R below 0.25 and
+# 3.2-4.3 ms with every state distinct, against 0.18-0.19 ms for an expanded
+# step, so the two break even near m/R = 0.02).  The value also fixes which
+# draws a seed gives, so changing it changes same-seed histograms.
 _EXPAND_FRACTION = 0.25
+# The expanded loop draws its uniforms this many bytes at a time, a block of
+# steps per call: the same stream as one call per step, without that call's
+# fixed cost at small R, in memory that scales with R and not with n*R (one
+# step per block from R = 2**17 on).
+_UNIFORM_BLOCK_BYTES = 2**20
 # Packed keys are int64 and below (urns+1)**(d+1).
 _KEY_LIMIT = 2**62
 
@@ -100,10 +110,33 @@ def _tabulate(states, weights=None):
 
 
 def _expand(states, mult):
-    """Each row of states repeated mult times, column-major: the counts of
-    one category are contiguous, so the per-category steps of the expanded
-    loop run over unit strides."""
-    return np.repeat(states.T, mult, axis=1).T
+    """Each row of states repeated mult times, as float columns: the
+    (d+2, R) buffer of the expanded loop, one row of counts per category."""
+    return np.repeat(states.T.astype(float), mult, axis=1)
+
+
+def _move_matrix(d):
+    """The (d+2, d+2) matrix that maps the comparison column (1, u >= c_0,
+    ..., u >= c_d) to the increment f[k], k = the number of cumulative law
+    entries c_i at or below u: column 0 is f[0] and column i+1 is f[i+1] -
+    f[i], which telescope, since c is nondecreasing."""
+    f = increments(d).astype(float)
+    return np.column_stack([f[0], *(f[1:] - f[:-1])])
+
+
+def _cumulative_law(z, rates, s, p, out):
+    """Left-to-right cumulative sums of the first d+1 entries of
+    transition_law for the (d+2, R) counts z, written into out (d+1, R);
+    rates is the (d+1, 1) column of selection_rates for the step.  The same
+    operations in the same order as transition_law, so the same values bit
+    for bit, without its complement, which the cumulative inverse never
+    reads."""
+    np.multiply(z[:-1], rates, out=out)
+    out /= s
+    out[0] += p
+    for i in range(1, len(out)):  # np.cumsum(axis=0) walks the strided columns
+        out[i] += out[i - 1]
+    return out
 
 
 def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
@@ -115,14 +148,14 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
     observer the loop starts merged, holding (distinct states,
     multiplicities) and drawing the moves out of each state as one
     Multinomial(multiplicity, law), which samples the histogram's law
-    exactly.  It expands to one row per replica (_expand, column-major)
-    once the distinct states outnumber _EXPAND_FRACTION of the replicas, or
-    before a step after which packed keys could overflow.  Expanded, each
-    replica draws its move by the cumulative inverse of one uniform.
-    observe(j, counts) sees the (num_samples, d+2) rows at j = 0 and after
-    every step j; the rows are overwritten by the next step.  With an
-    observer the loop never merges, so paths and their random stream do not
-    depend on the merging.
+    exactly.  It expands to one column per replica (_expand) once the
+    distinct states outnumber _EXPAND_FRACTION of the replicas, or before a
+    step after which packed keys could overflow.  Expanded, each replica
+    draws its move by the cumulative inverse of one uniform, the uniforms
+    drawn in blocks of steps (the same stream as one draw per step).
+    observe(j, counts) sees the (num_samples, d+2) integer rows at j = 0
+    and after every step j.  With an observer the loop never merges, so
+    paths and their random stream do not depend on the merging.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
@@ -137,32 +170,39 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
         raise ValueError("selection weight is zero; configuration has no urns")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     f = increments(d)
-    by_count = f.T  # row i: the change of Z_i under each increment
     counts = np.asarray(state0.counts, dtype=np.int64)[None, :]
     urns = int(counts.sum())
     mult = np.array([num_samples], dtype=np.int64)
+    j = 0
+    while (observe is None and j < n and mult.size <= _EXPAND_FRACTION * num_samples
+           and _key_fits(urns + j + 1, d)):
+        moves = rng.multinomial(mult, transition_law(p[j], beta[j], counts, s[j]))
+        row, k = np.nonzero(moves)
+        counts, mult = _tabulate(counts[row] + f[k], moves[row, k])
+        j += 1
+    if j == n:
+        return counts, mult
+
+    z = _expand(counts, mult)  # exact: counts stay far below 2**53
+    rates = selection_rates(p, beta, d)[:, : d + 1, None]
+    move = _move_matrix(d)
+    # Rows 1.. of above take the cumulative law, then in place whether u is
+    # at or above it; row 0 stays 1 (see _move_matrix).
+    above = np.ones((d + 2, num_samples))
+    cum = above[1:]
+    per_block = max(1, _UNIFORM_BLOCK_BYTES // (8 * num_samples))
     if observe is not None:
-        counts, mult = _expand(counts, mult), None
-        observe(0, counts)
-    for j in range(n):
-        if mult is not None and (mult.size > _EXPAND_FRACTION * num_samples
-                                 or not _key_fits(urns + j + 1, d)):
-            counts, mult = _expand(counts, mult), None
-        law = transition_law(p[j], beta[j], counts, s[j])
-        if mult is None:
-            cum = law[:, : d + 1]
-            for i in range(1, d + 1):  # np.cumsum would walk the strided rows
-                cum[:, i] += cum[:, i - 1]
-            u = rng.random(num_samples)
-            k = (u[:, None] >= cum).sum(axis=1)  # in 0..d+1, complement last
-            counts += np.take(by_count, k, axis=1).T
-        else:
-            moves = rng.multinomial(mult, law)
-            row, k = np.nonzero(moves)
-            counts, mult = _tabulate(counts[row] + f[k], moves[row, k])
-        if observe is not None:
-            observe(j + 1, counts)
-    return (counts, mult) if mult is not None else _tabulate(counts)
+        observe(0, z.T.astype(np.int64))
+    for start in range(j, n, per_block):
+        uniforms = rng.random((min(per_block, n - start), num_samples))
+        for j, u in enumerate(uniforms, start):
+            _cumulative_law(z, rates[j], s[j], p[j], out=cum)
+            np.greater_equal(u, cum, out=cum)
+            z += move @ above
+            if observe is not None:
+                observe(j + 1, z.T.astype(np.int64))
+    del above, cum, uniforms, u  # before _tabulate's sort buffers
+    return _tabulate(z.T.astype(np.int64))
 
 
 def run(n: int, d: int, schedule: Schedule, initial, seed: int) -> SimRun:

@@ -230,6 +230,8 @@ HEADER = "t,x_0,x_1,x_bar\n"
                  id="config-tol-zero"),
     pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": -1}},
                  id="config-tol-negative"),
+    pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": 1e-300}},
+                 id="config-tol-tiny"),
     pytest.param(["rate"], HEADER + "0,0,0,0\n0.5,0.25,0.25,0\n", None,
                  id="csv-knots-end-at-half"),
     pytest.param(["rate"], HEADER + "0,0,0,0\n1,0.5,0.5\n", None, id="csv-ragged"),

@@ -17,6 +17,7 @@ from urnrates.lln import (
 )
 from urnrates.model import InitialProfile, Path, Schedule, entropy_terms, increments
 from urnrates.rate import (
+    MIN_TOL,
     condensation_term,
     linear_path_rate_classical,
     linear_target_path,
@@ -359,13 +360,17 @@ def test_target_profile_rejections():
 
 def test_rate_arguments_are_checked():
     path = linear_target_path(star_law(), 2)
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    # 1e-300 would split every panel down to the width floor: rejected
+    # before any panel is evaluated (max_depth bounds the work if it is not)
+    for bad in (0.0, -1.0, math.nan, math.inf, 1e-300, 0.5 * MIN_TOL):
         with pytest.raises(ValueError, match="tol"):
-            path_rate_Id(path, CLASSICAL, EMPTY, tol=bad)
+            path_rate_Id(path, CLASSICAL, EMPTY, tol=bad, max_depth=8)
         with pytest.raises(ValueError, match="tol"):
             path_rate_Iinf(star_law(), CLASSICAL, EMPTY, tol=bad)
         with pytest.raises(ValueError, match="quad_tol"):
             path_rate_Iinf(star_law(), CLASSICAL, EMPTY, quad_tol=bad)
+    # the floor itself is met: no panel is split down to the width floor
+    assert path_rate_Id(path, CLASSICAL, EMPTY, tol=MIN_TOL).floor_hits == 0
     with pytest.raises(ValueError, match="max_depth"):
         path_rate_Id(path, CLASSICAL, EMPTY, max_depth=-1)
     for d_min, d_max in ((5, 4), (-1, 3)):

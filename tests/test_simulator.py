@@ -187,7 +187,11 @@ def row_major_paths(n, d, schedule, start, num_samples, seed):
     return np.stack(history, axis=1)
 
 
-@pytest.mark.parametrize("n, d, num_samples", [(200, 0, 1), (300, 5, 37), (150, 9, 40)])
+@pytest.mark.parametrize("n, d, num_samples", [
+    (200, 0, 1), (300, 5, 37), (150, 9, 40),
+    # uniforms drawn in blocks of 43 steps: the last of the 10 is partial
+    (400, 3, 3000),
+])
 def test_column_major_loop_matches_row_major_stepper(monkeypatch, n, d, num_samples):
     sched = Schedule.from_segments([(0.0, 0.1, 4.0), (0.3, 0.0, 1.0)])
     start = (2,) + (0,) * (d + 1)
@@ -241,15 +245,21 @@ def test_merged_ensemble_matches_exact_law():
 
 
 def rows_per_step(monkeypatch):
-    """Record how many rows the simulator steps at each j."""
+    """Record how many states the simulator steps at each j: the rows of
+    the merged law, or the columns (one per replica) of the expanded one."""
     rows = []
-    law = simulator.transition_law
+    law, cumulative = simulator.transition_law, simulator._cumulative_law
 
-    def spy(p, beta, z, s):
+    def merged(p, beta, z, s):
         rows.append(len(z))
         return law(p, beta, z, s)
 
-    monkeypatch.setattr(simulator, "transition_law", spy)
+    def expanded(z, *args, **kwargs):
+        rows.append(z.shape[1])
+        return cumulative(z, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "transition_law", merged)
+    monkeypatch.setattr(simulator, "_cumulative_law", expanded)
     return rows
 
 
@@ -282,6 +292,7 @@ def test_packed_key_overflow_forces_expansion(monkeypatch):
     states, counts = run_ensemble_terminal(n, d, Schedule.constant(0.9, 1.0), start, num,
                                            seed=5)
     last_fit = max(j for j in range(n) if (sum(start) + j + 2) ** (d + 1) <= 2**62)
+    assert len(rows) == n
     assert last_fit == 114 and max(rows[: last_fit + 1]) < num / 4
     assert all(r == num for r in rows[last_fit + 1:])
     assert_legal_histogram(states, counts, start, n, num)
@@ -315,6 +326,24 @@ def test_tube_estimate_memory_is_bounded():
         tracemalloc.stop()
     assert est.num_samples == num
     assert peak < 10 * 2**20
+
+
+def test_expanded_ensemble_memory_scales_with_replicas(monkeypatch):
+    # expanded from the first step, the loop holds a few (d+2, R) buffers
+    # and one step's uniforms: the n*R uniforms of the whole run alone
+    # would take 10 units, the (R, n+1, d+2) history 51
+    n, d, num = 50, 3, 200_000
+    unit = num * (d + 2) * 8
+    monkeypatch.setattr(simulator, "_EXPAND_FRACTION", 0.0)
+    start = (2,) + (0,) * (d + 1)
+    tracemalloc.start()
+    try:
+        states, counts = run_ensemble_terminal(n, d, CLASSICAL, start, num, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_legal_histogram(states, counts, start, n, num)
+    assert peak < 5 * unit
 
 
 def test_sup_l1_distance_zero_on_own_path():
