@@ -13,9 +13,10 @@ receives the new-urn ball).  This module evaluates that closed form on
 flat arrays over the cells of one graded grid: the decay integrals of
 every cell once (exact logarithms on constant schedule segments, Gauss
 rules on polynomial ones), then one affine scan across the cells per
-level.  Beside it are an independent Runge-Kutta route, the
-constant-coefficient comparison family, power-law envelopes, and
-reference target laws.
+level.  Each level reaches the next through monotone cubics evaluated on
+the Gauss nodes' offsets in their cells, fixed for the whole solve.  Beside
+it are an independent Runge-Kutta route, the constant-coefficient
+comparison family, power-law envelopes, and reference target laws.
 """
 from __future__ import annotations
 
@@ -103,14 +104,14 @@ def graded_grid(schedule: Schedule, rel_spacing: float = 0.02,
     below the value round-off scale would be pure noise).
     """
     pts = [np.asarray([] if extra is None else extra, dtype=float)]
-    brks = schedule.breakpoints
+    brks = schedule.breakpoints.tolist()    # Python floats step faster below
     for a, b in zip(brks[:-1], brks[1:]):
         length = b - a
         if profile is None:
             age0 = 0.0
         else:
-            beta_a = float(schedule.beta_at(np.asarray([a]))[0])
-            age0 = float(sigma(schedule, profile, np.asarray([a]))[0]) / (1.0 + beta_a)
+            beta_a = float(schedule.coefficients(a)[1])
+            age0 = float(sigma(profile, a, beta_a)) / (1.0 + beta_a)
         nodes = [a]
         t = a + max(rel_spacing * age0, rel_floor * length)
         count = 0
@@ -176,12 +177,10 @@ def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, weights, co
         m2 = 0.5 * (y + s)
         sub = m2[:, None] + h2[:, None] * _GL_X[None, :]
         wsub = h2[:, None] * _GL_W[None, :]
-        pflat = schedule.p_at(sub.ravel()).reshape(sub.shape)
-        bflat = schedule.beta_at(sub.ravel()).reshape(sub.shape)
-        sflat = sigma(schedule, profile, sub.ravel()).reshape(sub.shape)
-        integ = (1.0 - pflat) / sflat
+        psub, bsub = schedule.coefficients(sub)
+        integ = (1.0 - psub) / sigma(profile, sub, bsub)
         W1_nodes[poly, q] = (wsub * integ).sum(axis=1)
-        W2_nodes[poly, q] = (wsub * integ * bflat).sum(axis=1)
+        W2_nodes[poly, q] = (wsub * integ * bsub).sum(axis=1)
     return W1_cell, W2_cell, W1_nodes, W2_nodes
 
 
@@ -214,6 +213,19 @@ def _segment_interps(fine, cells, z):
     return {k: PchipInterpolator(fine[c.start : c.stop + 1], z[c.start : c.stop + 1],
                                  extrapolate=True)
             for k, c in cells.items()}
+
+
+def _on_offsets(interp, dx, out):
+    """interp's cubic pieces at offsets dx (cells, nodes) from each cell's
+    left end, written to out: interp at those nodes without its interval
+    search.  The terms are summed as PPoly sums them, from 0.0 up, so the
+    values agree to the last bit."""
+    c0, c1, c2, c3 = (c[:, None] for c in interp.c)    # c0 multiplies dx**3
+    np.add(0.0 + c3, c2 * dx, out=out)
+    power = dx * dx
+    out += c1 * power
+    power *= dx
+    out += c0 * power
 
 
 def _affine_scan(z0, m, c):
@@ -250,10 +262,8 @@ def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_X[None, :]  # (K, 15)
     weights = half[:, None] * _GL_W[None, :]
-    flat = nodes.ravel()
-    p = schedule.p_at(flat).reshape(nodes.shape)
-    beta = schedule.beta_at(flat).reshape(nodes.shape)
-    sig = sigma(schedule, profile, flat).reshape(nodes.shape)
+    p, beta = schedule.coefficients(nodes)
+    sig = sigma(profile, nodes, beta)
 
     # cells of one segment are contiguous: the grid holds every breakpoint
     seg_idx = schedule.segment_index(0.5 * (lo + hi))
@@ -262,6 +272,8 @@ def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
     const = np.array([s.is_constant for s in schedule.segments])[seg_idx]
     W1_cell, W2_cell, W1_nodes, W2_nodes = _decay_integrals(
         schedule, profile, lo, hi, nodes, p, beta, sig, weights, const)
+    dx = nodes - lo[:, None]    # the nodes' offsets in their cells, fixed for all levels
+    del nodes
 
     seg0 = schedule.segments[0]
     singular0 = (profile.c_total == 0.0 and profile.c_weighted == 0.0
@@ -280,7 +292,9 @@ def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
             m_cell, m_nodes = np.ones(lo.size), 1.0
         if i > 0:
             interps = _segment_interps(fine, cells, values[:, i - 1])
-            zprev = np.concatenate([interps[k](nodes[c]) for k, c in cells.items()])
+            zprev = np.empty(dx.shape)
+            for k, c in cells.items():
+                _on_offsets(interps[k], dx[c], zprev[c])
         contrib = (weights * _inflow(i, p, beta, zprev, sig) * m_nodes).sum(axis=1)
         # the aggregate's integrand carries no kernel singularity at t = 0
         if singular0 and i <= d:
@@ -298,9 +312,8 @@ def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
 
 
 def _rhs(t, y, schedule, profile, d):
-    p = schedule.p_at(t)
-    beta = schedule.beta_at(t)
-    sig = sigma(schedule, profile, t)
+    p, beta = schedule.coefficients(t)
+    sig = sigma(profile, t, beta)
     rates = (1.0 - p) * (np.arange(d + 1) + beta) * y[: d + 1] / sig
     # level i+1 gains what level i loses, and the new-urn ball enters at 1
     # (at d = 0 that is the aggregate slot, "at least one ball")
@@ -349,7 +362,7 @@ def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
         grid = np.asarray(grid, dtype=float)
     out = np.empty((grid.size, d + 2))
 
-    sig0 = float(sigma(schedule, profile, 0.0))
+    sig0 = float(sigma(profile, 0.0, schedule.coefficients(0.0)[1]))
     if sig0 == 0.0:
         t_start = t0
         y = _seed_values(d, schedule, t0)

@@ -6,13 +6,16 @@ to (balls + beta(j/n)).  This module holds the parameter schedule, the
 limiting initial degree profile, integer count states truncated at a
 size cutoff d, the one-step transition law over the d+2 increments,
 piecewise-linear scaled trajectories, and the shared admissibility checks
-for deviation paths.
+for deviation paths.  Schedule.coefficients evaluates p and beta together
+for times of any shape, by one segment lookup and one Horner pass over a
+zero-padded coefficient table.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -28,12 +31,11 @@ def entropy_terms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast(x, y).shape)
     pos = x > 0.0
-    bad = pos & (y <= 0.0)
     ok = pos & (y > 0.0)
-    xo = np.broadcast_to(x, out.shape)[ok]
-    yo = np.broadcast_to(y, out.shape)[ok]
-    out[ok] = xo * np.log(xo / yo)
-    out[bad] = np.inf
+    np.divide(x, y, out=out, where=ok)
+    np.log(out, out=out, where=ok)
+    np.multiply(x, out, out=out, where=ok)
+    np.copyto(out, np.inf, where=pos & (y <= 0.0))
     return out
 
 
@@ -137,27 +139,36 @@ class Schedule:
     def is_piecewise_constant(self) -> bool:
         return all(s.is_constant for s in self.segments)
 
-    def segment_index(self, t) -> np.ndarray:
-        starts = np.array([s.t_start for s in self.segments])
-        idx = np.searchsorted(starts, np.asarray(t, dtype=float), side="right") - 1
-        return np.clip(idx, 0, len(self.segments) - 1)
-
-    def _eval(self, t, which: str) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        idx = self.segment_index(t)
-        out = np.empty(t.shape)
+    @cached_property
+    def _table(self) -> tuple:
+        """Segment starts after the first, and the (2, degree, segments)
+        coefficients of p and beta, highest order first, zero-padded."""
+        deg = max(len(c) for s in self.segments for c in (s.p_coeffs, s.beta_coeffs))
+        table = np.zeros((2, deg, len(self.segments)))
         for k, seg in enumerate(self.segments):
-            mask = idx == k
-            if np.any(mask):
-                coeffs = seg.p_coeffs if which == "p" else seg.beta_coeffs
-                out[mask] = _polyval(coeffs, t[mask])
-        return out
+            for row, coeffs in enumerate((seg.p_coeffs, seg.beta_coeffs)):
+                table[row, deg - len(coeffs):, k] = [float(c) for c in reversed(coeffs)]
+        return np.array([s.t_start for s in self.segments[1:]]), table
+
+    def segment_index(self, t) -> np.ndarray:
+        """Segment of each t; times outside [0,1) take the first or last."""
+        return np.searchsorted(self._table[0], np.asarray(t, dtype=float), side="right")
+
+    def coefficients(self, t) -> tuple:
+        """(p(t), beta(t)) at times t of any shape, by one segment lookup
+        and one Horner pass over the coefficient table of p and beta."""
+        t = np.asarray(t, dtype=float)
+        table = self._table[1][:, :, self.segment_index(t)]
+        out = 0.0
+        for k in range(table.shape[1]):
+            out = out * t + table[:, k]
+        return out[0], out[1]
 
     def p_at(self, t):
-        return self._eval(t, "p")
+        return self.coefficients(t)[0]
 
     def beta_at(self, t):
-        return self._eval(t, "beta")
+        return self.coefficients(t)[1]
 
     def values_exact(self, t: Fraction) -> tuple:
         """(p(t), beta(t)) as Fractions; requires piecewise-constant segments."""
@@ -225,9 +236,9 @@ class InitialProfile:
         return out
 
 
-def sigma(schedule: Schedule, profile: InitialProfile, t):
-    """Scaled total selection weight (1+beta(t))*t + c_weighted + c_total*beta(t)."""
-    beta = schedule.beta_at(t)
+def sigma(profile: InitialProfile, t, beta):
+    """Scaled total selection weight (1+beta)*t + c_weighted + c_total*beta,
+    with beta = beta(t) from Schedule.coefficients."""
     return (1.0 + beta) * np.asarray(t, dtype=float) + profile.c_weighted + profile.c_total * beta
 
 
@@ -362,8 +373,11 @@ class Path:
 
     def at(self, t) -> np.ndarray:
         """Linear interpolation; accepts scalars or arrays."""
+        return self.on_piece(t, self._segment_of(t))
+
+    def on_piece(self, t, idx) -> np.ndarray:
+        """Linear interpolation on the known pieces idx (broadcast against t)."""
         t = np.asarray(t, dtype=float)
-        idx = self._segment_of(t)
         t0 = self.times[idx]
         dt = self.times[idx + 1] - t0
         w = ((t - t0) / dt)[..., None]

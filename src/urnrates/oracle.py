@@ -56,8 +56,8 @@ class ExactDistribution:
 def _params_at(schedule, j, n, rational):
     if rational:
         return schedule.values_exact(Fraction(j, n))
-    t = j / n
-    return float(schedule.p_at(t)), float(schedule.beta_at(t))
+    p, beta = schedule.coefficients(j / n)
+    return float(p), float(beta)
 
 
 def _check_budget(n, d, max_n, max_d):

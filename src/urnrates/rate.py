@@ -11,9 +11,10 @@ transition law of the scheme along the path, model.transition_law at
 (phi, sigma).  nu0 and L are computed for whole arrays of slopes and
 times at once: the path functional integrates L over [0,1] with an
 adaptive Gauss-Kronrod rule that refines all panels of one bisection
-depth together (the condensation charge, the aggregate slot's share of
-L, rides on the same panels), and the untruncated functional is the
-increasing limit of the truncated values.
+depth together, interpolating phi on each panel's known path piece (the
+condensation charge, the aggregate slot's share of L, rides on the same
+panels), and the untruncated functional is the increasing limit of the
+truncated values.
 """
 from __future__ import annotations
 
@@ -131,12 +132,11 @@ def natural_law(t, phi, schedule: Schedule, profile: InitialProfile) -> np.ndarr
     configuration) the law degenerates to p on the new-urn move and 1-p on
     the aggregate slot.
     """
-    t = np.asarray(t, dtype=float)
-    sig = sigma(schedule, profile, t)
+    p, beta = schedule.coefficients(t)
+    sig = sigma(profile, t, beta)
     empty = sig == 0.0
     z = np.where(empty[..., None], 0.0, np.clip(phi, 0.0, None))
-    return transition_law(schedule.p_at(t), schedule.beta_at(t), z,
-                          np.where(empty, 1.0, sig))
+    return transition_law(p, beta, z, np.where(empty, 1.0, sig))
 
 
 def local_cost(t, phi, slope, schedule: Schedule, profile: InitialProfile):
@@ -205,8 +205,9 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
         return RateReport(math.inf, math.inf, a.size, 0, True)
 
     def cost(nodes, rows):  # rows of the current depth's (a, b, piece)
-        u = natural_law(nodes, path.at(nodes), schedule, profile)
-        terms = entropy_terms(w[piece[rows], None, :], u)
+        k = piece[rows, None]
+        u = natural_law(nodes, path.on_piece(nodes, k), schedule, profile)
+        terms = entropy_terms(w[k], u)
         return np.stack([terms.sum(axis=-1), terms[..., -1]], axis=-1)
 
     span = float(b[-1] - a[0])

@@ -163,8 +163,7 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
         raise ValueError("need num_samples >= 1")
     state0 = resolve_initial(initial, n, d)
     steps = np.arange(n)
-    p = schedule.p_at(steps / n)
-    beta = schedule.beta_at(steps / n)
+    p, beta = schedule.coefficients(steps / n)
     s = (state0.ball_total + steps) + beta * (state0.urn_total + steps)
     if s[0] <= 0.0:
         raise ValueError("selection weight is zero; configuration has no urns")

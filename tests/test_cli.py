@@ -283,3 +283,19 @@ def test_console_script_entry_point(tmp_path):
     printed = float(line.split(":")[1])
     assert_allclose(printed, math.log(2.0), rtol=1e-12)
     assert format(printed, ".17g") == line.split(": ")[1]  # full precision echoed
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the aggregate slot's nu0 (1 - escape) and u (a complement clipped at 0) "
+    "are complements of sums, swamped by round-off while the slot holds about "
+    "1e-12: on the first piece [0, 6.5e-4] 1 - escape is -3.9e-7, so the path "
+    "is rejected as inadmissible"))
+def test_lln_path_of_nonempty_profile_costs_nothing(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schedule": [{"t_start": 0, "p": 0, "beta": 1}],
+                               "profile": {"c": [0.3, 0.1, 0.05]}}))
+    out = tmp_path / "out"
+    assert main(["rate", "--config", str(cfg), "--preset", "lln", "--d", "5",
+                 "--out", str(out)]) == 0
+    value = float(read_json(out / "rate.json")["value"])
+    assert math.isfinite(value) and value <= 1e-6

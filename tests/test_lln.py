@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from urnrates import lln
 from urnrates.lln import (
@@ -23,6 +23,7 @@ from urnrates.model import InitialProfile, Schedule, validate_path
 CLASSICAL = Schedule.constant(0.0, 1.0)
 TWO_PHASE = Schedule.from_segments([(0.0, 0.0, 8.0), (0.01, 0.0, 1.0)])
 POLY = Schedule.from_segments([(0.0, (0.1, 0.3), (1.0, 0.0, 2.0))])
+THREE = Schedule.from_segments([(0, 0, 8), (0.3, (0.1, 0.2), (1.0, 0.5)), (0.7, 0.2, 2.0)])
 EMPTY = InitialProfile.empty()
 HOMOG = EnvelopeParams(0.0, 0.0, 1.0, 1.0, 0.0)
 
@@ -99,15 +100,37 @@ def test_ode_route_does_not_call_closed_route(monkeypatch):
 
 def test_closed_vs_ode_mixed_constant_and_polynomial_segments():
     # both decay branches (exact logarithms and nested Gauss rules) in one solve
-    sched = Schedule.from_segments([(0, 0, 8), (0.3, (0.1, 0.2), (1.0, 0.5)),
-                                    (0.7, 0.2, 2.0)])
     grid = np.array([0.0, 0.05, 0.3, 0.5, 0.7, 0.85, 1.0])
     for prof in (EMPTY, InitialProfile.from_masses((0.3, 0.1, 0.05))):
         for d in (1, 6):
-            a = solve_lln_closed(d, sched, prof, grid=grid)
-            b = solve_lln_numeric(d, sched, prof, grid=grid)
+            a = solve_lln_closed(d, THREE, prof, grid=grid)
+            b = solve_lln_numeric(d, THREE, prof, grid=grid)
             assert_allclose(a.values, b.values, atol=1e-7)
             assert a.mass_deviation(prof) < 1e-7
+
+
+@pytest.mark.parametrize("sched, prof", [
+    (TWO_PHASE, EMPTY), (THREE, InitialProfile.from_masses((0.3, 0.1, 0.05)))],
+    ids=["figure1", "polynomial"])
+def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
+    # every level's monotone cubics are evaluated on the Gauss nodes' fixed
+    # offsets in their cells; the values must be PchipInterpolator's at the
+    # nodes to the last bit, segment by segment
+    d = 6
+    fine = graded_grid(sched, profile=prof)
+    lo, hi = fine[:-1], fine[1:]
+    nodes = (0.5 * (hi + lo))[:, None] + (0.5 * (hi - lo))[:, None] * lln._GL_X[None, :]
+    on_offsets, starts = lln._on_offsets, []
+
+    def checked(interp, dx, out):
+        on_offsets(interp, dx, out)
+        start = int(np.searchsorted(fine, interp.x[0]))
+        assert_array_equal(out, interp(nodes[start : start + dx.shape[0]]))
+        starts.append(start)
+
+    monkeypatch.setattr(lln, "_on_offsets", checked)
+    solve_lln_closed(d, sched, prof)
+    assert len(starts) == (d + 1) * len(sched.segments)
 
 
 def test_new_urn_ball_reaches_aggregate_slot_at_d0():

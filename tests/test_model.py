@@ -12,6 +12,7 @@ from urnrates.model import (
     Path,
     Schedule,
     TruncatedState,
+    _polyval,
     config_from_dict,
     entropy_terms,
     increments,
@@ -110,14 +111,42 @@ def test_values_exact_returns_fractions():
     assert p2 == 0
 
 
+def test_one_lookup_matches_each_segment_polynomial():
+    # constant -> polynomial -> constant: p_at, beta_at and coefficients
+    # agree bit for bit with the polynomial of the segment holding t, which
+    # is right-continuous at the breakpoints and clipped outside [0,1]
+    s = Schedule.from_segments([(0, 0, 8), (0.3, (0.1, 0.2), (1.0, 0.5)), (0.7, 0.2, 2.0)])
+    inner = np.array([0.3, 0.7])
+
+    def reference(t):
+        t = np.asarray(t, dtype=float)
+        k = (t[..., None] >= inner).sum(axis=-1)
+        return tuple(np.choose(k, [_polyval(c, t) for c in coeffs]) for coeffs in
+                     ([g.p_coeffs for g in s.segments], [g.beta_coeffs for g in s.segments]))
+
+    def same(x, y):
+        return np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+    edges = [0.0, 0.3, 0.7, np.nextafter(0.3, 0.0), np.nextafter(0.7, 0.0), -0.5, 1.0, 1.25]
+    times = edges + [np.asarray(0.45), np.array(edges + [0.15, 0.5, 0.85]),
+                     np.linspace(-0.1, 1.1, 24).reshape(4, 6)]
+    for t in times:
+        want = reference(t)
+        p, beta = s.coefficients(t)
+        assert same(p, want[0]) and same(beta, want[1]), t
+        assert same(s.p_at(t), want[0]) and same(s.beta_at(t), want[1]), t
+    assert s.beta_at(np.nextafter(0.3, 0.0)) == 8.0
+    assert s.beta_at(0.3) == 1.0 + 0.5 * 0.3 and s.p_at(1.25) == 0.2
+
+
 def test_sigma_affine_on_constant_segments():
     s = Schedule.constant(0.2, 3.0)
     prof = InitialProfile.from_masses((0.1, 0.05), c_weighted=0.2)
     t = np.linspace(0.0, 1.0, 7)
     expect = (1.0 + 3.0) * t + 0.2 + 0.15 * 3.0
-    assert_allclose(sigma(s, prof, t), expect, rtol=0, atol=1e-15)
+    assert_allclose(sigma(prof, t, s.beta_at(t)), expect, rtol=0, atol=1e-15)
     # sigma(0) = c_weighted + c_total * beta(0)
-    assert_allclose(float(sigma(s, prof, 0.0)), 0.2 + 0.15 * 3.0, rtol=1e-14)
+    assert_allclose(float(sigma(prof, 0.0, s.beta_at(0.0))), 0.2 + 0.15 * 3.0, rtol=1e-14)
 
 
 # ---------------------------------------------------------------- profile

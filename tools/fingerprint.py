@@ -1,0 +1,76 @@
+"""Print one `name sha256` line per canonical urnrates output.
+
+Runs the commands below in-process into a temporary directory and hashes
+what each writes (the verify battery: its printed lines, timings
+stripped).  Run it on two checkouts and diff the listings to check that a
+change leaves the numbers byte-identical:
+
+    PYTHONPATH=src python tools/fingerprint.py > after.txt
+    PYTHONPATH=/path/to/other/checkout/src python tools/fingerprint.py > before.txt
+    diff before.txt after.txt
+
+It stores no outputs and asserts nothing.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+from urnrates import cli
+
+FIGURE1 = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
+                        {"t_start": 0.01, "p": 0.0, "beta": 1.0}]}
+
+RUNS = [
+    ("simulate-figure1-n20000", ["simulate", "--preset", "figure1", "--n", "20000"]),
+    ("simulate-figure1-n2000-samples10000",
+     ["simulate", "--preset", "figure1", "--n", "2000", "--samples", "10000"]),
+    ("lln-figure1-d30", ["lln", "--preset", "figure1", "--d", "30"]),
+    ("envelope-figure1-d30", ["envelope", "--preset", "figure1", "--d", "30"]),
+    ("rate-lln-homogeneous-d20", ["rate", "--preset", "lln", "--d", "20"]),
+    ("rate-lln-figure1-d20",
+     ["rate", "--config", "figure1.json", "--preset", "lln", "--d", "20"]),
+    ("rate-geometric", ["rate", "--preset", "geometric"]),
+    ("verify-default", ["verify", "--budget", "default"]),
+]
+
+# "1.2s" wall-clock figures inside the verify lines
+TIMING = re.compile(r", [0-9.]+s\b")
+
+
+def run(name: str, argv: list) -> str:
+    """sha256 over the exit code and the files the command wrote, in name
+    order; for verify, over its printed lines with the timings removed."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([*argv, "--out", name])
+    # verify exits 1 on its documented expected failure: hash the code too
+    digest = hashlib.sha256(f"exit {code}\n".encode())
+    if argv[0] == "verify":
+        digest.update(TIMING.sub("", stdout.getvalue()).encode())
+    else:
+        for path in sorted(p for p in Path(name).rglob("*") if p.is_file()):
+            digest.update(str(path).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def main() -> int:
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)        # relative paths keep the JSON outputs comparable
+        try:
+            Path("figure1.json").write_text(json.dumps(FIGURE1))
+            for name, argv in RUNS:
+                print(name, run(name, argv), flush=True)
+        finally:
+            os.chdir(here)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
