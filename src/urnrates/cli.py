@@ -190,7 +190,10 @@ def _occupancy_slices(args, cfg, section: str):
     default = [0.01, 0.1, 1.0] if args.preset == "figure1" else [0.1, 0.5, 1.0]
     times = _opt(args, cfg, section, "times", default,
                  lambda ts: [float(t) for t in ts])
-    sol = lln.solve_lln_closed(d, sched, profile, grid=np.asarray(times))
+    try:
+        sol = lln.solve_lln_closed(d, sched, profile, grid=np.asarray(times))
+    except ValueError as exc:
+        raise UsageError(str(exc))
     env = lln.power_law_envelopes(sched, profile, np.asarray(times), d)
     return sched, profile, d, times, sol, env
 

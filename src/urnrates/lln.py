@@ -13,10 +13,12 @@ receives the new-urn ball).  This module evaluates that closed form on
 flat arrays over the cells of one graded grid: the decay integrals of
 every cell once (exact logarithms on constant schedule segments, Gauss
 rules on polynomial ones), then one affine scan across the cells per
-level.  Each level reaches the next through monotone cubics evaluated on
-the Gauss nodes' offsets in their cells, fixed for the whole solve.  Beside
-it are an independent Runge-Kutta route, the constant-coefficient
-comparison family, power-law envelopes, and reference target laws.
+level.  Each level reaches the next through monotone (Fritsch-Carlson)
+cubics, built here from their slopes and evaluated on the Gauss nodes'
+offsets in their cells, fixed for the whole solve.  Beside it are an
+independent Runge-Kutta route (the one caller of scipy, imported when it
+runs), the constant-coefficient comparison family, power-law envelopes,
+and reference target laws.
 """
 from __future__ import annotations
 
@@ -24,9 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
-from scipy.special import gammaln
 
 from .model import InitialProfile, Path, Schedule, sigma
 
@@ -184,13 +183,15 @@ def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, weights, co
     return W1_cell, W2_cell, W1_nodes, W2_nodes
 
 
-def _singular_first_cell(level, h, p, beta, prev_interp):
+def _singular_first_cell(level, h, p, beta, prev_cubic):
     """First-cell source integral when sigma(0) = 0.
 
     The kernel (sigma(s)/sigma(h))**kappa has a fractional-power
     singularity at s = 0 that defeats the plain Gauss rule, so integrate
     in u = (s/h)**(kappa+1) where the kernel contributes only the factor
-    1/(kappa+1) and the remaining coefficient is smooth.
+    1/(kappa+1) and the remaining coefficient is smooth.  prev_cubic is
+    the previous level's cubic on the first segment; its first cell
+    starts at 0, so s is its own offset.
     """
     kappa = (1.0 - p) * (level + beta) / (1.0 + beta)
     if level == 0:
@@ -198,11 +199,53 @@ def _singular_first_cell(level, h, p, beta, prev_interp):
         return _inflow(0, p, beta, None, None) * h / (kappa + 1.0)
     u = 0.5 + 0.5 * _GL_X
     s = h * u ** (1.0 / (kappa + 1.0))
-    g = _inflow(level, p, beta, prev_interp(s), (1.0 + beta) * s)
+    zprev = np.empty(s.size)
+    _on_offsets([c[:1] for c in prev_cubic], s[None, :], zprev[None, :])
+    g = _inflow(level, p, beta, zprev, (1.0 + beta) * s)
     return h / (kappa + 1.0) * float((0.5 * _GL_W * g).sum())
 
 
-def _segment_interps(fine, cells, z):
+def _edge_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, set to 0 when its sign is not the
+    end secant's and to 3*m0 when the secants change sign and it exceeds
+    that (Moler, Numerical Computing with MATLAB, 3.6)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x, y):
+    """Coefficients (c0, c1, c2, c3) of the monotone cubic through the
+    points (x, y), one entry per cell; c0 multiplies (t - x_k)**3.
+
+    The slope at an interior point is the weighted harmonic mean of its two
+    secants, or 0 where they differ in sign or one is flat (Fritsch and
+    Carlson, SIAM J. Numer. Anal. 17, 1980); two points give the line.
+    Every operation is the one scipy's PchipInterpolator performs, in the
+    same order, so the coefficients agree with it to the last bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    dk = np.zeros_like(y)
+    if y.size == 2:
+        dk[:] = m[0]
+    else:
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        dk[0] = _edge_slope(h[0], h[1], m[0], m[1])
+        dk[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (dk[:-1] + dk[1:] - 2 * m) / h
+    return t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]
+
+
+def _segment_cubics(fine, cells, z):
     """One monotone cubic per schedule segment, keyed by segment index;
     cells maps each index to the slice of its cells.
 
@@ -210,17 +253,15 @@ def _segment_interps(fine, cells, z):
     over the whole grid would leak them into the neighboring cells through
     the derivative estimates at the shared nodes.
     """
-    return {k: PchipInterpolator(fine[c.start : c.stop + 1], z[c.start : c.stop + 1],
-                                 extrapolate=True)
+    return {k: _pchip(fine[c.start : c.stop + 1], z[c.start : c.stop + 1])
             for k, c in cells.items()}
 
 
-def _on_offsets(interp, dx, out):
-    """interp's cubic pieces at offsets dx (cells, nodes) from each cell's
-    left end, written to out: interp at those nodes without its interval
-    search.  The terms are summed as PPoly sums them, from 0.0 up, so the
-    values agree to the last bit."""
-    c0, c1, c2, c3 = (c[:, None] for c in interp.c)    # c0 multiplies dx**3
+def _on_offsets(cubic, dx, out):
+    """The cubic's pieces at offsets dx (cells, nodes) from each cell's
+    left end, written to out.  The terms are summed from 0.0 up in scipy
+    PPoly's order, so the values are its interpolant's to the last bit."""
+    c0, c1, c2, c3 = (c[:, None] for c in cubic)    # c0 multiplies dx**3
     np.add(0.0 + c3, c2 * dx, out=out)
     power = dx * dx
     out += c1 * power
@@ -241,6 +282,14 @@ def _affine_scan(z0, m, c):
     return np.concatenate([[z0], z0 * m + c])
 
 
+def _times(grid) -> np.ndarray:
+    """grid as a float array, checked to hold only times in [0, 1]."""
+    grid = np.asarray(grid, dtype=float)
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):    # NaN fails both
+        raise ValueError(f"LLN times must be finite and lie in [0, 1] (got {grid})")
+    return grid
+
+
 def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
                      grid=None, rel_spacing: float = 0.02,
                      rel_floor: float = 1e-12) -> LLNSolution:
@@ -255,7 +304,7 @@ def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
     """
     if d < 0:
         raise ValueError("d must be >= 0")
-    requested = None if grid is None else np.asarray(grid, dtype=float)
+    requested = None if grid is None else _times(grid)
     fine = graded_grid(schedule, rel_spacing=rel_spacing, rel_floor=rel_floor,
                        extra=requested, profile=profile)
     lo, hi = fine[:-1], fine[1:]
@@ -280,7 +329,7 @@ def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
                  and seg0.is_constant and fine[0] == 0.0)
     init = profile.truncated(d)
     values = np.empty((fine.size, d + 2))
-    interps = zprev = None
+    cubics = zprev = None
     for i in range(d + 2):
         if i <= d:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -291,23 +340,23 @@ def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
         else:  # the aggregate slot integrates its inflow without decay
             m_cell, m_nodes = np.ones(lo.size), 1.0
         if i > 0:
-            interps = _segment_interps(fine, cells, values[:, i - 1])
+            cubics = _segment_cubics(fine, cells, values[:, i - 1])
             zprev = np.empty(dx.shape)
             for k, c in cells.items():
-                _on_offsets(interps[k], dx[c], zprev[c])
+                _on_offsets(cubics[k], dx[c], zprev[c])
         contrib = (weights * _inflow(i, p, beta, zprev, sig) * m_nodes).sum(axis=1)
         # the aggregate's integrand carries no kernel singularity at t = 0
         if singular0 and i <= d:
             contrib[0] = _singular_first_cell(
                 i, fine[1], float(seg0.p_coeffs[0]), float(seg0.beta_coeffs[0]),
-                None if interps is None else interps[0])
+                None if cubics is None else cubics[0])
         values[:, i] = _affine_scan(init[i], m_cell, contrib)
 
     sol = LLNSolution(d=d, grid=fine, values=values, method="closed-form")
     if requested is None:
         return sol
+    # fine holds every requested time
     pos = np.searchsorted(fine, requested)
-    pos = np.clip(pos, 0, fine.size - 1)
     return LLNSolution(d=d, grid=requested, values=values[pos], method="closed-form")
 
 
@@ -355,11 +404,13 @@ def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
     When sigma(0) = 0 the system is singular at the origin; integration
     starts from t0 with the constant-coefficient seed.
     """
+    from scipy.integrate import solve_ivp    # this route alone needs scipy
+
     if grid is None:
         grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 201),
                                          schedule.breakpoints]))
     else:
-        grid = np.asarray(grid, dtype=float)
+        grid = _times(grid)
     out = np.empty((grid.size, d + 2))
 
     sig0 = float(sigma(profile, 0.0, schedule.coefficients(0.0)[1]))
@@ -451,9 +502,9 @@ def b_sequence_gamma(params: EnvelopeParams, d: int) -> np.ndarray:
         return b[: d + 1]
     o3 = params.o3
     w = 1.0 / params.drift_ratio
-    i = np.arange(1, d + 1, dtype=float)
-    logs = (gammaln(2.0 + o3 + w) - gammaln(1.0 + o3)
-            + gammaln(i + o3) - gammaln(i + 1.0 + o3 + w))
+    head = math.lgamma(2.0 + o3 + w) - math.lgamma(1.0 + o3)
+    logs = [head + math.lgamma(i + o3) - math.lgamma(i + 1.0 + o3 + w)
+            for i in range(1, d + 1)]
     out = np.empty(d + 1)
     out[0] = b[0]
     out[1:] = b[1] * np.exp(logs)

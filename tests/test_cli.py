@@ -222,6 +222,10 @@ HEADER = "t,x_0,x_1,x_bar\n"
                  id="rate-d-negative"),
     pytest.param(["simulate"], None, {"simulate": {"n": "abc"}}, id="config-n-text"),
     pytest.param(["lln"], None, {"lln": {"times": ["soon"]}}, id="config-times-text"),
+    pytest.param(["lln"], None, {"lln": {"times": [1.0, 2.0]}}, id="config-times-above-one"),
+    pytest.param(["lln"], None, {"lln": {"times": [math.nan]}}, id="config-times-nan"),
+    pytest.param(["envelope"], None, {"envelope": {"times": [-0.5, 0.5]}},
+                 id="envelope-times-negative"),
     pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": "x"}},
                  id="config-tol-text"),
     pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": math.nan}},
@@ -252,7 +256,7 @@ def test_malformed_input_exits_two(tmp_path, argv, csv_text, config):
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
     assert main(argv + ["--out", str(tmp_path)]) == 2
-    assert not (tmp_path / "summary.json").exists()
+    assert {f.name for f in tmp_path.iterdir()} <= {"path.csv", "cfg.json"}
 
 
 def test_verify_reduced_budget_reports_expected_failure(tmp_path, capsys):
@@ -283,6 +287,29 @@ def test_console_script_entry_point(tmp_path):
     printed = float(line.split(":")[1])
     assert_allclose(printed, math.log(2.0), rtol=1e-12)
     assert format(printed, ".17g") == line.split(": ")[1]  # full precision echoed
+
+
+def test_subcommands_never_load_scipy(tmp_path):
+    # scipy serves only the ODE route and the tests; a fresh interpreter
+    # that runs every subcommand must not have imported it
+    src = str(Path(urnrates.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = """
+import json, sys
+from urnrates import cli
+runs = (["simulate", "--n", "200"], ["lln"], ["envelope"], ["rate", "--preset", "star"],
+        ["rate", "--preset", "lln", "--d", "5"], ["verify", "--budget", "reduced"])
+codes = [cli.main([*argv, "--out", sys.argv[1]]) for argv in runs]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    # verify exits 1 on its documented expected failure
+    assert result == {"codes": [0, 0, 0, 0, 0, 1], "scipy": []}
 
 
 @pytest.mark.xfail(strict=True, reason=(

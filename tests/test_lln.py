@@ -114,23 +114,85 @@ def test_closed_vs_ode_mixed_constant_and_polynomial_segments():
     ids=["figure1", "polynomial"])
 def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
     # every level's monotone cubics are evaluated on the Gauss nodes' fixed
-    # offsets in their cells; the values must be PchipInterpolator's at the
-    # nodes to the last bit, segment by segment
+    # offsets in their cells; the values must be scipy's PchipInterpolator's
+    # at the nodes to the last bit, segment by segment, and at the
+    # substituted nodes of the singular first cell (figure 1 starts at
+    # sigma(0) = 0)
+    from scipy.interpolate import PchipInterpolator
+
     d = 6
     fine = graded_grid(sched, profile=prof)
     lo, hi = fine[:-1], fine[1:]
     nodes = (0.5 * (hi + lo))[:, None] + (0.5 * (hi - lo))[:, None] * lln._GL_X[None, :]
-    on_offsets, starts = lln._on_offsets, []
+    pchip, on_offsets = lln._pchip, lln._on_offsets
+    built, starts, singular = [], [], []
 
-    def checked(interp, dx, out):
-        on_offsets(interp, dx, out)
-        start = int(np.searchsorted(fine, interp.x[0]))
-        assert_array_equal(out, interp(nodes[start : start + dx.shape[0]]))
-        starts.append(start)
+    def recorded(x, y):
+        cubic = pchip(x, y)
+        built.append((cubic, PchipInterpolator(x, y), int(np.searchsorted(fine, x[0]))))
+        return cubic
 
+    def checked(cubic, dx, out):
+        on_offsets(cubic, dx, out)
+        found = [(interp, start) for c, interp, start in built if c is cubic]
+        if found:
+            interp, start = found[0]
+            assert_array_equal(out, interp(nodes[start : start + dx.shape[0]]))
+            starts.append(start)
+        else:    # the first segment's first cell, which starts at t = 0
+            interp = built[-len(sched.segments)][1]
+            assert_array_equal(out, interp(dx))
+            singular.append(dx.shape)
+
+    monkeypatch.setattr(lln, "_pchip", recorded)
     monkeypatch.setattr(lln, "_on_offsets", checked)
     solve_lln_closed(d, sched, prof)
     assert len(starts) == (d + 1) * len(sched.segments)
+    assert len(singular) == (d if prof.c_total == 0.0 else 0)
+
+
+def _pchip_cases():
+    """(x, y) pairs reaching every branch of the slope rule, then random
+    data on graded and uniform grids."""
+    cases = [
+        ([0.0, 0.7], [1.0, -2.0]),                   # two points: the line
+        ([0.0, 0.5], [3.0, 3.0]),                    # two points, flat
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0, 1.0, 2.0]),   # flat run
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0, 0.0]),   # sign changes
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 6.0]),          # end slope of wrong sign: 0
+        ([0.0, 1.0, 2.0], [0.0, 1.0, -9.0]),         # end slope over 3*m0: 3*m0
+        ([0.0, 1.0, 3.0], [0.0, 1.0, 1.5]),          # end slope kept
+        ([0.0, 1e-12, 1e-6, 0.5, 1.0], [0.0, 1e-12, 2e-6, 0.6, 0.6]),
+    ]
+    rng = np.random.default_rng(20261018)
+    for size in (2, 3, 4, 7, 30, 200):
+        for _ in range(4):
+            x = np.cumsum(rng.exponential(size=size) * 10.0 ** rng.uniform(-12, 0, size))
+            y = rng.normal(size=size)
+            y[rng.random(size) < 0.2] = 0.0              # flat stretches and ties
+            cases.append((x, y))
+            cases.append((x, np.cumsum(np.abs(y)) * 1e-9))   # monotone, small
+    return [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in cases]
+
+
+def test_pchip_coefficients_match_scipy():
+    # second route: scipy's PchipInterpolator, coefficient for coefficient
+    from scipy.interpolate import PchipInterpolator
+
+    for x, y in _pchip_cases():
+        assert_array_equal(np.stack(lln._pchip(x, y)), PchipInterpolator(x, y).c)
+    # the two end-slope corrections did fire
+    assert lln._pchip(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 6.0]))[2][0] == 0.0
+    assert lln._pchip(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, -9.0]))[2][0] == 3.0
+
+
+@pytest.mark.parametrize("solve", [solve_lln_closed, solve_lln_numeric],
+                         ids=["closed", "numeric"])
+@pytest.mark.parametrize("bad", [2.0, -0.5, np.nan, np.inf])
+def test_times_outside_unit_interval_are_rejected(solve, bad):
+    # both routes used to return clamped or uninitialised rows for them
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        solve(3, CLASSICAL, EMPTY, grid=[0.5, 1.0, bad])
 
 
 def test_new_urn_ball_reaches_aggregate_slot_at_d0():

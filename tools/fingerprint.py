@@ -25,12 +25,19 @@ from urnrates import cli
 
 FIGURE1 = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
                         {"t_start": 0.01, "p": 0.0, "beta": 1.0}]}
+# constant -> polynomial -> constant, from a nonempty profile
+POLYNOMIAL = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
+                           {"t_start": 0.3, "p": [0.1, 0.2], "beta": [1.0, 0.5]},
+                           {"t_start": 0.7, "p": 0.2, "beta": 2.0}],
+              "profile": {"c": [0.3, 0.1, 0.05]}}
+CONFIGS = {"figure1.json": FIGURE1, "polynomial.json": POLYNOMIAL}
 
 RUNS = [
     ("simulate-figure1-n20000", ["simulate", "--preset", "figure1", "--n", "20000"]),
     ("simulate-figure1-n2000-samples10000",
      ["simulate", "--preset", "figure1", "--n", "2000", "--samples", "10000"]),
     ("lln-figure1-d30", ["lln", "--preset", "figure1", "--d", "30"]),
+    ("lln-polynomial-d12", ["lln", "--config", "polynomial.json", "--d", "12"]),
     ("envelope-figure1-d30", ["envelope", "--preset", "figure1", "--d", "30"]),
     ("rate-lln-homogeneous-d20", ["rate", "--preset", "lln", "--d", "20"]),
     ("rate-lln-figure1-d20",
@@ -64,7 +71,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)        # relative paths keep the JSON outputs comparable
         try:
-            Path("figure1.json").write_text(json.dumps(FIGURE1))
+            for fname, cfg in CONFIGS.items():
+                Path(fname).write_text(json.dumps(cfg))
             for name, argv in RUNS:
                 print(name, run(name, argv), flush=True)
         finally:
