@@ -191,23 +191,27 @@ def _occupancy_slices(args, cfg, section: str):
     times = _opt(args, cfg, section, "times", default,
                  lambda ts: [float(t) for t in ts])
     try:
-        sol = lln.solve_lln_closed(d, sched, profile, grid=np.asarray(times))
+        grid = lln._times(times)
     except ValueError as exc:
         raise UsageError(str(exc))
-    env = lln.power_law_envelopes(sched, profile, np.asarray(times), d)
-    return sched, profile, d, times, sol, env
+    env = lln.power_law_envelopes(sched, profile, grid, d)
+    return sched, profile, d, times, env
 
 
 def cmd_lln(args) -> int:
     cfg = _load_config(args.config)
-    sched, profile, d, times, sol, env = _occupancy_slices(args, cfg, "lln")
+    sched, profile, d, times, env = _occupancy_slices(args, cfg, "lln")
+    names = [f"lln_t{t:g}.csv" for t in times]
+    if len(set(names)) < len(names):
+        raise UsageError(f"times {times} give two slices the same file name")
+    sol = lln.solve_lln_closed(d, sched, profile, grid=np.asarray(times))
     out = _outdir(args)
     files = []
-    for idx, t in enumerate(times):
+    for idx, name in enumerate(names):
         cum = np.cumsum(sol.values[idx, : d + 1])
         hi = np.cumsum(env.upper.values[idx])
         lo = np.cumsum(env.lower.values[idx])
-        fname = out / f"lln_t{t:g}.csv"
+        fname = out / name
         _write_csv(fname, ["k", "cumulative_value", "envelope_low", "envelope_high"],
                    [np.arange(d + 1), cum, lo, hi])
         files.append(str(fname))
@@ -226,7 +230,7 @@ def cmd_lln(args) -> int:
 
 def cmd_envelope(args) -> int:
     cfg = _load_config(args.config)
-    sched, profile, d, times, sol, env = _occupancy_slices(args, cfg, "envelope")
+    _, _, d, _, env = _occupancy_slices(args, cfg, "envelope")
     out = _outdir(args)
     _write_csv(out / "envelope_slopes.csv", ["k", "slope_low", "slope_high"],
                [np.arange(d + 1), env.eta_prime, env.eta])

@@ -13,8 +13,9 @@ times at once: the path functional integrates L over [0,1] with an
 adaptive Gauss-Kronrod rule that refines all panels of one bisection
 depth together, interpolating phi on each panel's known path piece (the
 condensation charge, the aggregate slot's share of L, rides on the same
-panels), and the untruncated functional is the increasing limit of the
-truncated values.
+panels), and the untruncated functional of a reference law is the
+truncated one at the law's own depth, where the aggregate slot holds the
+urns the law does not store.
 """
 from __future__ import annotations
 
@@ -325,54 +326,34 @@ def condensation_term(path: Path, schedule: Schedule, profile: InitialProfile) -
     return path_rate_Id(path, schedule, profile).condensation
 
 
-def path_rate_Iinf(target, schedule: Schedule, profile: InitialProfile,
-                   tol: float = 1e-6, d_min: int = 4, d_max: int = 256,
-                   quad_tol: float = None) -> IinfReport:
-    """Untruncated deviation rate as the increasing limit of truncated ones.
+def path_rate_Iinf(law, schedule: Schedule, profile: InitialProfile,
+                   tol: float = 1e-6) -> IinfReport:
+    """Untruncated deviation rate of the straight path t -> t*gamma.
 
-    target is either a ReferenceLaw (evaluated along its straight path) or
-    a callable d -> Path producing compatible truncations.  The trace
-    I_{d_min}, I_{d_min+1}, ... is monotone up to quadrature error; it is
-    declared converged once three consecutive increments fall below tol
-    and the weight escaping all finite levels is either below tol or its
-    condensation cost has stabilized.  tol and quad_tol (by default
-    0.01*tol, between MIN_TOL and 1e-9) must be at least MIN_TOL.
+    law is a ReferenceLaw or an occupancy sequence (see _gamma_profile).
+    It stores levels 0..D and keeps the urns above D as a tail total, so
+    linear_target_path(law, D) holds all of it, the unstored urns in the
+    aggregate slot, and its I_D is the law's rate.  The trace is I_d on
+    the ladder d = 0, 1, 2, 4, ..., D, each rung a projection of that
+    path (one quadrature each).  converged means the quadrature error plus
+    the unstored urn weight, which bounds the levels above D as in
+    linear_path_rate_classical's truncation_error, is within tol; a
+    diverged rate is exact.  tol must be at least MIN_TOL.
     """
-    if quad_tol is None:
-        quad_tol = max(MIN_TOL, min(1e-9, 0.01 * tol))
-    if not all(math.isfinite(x) and x >= MIN_TOL for x in (tol, quad_tol)):
-        raise ValueError(f"tol and quad_tol must be finite and at least MIN_TOL = "
-                         f"{MIN_TOL:g} (got {tol}, {quad_tol})")
-    if not 0 <= d_min <= d_max:
-        raise ValueError(f"need 0 <= d_min <= d_max (got {d_min}, {d_max})")
-    if callable(target):
-        escape = -1.0           # unknown; rely on condensation stabilizing
-        make = target
-    else:
-        _, _, ball_mass = _gamma_profile(target)
-        escape = min(1.0, max(0.0, 1.0 - ball_mass))
-        make = lambda d: linear_target_path(target, d)
-
-    trace, cond_hist = [], []
-    err_acc = 0.0
-    small_steps = cond_steps = 0
-    for d in range(d_min, d_max + 1):
-        rep = path_rate_Id(make(d), schedule, profile, tol=quad_tol)
-        err_acc = max(err_acc, rep.error)
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise ValueError(f"tol must be finite and at least MIN_TOL = {MIN_TOL:g} "
+                         f"(got {tol})")
+    gamma, tail_count, ball_mass = _gamma_profile(law)
+    depth = gamma.size - 1
+    full = linear_target_path(law, depth)
+    quad_tol = max(MIN_TOL, min(1e-9, 0.01 * tol))
+    trace = []
+    for d in sorted({0, depth} | {2 ** k for k in range(depth.bit_length())}):
+        rep = path_rate_Id(project_path(full, d), schedule, profile, tol=quad_tol)
         trace.append((d, rep.value))
-        if math.isinf(rep.value):
-            return IinfReport(math.inf, trace, True, escape, math.inf, 0.0)
-        cond = rep.condensation
-        cond_hist.append(cond)
-        if len(trace) >= 2:
-            inc = trace[-1][1] - trace[-2][1]
-            small_steps = small_steps + 1 if abs(inc) < tol else 0
-            dc = cond_hist[-1] - cond_hist[-2]
-            cond_steps = cond_steps + 1 if abs(dc) < tol else 0
-            escaped_small = 0.0 <= escape < tol or cond >= 0 and cond_steps >= 3
-            if small_steps >= 3 and escaped_small:
-                return IinfReport(trace[-1][1], trace, True, escape, cond, err_acc)
-    return IinfReport(trace[-1][1], trace, False, escape, cond_hist[-1], err_acc)
+    converged = rep.diverged or rep.error + tail_count <= tol
+    escape = min(1.0, max(0.0, 1.0 - ball_mass))
+    return IinfReport(rep.value, trace, converged, escape, rep.condensation, rep.error)
 
 
 @dataclass

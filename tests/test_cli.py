@@ -118,6 +118,13 @@ def test_envelope_homogeneous_collapse_and_tail(tmp_path):
     assert len(rows) == 231
 
 
+def test_envelope_solves_no_lln(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.lln, "solve_lln_closed", lambda *a, **k: calls.append(a))
+    assert main(["envelope", "--preset", "figure1", "--out", str(tmp_path)]) == 0
+    assert calls == []
+
+
 def test_rate_preset_star(tmp_path):
     assert main(["rate", "--preset", "star", "--out", str(tmp_path)]) == 0
     report = read_json(tmp_path / "rate.json")
@@ -140,8 +147,10 @@ def test_rate_preset_geometric(tmp_path):
     exact = math.log(2.0) - math.fsum(
         2.0 ** -(i + 1) * math.log(i + 1.0) for i in range(1, 80))
     assert abs(report["value"] - exact) < 1e-6
+    # the ladder d = 0, 1, 2, 4, ..., 128 up to the law's own depth 199
     trace = report["trace"]
-    assert trace[0][0] == 4 and len(trace) >= 4
+    assert trace[0][0] == 0 and trace[-1][0] == 199
+    assert report["converged"] is True and trace[-1][1] == report["value"]
 
 
 def test_rate_preset_lln_is_zero(tmp_path):
@@ -226,6 +235,9 @@ HEADER = "t,x_0,x_1,x_bar\n"
     pytest.param(["lln"], None, {"lln": {"times": [math.nan]}}, id="config-times-nan"),
     pytest.param(["envelope"], None, {"envelope": {"times": [-0.5, 0.5]}},
                  id="envelope-times-negative"),
+    pytest.param(["lln"], None, {"lln": {"times": [0.1, 0.1000001, 0.5]}},
+                 id="config-times-same-file-name"),
+    pytest.param(["lln"], None, {"lln": {"times": [0.5, 0.5]}}, id="config-times-repeated"),
     pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": "x"}},
                  id="config-tol-text"),
     pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": math.nan}},

@@ -43,6 +43,8 @@ RUNS = [
     ("rate-lln-figure1-d20",
      ["rate", "--config", "figure1.json", "--preset", "lln", "--d", "20"]),
     ("rate-geometric", ["rate", "--preset", "geometric"]),
+    ("rate-star", ["rate", "--preset", "star"]),
+    ("rate-stretched-0.5", ["rate", "--preset", "stretched:0.5"]),
     ("verify-default", ["verify", "--budget", "default"]),
 ]
 
