@@ -369,7 +369,7 @@ class Path:
 
     def _segment_of(self, t) -> np.ndarray:
         idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right") - 1
-        return np.clip(idx, 0, self.times.size - 2)
+        return np.minimum(np.maximum(idx, 0), self.times.size - 2)
 
     def at(self, t) -> np.ndarray:
         """Linear interpolation; accepts scalars or arrays."""

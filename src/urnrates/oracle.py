@@ -7,6 +7,11 @@ count of one designated urn, which is what singles out events like "all
 balls land in one chosen urn" (the count vector alone cannot: from two
 empty urns that event has probability 2^-n while the corresponding
 count event, either urn winning, has probability 2^(1-n)).
+
+Exact mode runs on integer weights.  With p = P/Dp and beta = B/Db, each
+move's probability times Dp*(Db*balls + B*urns) is an integer, so a layer
+holds integer numerators over one common denominator and every terminal
+atom is divided once.  Float mode runs the same weight functions.
 """
 from __future__ import annotations
 
@@ -53,11 +58,27 @@ class ExactDistribution:
         return {k: float(v) for k, v in self.atoms.items()}
 
 
-def _params_at(schedule, j, n, rational):
-    if rational:
-        return schedule.values_exact(Fraction(j, n))
-    p, beta = schedule.coefficients(j / n)
-    return float(p), float(beta)
+def _steps(schedule, n, state0, rational):
+    """[(step, balls, s, total), ...] for steps j = 0..n-1.
+
+    step = (P, Dp, B, Db) writes p = P/Dp and beta = B/Db: integers in
+    rational mode (schedule values must be piecewise constant), the float
+    values over 1.0 otherwise.  balls is the ball total before the step,
+    s = Db*balls + B*urns the selection weight times Db, and total = Dp*s
+    what the weights of every state's moves sum to.
+    """
+    out = []
+    for j in range(n):
+        if rational:
+            p, beta = schedule.values_exact(Fraction(j, n))
+            step = (p.numerator, p.denominator, beta.numerator, beta.denominator)
+        else:
+            p, beta = schedule.coefficients(j / n)
+            step = (float(p), 1.0, float(beta), 1.0)
+        balls = state0.ball_total + j
+        s = step[3] * balls + step[2] * (state0.urn_total + j)
+        out.append((step, balls, s, step[1] * s))
+    return out
 
 
 def _check_budget(n, d, max_n, max_d):
@@ -68,81 +89,80 @@ def _check_budget(n, d, max_n, max_d):
         )
 
 
-def _count_transitions(counts, p, beta, s, one):
-    """[(next_counts, prob), ...] for the merged chain; prob type follows inputs."""
+def _count_weights(counts, step, balls, s):
+    """[(next_counts, weight), ...] for the merged chain: each move's
+    probability times Dp*s, zero weights left out (see _steps)."""
+    P, Dp, B, Db = step
+    q = Dp - P
     d = len(counts) - 2
     out = []
-    used = 0 * one
     # ball into the new urn or an existing empty urn: one more size-1 urn
-    pr = p + (1 - p) * beta * counts[0] / s
-    if pr != 0:
+    w = P * s + q * B * counts[0]
+    if w:
         nxt = list(counts)
         nxt[1] += 1
-        out.append((tuple(nxt), pr))
-    used += pr
+        out.append((tuple(nxt), w))
     for i in range(1, d + 1):
         if counts[i] == 0:
             continue
-        pr = (1 - p) * (i + beta) * counts[i] / s
         nxt = list(counts)
         nxt[0] += 1
         nxt[i] -= 1
         nxt[i + 1] += 1
-        out.append((tuple(nxt), pr))
-        used += pr
-    pr = 1 - used  # aggregated urns, as complement
-    if pr < 0:
-        pr = 0 * one  # float round-off only; exact in rational mode
-    if pr != 0:
+        out.append((tuple(nxt), q * (Db * i + B) * counts[i]))
+    # ball into an aggregated urn
+    visible = sum(i * z for i, z in enumerate(counts[: d + 1]))
+    w = q * (Db * (balls - visible) + B * counts[d + 1])
+    if w:
         nxt = list(counts)
         nxt[0] += 1
-        out.append((tuple(nxt), pr))
+        out.append((tuple(nxt), w))
     return out
 
 
-def _marked_transitions(key, p, beta, s, balls, one):
-    """Transitions for (counts, m): counts include the marked urn, whose
-    exact ball count m is tracked separately."""
+def _marked_weights(key, step, balls, s):
+    """Weighted moves of (counts, m), as _count_weights: counts include
+    the marked urn, whose exact ball count m is tracked separately."""
     counts, m = key
+    P, Dp, B, Db = step
+    q = Dp - P
     d = len(counts) - 2
     slot = min(m, d + 1)
     out = []
 
     # new urn gets the ball
-    if p != 0:
+    if P:
         nxt = list(counts)
         nxt[1] += 1
-        out.append(((tuple(nxt), m), p))
+        out.append(((tuple(nxt), m), P * s))
 
     # marked urn gets the ball
-    pr = (1 - p) * (m + beta) / s
     nxt = list(counts)
     nxt[0] += 1
-    nxt[min(m, d + 1)] -= 1
+    nxt[slot] -= 1
     nxt[min(m + 1, d + 1)] += 1
-    out.append(((tuple(nxt), m + 1), pr))
+    out.append(((tuple(nxt), m + 1), q * (Db * m + B)))
 
     # some other urn of visible size i gets the ball
     for i in range(0, d + 1):
         others = counts[i] - (1 if slot == i else 0)
         if others == 0:
             continue
-        pr = (1 - p) * (i + beta) * others / s
         nxt = list(counts)
         nxt[0] += 1
         nxt[i] -= 1
         nxt[i + 1] += 1
-        out.append(((tuple(nxt), m), pr))
+        out.append(((tuple(nxt), m), q * (Db * i + B) * others))
 
     # some other aggregated urn gets the ball
     visible = sum(i * z for i, z in enumerate(counts[: d + 1]))
     agg_balls = balls - visible - (m if m > d else 0)
     agg_urns = counts[d + 1] - (1 if m > d else 0)
-    pr = (1 - p) * (agg_balls + beta * agg_urns) / s
-    if pr != 0:
+    w = q * (Db * agg_balls + B * agg_urns)
+    if w:
         nxt = list(counts)
         nxt[0] += 1
-        out.append(((tuple(nxt), m), pr))
+        out.append(((tuple(nxt), m), w))
     return out
 
 
@@ -151,74 +171,76 @@ def enumerate_exact(n: int, d: int, schedule: Schedule, initial,
                     max_n: int = DEFAULT_MAX_N, max_d: int = DEFAULT_MAX_D) -> ExactDistribution:
     """Exact terminal distribution of the truncated chain.
 
-    mode "rational" keeps Fraction probabilities (schedule values must be
-    piecewise constant); "float" uses doubles.  With marked=True the state
-    is (counts, marked_balls) for one designated urn that starts empty;
-    the initial configuration must contain an empty urn to mark.
+    mode "rational" gives Fraction probabilities (schedule values must be
+    piecewise constant): each layer holds integer numerators over the one
+    denominator prod_j total_j, and a terminal atom is divided once.
+    "float" runs the same weights in doubles, normalized step by step.
+    With marked=True the state is (counts, marked_balls) for one
+    designated urn that starts empty; the initial configuration must
+    contain an empty urn to mark.  Rational mode certifies that every
+    state's weights sum to their total and that the atoms sum to 1, and
+    raises RuntimeError otherwise.
     """
     _check_budget(n, d, max_n, max_d)
     if mode not in ("rational", "float"):
         raise ValueError("mode must be 'rational' or 'float'")
     rational = mode == "rational"
-    one = Fraction(1) if rational else 1.0
+    weigh = _marked_weights if marked else _count_weights
 
     state0 = resolve_initial(initial, n, d)
-    counts0, urns0, balls0 = state0.counts, state0.urn_total, state0.ball_total
     if marked:
-        if counts0[0] < 1:
+        if state0.counts[0] < 1:
             raise ValueError("marking requires an empty urn in the initial configuration")
-        layer = {(counts0, 0): one}
+        layer = {(state0.counts, 0): 1}
     else:
-        layer = {counts0: one}
+        layer = {state0.counts: 1}
 
-    for j in range(n):
-        p, beta = _params_at(schedule, j, n, rational)
-        balls = balls0 + j
-        s = balls + beta * (urns0 + j)
+    denom = 1
+    for j, (step, balls, s, total) in enumerate(_steps(schedule, n, state0, rational)):
         nxt_layer = {}
-        for key, prob in layer.items():
-            if marked:
-                moves = _marked_transitions(key, p, beta, s, balls, one)
-            else:
-                moves = _count_transitions(key, p, beta, s, one)
-            if rational:
-                assert sum(pr for _, pr in moves) == 1
-            for nxt, pr in moves:
-                w = prob * pr
-                if w != 0:
-                    nxt_layer[nxt] = nxt_layer.get(nxt, 0 * one) + w
-        layer = nxt_layer
+        for key, mass in layer.items():
+            moves = weigh(key, step, balls, s)
+            if rational and sum(w for _, w in moves) != total:
+                raise RuntimeError(f"move weights of {key} at step {j} do not sum "
+                                   f"to their total {total}")
+            for nxt, w in moves:
+                nxt_layer[nxt] = nxt_layer.get(nxt, 0) + mass * w
+        if rational:
+            layer = nxt_layer
+            denom *= total
+        else:
+            layer = {key: mass / total for key, mass in nxt_layer.items()}
 
-    dist = ExactDistribution(n=n, d=d, atoms=layer, marked=marked)
     if rational:
-        assert dist.total() == 1
-    return dist
+        if sum(layer.values()) != denom:
+            raise RuntimeError("terminal probabilities do not sum to 1")
+        layer = {key: Fraction(num, denom) for key, num in layer.items()}
+    return ExactDistribution(n=n, d=d, atoms=layer, marked=marked)
 
 
 def enumerate_naive(n: int, d: int, schedule: Schedule, initial,
                     mode: str = "float") -> ExactDistribution:
     """Brute-force tree over all (d+2)^n increment sequences (n <= 6).
 
-    Exists only to cross-check the merged enumeration.
+    Exists only to cross-check the merged enumeration; in rational mode
+    each move's probability is a Fraction of its own.
     """
     if n > 6:
         raise ValueError("naive enumeration is capped at n = 6")
     rational = mode == "rational"
-    one = Fraction(1) if rational else 1.0
     state0 = resolve_initial(initial, n, d)
-    counts0, urns0, balls0 = state0.counts, state0.urn_total, state0.ball_total
+    steps = _steps(schedule, n, state0, rational)
     atoms = {}
 
     def descend(counts, j, prob):
         if j == n:
-            atoms[counts] = atoms.get(counts, 0 * one) + prob
+            atoms[counts] = atoms.get(counts, 0) + prob
             return
-        p, beta = _params_at(schedule, j, n, rational)
-        s = (balls0 + j) + beta * (urns0 + j)
-        for nxt, pr in _count_transitions(counts, p, beta, s, one):
-            descend(nxt, j + 1, prob * pr)
+        step, balls, s, total = steps[j]
+        for nxt, w in _count_weights(counts, step, balls, s):
+            descend(nxt, j + 1, prob * (Fraction(w, total) if rational else w / total))
 
-    descend(counts0, 0, one)
+    descend(state0.counts, 0, Fraction(1) if rational else 1.0)
     return ExactDistribution(n=n, d=d, atoms=atoms, marked=False)
 
 
@@ -233,7 +255,7 @@ def laplace_functional(n: int, d: int, schedule: Schedule, initial, h,
     """
     _check_budget(n, d, max_n, max_d)
     state0 = resolve_initial(initial, n, d)
-    counts0, urns0, balls0 = state0.counts, state0.urn_total, state0.ball_total
+    counts0 = state0.counts
 
     if method == "forward":
         dist = enumerate_exact(n, d, schedule, counts0, mode="float",
@@ -247,29 +269,21 @@ def laplace_functional(n: int, d: int, schedule: Schedule, initial, h,
         raise ValueError("method must be 'backward' or 'forward'")
 
     # forward reachability, then the backward value sweep
+    steps = _steps(schedule, n, state0, False)
     layers = [{counts0}]
-    for j in range(n):
-        p, beta = _params_at(schedule, j, n, False)
-        s = (balls0 + j) + beta * (urns0 + j)
-        reach = set()
-        for counts in layers[-1]:
-            for nxt, pr in _count_transitions(counts, p, beta, s, 1.0):
-                if pr > 0:
-                    reach.add(nxt)
-        layers.append(reach)
+    for step, balls, s, _ in steps:
+        layers.append({nxt for counts in layers[-1]
+                       for nxt, _ in _count_weights(counts, step, balls, s)})
 
     value = {
         counts: math.exp(-n * float(h(np.asarray(counts, dtype=float) / n)))
         for counts in layers[n]
     }
-    for j in range(n - 1, -1, -1):
-        p, beta = _params_at(schedule, j, n, False)
-        s = (balls0 + j) + beta * (urns0 + j)
+    for (step, balls, s, total), layer in zip(reversed(steps), reversed(layers[:-1])):
         value = {
-            counts: math.fsum(pr * value[nxt]
-                              for nxt, pr in _count_transitions(counts, p, beta, s, 1.0)
-                              if pr > 0)
-            for counts in layers[j]
+            counts: math.fsum(w / total * value[nxt]
+                              for nxt, w in _count_weights(counts, step, balls, s))
+            for counts in layer
         }
     return -math.log(value[counts0]) / n
 

@@ -89,7 +89,7 @@ def _nu0_rows(v, tol: float = 1e-9):
     w = np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
     w = np.concatenate([w, 1.0 - w.sum(axis=-1, keepdims=True)], axis=-1)
     ok = (np.abs(v.sum(axis=-1) - 1.0) <= tol) & np.all(w >= -tol, axis=-1)
-    return np.clip(w, 0.0, None), ok
+    return np.maximum(w, 0.0), ok
 
 
 def minimizer_nu0(slope, tol: float = 1e-9) -> np.ndarray:
@@ -136,7 +136,7 @@ def natural_law(t, phi, schedule: Schedule, profile: InitialProfile) -> np.ndarr
     p, beta = schedule.coefficients(t)
     sig = sigma(profile, t, beta)
     empty = sig == 0.0
-    z = np.where(empty[..., None], 0.0, np.clip(phi, 0.0, None))
+    z = np.where(empty[..., None], 0.0, np.maximum(phi, 0.0))
     return transition_law(p, beta, z, np.where(empty, 1.0, sig))
 
 
@@ -246,13 +246,16 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
 
 
 def project_path(path: Path, d: int) -> Path:
-    """Fold levels above d into the aggregate slot (counts are additive)."""
-    if d > path.d:
-        raise ValueError(f"cannot project a depth-{path.d} path up to {d}")
+    """Fold levels above d into the aggregate slot (counts are additive).
+    The projection shares the path's knot times."""
+    if not 0 <= d <= path.d:
+        raise ValueError(f"cannot project a depth-{path.d} path to depth {d}")
     vals = np.empty((path.times.size, d + 2))
     vals[:, : d + 1] = path.values[:, : d + 1]
     vals[:, d + 1] = path.values[:, d + 1 :].sum(axis=1)
-    return Path.from_knots(path.times, vals)
+    vals.setflags(write=False)
+    # the knots were checked when the path was built
+    return Path(d, path.times, vals)
 
 
 def _gamma_profile(law):

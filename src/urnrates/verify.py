@@ -94,13 +94,9 @@ def criterion_3(budget: str = "default") -> CheckResult:
     t0 = time.perf_counter()
     sched = classical_schedule()
     n_max = 10 if budget == "reduced" else 14
-    bad = []
-    for n in range(2, n_max + 1):
-        p = oracle.star_probability(n, sched)
-        if p != Fraction(1, 2 ** n):
-            bad.append(n)
-    rates = [-(math.log(float(oracle.star_probability(n, sched)))) / n
-             for n in (2, n_max)]
+    probs = {n: oracle.star_probability(n, sched) for n in range(2, n_max + 1)}
+    bad = [n for n, p in probs.items() if p != Fraction(1, 2 ** n)]
+    rates = [-math.log(float(probs[n])) / n for n in (2, n_max)]
     ok = not bad
     details = (f"2^-n exact for n=2..{n_max}"
                + (f" EXCEPT {bad}" if bad else "")
@@ -231,17 +227,18 @@ def criterion_8(budget: str = "default") -> CheckResult:
     profile = InitialProfile.empty()
     num_paths = 20 if budget == "reduced" else 100
     ts = (np.arange(64) + 0.5) / 64.0
-    worst = -math.inf
-    for _ in range(num_paths):
-        path = _random_admissible_path(rng, 20)
-        costs = np.empty((21, ts.size))
-        for r in range(21):
-            proj = rate.project_path(path, r)
-            costs[r] = rate.local_cost(ts, proj.at(ts), proj.slope_at(ts),
-                                       sched, profile)
-        running = np.maximum.accumulate(costs, axis=0)
-        gap = float((running[:-1] - costs[1:]).max())
-        worst = max(worst, gap)
+    paths = [_random_admissible_path(rng, 20) for _ in range(num_paths)]
+    # a projection keeps its path's knots, so the pieces holding ts too
+    pieces = [path._segment_of(ts) for path in paths]
+    # one local_cost call per level r on the (paths, times) stack
+    costs = np.empty((21, num_paths, ts.size))
+    for r in range(21):
+        projs = [rate.project_path(path, r) for path in paths]
+        costs[r] = rate.local_cost(
+            ts, np.stack([proj.on_piece(ts, k) for proj, k in zip(projs, pieces)]),
+            np.stack([proj.slopes[k] for proj, k in zip(projs, pieces)]), sched, profile)
+    running = np.maximum.accumulate(costs, axis=0)
+    worst = float((running[:-1] - costs[1:]).max())
     ok = worst <= 1e-12
     details = (f"max over {num_paths} paths, 64 times, r<s<=20 of "
                f"L_r - L_s = {worst:.2e} (tol 1e-12)")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from urnrates import oracle
 from urnrates.model import Schedule
 from urnrates.oracle import (
     empirical_rate,
@@ -34,13 +35,45 @@ def test_two_steps_by_hand():
 
 
 def test_merged_equals_naive_enumeration():
-    sched = Schedule.from_segments([(0.0, 0.25, 2.0), (0.5, 0.0, 1.0)])
-    for n, d, init in [(5, 1, (2, 0, 0)), (6, 2, (1, 1, 0, 0)), (4, 0, (3, 0))]:
-        merged = enumerate_exact(n, d, sched, init, mode="float").atoms
-        naive = enumerate_naive(n, d, sched, init).atoms
-        assert set(merged) == set(naive)
-        for key in merged:
-            assert_allclose(merged[key], naive[key], rtol=1e-12)
+    # p > 0 and beta = 1.5 put P != 0 and Dp, Db != 1 into the integer
+    # weights; under p = 0.3, beta = 2.5 a float complement for the
+    # aggregated urns would leave round-off atoms where none are held
+    for specs in ([(0.0, 0.25, 2.0), (0.5, 0.0, 1.0)],
+                  [(0.0, 0.25, 1.5), (0.5, 0.1, 0.75)],
+                  [(0.0, 0.3, 2.5)]):
+        sched = Schedule.from_segments(specs)
+        for n, d, init in [(5, 1, (2, 0, 0)), (6, 2, (1, 1, 0, 0)), (4, 0, (3, 0))]:
+            exact = enumerate_exact(n, d, sched, init).atoms
+            assert exact == enumerate_naive(n, d, sched, init, mode="rational").atoms
+            merged = enumerate_exact(n, d, sched, init, mode="float").atoms
+            naive = enumerate_naive(n, d, sched, init).atoms
+            # no round-off atoms off the exact support
+            assert set(merged) == set(naive) == set(exact)
+            for key in merged:
+                assert_allclose(merged[key], naive[key], rtol=1e-12)
+                assert_allclose(merged[key], float(exact[key]), rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 4, 10])
+@pytest.mark.parametrize("d, init", [(2, (2, 0, 0, 0)), (0, (1, 2))])
+def test_marked_law_sums_to_count_law(n, d, init):
+    # marking one urn refines the count chain: summed over the marked
+    # urn's balls, its law is the count law, exactly
+    sched = Schedule.from_segments([(0.0, 0.25, 1.5), (0.5, 0.1, 0.75)])
+    summed = {}
+    for (counts, _), prob in enumerate_exact(n, d, sched, init, marked=True).atoms.items():
+        summed[counts] = summed.get(counts, 0) + prob
+    assert summed == enumerate_exact(n, d, sched, init).atoms
+
+
+@pytest.mark.parametrize("name, marked", [("_count_weights", False),
+                                          ("_marked_weights", True)])
+def test_exact_mode_certifies_move_weights(monkeypatch, name, marked):
+    # a weight function that loses a move no longer sums to its total
+    weigh = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda *args: weigh(*args)[:-1])
+    with pytest.raises(RuntimeError, match="do not sum"):
+        enumerate_exact(4, 1, CLASSICAL, (2, 0, 0), marked=marked)
 
 
 def test_star_probability_exact_halving():

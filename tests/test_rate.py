@@ -29,6 +29,7 @@ from urnrates.rate import (
     project_path,
     relative_entropy,
 )
+from urnrates.verify import _random_admissible_path
 
 CLASSICAL = Schedule.constant(0.0, 1.0)
 EMPTY = InitialProfile.empty()
@@ -120,6 +121,22 @@ def test_local_cost_array_matches_scalar_calls():
     assert np.isfinite(costs).sum() == ts.size - 2
     # same arithmetic per entry; allow a few ulps for vectorized math kernels
     assert_allclose(costs.ravel(), scalar, rtol=1e-14, atol=1e-15)
+
+
+def test_local_cost_on_path_stacks_matches_per_path_calls():
+    # times (T,) against phi and slope (paths, T, d+2), as criterion 8
+    # calls it: bit for bit the per-path calls
+    rng = np.random.default_rng(5)
+    ts = np.concatenate([[0.0], (np.arange(31) + 0.5) / 31])
+    sched = Schedule.from_segments([(0.0, 0.25, 3.0), (0.5, 0.1, 0.75)])
+    paths = [_random_admissible_path(rng, 6) for _ in range(7)]
+    costs = local_cost(ts, np.stack([p.at(ts) for p in paths]),
+                       np.stack([p.slope_at(ts) for p in paths]), sched, EMPTY)
+    per_path = np.stack([local_cost(ts, p.at(ts), p.slope_at(ts), sched, EMPTY)
+                         for p in paths])
+    assert costs.shape == (7, ts.size)
+    assert np.isinf(costs[:, 0]).all() and np.isfinite(costs[:, 1:]).all()
+    assert np.array_equal(costs, per_path)
 
 
 def test_rate_of_straight_path_is_its_constant_cost():

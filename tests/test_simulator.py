@@ -16,7 +16,7 @@ from urnrates.model import (
     resolve_initial,
     transition_law,
 )
-from urnrates.oracle import _count_transitions, enumerate_exact
+from urnrates.oracle import _count_weights, enumerate_exact
 from urnrates.simulator import (
     TubeQuery,
     ensemble_sup_l1_distance,
@@ -62,7 +62,7 @@ def test_transition_law_rows_sum_to_one():
 
 
 def test_transition_law_matches_exact_fractions():
-    # second route: the oracle's exact transition list in rational arithmetic
+    # second route: the oracle's integer move weights over their exact total
     rng = np.random.default_rng(2024)
     for _ in range(200):
         d = int(rng.integers(0, 6))
@@ -74,10 +74,12 @@ def test_transition_law_matches_exact_fractions():
         p = Fraction(int(rng.integers(0, 10)), 10)
         beta = Fraction(int(rng.integers(1, 40)), 8)
         s = balls + beta * sum(counts)
+        step = (p.numerator, p.denominator, beta.numerator, beta.denominator)
+        total = p.denominator * s * beta.denominator
         moves = [tuple(row) for row in increments(d)]
         exact = [Fraction(0)] * (d + 2)
-        for nxt, pr in _count_transitions(counts, p, beta, s, Fraction(1)):
-            exact[moves.index(tuple(np.subtract(nxt, counts)))] += pr
+        for nxt, w in _count_weights(counts, step, balls, int(s * beta.denominator)):
+            exact[moves.index(tuple(np.subtract(nxt, counts)))] += Fraction(w, total)
         assert sum(exact) == 1
         law = transition_law(float(p), float(beta), counts, float(s))
         assert_allclose(law, [float(x) for x in exact], rtol=1e-13, atol=1e-15)

@@ -2,8 +2,9 @@
 
 Runs the commands below in-process into a temporary directory and hashes
 what each writes (the verify battery: its printed lines, timings
-stripped).  Run it on two checkouts and diff the listings to check that a
-change leaves the numbers byte-identical:
+stripped), then the exact oracle's terminal atoms.  Run it on two
+checkouts and diff the listings to check that a change leaves the
+numbers byte-identical:
 
     PYTHONPATH=src python tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/checkout/src python tools/fingerprint.py > before.txt
@@ -21,7 +22,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from urnrates import cli
+from urnrates import cli, oracle
+from urnrates.model import Schedule
 
 FIGURE1 = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
                         {"t_start": 0.01, "p": 0.0, "beta": 1.0}]}
@@ -48,6 +50,9 @@ RUNS = [
     ("verify-default", ["verify", "--budget", "default"]),
 ]
 
+# p > 0 and a non-integer beta, so the exact weights carry denominators
+ORACLE_SCHEDULE = [(0.0, 0.25, 1.5), (0.5, 0.1, 0.75)]
+
 # "1.2s" wall-clock figures inside the verify lines
 TIMING = re.compile(r", [0-9.]+s\b")
 
@@ -68,6 +73,17 @@ def run(name: str, argv: list) -> str:
     return digest.hexdigest()
 
 
+def oracle_atoms() -> str:
+    """sha256 over the sorted exact terminal atoms of the count chain and
+    the marked chain at n = 10, d = 2, from two empty urns."""
+    schedule = Schedule.from_segments(ORACLE_SCHEDULE)
+    digest = hashlib.sha256()
+    for marked in (False, True):
+        dist = oracle.enumerate_exact(10, 2, schedule, (2, 0, 0, 0), marked=marked)
+        digest.update(repr(sorted(dist.atoms.items())).encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -79,6 +95,7 @@ def main() -> int:
                 print(name, run(name, argv), flush=True)
         finally:
             os.chdir(here)
+    print("oracle-exact-n10-d2", oracle_atoms(), flush=True)
     return 0
 
 
