@@ -10,15 +10,19 @@ with g_0 = 1-p, g_1 = p + (1-p) beta zeta_0 / sigma, and
 g_i = (1-p)(i-1+beta) zeta_{i-1} / sigma for i >= 2.  The aggregate
 component integrates g_{d+1}, the flux out of level d (at d = 0 it also
 receives the new-urn ball).  This module evaluates that closed form on
-flat arrays over the cells of one graded grid: the decay integrals of
-every cell once (exact logarithms on constant schedule segments, Gauss
-rules on polynomial ones), then one affine scan across the cells per
-level.  Each level reaches the next through monotone (Fritsch-Carlson)
-cubics, built here from their slopes and evaluated on the Gauss nodes'
-offsets in their cells, fixed for the whole solve.  Beside it are an
-independent Runge-Kutta route (the one caller of scipy, imported when it
-runs), the constant-coefficient comparison family, power-law envelopes,
-and reference target laws.
+flat arrays over the cells of one graded grid, in two phases.  The
+kernel build (LLNKernel) takes the grid, the Gauss weights, p, beta and
+sigma at the nodes and the decay integrals of every cell once (exact
+logarithms on constant schedule segments, Gauss rules on polynomial
+ones), each per-node array node-major, (15, cells).  Level propagation
+then runs one affine scan across the cells per level; no level depends
+on the truncation d, so one kernel serves every d, propagating each
+level once.  Each level reaches the next through monotone
+(Fritsch-Carlson) cubics, built here from their slopes and evaluated on
+the Gauss nodes' offsets in their cells, fixed for the kernel.  Beside
+it are an independent Runge-Kutta route (the one caller of scipy,
+imported when it runs), the constant-coefficient comparison family,
+power-law envelopes, and reference target laws.
 """
 from __future__ import annotations
 
@@ -134,10 +138,17 @@ def _inflow(level, p, beta, zprev, sig):
     return p + g if level == 1 else g
 
 
+def _node_sums(f):
+    """Sum over the 15 nodes of each cell of a node-major (15, K) array,
+    taken on a contiguous (K, 15) copy so that every cell's terms are
+    added in the order numpy adds a contiguous row."""
+    return np.ascontiguousarray(f.T).sum(axis=1)
+
+
 def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, weights, const):
     """W1 = int (1-p)/sigma and W2 = int (1-p)*beta/sigma over each cell
     [x,y], shape (K,), and from each Gauss node s to the cell end, shape
-    (K, 15), so that M_i = exp(-(i*W1 + W2)) for every level i.
+    (15, K), so that M_i = exp(-(i*W1 + W2)) for every level i.
 
     On cells of constant segments (the mask const) the integrals are exact
     logarithms; on the others they are Gauss rules, with a nested 15-point
@@ -145,10 +156,10 @@ def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, weights, co
     """
     K = lo.size
     W1_cell, W2_cell = np.empty(K), np.empty(K)
-    W1_nodes, W2_nodes = np.empty((K, 15)), np.empty((K, 15))
+    W1_nodes, W2_nodes = np.empty((15, K)), np.empty((15, K))
 
     # constant segments: p, beta are the node values, sigma is linear
-    x, y, pc, bc = lo[const], hi[const], p[const, 0], beta[const, 0]
+    x, y, pc, bc = lo[const], hi[const], p[0, const], beta[0, const]
     base = (1.0 - pc) / (1.0 + bc)
     sx = (1.0 + bc) * x + profile.c_weighted + profile.c_total * bc
     # log(sy/sx) = log1p((1+beta)(y-x)/sx) avoids cancellation on narrow
@@ -158,28 +169,28 @@ def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, weights, co
                       base * np.log1p((1.0 + bc) * (y - x) / np.where(sx > 0, sx, 1.0)),
                       np.inf)
     # y - s at the Gauss nodes, exactly half*(1 - x_q)
-    y_minus_s = (0.5 * (y - x))[:, None] * (1.0 - _GL_X[None, :])
-    w1n = base[:, None] * np.log1p((1.0 + bc)[:, None] * y_minus_s / sig[const])
+    y_minus_s = (1.0 - _GL_X[:, None]) * (0.5 * (y - x))[None, :]
+    w1n = base[None, :] * np.log1p((1.0 + bc)[None, :] * y_minus_s / sig[:, const])
     W1_cell[const], W2_cell[const] = w1, bc * w1
-    W1_nodes[const], W2_nodes[const] = w1n, bc[:, None] * w1n
+    W1_nodes[:, const], W2_nodes[:, const] = w1n, bc[None, :] * w1n
 
     # polynomial segments
     poly = ~const
-    w = (1.0 - p[poly]) / sig[poly]
-    bw = beta[poly] * w
-    W1_cell[poly] = (weights[poly] * w).sum(axis=1)
-    W2_cell[poly] = (weights[poly] * bw).sum(axis=1)
-    y, s_all = hi[poly], nodes[poly]
+    w = (1.0 - p[:, poly]) / sig[:, poly]
+    bw = beta[:, poly] * w
+    W1_cell[poly] = _node_sums(weights[:, poly] * w)
+    W2_cell[poly] = _node_sums(weights[:, poly] * bw)
+    y, s_all = hi[poly], nodes[:, poly]
     for q in range(15):
-        s = s_all[:, q]
+        s = s_all[q]
         h2 = 0.5 * (y - s)
         m2 = 0.5 * (y + s)
         sub = m2[:, None] + h2[:, None] * _GL_X[None, :]
         wsub = h2[:, None] * _GL_W[None, :]
         psub, bsub = schedule.coefficients(sub)
         integ = (1.0 - psub) / sigma(profile, sub, bsub)
-        W1_nodes[poly, q] = (wsub * integ).sum(axis=1)
-        W2_nodes[poly, q] = (wsub * integ * bsub).sum(axis=1)
+        W1_nodes[q, poly] = (wsub * integ).sum(axis=1)
+        W2_nodes[q, poly] = (wsub * integ * bsub).sum(axis=1)
     return W1_cell, W2_cell, W1_nodes, W2_nodes
 
 
@@ -200,7 +211,7 @@ def _singular_first_cell(level, h, p, beta, prev_cubic):
     u = 0.5 + 0.5 * _GL_X
     s = h * u ** (1.0 / (kappa + 1.0))
     zprev = np.empty(s.size)
-    _on_offsets([c[:1] for c in prev_cubic], s[None, :], zprev[None, :])
+    _on_offsets([c[:1] for c in prev_cubic], s[:, None], zprev[:, None])
     g = _inflow(level, p, beta, zprev, (1.0 + beta) * s)
     return h / (kappa + 1.0) * float((0.5 * _GL_W * g).sum())
 
@@ -258,10 +269,10 @@ def _segment_cubics(fine, cells, z):
 
 
 def _on_offsets(cubic, dx, out):
-    """The cubic's pieces at offsets dx (cells, nodes) from each cell's
+    """The cubic's pieces at offsets dx (nodes, cells) from each cell's
     left end, written to out.  The terms are summed from 0.0 up in scipy
     PPoly's order, so the values are its interpolant's to the last bit."""
-    c0, c1, c2, c3 = (c[:, None] for c in cubic)    # c0 multiplies dx**3
+    c0, c1, c2, c3 = (c[None, :] for c in cubic)    # c0 multiplies dx**3
     np.add(0.0 + c3, c2 * dx, out=out)
     power = dx * dx
     out += c1 * power
@@ -290,74 +301,101 @@ def _times(grid) -> np.ndarray:
     return grid
 
 
+class LLNKernel:
+    """The d-independent part of the closed form on one graded grid.
+
+    Built once per (schedule, profile, grid arguments): the grid, the Gauss
+    weights, p, beta and sigma at the nodes, the decay integrals and the
+    nodes' offsets in their cells.  Every per-node array is node-major,
+    (15, K), so the level loop broadcasts along the long cell axis.
+    Levels are computed in increasing i by propagating across the cells;
+    each level's values are kept on the full grid and fed to the next
+    level through a monotone cubic interpolant.  Level i never depends on
+    d, so solve(d) propagates only the levels no earlier call reached,
+    then adds depth d's aggregate slot: level d+1's recurrence without
+    decay.  If grid is given, it is merged into the computation grid and
+    each solution is returned restricted to it.
+    """
+
+    def __init__(self, schedule: Schedule, profile: InitialProfile, grid=None,
+                 rel_spacing: float = 0.02, rel_floor: float = 1e-12):
+        self.profile = profile
+        self.requested = None if grid is None else _times(grid)
+        fine = graded_grid(schedule, rel_spacing=rel_spacing, rel_floor=rel_floor,
+                           extra=self.requested, profile=profile)
+        lo, hi = fine[:-1], fine[1:]
+        half = 0.5 * (hi - lo)
+        nodes = (0.5 * (hi + lo))[None, :] + half[None, :] * _GL_X[:, None]  # (15, K)
+        self.weights = half[None, :] * _GL_W[:, None]
+        self.p, self.beta = schedule.coefficients(nodes)
+        self.sig = sigma(profile, nodes, self.beta)
+
+        # cells of one segment are contiguous: the grid holds every breakpoint
+        seg_idx = schedule.segment_index(0.5 * (lo + hi))
+        self.cells = {k: slice(*np.searchsorted(seg_idx, [k, k + 1]).tolist())
+                      for k in np.unique(seg_idx).tolist()}
+        const = np.array([s.is_constant for s in schedule.segments])[seg_idx]
+        self.W1_cell, self.W2_cell, self.W1_nodes, self.W2_nodes = _decay_integrals(
+            schedule, profile, lo, hi, nodes, self.p, self.beta, self.sig,
+            self.weights, const)
+        self.dx = nodes - lo[None, :]    # the nodes' offsets in their cells
+        self.grid = fine
+
+        seg0 = schedule.segments[0]
+        self.singular0 = None    # (p, beta) of a first cell where sigma(0) = 0
+        if (profile.c_total == 0.0 and profile.c_weighted == 0.0
+                and seg0.is_constant and fine[0] == 0.0):
+            self.singular0 = float(seg0.p_coeffs[0]), float(seg0.beta_coeffs[0])
+        self.levels = []         # level i's values on the grid, i < len(levels)
+
+    def _contrib(self, i, m_nodes):
+        """Per cell, the node sum of weight * g_i * m_nodes, with g_i read
+        off level i-1's cubics; also returns those cubics (None at i = 0)."""
+        cubics = zprev = None
+        if i > 0:
+            cubics = _segment_cubics(self.grid, self.cells, self.levels[i - 1])
+            zprev = np.empty(self.dx.shape)
+            for k, c in self.cells.items():
+                _on_offsets(cubics[k], self.dx[:, c], zprev[:, c])
+        f = self.weights * _inflow(i, self.p, self.beta, zprev, self.sig)
+        if m_nodes is not None:
+            f *= m_nodes
+        return _node_sums(f), cubics
+
+    def solve(self, d: int) -> LLNSolution:
+        """Limit trajectory truncated at d: levels 0..d and the aggregate slot."""
+        if d < 0:
+            raise ValueError("d must be >= 0")
+        for i in range(len(self.levels), d + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                e_cell = i * self.W1_cell + self.W2_cell
+                # 0 * inf from the sigma(0) = 0 cell: the kernel still vanishes
+                m_cell = np.exp(-np.where(np.isnan(e_cell), np.inf, e_cell))
+                m_nodes = np.exp(-(i * self.W1_nodes + self.W2_nodes))
+            contrib, cubics = self._contrib(i, m_nodes)
+            if self.singular0 is not None:
+                contrib[0] = _singular_first_cell(
+                    i, self.grid[1], *self.singular0, None if cubics is None else cubics[0])
+            self.levels.append(_affine_scan(self.profile.truncated(i)[i], m_cell, contrib))
+        # the aggregate slot integrates its inflow without decay, and its
+        # integrand carries no kernel singularity at t = 0
+        contrib, _ = self._contrib(d + 1, None)
+        aggregate = _affine_scan(self.profile.truncated(d)[d + 1],
+                                 np.ones(contrib.size), contrib)
+        values = np.column_stack(self.levels[: d + 1] + [aggregate])
+        if self.requested is None:
+            return LLNSolution(d=d, grid=self.grid, values=values, method="closed-form")
+        # the grid holds every requested time
+        pos = np.searchsorted(self.grid, self.requested)
+        return LLNSolution(d=d, grid=self.requested, values=values[pos],
+                           method="closed-form")
+
+
 def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
                      grid=None, rel_spacing: float = 0.02,
                      rel_floor: float = 1e-12) -> LLNSolution:
-    """Evaluate the closed-form limit trajectory on a grid.
-
-    Levels are computed in increasing i by propagating across cells of a
-    graded grid; each level's values are cached on the full grid and fed
-    to the next level through a monotone cubic interpolant.  Level d+1,
-    the aggregate slot, is the same recurrence without decay.  If grid is
-    given, it is merged into the computation grid and the solution is
-    returned restricted to it.
-    """
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    requested = None if grid is None else _times(grid)
-    fine = graded_grid(schedule, rel_spacing=rel_spacing, rel_floor=rel_floor,
-                       extra=requested, profile=profile)
-    lo, hi = fine[:-1], fine[1:]
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_X[None, :]  # (K, 15)
-    weights = half[:, None] * _GL_W[None, :]
-    p, beta = schedule.coefficients(nodes)
-    sig = sigma(profile, nodes, beta)
-
-    # cells of one segment are contiguous: the grid holds every breakpoint
-    seg_idx = schedule.segment_index(0.5 * (lo + hi))
-    cells = {k: slice(*np.searchsorted(seg_idx, [k, k + 1]).tolist())
-             for k in np.unique(seg_idx).tolist()}
-    const = np.array([s.is_constant for s in schedule.segments])[seg_idx]
-    W1_cell, W2_cell, W1_nodes, W2_nodes = _decay_integrals(
-        schedule, profile, lo, hi, nodes, p, beta, sig, weights, const)
-    dx = nodes - lo[:, None]    # the nodes' offsets in their cells, fixed for all levels
-    del nodes
-
-    seg0 = schedule.segments[0]
-    singular0 = (profile.c_total == 0.0 and profile.c_weighted == 0.0
-                 and seg0.is_constant and fine[0] == 0.0)
-    init = profile.truncated(d)
-    values = np.empty((fine.size, d + 2))
-    cubics = zprev = None
-    for i in range(d + 2):
-        if i <= d:
-            with np.errstate(over="ignore", invalid="ignore"):
-                e_cell = i * W1_cell + W2_cell
-                # 0 * inf from the sigma(0) = 0 cell: the kernel still vanishes
-                m_cell = np.exp(-np.where(np.isnan(e_cell), np.inf, e_cell))
-                m_nodes = np.exp(-(i * W1_nodes + W2_nodes))
-        else:  # the aggregate slot integrates its inflow without decay
-            m_cell, m_nodes = np.ones(lo.size), 1.0
-        if i > 0:
-            cubics = _segment_cubics(fine, cells, values[:, i - 1])
-            zprev = np.empty(dx.shape)
-            for k, c in cells.items():
-                _on_offsets(cubics[k], dx[c], zprev[c])
-        contrib = (weights * _inflow(i, p, beta, zprev, sig) * m_nodes).sum(axis=1)
-        # the aggregate's integrand carries no kernel singularity at t = 0
-        if singular0 and i <= d:
-            contrib[0] = _singular_first_cell(
-                i, fine[1], float(seg0.p_coeffs[0]), float(seg0.beta_coeffs[0]),
-                None if cubics is None else cubics[0])
-        values[:, i] = _affine_scan(init[i], m_cell, contrib)
-
-    sol = LLNSolution(d=d, grid=fine, values=values, method="closed-form")
-    if requested is None:
-        return sol
-    # fine holds every requested time
-    pos = np.searchsorted(fine, requested)
-    return LLNSolution(d=d, grid=requested, values=values[pos], method="closed-form")
+    """Evaluate the closed-form limit trajectory on a grid (see LLNKernel)."""
+    return LLNKernel(schedule, profile, grid, rel_spacing, rel_floor).solve(d)
 
 
 def _rhs(t, y, schedule, profile, d):

@@ -29,8 +29,18 @@ def entropy_terms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     conventions 0*log0 = 0/0 = 0 and x/0 = +inf for x > 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast(x, y).shape)
+    out = np.empty(np.broadcast(x, y).shape)
     pos = x > 0.0
+    if np.all(y >= 0.0):
+        # unmasked: y = 0 gives +inf and y = inf gives -inf by themselves,
+        # as the masked route does, and the entries with x <= 0 are zeroed
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(x, y, out=out)
+            np.log(out, out=out)
+            np.multiply(x, out, out=out)
+        np.copyto(out, 0.0, where=~pos)
+        return out
+    out.fill(0.0)
     ok = pos & (y > 0.0)
     np.divide(x, y, out=out, where=ok)
     np.log(out, out=out, where=ok)
@@ -158,7 +168,9 @@ class Schedule:
         """(p(t), beta(t)) at times t of any shape, by one segment lookup
         and one Horner pass over the coefficient table of p and beta."""
         t = np.asarray(t, dtype=float)
-        table = self._table[1][:, :, self.segment_index(t)]
+        # take: indexing the last axis with an index array is several
+        # times slower for the same gather
+        table = np.take(self._table[1], self.segment_index(t), axis=2)
         out = 0.0
         for k in range(table.shape[1]):
             out = out * t + table[:, k]
@@ -381,7 +393,9 @@ class Path:
         t0 = self.times[idx]
         dt = self.times[idx + 1] - t0
         w = ((t - t0) / dt)[..., None]
-        return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
+        out = (1.0 - w) * self.values[idx]
+        out += w * self.values[idx + 1]
+        return out
 
     def slope_at(self, t) -> np.ndarray:
         """Right-continuous segment derivative at t."""

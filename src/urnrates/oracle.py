@@ -342,7 +342,7 @@ def empirical_rate(event, n_list, schedule: Schedule, initial=(2, 0, 0, 0),
     the rule of three).
     """
     kind, predicate = _named_event(event, d)
-    probs, rates, stderrs = [], [], []
+    probs, stderrs = [], []
     for n in n_list:
         if method == "exact":
             dist = enumerate_exact(n, d, schedule, initial, mode="rational",
@@ -370,8 +370,16 @@ def empirical_rate(event, n_list, schedule: Schedule, initial=(2, 0, 0, 0),
         else:
             raise ValueError("method must be 'exact' or 'mc'")
         probs.append(pnf)
-        rates.append(-math.log(pnf) / n if pnf > 0 else math.inf)
+    return rate_readout(n_list, probs, stderrs)
 
+
+def rate_readout(n_list, probs, stderrs=None) -> EmpiricalRate:
+    """The readout of empirical_rate on given probabilities P_n, one per n
+    in n_list: the rates -(1/n) log P_n, their Richardson sequence and
+    whether they increase and diverge.  stderrs defaults to zeros (exact
+    probabilities)."""
+    rates = [-math.log(pnf) / n if pnf > 0 else math.inf
+             for n, pnf in zip(n_list, probs)]
     # Richardson step under the model r_n = r_inf + a/n
     extrap = []
     for (n0, r0), (n1, r1) in zip(zip(n_list, rates), list(zip(n_list, rates))[1:]):
@@ -391,5 +399,5 @@ def empirical_rate(event, n_list, schedule: Schedule, initial=(2, 0, 0, 0),
         extrapolation_sequence=tuple(extrap),
         increasing=increasing,
         diverging=diverging,
-        stderrs=tuple(stderrs),
+        stderrs=tuple([0.0] * len(probs) if stderrs is None else stderrs),
     )

@@ -135,9 +135,12 @@ def natural_law(t, phi, schedule: Schedule, profile: InitialProfile) -> np.ndarr
     """
     p, beta = schedule.coefficients(t)
     sig = sigma(profile, t, beta)
+    z = np.maximum(phi, 0.0)
     empty = sig == 0.0
-    z = np.where(empty[..., None], 0.0, np.maximum(phi, 0.0))
-    return transition_law(p, beta, z, np.where(empty, 1.0, sig))
+    if empty.any():
+        z = np.where(empty[..., None], 0.0, z)
+        sig = np.where(empty, 1.0, sig)
+    return transition_law(p, beta, z, sig)
 
 
 def local_cost(t, phi, slope, schedule: Schedule, profile: InitialProfile):
@@ -209,7 +212,10 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
         k = piece[rows, None]
         u = natural_law(nodes, path.on_piece(nodes, k), schedule, profile)
         terms = entropy_terms(w[k], u)
-        return np.stack([terms.sum(axis=-1), terms[..., -1]], axis=-1)
+        total_charge = np.empty(terms.shape[:-1] + (2,))
+        total_charge[..., 0] = terms.sum(axis=-1)
+        total_charge[..., 1] = terms[..., -1]
+        return total_charge
 
     span = float(b[-1] - a[0])
     kept = []           # (value, error, charge) rows of finished panels

@@ -9,7 +9,7 @@ rather than loosened.
 """
 import pytest
 
-from urnrates import verify
+from urnrates import lln, oracle, verify
 
 
 def _run(criterion):
@@ -21,6 +21,25 @@ def _run(criterion):
 def test_criterion_01_limit_path_has_zero_rate():
     res = _run(verify.criterion_1)
     assert res.passed, res.line()
+
+
+def test_criterion_01_builds_one_lln_kernel_per_schedule(monkeypatch):
+    # d = 0, 5 and 20 come from one kernel, so one graded grid per schedule
+    calls = []
+    graded_grid = lln.graded_grid
+    monkeypatch.setattr(lln, "graded_grid",
+                        lambda *a, **k: calls.append(a) or graded_grid(*a, **k))
+    assert verify.criterion_1().passed
+    assert len(calls) == 2
+
+
+def test_criterion_04_enumerates_each_law_once(monkeypatch):
+    calls = []
+    enumerate_exact = oracle.enumerate_exact
+    monkeypatch.setattr(oracle, "enumerate_exact",
+                        lambda *a, **k: calls.append(a[0]) or enumerate_exact(*a, **k))
+    assert verify.criterion_4().passed
+    assert sorted(calls) == list(range(2, 11))
 
 
 def test_criterion_02_star_rate_matches_analytic_value():

@@ -114,16 +114,16 @@ def test_closed_vs_ode_mixed_constant_and_polynomial_segments():
     ids=["figure1", "polynomial"])
 def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
     # every level's monotone cubics are evaluated on the Gauss nodes' fixed
-    # offsets in their cells; the values must be scipy's PchipInterpolator's
-    # at the nodes to the last bit, segment by segment, and at the
-    # substituted nodes of the singular first cell (figure 1 starts at
-    # sigma(0) = 0)
+    # offsets in their cells, node-major (15, cells); the values must be
+    # scipy's PchipInterpolator's at the nodes to the last bit, segment by
+    # segment, and at the substituted nodes of the singular first cell
+    # (figure 1 starts at sigma(0) = 0)
     from scipy.interpolate import PchipInterpolator
 
     d = 6
     fine = graded_grid(sched, profile=prof)
     lo, hi = fine[:-1], fine[1:]
-    nodes = (0.5 * (hi + lo))[:, None] + (0.5 * (hi - lo))[:, None] * lln._GL_X[None, :]
+    nodes = (0.5 * (hi + lo))[None, :] + (0.5 * (hi - lo))[None, :] * lln._GL_X[:, None]
     pchip, on_offsets = lln._pchip, lln._on_offsets
     built, starts, singular = [], [], []
 
@@ -137,7 +137,8 @@ def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
         found = [(interp, start) for c, interp, start in built if c is cubic]
         if found:
             interp, start = found[0]
-            assert_array_equal(out, interp(nodes[start : start + dx.shape[0]]))
+            assert dx.shape == (15, out.shape[1])
+            assert_array_equal(out, interp(nodes[:, start : start + dx.shape[1]]))
             starts.append(start)
         else:    # the first segment's first cell, which starts at t = 0
             interp = built[-len(sched.segments)][1]
@@ -148,7 +149,25 @@ def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
     monkeypatch.setattr(lln, "_on_offsets", checked)
     solve_lln_closed(d, sched, prof)
     assert len(starts) == (d + 1) * len(sched.segments)
-    assert len(singular) == (d if prof.c_total == 0.0 else 0)
+    assert singular == ([(15, 1)] * d if prof.c_total == 0.0 else [])
+
+
+@pytest.mark.parametrize("grid", [None, np.array([0.0, 0.005, 0.01, 0.3, 0.55, 1.0])],
+                         ids=["fine", "requested"])
+@pytest.mark.parametrize("sched, prof", [
+    (TWO_PHASE, EMPTY), (THREE, InitialProfile.from_masses((0.3, 0.1, 0.05)))],
+    ids=["figure1", "polynomial"])
+def test_one_kernel_matches_separate_solves(sched, prof, grid):
+    # levels never depend on d, so one kernel solving the depths in any
+    # order, repeats included, returns the separate solves to the last bit
+    kernel = lln.LLNKernel(sched, prof, grid=grid)
+    for d in (20, 0, 5, 20):
+        got = kernel.solve(d)
+        want = solve_lln_closed(d, sched, prof, grid=grid)
+        assert got.d == d and got.method == want.method
+        assert_array_equal(got.grid, want.grid)
+        assert_array_equal(got.values, want.values)
+    assert len(kernel.levels) == 21
 
 
 def _pchip_cases():

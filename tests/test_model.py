@@ -47,6 +47,50 @@ def test_entropy_terms_broadcasts():
     assert entropy_terms(x, y).shape == (2, 3)
 
 
+def _masked_entropy_terms(x, y):
+    # the masked route, written out on its own as the second route
+    out = np.zeros(np.broadcast(x, y).shape)
+    pos = x > 0.0
+    ok = pos & (y > 0.0)
+    np.divide(x, y, out=out, where=ok)
+    np.log(out, out=out, where=ok)
+    np.multiply(x, out, out=out, where=ok)
+    np.copyto(out, np.inf, where=pos & (y <= 0.0))
+    return out
+
+
+def test_entropy_terms_unmasked_route_matches_masked_route():
+    # the (B,1,D) slope laws against (B,15,D) natural laws, as the rate
+    # quadrature calls it: x = 0 (also against y = 0), y = 0, y = +inf and
+    # tiny or huge ratios; every y >= 0 takes the unmasked route, a y < 0
+    # or NaN anywhere the masked one
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 1.0, size=(6, 1, 5))
+    x[0, 0, :2] = 0.0
+    x[1, 0, 3] = -0.0
+    x[2, 0, 4] = 1e-300
+    y = rng.uniform(0.0, 1.0, size=(6, 15, 5))
+    y[:, ::2, 1] = 0.0          # x = 0 against y = 0 and y > 0
+    y[3, 4:9, :] = 0.0          # x > 0 against y = 0: +inf
+    y[4, :, 2] = np.inf         # x > 0 against y = inf: -inf
+    y[5, 7, :] = 1e-308
+    unmasked = entropy_terms(x, y)
+    assert np.isposinf(unmasked).any() and np.isneginf(unmasked).any()
+    assert (unmasked[0, :, :2] == 0.0).all()
+    with np.errstate(divide="ignore"):
+        np.testing.assert_array_equal(unmasked, _masked_entropy_terms(x, y))
+    y[2, 3, 0] = -1e-17         # now the masked route: y < 0 and y = NaN
+    y[1, 5, 4] = np.nan
+    with np.errstate(divide="ignore"):      # log(x/inf) = log 0 on that route
+        masked = entropy_terms(x, y)
+        np.testing.assert_array_equal(masked, _masked_entropy_terms(x, y))
+    assert masked[2, 3, 0] == math.inf and masked[1, 5, 4] == 0.0
+    # the two routes agree wherever both ran
+    changed = np.zeros(y.shape, dtype=bool)
+    changed[2, 3, 0] = changed[1, 5, 4] = True
+    np.testing.assert_array_equal(masked[~changed], unmasked[~changed])
+
+
 @given(st.floats(1e-9, 1.0), st.floats(1e-9, 1.0))
 def test_entropy_term_convex_lower_bound(x, y):
     # x log(x/y) >= x - y, the standard tangent bound

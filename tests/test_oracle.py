@@ -151,6 +151,13 @@ def test_empirical_rate_road_diverges():
     assert out.increasing and out.diverging
 
 
+def test_rate_readout_on_exact_probabilities_matches_empirical_rate():
+    n_list = [2, 4, 6, 8, 10]
+    probs = [float(straight_road_probability(n, CLASSICAL)) for n in n_list]
+    assert oracle.rate_readout(n_list, probs) == empirical_rate(
+        "straight-road", n_list, CLASSICAL)
+
+
 def test_empirical_rate_mc_agrees_with_exact():
     event = lambda counts, n: counts[1] >= n // 2
     exact = empirical_rate(event, [6], CLASSICAL, d=1, initial=(2, 0, 0))

@@ -41,9 +41,12 @@ RUNS = [
     ("lln-figure1-d30", ["lln", "--preset", "figure1", "--d", "30"]),
     ("lln-polynomial-d12", ["lln", "--config", "polynomial.json", "--d", "12"]),
     ("envelope-figure1-d30", ["envelope", "--preset", "figure1", "--d", "30"]),
-    ("rate-lln-homogeneous-d20", ["rate", "--preset", "lln", "--d", "20"]),
-    ("rate-lln-figure1-d20",
-     ["rate", "--config", "figure1.json", "--preset", "lln", "--d", "20"]),
+    # criterion 1's six cases, which verify prints to 4 significant digits
+    *((f"rate-lln-homogeneous-d{d}", ["rate", "--preset", "lln", "--d", str(d)])
+      for d in (0, 5, 20)),
+    *((f"rate-lln-figure1-d{d}",
+       ["rate", "--config", "figure1.json", "--preset", "lln", "--d", str(d)])
+      for d in (0, 5, 20)),
     ("rate-geometric", ["rate", "--preset", "geometric"]),
     ("rate-star", ["rate", "--preset", "star"]),
     ("rate-stretched-0.5", ["rate", "--preset", "stretched:0.5"]),
