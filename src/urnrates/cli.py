@@ -73,15 +73,36 @@ def emit_json(obj) -> str:
     return _json_token(obj, 0) + "\n"
 
 
+# _write_csv formats this many rows at a time, so its lookup tables take
+# memory that does not grow with the file.
+_CSV_ROWS = 2048
+
+
 def _write_csv(path: FsPath, header: list, columns) -> None:
-    """Write equal-length columns under header in one row-format pass:
-    integer columns as integers, every other value with 17 significant
-    digits ("inf", "-inf" and "nan" where it is not finite)."""
-    columns = [np.asarray(c) for c in columns]
-    fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    """Write equal-length columns under header: integer columns as
+    integers, every other value as a double with 17 significant digits
+    ("inf", "-inf" and "nan" where it is not finite).  In each block of
+    rows, each distinct value of a column is formatted once and its cells
+    looked up; doubles are told apart by their bits, so -0.0 keeps its
+    sign."""
+    keyed = []
+    for c in map(np.asarray, columns):
+        if c.dtype.kind in "iu":
+            keyed.append(("%d", c, c))
+        else:
+            c = c.astype(float, copy=False)
+            keyed.append(("%.17g", c, c.view(np.int64)))
+    rows = max((len(c) for _, c, _ in keyed), default=0)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(fmt % row for row in zip(*(c.tolist() for c in columns), strict=True))
+        for a in range(0, rows, _CSV_ROWS):
+            cells = []
+            for fmt, c, key in keyed:
+                _, first, inverse = np.unique(key[a:a + _CSV_ROWS], return_index=True,
+                                              return_inverse=True)
+                table = [fmt % v for v in c[a:a + _CSV_ROWS][first].tolist()]
+                cells.append(map(table.__getitem__, inverse.tolist()))
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def _load_config(path: str | None):

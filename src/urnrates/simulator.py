@@ -1,11 +1,12 @@
 """Exact simulation of the truncated count chain and tube-probability estimates.
 
 States move by one of d+2 increment vectors per step, drawn from the law
-of model.transition_law.  One stepping loop serves every routine: it is
-vectorized across independent replicas, evaluates the schedule and the
-selection rates (1-p)(i+beta) (model.selection_rates) once per run on the
-lattice j/n, and draws from a single generator seeded through numpy's
-SeedSequence, so results are reproducible given (seed, num_samples).
+of model.transition_law.  One stepping loop serves every ensemble: it is
+vectorized across independent replicas.  Every route evaluates the
+schedule and the selection rates (1-p)(i+beta) (model.selection_rates)
+once per run on the lattice j/n, and draws from a single generator seeded
+through numpy's SeedSequence, so results are reproducible given (seed,
+num_samples).
 
 Terminal ensembles only need the histogram of final states, so the loop
 starts merged: replicas in equal states advance together as one state
@@ -21,9 +22,11 @@ comparison mask.  The uniforms are drawn a block of steps at a time
 under a fixed byte budget, the same stream as one draw per step.
 Counts leave the loop as int64 (observer rows and the histogram).
 Paths never merge: a per-step observer sees every replica's counts, so
-the history of run and run_ensemble_paths is recorded step by step and
+the history of run_ensemble_paths is recorded step by step and
 the tube estimate keeps only a running per-replica sup of the L1
-distance.  A single run is the one-replica ensemble.
+distance.  A single run walks its one replica in Python floats, stopping
+at the drawn entry of the cumulative law; it makes the draws of the
+one-replica ensemble, bit for bit, and is checked against it.
 """
 from __future__ import annotations
 
@@ -78,6 +81,9 @@ _EXPAND_FRACTION = 0.25
 # fixed cost at small R, in memory that scales with R and not with n*R (one
 # step per block from R = 2**17 on).
 _UNIFORM_BLOCK_BYTES = 2**20
+# A single run turns the lattice arrays and its uniforms into Python lists
+# this many steps at a time, so they take memory that does not grow with n.
+_WALK_BLOCK = 1024
 # Packed keys are int64 and below (urns+1)**(d+1).
 _KEY_LIMIT = 2**62
 
@@ -139,6 +145,22 @@ def _cumulative_law(z, rates, s, p, out):
     return out
 
 
+def _prologue(n, d, schedule, initial, seed):
+    """What every route of the chain starts from: the checked step-0 state,
+    the schedule p, beta on the lattice j/n, the selection weights s and the
+    (n, d+2) selection_rates before each step, and the seeded generator."""
+    if n < 1 or d < 0:
+        raise ValueError("need n >= 1 and d >= 0")
+    state0 = resolve_initial(initial, n, d)
+    steps = np.arange(n)
+    p, beta = schedule.coefficients(steps / n)
+    s = (state0.ball_total + steps) + beta * (state0.urn_total + steps)
+    if s[0] <= 0.0:
+        raise ValueError("selection weight is zero; configuration has no urns")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return state0, p, beta, s, selection_rates(p, beta, d), rng
+
+
 def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
     """The chain for num_samples independent replicas; returns the terminal
     histogram (states, counts), states sorted lexicographically.
@@ -157,17 +179,9 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
     and after every step j.  With an observer the loop never merges, so
     paths and their random stream do not depend on the merging.
     """
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
     if num_samples < 1:
         raise ValueError("need num_samples >= 1")
-    state0 = resolve_initial(initial, n, d)
-    steps = np.arange(n)
-    p, beta = schedule.coefficients(steps / n)
-    s = (state0.ball_total + steps) + beta * (state0.urn_total + steps)
-    if s[0] <= 0.0:
-        raise ValueError("selection weight is zero; configuration has no urns")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    state0, p, beta, s, rates, rng = _prologue(n, d, schedule, initial, seed)
     f = increments(d)
     counts = np.asarray(state0.counts, dtype=np.int64)[None, :]
     urns = int(counts.sum())
@@ -183,7 +197,7 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
         return counts, mult
 
     z = _expand(counts, mult)  # exact: counts stay far below 2**53
-    rates = selection_rates(p, beta, d)[:, : d + 1, None]
+    rates = rates[:, : d + 1, None]
     move = _move_matrix(d)
     # Rows 1.. of above take the cumulative law, then in place whether u is
     # at or above it; row 0 stays 1 (see _move_matrix).
@@ -204,12 +218,59 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
     return _tabulate(z.T.astype(np.int64))
 
 
+def _walk(n, d, schedule, initial, seed):
+    """The (n+1, d+2) int64 history of one replica: the draws of
+    run_ensemble_paths(..., 1, seed)[0], bit for bit, stepped in Python
+    floats instead of one-element arrays.
+
+    Each step builds the cumulative law c_0 = p + z_0 r_0/s, c_i = c_{i-1} +
+    z_i r_i/s by the operations of _cumulative_law in the same order (a
+    rounded sum does not depend on the order of its two terms), and takes
+    the move k = the number of entries at or below u, which, c being
+    nondecreasing, is the first i with u < c_i (d+1 if none): the walk stops
+    there.  The uniforms are the column loop's stream, rng.random(block),
+    and the lattice arrays become lists one block of steps at a time, so
+    memory stays that of the history.  Only the moves are recorded; the
+    history is their increments summed in int64, which is exact.
+    """
+    state0, p, _, s, rates, rng = _prologue(n, d, schedule, initial, seed)
+    f = increments(d)
+    z = [float(x) for x in state0.counts]  # exact: counts stay far below 2**53
+    moves = np.empty(n, dtype=np.intp)
+    for start in range(0, n, _WALK_BLOCK):
+        stop = min(start + _WALK_BLOCK, n)
+        block = []
+        for r, sj, pj, u in zip(rates[start:stop, : d + 1].tolist(), s[start:stop].tolist(),
+                                p[start:stop].tolist(), rng.random(stop - start).tolist()):
+            c = pj
+            for k in range(d + 1):
+                c += z[k] * r[k] / sj
+                if u < c:
+                    break
+            else:
+                k = d + 1
+            block.append(k)
+            if k == 0:
+                z[1] += 1.0
+            else:
+                z[0] += 1.0
+                if k <= d:
+                    z[k] -= 1.0
+                    z[k + 1] += 1.0
+        moves[start:stop] = block
+    history = np.empty((n + 1, d + 2), dtype=np.int64)
+    history[0] = state0.counts
+    np.take(f, moves, axis=0, out=history[1:])
+    return np.cumsum(history, axis=0, out=history)
+
+
 def run(n: int, d: int, schedule: Schedule, initial, seed: int) -> SimRun:
-    """Simulate one trajectory of the truncated chain (the one-replica ensemble).
+    """Simulate one trajectory of the truncated chain (the draws of the
+    one-replica ensemble, by _walk).
 
     initial may be an InitialProfile, a TruncatedState, or explicit counts.
     """
-    counts = _history(n, d, schedule, initial, 1, seed)[0]
+    counts = _walk(n, d, schedule, initial, seed)
     counts.setflags(write=False)
     path = Path.from_knots(np.arange(n + 1) / n, counts / n)
     return SimRun(seed=seed, counts=counts, interpolated=path)
@@ -222,7 +283,8 @@ def run_ensemble_terminal(n, d, schedule, initial, num_samples, seed):
     return _simulate(n, d, schedule, initial, num_samples, seed)
 
 
-def _history(n, d, schedule, initial, num_samples, seed) -> np.ndarray:
+def run_ensemble_paths(n, d, schedule, initial, num_samples, seed) -> np.ndarray:
+    """Full count histories, shape (num_samples, n+1, d+2)."""
     history = None
 
     def record(j, counts):
@@ -233,11 +295,6 @@ def _history(n, d, schedule, initial, num_samples, seed) -> np.ndarray:
 
     _simulate(n, d, schedule, initial, num_samples, seed, observe=record)
     return history
-
-
-def run_ensemble_paths(n, d, schedule, initial, num_samples, seed) -> np.ndarray:
-    """Full count histories, shape (num_samples, n+1, d+2)."""
-    return _history(n, d, schedule, initial, num_samples, seed)
 
 
 def sup_l1_distance(history: np.ndarray, center: Path, n: int) -> np.ndarray:

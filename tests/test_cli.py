@@ -196,6 +196,33 @@ def test_csv_cells_keep_sign_and_precision(tmp_path):
     assert rows[0][1] == "-inf" and float(rows[0][1]) == -math.inf
 
 
+def row_format_csv(path, header, columns):
+    """Reference writer: one printf-style format per row, every cell
+    formatted on its own."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % row for row in zip(*(c.tolist() for c in columns), strict=True))
+
+
+def test_csv_lookup_matches_row_format_pass(tmp_path):
+    rng = np.random.default_rng(3)
+    size = 2 * cli._CSV_ROWS + 100  # ends on a partial block of rows
+    pool = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1, 1 / 3, 2.5])
+    floats = rng.choice(pool, size=(3, size))
+    ints = rng.integers(-2**62, 2**62, size=size)
+    ints[::7] = 5
+    columns = [ints, *floats, floats[0][::-1] * 1e300, rng.random(size), np.arange(size)]
+    header = [f"c{i}" for i in range(len(columns))]
+    cli._write_csv(tmp_path / "new.csv", header, columns)
+    row_format_csv(tmp_path / "ref.csv", header, columns)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    # -0.0 and 0.0 share a value but not a cell
+    assert b"-0," in new and b",0," in new
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert main(["rate", "--out", str(tmp_path)]) == 2           # nothing to rate
     assert main(["rate", "--preset", "nope", "--out", str(tmp_path)]) == 2

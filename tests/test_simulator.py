@@ -208,6 +208,38 @@ def test_column_major_loop_matches_row_major_stepper(monkeypatch, n, d, num_samp
     assert np.array_equal(counts, ref_counts)
 
 
+@pytest.mark.parametrize("d, start", [
+    (0, None), (1, None), (5, None), (30, None),
+    (5, InitialProfile.from_masses([0.3, 0.1, 0.05])),
+])
+def test_single_run_walk_matches_one_replica_column_loop(d, start):
+    # n = 2500 crosses two block boundaries of the walk and ends on a
+    # partial block; the schedule has p > 0 on its first segment
+    n = 2500
+    assert n // simulator._WALK_BLOCK == 2 and n % simulator._WALK_BLOCK
+    sched = Schedule.from_segments([(0.0, 0.1, 4.0), (0.3, 0.0, 1.0)])
+    start = (2,) + (0,) * (d + 1) if start is None else start
+    counts = run(n, d, sched, start, seed=8).counts
+    assert counts.dtype == np.int64 and counts.shape == (n + 1, d + 2)
+    assert np.array_equal(counts, run_ensemble_paths(n, d, sched, start, 1, seed=8)[0])
+    assert np.array_equal(counts, row_major_paths(n, d, sched, start, 1, seed=8)[0])
+    # the walk moved through more than the first entries of the law
+    assert len(np.unique(np.diff(counts, axis=0), axis=0)) >= min(d + 2, 4)
+
+
+def test_single_run_rejects_bad_input_and_is_read_only():
+    void = TruncatedState(n=5, j=0, counts=(0, 0, 0, 0), urn_total=0, ball_total=0)
+    for args, message in [((0, 2, CLASSICAL, SEED2), "need n >= 1 and d >= 0"),
+                          ((5, -1, CLASSICAL, (2,)), "need n >= 1 and d >= 0"),
+                          ((5, 2, CLASSICAL, void), "selection weight is zero")]:
+        with pytest.raises(ValueError, match=message):
+            run(*args, seed=3)
+    counts = run(50, 2, CLASSICAL, SEED2, seed=3).counts
+    assert not counts.flags.writeable
+    with pytest.raises(ValueError):
+        counts[0, 0] = 7
+
+
 def test_ensemble_matches_exact_distribution():
     n, d = 6, 1
     dist = enumerate_exact(n, d, CLASSICAL, (2, 0, 0)).as_floats()

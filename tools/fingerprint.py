@@ -36,6 +36,11 @@ CONFIGS = {"figure1.json": FIGURE1, "polynomial.json": POLYNOMIAL}
 
 RUNS = [
     ("simulate-figure1-n20000", ["simulate", "--preset", "figure1", "--n", "20000"]),
+    # a nonempty profile and a polynomial segment with p > 0
+    ("simulate-polynomial-n5000", ["simulate", "--config", "polynomial.json", "--n", "5000"]),
+    # moves deep into the law, ending on a partial block of steps
+    ("simulate-figure1-n3000-d30",
+     ["simulate", "--preset", "figure1", "--n", "3000", "--d", "30"]),
     ("simulate-figure1-n2000-samples10000",
      ["simulate", "--preset", "figure1", "--n", "2000", "--samples", "10000"]),
     ("lln-figure1-d30", ["lln", "--preset", "figure1", "--d", "30"]),
