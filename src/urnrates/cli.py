@@ -179,7 +179,10 @@ def cmd_simulate(args) -> int:
     seed = _opt(args, cfg, "simulate", "seed", 0, int, low=0)
     if profile.c_total == 0.0 and seed_config is None:
         seed_config = verify.seed_counts(d)
-    state0 = realize_initial(profile, n, d, seed_config=seed_config)
+    try:
+        state0 = realize_initial(profile, n, d, seed_config=seed_config)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
     out = _outdir(args)
     run = simulator.run(n, d, sched, state0, seed=seed)

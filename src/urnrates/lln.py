@@ -161,7 +161,7 @@ def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, weights, co
     # constant segments: p, beta are the node values, sigma is linear
     x, y, pc, bc = lo[const], hi[const], p[0, const], beta[0, const]
     base = (1.0 - pc) / (1.0 + bc)
-    sx = (1.0 + bc) * x + profile.c_weighted + profile.c_total * bc
+    sx = sigma(profile, x, bc)
     # log(sy/sx) = log1p((1+beta)(y-x)/sx) avoids cancellation on narrow
     # cells where sy/sx is within a few ulps of 1
     with np.errstate(divide="ignore"):

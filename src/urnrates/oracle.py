@@ -42,10 +42,7 @@ class ExactDistribution:
     marked: bool = False
 
     def total(self):
-        vals = list(self.atoms.values())
-        if vals and isinstance(vals[0], Fraction):
-            return sum(vals, Fraction(0))
-        return math.fsum(vals)
+        return self.probability(lambda key: True)
 
     def probability(self, predicate):
         """Total probability of terminal keys satisfying predicate."""
@@ -58,18 +55,21 @@ class ExactDistribution:
         return {k: float(v) for k, v in self.atoms.items()}
 
 
-def _steps(schedule, n, state0, rational):
+def _steps(schedule, n, state0, mode):
     """[(step, balls, s, total), ...] for steps j = 0..n-1.
 
     step = (P, Dp, B, Db) writes p = P/Dp and beta = B/Db: integers in
-    rational mode (schedule values must be piecewise constant), the float
-    values over 1.0 otherwise.  balls is the ball total before the step,
-    s = Db*balls + B*urns the selection weight times Db, and total = Dp*s
-    what the weights of every state's moves sum to.
+    mode "rational" (schedule values must be piecewise constant), the
+    float values over 1.0 in mode "float"; any other mode raises.  balls
+    is the ball total before the step, s = Db*balls + B*urns the
+    selection weight times Db, and total = Dp*s what the weights of every
+    state's moves sum to.
     """
+    if mode not in ("rational", "float"):
+        raise ValueError("mode must be 'rational' or 'float'")
     out = []
     for j in range(n):
-        if rational:
+        if mode == "rational":
             p, beta = schedule.values_exact(Fraction(j, n))
             step = (p.numerator, p.denominator, beta.numerator, beta.denominator)
         else:
@@ -122,47 +122,26 @@ def _count_weights(counts, step, balls, s):
 
 def _marked_weights(key, step, balls, s):
     """Weighted moves of (counts, m), as _count_weights: counts include
-    the marked urn, whose exact ball count m is tracked separately."""
+    the marked urn, whose exact ball count m is tracked separately.  The
+    other urns move by the count chain's weights, with the marked urn out
+    of its slot but still in s, since it stays selectable."""
     counts, m = key
     P, Dp, B, Db = step
-    q = Dp - P
     d = len(counts) - 2
     slot = min(m, d + 1)
+    others = list(counts)
+    others[slot] -= 1
     out = []
-
-    # new urn gets the ball
-    if P:
-        nxt = list(counts)
-        nxt[1] += 1
-        out.append(((tuple(nxt), m), P * s))
-
-    # marked urn gets the ball
+    for nxt, w in _count_weights(tuple(others), step, balls - m, s):
+        nxt = list(nxt)
+        nxt[slot] += 1
+        out.append(((tuple(nxt), m), w))
+    # the marked urn gets the ball
     nxt = list(counts)
     nxt[0] += 1
     nxt[slot] -= 1
     nxt[min(m + 1, d + 1)] += 1
-    out.append(((tuple(nxt), m + 1), q * (Db * m + B)))
-
-    # some other urn of visible size i gets the ball
-    for i in range(0, d + 1):
-        others = counts[i] - (1 if slot == i else 0)
-        if others == 0:
-            continue
-        nxt = list(counts)
-        nxt[0] += 1
-        nxt[i] -= 1
-        nxt[i + 1] += 1
-        out.append(((tuple(nxt), m), q * (Db * i + B) * others))
-
-    # some other aggregated urn gets the ball
-    visible = sum(i * z for i, z in enumerate(counts[: d + 1]))
-    agg_balls = balls - visible - (m if m > d else 0)
-    agg_urns = counts[d + 1] - (1 if m > d else 0)
-    w = q * (Db * agg_balls + B * agg_urns)
-    if w:
-        nxt = list(counts)
-        nxt[0] += 1
-        out.append(((tuple(nxt), m), w))
+    out.append(((tuple(nxt), m + 1), (Dp - P) * (Db * m + B)))
     return out
 
 
@@ -182,8 +161,6 @@ def enumerate_exact(n: int, d: int, schedule: Schedule, initial,
     raises RuntimeError otherwise.
     """
     _check_budget(n, d, max_n, max_d)
-    if mode not in ("rational", "float"):
-        raise ValueError("mode must be 'rational' or 'float'")
     rational = mode == "rational"
     weigh = _marked_weights if marked else _count_weights
 
@@ -196,7 +173,7 @@ def enumerate_exact(n: int, d: int, schedule: Schedule, initial,
         layer = {state0.counts: 1}
 
     denom = 1
-    for j, (step, balls, s, total) in enumerate(_steps(schedule, n, state0, rational)):
+    for j, (step, balls, s, total) in enumerate(_steps(schedule, n, state0, mode)):
         nxt_layer = {}
         for key, mass in layer.items():
             moves = weigh(key, step, balls, s)
@@ -229,7 +206,7 @@ def enumerate_naive(n: int, d: int, schedule: Schedule, initial,
         raise ValueError("naive enumeration is capped at n = 6")
     rational = mode == "rational"
     state0 = resolve_initial(initial, n, d)
-    steps = _steps(schedule, n, state0, rational)
+    steps = _steps(schedule, n, state0, mode)
     atoms = {}
 
     def descend(counts, j, prob):
@@ -269,7 +246,7 @@ def laplace_functional(n: int, d: int, schedule: Schedule, initial, h,
         raise ValueError("method must be 'backward' or 'forward'")
 
     # forward reachability, then the backward value sweep
-    steps = _steps(schedule, n, state0, False)
+    steps = _steps(schedule, n, state0, "float")
     layers = [{counts0}]
     for step, balls, s, _ in steps:
         layers.append({nxt for counts in layers[-1]
@@ -288,20 +265,36 @@ def laplace_functional(n: int, d: int, schedule: Schedule, initial, h,
     return -math.log(value[counts0]) / n
 
 
+def _named_event(event, d):
+    """(marked, predicate(key, n)) for a terminal event: "star" (one
+    designated initially-empty urn receives all n balls) on the marked
+    chain, "straight-road" (every ball lands in a previously empty urn)
+    or a predicate on terminal counts on the count chain."""
+    if event == "star":
+        return True, lambda key, n: key[1] == n
+    if event in ("straight-road", "straight_road"):
+        if d < 1:
+            raise ValueError("straight-road event needs d >= 1")
+        return False, lambda counts, n: counts[1] == n
+    if callable(event):
+        return False, event
+    raise ValueError(f"unknown event {event!r}")
+
+
 def star_probability(n: int, schedule: Schedule, initial=(2, 0, 0, 0),
                      d: int = 2, mode: str = "rational"):
     """Probability that one designated initially-empty urn receives all n balls."""
-    dist = enumerate_exact(n, d, schedule, initial, mode=mode, marked=True)
-    return dist.probability(lambda key: key[1] == n)
+    marked, predicate = _named_event("star", d)
+    return enumerate_exact(n, d, schedule, initial, mode=mode, marked=marked).probability(
+        lambda key: predicate(key, n))
 
 
 def straight_road_probability(n: int, schedule: Schedule, initial=(2, 0, 0, 0),
                               d: int = 2, mode: str = "rational"):
     """Probability that every ball lands in a previously empty urn."""
-    if d < 1:
-        raise ValueError("straight-road event needs d >= 1")
-    dist = enumerate_exact(n, d, schedule, initial, mode=mode)
-    return dist.probability(lambda counts: counts[1] == n)
+    marked, predicate = _named_event("straight-road", d)
+    return enumerate_exact(n, d, schedule, initial, mode=mode, marked=marked).probability(
+        lambda key: predicate(key, n))
 
 
 @dataclass(frozen=True)
@@ -318,18 +311,6 @@ class EmpiricalRate:
     stderrs: tuple = ()
 
 
-def _named_event(event, d):
-    if event == "star":
-        return "marked", lambda key, n: key[1] == n
-    if event in ("straight-road", "straight_road"):
-        if d < 1:
-            raise ValueError("straight-road event needs d >= 1")
-        return "counts", lambda counts, n: counts[1] == n
-    if callable(event):
-        return "counts", event
-    raise ValueError(f"unknown event {event!r}")
-
-
 def empirical_rate(event, n_list, schedule: Schedule, initial=(2, 0, 0, 0),
                    d: int = 2, method: str = "exact",
                    num_samples: int = 100_000, seed: int = 0,
@@ -341,20 +322,16 @@ def empirical_rate(event, n_list, schedule: Schedule, initial=(2, 0, 0, 0),
     binomial standard errors (zero hits give a one-sided lower bound via
     the rule of three).
     """
-    kind, predicate = _named_event(event, d)
+    marked, predicate = _named_event(event, d)
     probs, stderrs = [], []
     for n in n_list:
         if method == "exact":
             dist = enumerate_exact(n, d, schedule, initial, mode="rational",
-                                   marked=(kind == "marked"), max_n=max_n)
-            if kind == "marked":
-                pn = dist.probability(lambda key: predicate(key, n))
-            else:
-                pn = dist.probability(lambda counts: predicate(counts, n))
-            pnf = float(pn)
+                                   marked=marked, max_n=max_n)
+            pnf = float(dist.probability(lambda key: predicate(key, n)))
             stderrs.append(0.0)
         elif method == "mc":
-            if kind == "marked":
+            if marked:
                 raise ValueError("mc mode supports count events only")
             states, counts = run_ensemble_terminal(n, d, schedule, initial,
                                                    num_samples, seed + n)

@@ -244,6 +244,8 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path):
 
 
 HEADER = "t,x_0,x_1,x_bar\n"
+# the schema ignores profile and seed_config without a schedule
+CLASSICAL_SPEC = [{"t_start": 0.0, "p": 0.0, "beta": 1.0}]
 
 
 @pytest.mark.parametrize("argv, csv_text, config", [
@@ -286,6 +288,16 @@ HEADER = "t,x_0,x_1,x_bar\n"
                  id="envelope-unknown-preset"),
     pytest.param(["simulate", "--preset", "nonsense", "--n", "10"], None, None,
                  id="simulate-unknown-preset"),
+    # start states that realize_initial rejects
+    pytest.param(["simulate", "--d", "5"], None,
+                 {"schedule": CLASSICAL_SPEC, "seed_config": [2, 0, 0]},
+                 id="simulate-seed-config-wrong-length"),
+    pytest.param(["simulate", "--d", "1"], None,
+                 {"schedule": CLASSICAL_SPEC, "seed_config": [0, 0, 0]},
+                 id="simulate-seed-config-no-urn"),
+    pytest.param(["simulate", "--n", "10"], None,
+                 {"schedule": CLASSICAL_SPEC, "profile": {"c": [0.001]}},
+                 id="simulate-profile-no-urn-at-n"),
 ])
 def test_malformed_input_exits_two(tmp_path, argv, csv_text, config):
     if csv_text is not None:

@@ -81,6 +81,20 @@ def test_star_probability_exact_halving():
         assert star_probability(n, CLASSICAL) == Fraction(1, 2 ** n)
 
 
+def test_star_probability_under_new_urns_and_fractional_beta():
+    # the marked urn holds all j balls before step j, among 2 + j urns:
+    # it gets the next one with probability (1-p)(j+beta)/(j + beta(2+j)).
+    # p > 0 and beta != 1 put P != 0 and Db != 1 into the marked move,
+    # and d = 2 takes the marked urn into the aggregate slot
+    sched = Schedule.from_segments([(0.0, 0.25, 1.5), (0.5, 0.1, 0.75)])
+    for n in range(1, 11):
+        expected = Fraction(1)
+        for j in range(n):
+            p, beta = sched.values_exact(Fraction(j, n))
+            expected *= (1 - p) * (j + beta) / (j + beta * (2 + j))
+        assert star_probability(n, sched) == expected
+
+
 def test_straight_road_probability_factorial():
     for n in range(1, 7):
         assert straight_road_probability(n, CLASSICAL) == Fraction(1, math.factorial(n))
@@ -109,6 +123,13 @@ def test_invalid_initial_counts_are_rejected(counts):
         enumerate_naive(3, 2, CLASSICAL, counts)
     with pytest.raises(ValueError):
         laplace_functional(3, 2, CLASSICAL, counts, lambda x: float(x.sum()))
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_exact, enumerate_naive])
+def test_unknown_mode_is_rejected(enumerate_):
+    # a misspelt mode must not fall back on floats
+    with pytest.raises(ValueError, match="mode"):
+        enumerate_(3, 2, CLASSICAL, (2, 0, 0, 0), mode="rationl")
 
 
 def test_enumeration_budget_guard():

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from urnrates import cli, rate
 from urnrates.lln import (
+    ReferenceLaw,
     dirac_law,
     geometric_law,
     solve_lln_closed,
@@ -301,6 +302,22 @@ def test_iinf_matches_series_under_constant_schedule(law):
     assert out.converged
     assert abs(out.value - series.value) <= 1e-6
     assert out.trace[-1] == (law.values.size - 1, out.value)
+
+
+@pytest.mark.parametrize("p, beta", [(0.0, 1.0), (0.3, 2.5)])
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+def test_partial_condensation_matches_series(p, beta, a):
+    # (1-a) geometric + a delta_0: a fraction a of the ball supply
+    # condenses, which the aggregate slot charges a log((1+beta)/(1-p))
+    geo = geometric_law()
+    values = (1.0 - a) * geo.values
+    values[0] += a
+    law = ReferenceLaw("partial", {"a": a}, values,
+                       (1.0 - a) * geo.tail_mass, (1.0 - a) * geo.tail_mean)
+    out = path_rate_Iinf(law, Schedule.constant(p, beta), EMPTY)
+    assert out.converged
+    assert abs(out.value - linear_path_rate_classical(law, p, beta).value) <= 1e-14
+    assert abs(out.condensation - a * math.log((1.0 + beta) / (1.0 - p))) <= 1e-14
 
 
 def test_empty_levels_above_the_profile_cost_nothing():
