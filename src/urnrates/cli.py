@@ -137,7 +137,7 @@ def _model_parts(cfg: dict, preset: str | None):
                  else verify.figure1_schedule())
         return sched, InitialProfile.empty(), None
     model_keys = {k: cfg[k] for k in ("schedule", "profile", "seed_config") if k in cfg}
-    if "schedule" not in model_keys:
+    if not model_keys:
         return verify.classical_schedule(), InitialProfile.empty(), None
     try:
         return config_from_dict(model_keys)

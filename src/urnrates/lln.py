@@ -35,6 +35,9 @@ from .model import InitialProfile, Path, Schedule, sigma
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 
+# graded_grid raises rather than cut a segment short at this many cells
+MAX_CELLS_PER_SEGMENT = 100_000
+
 
 @dataclass(frozen=True)
 class LLNSolution:
@@ -93,7 +96,7 @@ def weighted_sum_check(sol: LLNSolution, profile: InitialProfile) -> WeightCheck
 
 
 def graded_grid(schedule: Schedule, rel_spacing: float = 0.02,
-                rel_floor: float = 1e-12, max_cells_per_segment: int = 100_000,
+                rel_floor: float = 1e-12,
                 extra=None, profile: InitialProfile | None = None) -> np.ndarray:
     """Grid on [0,1] refined after each schedule breakpoint.
 
@@ -104,7 +107,8 @@ def graded_grid(schedule: Schedule, rel_spacing: float = 0.02,
     at rel_floor * segment length, resolving the power behavior at t=0;
     at interior breakpoints sigma is positive and the solution is smooth,
     so no sub-scale cells are produced there (slopes measured on cells far
-    below the value round-off scale would be pure noise).
+    below the value round-off scale would be pure noise).  A segment that
+    needs more than MAX_CELLS_PER_SEGMENT cells raises ValueError.
     """
     pts = [np.asarray([] if extra is None else extra, dtype=float)]
     brks = schedule.breakpoints.tolist()    # Python floats step faster below
@@ -117,11 +121,12 @@ def graded_grid(schedule: Schedule, rel_spacing: float = 0.02,
             age0 = float(sigma(profile, a, beta_a)) / (1.0 + beta_a)
         nodes = [a]
         t = a + max(rel_spacing * age0, rel_floor * length)
-        count = 0
-        while t < b and count < max_cells_per_segment:
+        while t < b:
+            if len(nodes) >= MAX_CELLS_PER_SEGMENT:
+                raise ValueError(f"segment [{a}, {b}] needs over {MAX_CELLS_PER_SEGMENT} "
+                                 f"cells at rel_spacing {rel_spacing}")
             nodes.append(t)
             t += max(rel_spacing * (t - a + age0), rel_floor * length)
-            count += 1
         nodes.append(b)
         pts.append(np.asarray(nodes))
     grid = np.unique(np.concatenate(pts))

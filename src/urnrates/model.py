@@ -12,6 +12,7 @@ zero-padded coefficient table.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -183,18 +184,13 @@ class Schedule:
         return self.coefficients(t)[1]
 
     def values_exact(self, t: Fraction) -> tuple:
-        """(p(t), beta(t)) as Fractions; requires piecewise-constant segments."""
-        if not self.is_piecewise_constant:
-            raise ValueError("exact evaluation needs piecewise-constant segments")
-        k = int(self.segment_index(float(t)))
-        # searchsorted on floats can misplace t within 1 ulp of a breakpoint;
-        # resolve against the exact start values.
-        while k + 1 < len(self.segments) and t >= Fraction(self.segments[k + 1].t_start):
-            k += 1
-        while k > 0 and t < Fraction(self.segments[k].t_start):
-            k -= 1
-        seg = self.segments[k]
-        return Fraction(seg.p_coeffs[0]), Fraction(seg.beta_coeffs[0])
+        """(p(t), beta(t)) as Fractions: the segment found against the
+        exact start values (a float start of 0.1 lies above 1/10), and its
+        polynomials evaluated at t in exact arithmetic."""
+        starts = [Fraction(s.t_start) for s in self.segments[1:]]
+        seg = self.segments[bisect.bisect_right(starts, t)]
+        return tuple(sum(Fraction(c) * t ** k for k, c in enumerate(coeffs))
+                     for coeffs in (seg.p_coeffs, seg.beta_coeffs))
 
 
 @dataclass(frozen=True)

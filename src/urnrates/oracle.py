@@ -8,10 +8,11 @@ balls land in one chosen urn" (the count vector alone cannot: from two
 empty urns that event has probability 2^-n while the corresponding
 count event, either urn winning, has probability 2^(1-n)).
 
-Exact mode runs on integer weights.  With p = P/Dp and beta = B/Db, each
-move's probability times Dp*(Db*balls + B*urns) is an integer, so a layer
-holds integer numerators over one common denominator and every terminal
-atom is divided once.  Float mode runs the same weight functions.
+The enumeration runs on integer weights.  With p = P/Dp and beta = B/Db
+at each step (Schedule.values_exact, exact on polynomial segments too),
+each move's probability times Dp*(Db*balls + B*urns) is an integer, so a
+layer holds integer numerators over one common denominator and every
+terminal atom is divided once.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ class ExactDistribution:
     """Exact law of the terminal state.
 
     atoms maps a counts tuple (or (counts, marked_balls) when marked)
-    to its probability, as Fraction in rational mode or float otherwise.
+    to its probability as a Fraction; as_floats gives the float law.
     """
 
     n: int
@@ -46,35 +47,24 @@ class ExactDistribution:
 
     def probability(self, predicate):
         """Total probability of terminal keys satisfying predicate."""
-        sel = [p for key, p in self.atoms.items() if predicate(key)]
-        if sel and isinstance(sel[0], Fraction):
-            return sum(sel, Fraction(0))
-        return math.fsum(sel)
+        return sum((p for key, p in self.atoms.items() if predicate(key)), Fraction(0))
 
     def as_floats(self) -> dict:
         return {k: float(v) for k, v in self.atoms.items()}
 
 
-def _steps(schedule, n, state0, mode):
+def _steps(schedule, n, state0):
     """[(step, balls, s, total), ...] for steps j = 0..n-1.
 
-    step = (P, Dp, B, Db) writes p = P/Dp and beta = B/Db: integers in
-    mode "rational" (schedule values must be piecewise constant), the
-    float values over 1.0 in mode "float"; any other mode raises.  balls
-    is the ball total before the step, s = Db*balls + B*urns the
-    selection weight times Db, and total = Dp*s what the weights of every
-    state's moves sum to.
+    step = (P, Dp, B, Db) are the integers of p = P/Dp and beta = B/Db at
+    t = j/n, balls is the ball total before the step, s = Db*balls +
+    B*urns the selection weight times Db, and total = Dp*s what the
+    weights of every state's moves sum to.
     """
-    if mode not in ("rational", "float"):
-        raise ValueError("mode must be 'rational' or 'float'")
     out = []
     for j in range(n):
-        if mode == "rational":
-            p, beta = schedule.values_exact(Fraction(j, n))
-            step = (p.numerator, p.denominator, beta.numerator, beta.denominator)
-        else:
-            p, beta = schedule.coefficients(j / n)
-            step = (float(p), 1.0, float(beta), 1.0)
+        p, beta = schedule.values_exact(Fraction(j, n))
+        step = (p.numerator, p.denominator, beta.numerator, beta.denominator)
         balls = state0.ball_total + j
         s = step[3] * balls + step[2] * (state0.urn_total + j)
         out.append((step, balls, s, step[1] * s))
@@ -145,23 +135,18 @@ def _marked_weights(key, step, balls, s):
     return out
 
 
-def enumerate_exact(n: int, d: int, schedule: Schedule, initial,
-                    mode: str = "rational", marked: bool = False,
+def enumerate_exact(n: int, d: int, schedule: Schedule, initial, *, marked: bool = False,
                     max_n: int = DEFAULT_MAX_N, max_d: int = DEFAULT_MAX_D) -> ExactDistribution:
-    """Exact terminal distribution of the truncated chain.
+    """Exact terminal distribution of the truncated chain, in Fractions.
 
-    mode "rational" gives Fraction probabilities (schedule values must be
-    piecewise constant): each layer holds integer numerators over the one
-    denominator prod_j total_j, and a terminal atom is divided once.
-    "float" runs the same weights in doubles, normalized step by step.
-    With marked=True the state is (counts, marked_balls) for one
-    designated urn that starts empty; the initial configuration must
-    contain an empty urn to mark.  Rational mode certifies that every
-    state's weights sum to their total and that the atoms sum to 1, and
-    raises RuntimeError otherwise.
+    Each layer holds integer numerators over the one denominator
+    prod_j total_j, and a terminal atom is divided once.  With
+    marked=True the state is (counts, marked_balls) for one designated
+    urn that starts empty; the initial configuration must contain an
+    empty urn to mark.  Every state's weights must sum to their total
+    and the atoms to 1, or RuntimeError is raised.
     """
     _check_budget(n, d, max_n, max_d)
-    rational = mode == "rational"
     weigh = _marked_weights if marked else _count_weights
 
     state0 = resolve_initial(initial, n, d)
@@ -173,40 +158,34 @@ def enumerate_exact(n: int, d: int, schedule: Schedule, initial,
         layer = {state0.counts: 1}
 
     denom = 1
-    for j, (step, balls, s, total) in enumerate(_steps(schedule, n, state0, mode)):
+    for j, (step, balls, s, total) in enumerate(_steps(schedule, n, state0)):
         nxt_layer = {}
         for key, mass in layer.items():
             moves = weigh(key, step, balls, s)
-            if rational and sum(w for _, w in moves) != total:
+            if sum(w for _, w in moves) != total:
                 raise RuntimeError(f"move weights of {key} at step {j} do not sum "
                                    f"to their total {total}")
             for nxt, w in moves:
                 nxt_layer[nxt] = nxt_layer.get(nxt, 0) + mass * w
-        if rational:
-            layer = nxt_layer
-            denom *= total
-        else:
-            layer = {key: mass / total for key, mass in nxt_layer.items()}
+        layer = nxt_layer
+        denom *= total
 
-    if rational:
-        if sum(layer.values()) != denom:
-            raise RuntimeError("terminal probabilities do not sum to 1")
-        layer = {key: Fraction(num, denom) for key, num in layer.items()}
-    return ExactDistribution(n=n, d=d, atoms=layer, marked=marked)
+    if sum(layer.values()) != denom:
+        raise RuntimeError("terminal probabilities do not sum to 1")
+    atoms = {key: Fraction(num, denom) for key, num in layer.items()}
+    return ExactDistribution(n=n, d=d, atoms=atoms, marked=marked)
 
 
-def enumerate_naive(n: int, d: int, schedule: Schedule, initial,
-                    mode: str = "float") -> ExactDistribution:
+def enumerate_naive(n: int, d: int, schedule: Schedule, initial) -> ExactDistribution:
     """Brute-force tree over all (d+2)^n increment sequences (n <= 6).
 
-    Exists only to cross-check the merged enumeration; in rational mode
-    each move's probability is a Fraction of its own.
+    Exists only to cross-check the merged enumeration: each move's
+    probability is a Fraction of its own.
     """
     if n > 6:
         raise ValueError("naive enumeration is capped at n = 6")
-    rational = mode == "rational"
     state0 = resolve_initial(initial, n, d)
-    steps = _steps(schedule, n, state0, mode)
+    steps = _steps(schedule, n, state0)
     atoms = {}
 
     def descend(counts, j, prob):
@@ -215,9 +194,9 @@ def enumerate_naive(n: int, d: int, schedule: Schedule, initial,
             return
         step, balls, s, total = steps[j]
         for nxt, w in _count_weights(counts, step, balls, s):
-            descend(nxt, j + 1, prob * (Fraction(w, total) if rational else w / total))
+            descend(nxt, j + 1, prob * Fraction(w, total))
 
-    descend(state0.counts, 0, Fraction(1) if rational else 1.0)
+    descend(state0.counts, 0, Fraction(1))
     return ExactDistribution(n=n, d=d, atoms=atoms, marked=False)
 
 
@@ -235,18 +214,17 @@ def laplace_functional(n: int, d: int, schedule: Schedule, initial, h,
     counts0 = state0.counts
 
     if method == "forward":
-        dist = enumerate_exact(n, d, schedule, counts0, mode="float",
-                               max_n=max_n, max_d=max_d)
+        dist = enumerate_exact(n, d, schedule, counts0, max_n=max_n, max_d=max_d)
         total = math.fsum(
             p * math.exp(-n * float(h(np.asarray(key, dtype=float) / n)))
-            for key, p in dist.atoms.items()
+            for key, p in dist.as_floats().items()
         )
         return -math.log(total) / n
     if method != "backward":
         raise ValueError("method must be 'backward' or 'forward'")
 
     # forward reachability, then the backward value sweep
-    steps = _steps(schedule, n, state0, "float")
+    steps = _steps(schedule, n, state0)
     layers = [{counts0}]
     for step, balls, s, _ in steps:
         layers.append({nxt for counts in layers[-1]
@@ -282,18 +260,18 @@ def _named_event(event, d):
 
 
 def star_probability(n: int, schedule: Schedule, initial=(2, 0, 0, 0),
-                     d: int = 2, mode: str = "rational"):
+                     d: int = 2):
     """Probability that one designated initially-empty urn receives all n balls."""
     marked, predicate = _named_event("star", d)
-    return enumerate_exact(n, d, schedule, initial, mode=mode, marked=marked).probability(
+    return enumerate_exact(n, d, schedule, initial, marked=marked).probability(
         lambda key: predicate(key, n))
 
 
 def straight_road_probability(n: int, schedule: Schedule, initial=(2, 0, 0, 0),
-                              d: int = 2, mode: str = "rational"):
+                              d: int = 2):
     """Probability that every ball lands in a previously empty urn."""
     marked, predicate = _named_event("straight-road", d)
-    return enumerate_exact(n, d, schedule, initial, mode=mode, marked=marked).probability(
+    return enumerate_exact(n, d, schedule, initial, marked=marked).probability(
         lambda key: predicate(key, n))
 
 
@@ -326,8 +304,7 @@ def empirical_rate(event, n_list, schedule: Schedule, initial=(2, 0, 0, 0),
     probs, stderrs = [], []
     for n in n_list:
         if method == "exact":
-            dist = enumerate_exact(n, d, schedule, initial, mode="rational",
-                                   marked=marked, max_n=max_n)
+            dist = enumerate_exact(n, d, schedule, initial, marked=marked, max_n=max_n)
             pnf = float(dist.probability(lambda key: predicate(key, n)))
             stderrs.append(0.0)
         elif method == "mc":

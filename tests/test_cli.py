@@ -244,7 +244,7 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path):
 
 
 HEADER = "t,x_0,x_1,x_bar\n"
-# the schema ignores profile and seed_config without a schedule
+# a profile or seed_config is read only with a schedule beside it
 CLASSICAL_SPEC = [{"t_start": 0.0, "p": 0.0, "beta": 1.0}]
 
 
@@ -298,6 +298,11 @@ CLASSICAL_SPEC = [{"t_start": 0.0, "p": 0.0, "beta": 1.0}]
     pytest.param(["simulate", "--n", "10"], None,
                  {"schedule": CLASSICAL_SPEC, "profile": {"c": [0.001]}},
                  id="simulate-profile-no-urn-at-n"),
+    # model keys without a schedule must not fall back on the classical one
+    pytest.param(["simulate", "--d", "5"], None, {"seed_config": [2, 0, 0]},
+                 id="config-seed-config-without-schedule"),
+    pytest.param(["simulate", "--n", "10"], None, {"profile": {"c": [0.001]}},
+                 id="config-profile-without-schedule"),
 ])
 def test_malformed_input_exits_two(tmp_path, argv, csv_text, config):
     if csv_text is not None:

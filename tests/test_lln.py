@@ -377,3 +377,15 @@ def test_graded_grid_profile_offsets_initial_refinement():
     assert coarse.size < fine.size
     assert coarse[1] - coarse[0] > 1e-3
     assert fine[1] - fine[0] < 1e-9
+
+
+def test_graded_grid_raises_rather_than_truncate():
+    # 2e-4 needs about 138,000 cells from t = 0; cutting the segment
+    # short would leave one last cell hundreds of times wider than its
+    # neighbour
+    with pytest.raises(ValueError, match="cells"):
+        graded_grid(CLASSICAL, rel_spacing=2e-4)
+    grid = graded_grid(CLASSICAL, rel_spacing=5e-4)
+    assert grid.size - 1 < lln.MAX_CELLS_PER_SEGMENT
+    widths = np.diff(grid)
+    assert np.max(widths[1:] / widths[:-1]) <= 1 + 5e-4 + 1e-9

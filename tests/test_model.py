@@ -155,6 +155,37 @@ def test_values_exact_returns_fractions():
     assert p2 == 0
 
 
+def test_values_exact_matches_coefficients_on_every_grid_time():
+    # constant -> polynomial with p > 0 -> constant: the exact values
+    # round to the float lookup's within a few ulps, and equal it where
+    # the segment is constant
+    s = Schedule.from_segments([(0, 0, 8), (0.3, (0.1, 0.2), (1.0, 0.5)), (0.7, 0.2, 2.0)])
+    for n in range(1, 15):
+        for j in range(n + 1):
+            exact = s.values_exact(Fraction(j, n))
+            assert all(isinstance(v, Fraction) for v in exact)
+            p, beta = s.coefficients(j / n)
+            for got, want in zip(exact, (float(p), float(beta))):
+                assert abs(float(got) - want) <= 4 * np.spacing(want), (j, n)
+            if not 0.3 <= j / n < 0.7:
+                assert tuple(map(float, exact)) == (p, beta), (j, n)
+    assert s.values_exact(Fraction(1, 2)) == (Fraction(0.1) + Fraction(0.2) / 2,
+                                              Fraction(1) + Fraction(0.5) / 2)
+
+
+def test_values_exact_resolves_breakpoints_exactly():
+    # the float start 0.1 lies just above 1/10, so t = 1/10 stays in
+    # segment 0, where the float lookup at 1/10 = 0.1 lands in segment 1
+    s = Schedule.from_segments([(0.0, 0.0, 1.0), (0.1, 0.25, 2.0)])
+    assert Fraction(1, 10) < Fraction(0.1)
+    assert s.values_exact(Fraction(1, 10)) == (0, 1)
+    assert s.values_exact(Fraction(0.1)) == (Fraction(1, 4), 2)
+    assert s.coefficients(1 / 10) == (0.25, 2.0)
+    # times outside [0, 1) take the first or last segment, as the float lookup
+    assert s.values_exact(Fraction(-1, 2)) == (0, 1)
+    assert s.values_exact(Fraction(5, 4)) == (Fraction(1, 4), 2)
+
+
 def test_one_lookup_matches_each_segment_polynomial():
     # constant -> polynomial -> constant: p_at, beta_at and coefficients
     # agree bit for bit with the polynomial of the segment holding t, which

@@ -17,6 +17,8 @@ from urnrates.oracle import (
 )
 
 CLASSICAL = Schedule.constant(0.0, 1.0)
+# constant -> polynomial with p > 0 -> constant
+POLYNOMIAL = [(0.0, 0.0, 8.0), (0.3, (0.1, 0.2), (1.0, 0.5)), (0.7, 0.2, 2.0)]
 
 
 def test_rational_enumeration_is_exact():
@@ -36,22 +38,15 @@ def test_two_steps_by_hand():
 
 def test_merged_equals_naive_enumeration():
     # p > 0 and beta = 1.5 put P != 0 and Dp, Db != 1 into the integer
-    # weights; under p = 0.3, beta = 2.5 a float complement for the
-    # aggregated urns would leave round-off atoms where none are held
+    # weights; the polynomial segment puts values of t**k into them
     for specs in ([(0.0, 0.25, 2.0), (0.5, 0.0, 1.0)],
                   [(0.0, 0.25, 1.5), (0.5, 0.1, 0.75)],
-                  [(0.0, 0.3, 2.5)]):
+                  [(0.0, 0.3, 2.5)],
+                  POLYNOMIAL):
         sched = Schedule.from_segments(specs)
         for n, d, init in [(5, 1, (2, 0, 0)), (6, 2, (1, 1, 0, 0)), (4, 0, (3, 0))]:
             exact = enumerate_exact(n, d, sched, init).atoms
-            assert exact == enumerate_naive(n, d, sched, init, mode="rational").atoms
-            merged = enumerate_exact(n, d, sched, init, mode="float").atoms
-            naive = enumerate_naive(n, d, sched, init).atoms
-            # no round-off atoms off the exact support
-            assert set(merged) == set(naive) == set(exact)
-            for key in merged:
-                assert_allclose(merged[key], naive[key], rtol=1e-12)
-                assert_allclose(merged[key], float(exact[key]), rtol=1e-13)
+            assert exact == enumerate_naive(n, d, sched, init).atoms
 
 
 @pytest.mark.parametrize("n", [1, 4, 10])
@@ -125,18 +120,10 @@ def test_invalid_initial_counts_are_rejected(counts):
         laplace_functional(3, 2, CLASSICAL, counts, lambda x: float(x.sum()))
 
 
-@pytest.mark.parametrize("enumerate_", [enumerate_exact, enumerate_naive])
-def test_unknown_mode_is_rejected(enumerate_):
-    # a misspelt mode must not fall back on floats
-    with pytest.raises(ValueError, match="mode"):
-        enumerate_(3, 2, CLASSICAL, (2, 0, 0, 0), mode="rationl")
-
-
 def test_enumeration_budget_guard():
     with pytest.raises(ValueError, match="budget"):
         enumerate_exact(15, 1, CLASSICAL, (2, 0, 0))
-    dist = enumerate_exact(16, 1, CLASSICAL, (2, 0, 0), max_n=16, mode="float")
-    assert_allclose(dist.total(), 1.0, atol=1e-12)
+    assert enumerate_exact(16, 1, CLASSICAL, (2, 0, 0), max_n=16).total() == 1
     with pytest.raises(ValueError):
         enumerate_naive(7, 1, CLASSICAL, (2, 0, 0))
 
@@ -145,9 +132,11 @@ def test_laplace_functional_routes_agree():
     def h(x):
         return 0.5 * float(np.sum((x - 0.2) ** 2))
 
-    for n, d, init in [(8, 1, (2, 0, 0)), (6, 2, (2, 0, 0, 0))]:
-        back = laplace_functional(n, d, CLASSICAL, init, h, method="backward")
-        fwd = laplace_functional(n, d, CLASSICAL, init, h, method="forward")
+    for n, d, init, sched in [(8, 1, (2, 0, 0), CLASSICAL),
+                              (6, 2, (2, 0, 0, 0), CLASSICAL),
+                              (10, 2, (2, 0, 0, 0), Schedule.from_segments(POLYNOMIAL))]:
+        back = laplace_functional(n, d, sched, init, h, method="backward")
+        fwd = laplace_functional(n, d, sched, init, h, method="forward")
         assert_allclose(back, fwd, rtol=1e-12)
         # h >= 0 forces a nonnegative functional, bounded by max h
         assert 0.0 <= back

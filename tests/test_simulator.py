@@ -278,6 +278,18 @@ def test_merged_ensemble_matches_exact_law():
     assert_matches_exact_law(states, counts, dist, num)
 
 
+def test_ensemble_on_polynomial_schedule_matches_exact_law():
+    # constant -> polynomial with p > 0 -> constant: the oracle evaluates
+    # the polynomial segment exactly, the simulator in floats
+    n, d, num = 12, 2, 200_000
+    sched = Schedule.from_segments([(0.0, 0.0, 8.0), (0.3, (0.1, 0.2), (1.0, 0.5)),
+                                    (0.7, 0.2, 2.0)])
+    dist = enumerate_exact(n, d, sched, SEED2).as_floats()
+    states, counts = run_ensemble_terminal(n, d, sched, SEED2, num, seed=31)
+    assert_legal_histogram(states, counts, SEED2, n, num)
+    assert_matches_exact_law(states, counts, dist, num)
+
+
 def rows_per_step(monkeypatch):
     """Record how many states the simulator steps at each j: the rows of
     the merged law, or the columns (one per replica) of the expanded one."""

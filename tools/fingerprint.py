@@ -2,9 +2,9 @@
 
 Runs the commands below in-process into a temporary directory and hashes
 what each writes (the verify battery: its printed lines, timings
-stripped), then the exact oracle's terminal atoms.  Run it on two
-checkouts and diff the listings to check that a change leaves the
-numbers byte-identical:
+stripped), then the exact oracle's terminal atoms on a piecewise-constant
+and on the polynomial schedule.  Run it on two checkouts and diff the
+listings to check that a change leaves the numbers byte-identical:
 
     PYTHONPATH=src python tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/checkout/src python tools/fingerprint.py > before.txt
@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 from urnrates import cli, oracle
-from urnrates.model import Schedule
+from urnrates.model import Schedule, config_from_dict
 
 FIGURE1 = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
                         {"t_start": 0.01, "p": 0.0, "beta": 1.0}]}
@@ -81,10 +81,9 @@ def run(name: str, argv: list) -> str:
     return digest.hexdigest()
 
 
-def oracle_atoms() -> str:
+def oracle_atoms(schedule: Schedule) -> str:
     """sha256 over the sorted exact terminal atoms of the count chain and
     the marked chain at n = 10, d = 2, from two empty urns."""
-    schedule = Schedule.from_segments(ORACLE_SCHEDULE)
     digest = hashlib.sha256()
     for marked in (False, True):
         dist = oracle.enumerate_exact(10, 2, schedule, (2, 0, 0, 0), marked=marked)
@@ -103,7 +102,10 @@ def main() -> int:
                 print(name, run(name, argv), flush=True)
         finally:
             os.chdir(here)
-    print("oracle-exact-n10-d2", oracle_atoms(), flush=True)
+    print("oracle-exact-n10-d2", oracle_atoms(Schedule.from_segments(ORACLE_SCHEDULE)),
+          flush=True)
+    print("oracle-exact-polynomial-n10-d2", oracle_atoms(config_from_dict(POLYNOMIAL)[0]),
+          flush=True)
     return 0
 
 
