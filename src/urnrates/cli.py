@@ -326,7 +326,7 @@ def cmd_rate(args) -> int:
                 raise UsageError(f"bad stretched preset: {exc}")
         rep = rate.path_rate_Iinf(law, sched, profile, tol=tol)
         report.update({
-            "preset": preset, "value": rep.value,
+            "preset": preset, "method": "kronrod", "value": rep.value,
             "condensation_term": rep.condensation,
             "escape_mass": rep.escape_mass, "converged": rep.converged,
             "trace": [[dd, val] for dd, val in rep.trace],
@@ -341,11 +341,17 @@ def cmd_rate(args) -> int:
     else:
         raise UsageError("rate needs --preset or a path_csv in the config")
     if path is not None:
-        rep = rate.path_rate_Id(path, sched, profile, tol=path_tol)
+        # closed-form piece integrals where p and beta are constant on each
+        # segment, Gauss-Kronrod quadrature across polynomial segments
+        if sched.is_piecewise_constant:
+            method, rep = "exact", rate.path_rate_exact(path, sched, profile)
+        else:
+            method, rep = "kronrod", rate.path_rate_Id(path, sched, profile, tol=path_tol)
         report.update({
-            "d": path.d, "value": rep.value,
+            "d": path.d, "method": method, "value": rep.value,
             "condensation_term": rep.condensation,
             "error": rep.error, "num_panels": rep.num_panels, "diverged": rep.diverged,
+            "renormalized": rep.renormalized,
         })
 
     (out / "rate.json").write_text(emit_json(report))

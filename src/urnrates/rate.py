@@ -9,13 +9,17 @@ which is attained at nu0 with nu0_i = 1 - [v]_i for i <= d (partial sums
 of the slope) and the complement on the aggregate slot; u is the natural
 transition law of the scheme along the path, model.transition_law at
 (phi, sigma).  nu0 and L are computed for whole arrays of slopes and
-times at once: the path functional integrates L over [0,1] with an
-adaptive Gauss-Kronrod rule that refines all panels of one bisection
-depth together, interpolating phi on each panel's known path piece (the
-condensation charge, the aggregate slot's share of L, rides on the same
-panels), and the untruncated functional of a reference law is the
-truncated one at the law's own depth, where the aggregate slot holds the
-urns the law does not store.
+times at once.  The path functional integrates L over [0,1] on panels,
+the path's knot intervals split at schedule breakpoints, by two routes.
+Where p and beta are constant on every schedule segment, path_rate_exact
+sums closed-form integrals of log(affine) per panel; path_rate_Id, its
+paired check and the route across polynomial segments, runs an adaptive
+Gauss-Kronrod rule that refines all panels of one bisection depth
+together, interpolating phi on each panel's known path piece.  Both carry
+the condensation charge, the aggregate slot's share of L, on the same
+panels.  The untruncated functional of a reference law is the truncated
+one at the law's own depth, where the aggregate slot holds the urns the
+law does not store.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from .model import (
     Path,
     Schedule,
     entropy_terms,
+    selection_rates,
     sigma,
     transition_law,
 )
@@ -110,8 +115,9 @@ def minimizer_nu0(slope, tol: float = 1e-9) -> np.ndarray:
 
 
 def _piece_laws(path: Path, sum_tol: float = 1e-6):
-    """nu0 of each linear piece of the path, its slope renormalized to
-    total 1, or None if any piece is inadmissible (the path then costs +inf).
+    """(nu0 of each linear piece of the path, its slope renormalized to
+    total 1, or None if any piece is inadmissible (the path then costs
+    +inf); the number of slope rows rescaled).
 
     Interpolated limit trajectories carry slope-sum noise at the
     quadrature scale; rows within sum_tol of total 1 are renormalized
@@ -122,7 +128,9 @@ def _piece_laws(path: Path, sum_tol: float = 1e-6):
     with np.errstate(divide="ignore", invalid="ignore"):
         v = slopes / total
     w, ok = _nu0_rows(v)
-    return w if np.all(ok & (np.abs(total[:, 0] - 1.0) <= sum_tol)) else None
+    off = np.abs(total[:, 0] - 1.0)
+    rescaled = int(np.count_nonzero((off > 0.0) & (off <= sum_tol)))
+    return (w if np.all(ok & (off <= sum_tol)) else None), rescaled
 
 
 def natural_law(t, phi, schedule: Schedule, profile: InitialProfile) -> np.ndarray:
@@ -185,6 +193,7 @@ class RateReport:
     diverged: bool
     floor_hits: int = 0
     condensation: float = math.inf  # aggregate slot's share of value
+    renormalized: int = 0           # slope rows _piece_laws rescaled
 
 
 def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
@@ -204,9 +213,9 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
         raise ValueError(f"need finite tol >= MIN_TOL = {MIN_TOL:g} and max_depth >= 0 "
                          f"(got {tol}, {max_depth})")
     a, b, piece = _panels(path, schedule)
-    w = _piece_laws(path)
+    w, renormalized = _piece_laws(path)
     if w is None:
-        return RateReport(math.inf, math.inf, a.size, 0, True)
+        return RateReport(math.inf, math.inf, a.size, 0, True, renormalized=renormalized)
 
     def cost(nodes, rows):  # rows of the current depth's (a, b, piece)
         k = piece[rows, None]
@@ -226,7 +235,8 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
         finite = np.isfinite(f)
         if not finite.any(axis=1).all():
             # structurally impossible move on a whole panel
-            return RateReport(math.inf, math.inf, num_done + a.size, depth, True)
+            return RateReport(math.inf, math.inf, num_done + a.size, depth, True,
+                              renormalized=renormalized)
         all_finite = finite.all(axis=1)
         vk = np.where(all_finite, half * (f * _WK[None, :]).sum(axis=1), math.inf)
         vg = half * (np.where(finite, f, 0.0)[:, _GAUSS_IDX] * _WG[None, :]).sum(axis=1)
@@ -248,7 +258,100 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
         depth += 1
 
     value, error, charge = (math.fsum(row) for row in np.concatenate(kept, axis=1))
-    return RateReport(value, error, num_done, depth, False, floor_hits, charge)
+    return RateReport(value, error, num_done, depth, False, floor_hits, charge,
+                      renormalized)
+
+
+# q(e) = sum_{k>=1} e^k/(k(k+1)) in Horner order (highest power first): 16
+# terms leave a relative error below 1e-18 for e < _TAYLOR_BELOW
+_Q_TAYLOR = 1.0 / (np.arange(16, 0, -1) * np.arange(17, 1, -1))
+_TAYLOR_BELOW = 0.1
+
+
+def _log_affine(lo, hi):
+    """(M, q) with the integral of log f over a panel of width h equal to
+    h*(log M - q), for f affine on the panel with endpoint values lo, hi
+    >= 0 and M the larger of them.
+
+    With r the smaller endpoint value over the larger and e = 1 - r,
+    q = 1 + r*log(r)/(1-r) = sum_{k>=1} e^k/(k(k+1)) runs from 0 (f
+    constant) to 1 (an endpoint zero, an integrable log singularity).
+    Near r = 1 the closed form cancels down to its rounding, so the series
+    takes over and q keeps its relative accuracy.  M = 0 (f zero
+    throughout) gives q = 1 and log M = -inf.
+    """
+    big = np.maximum(lo, hi)
+    small = np.minimum(lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = small / big
+        e = (big - small) / big
+        q = np.where(r > 0.0, 1.0 + r * np.log(r) / e, 1.0)
+    near = e < _TAYLOR_BELOW
+    if near.any():
+        q[near] = np.polyval(_Q_TAYLOR, e[near]) * e[near]
+    return big, q
+
+
+def path_rate_exact(path: Path, schedule: Schedule, profile: InitialProfile) -> RateReport:
+    """I_d of the path in closed form, on a piecewise-constant schedule.
+
+    path_rate_Id's panels (knot intervals split at schedule breakpoints)
+    hold p and beta constant and the path linear, so sigma and the
+    numerator N_i = u_i*sigma of each natural-law entry are affine in t:
+    N_0 = p*sigma + (1-p)*beta*phi_0, N_i = (1-p)(i+beta)*phi_i for
+    1 <= i <= d, and N_bar = sigma - sum_{i<=d} N_i clipped at 0, as
+    transition_law clips u_bar.  The panel's minimizing law w is
+    constant, so its cost is sum_i w_i*(h*log w_i + int log sigma -
+    int log N_i), each integral of the log of an affine function in
+    closed form (_log_affine); the condensation charge is the w_bar term.
+    A panel where some w_i > 0 meets N_i < 0 at an end, or N_i = 0 at both,
+    costs +inf and the path diverges.  There is no quadrature error, depth
+    or floor hit.  path_rate_Id is the paired route, and the only one for
+    polynomial schedule segments, on which this raises ValueError.
+    """
+    if not schedule.is_piecewise_constant:
+        raise ValueError("path_rate_exact needs a piecewise-constant schedule "
+                         "(path_rate_Id integrates polynomial segments)")
+    a, b, piece = _panels(path, schedule)
+    w, renormalized = _piece_laws(path)
+    if w is None:
+        return RateReport(math.inf, math.inf, a.size, 0, True, renormalized=renormalized)
+
+    def panel_costs(rows):  # (cost, charge) of the panels a[rows], (B, 2)
+        lo, hi, k = a[rows], b[rows], piece[rows]
+        p, beta = schedule.coefficients(0.5 * (lo + hi))
+        ends = np.stack([lo, hi])
+        sig = sigma(profile, ends, beta)                          # (2, B)
+        # N_i = u_i*sigma at both ends, formed as transition_law forms u
+        num = selection_rates(p, beta, path.d) * path.on_piece(ends, k)
+        num[..., 0] += p * sig
+        unreachable = np.any(num < 0.0, axis=0)
+        unreachable[:, -1] = False      # N_bar is the complement set below
+        np.maximum(num, 0.0, out=num)
+        rest = num[..., -1]
+        np.subtract(sig, np.einsum("...i->...", num[..., :-1]), out=rest)
+        np.maximum(rest, 0.0, out=rest)
+        big_n, q_n = _log_affine(num[0], num[1])
+        big_s, q_s = _log_affine(sig[0], sig[1])
+        wk = w[k]
+        pos = wk > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # w_i*(h*log w_i + int log sigma - int log N_i), one log per term
+            terms = ((hi - lo)[:, None] * wk) * (np.log(wk * big_s[:, None] / big_n)
+                                                 - q_s[:, None] + q_n)
+        terms[~pos] = 0.0
+        terms[pos & unreachable] = math.inf
+        return np.stack([terms.sum(axis=1), terms[:, -1]], axis=1)
+
+    # as many panel ends per batch as path_rate_Id has Kronrod nodes, which
+    # keeps the peak memory of a batch at a quadrature block's
+    step = 15 * _BLOCK // 2
+    costs = np.concatenate([panel_costs(slice(lo, lo + step))
+                            for lo in range(0, a.size, step)])
+    if not np.isfinite(costs[:, 0]).all():
+        return RateReport(math.inf, math.inf, a.size, 0, True, renormalized=renormalized)
+    value, charge = (math.fsum(col) for col in costs.T)
+    return RateReport(value, 0.0, a.size, 0, False, 0, charge, renormalized)
 
 
 def project_path(path: Path, d: int) -> Path:

@@ -132,6 +132,7 @@ def test_rate_preset_star(tmp_path):
     assert_allclose(report["condensation_term"], math.log(2.0), rtol=1e-6)
     assert report["converged"] is True
     assert_allclose(report["escape_mass"], 1.0)
+    assert report["method"] == "kronrod"
 
 
 def test_rate_preset_road_is_inf_string(tmp_path):
@@ -158,6 +159,25 @@ def test_rate_preset_lln_is_zero(tmp_path):
     report = read_json(tmp_path / "rate.json")
     assert abs(report["value"]) < 1e-8
     assert report["diverged"] is False
+    # a constant schedule takes the closed-form route; the interpolated
+    # limit path's slopes carry sum noise that _piece_laws rescales
+    assert report["method"] == "exact" and report["error"] == 0.0
+    assert 0 < report["renormalized"] < report["num_panels"]
+
+
+def test_rate_on_polynomial_schedule_uses_kronrod(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
+                     {"t_start": 0.3, "p": [0.1, 0.2], "beta": [1.0, 0.5]},
+                     {"t_start": 0.7, "p": 0.2, "beta": 2.0}],
+        "profile": {"c": [0.3, 0.1, 0.05]}}))
+    out = tmp_path / "out"
+    assert main(["rate", "--config", str(cfg), "--preset", "lln", "--d", "2",
+                 "--out", str(out)]) == 0
+    report = read_json(out / "rate.json")
+    assert report["method"] == "kronrod" and report["diverged"] is False
+    assert 0.0 <= report["value"] < 1e-6 and report["renormalized"] > 0
 
 
 def test_rate_from_path_csv(tmp_path):
@@ -173,6 +193,7 @@ def test_rate_from_path_csv(tmp_path):
     report = read_json(tmp_path / "rate.json")
     assert report["d"] == 2
     assert_allclose(report["value"], math.log(2.0), rtol=1e-10)
+    assert report["method"] == "exact" and report["renormalized"] == 0
 
 
 def test_floats_use_full_precision(tmp_path):

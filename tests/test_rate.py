@@ -1,6 +1,9 @@
 import json
 import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from scipy.integrate import quad
 
 from urnrates import cli, rate
 from urnrates.lln import (
+    LLNKernel,
     ReferenceLaw,
     dirac_law,
     geometric_law,
@@ -25,12 +29,13 @@ from urnrates.rate import (
     local_cost,
     minimizer_nu0,
     natural_law,
+    path_rate_exact,
     path_rate_Id,
     path_rate_Iinf,
     project_path,
     relative_entropy,
 )
-from urnrates.verify import _random_admissible_path
+from urnrates.verify import _random_admissible_path, classical_schedule, figure1_schedule
 
 CLASSICAL = Schedule.constant(0.0, 1.0)
 EMPTY = InitialProfile.empty()
@@ -369,6 +374,121 @@ def test_depth_limit_counts_floor_hit_within_error():
     rep = path_rate_Id(SINGULAR, CLASSICAL, EMPTY, max_depth=10)
     assert rep.floor_hits == 1 and rep.deepest == 10
     assert abs(rep.value - singular_reference()) <= rep.error
+
+
+# ---------------------------------------- closed-form route vs Kronrod
+
+def exact_log_affine_q(lo, hi):
+    """q of rate._log_affine from 40-digit decimal logarithms."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        small, big = sorted((Decimal(lo), Decimal(hi)))
+        if small == 0:
+            return 1.0
+        if small == big:
+            return 0.0
+        r = small / big
+        return float(1 + r * r.ln() / (1 - r))
+
+
+@pytest.mark.parametrize("lo", [
+    0.0, 1e-300, 0.25, 0.5, 0.9, 0.9000000000000001, 0.95, 1.0 - 1e-3, 1.0 - 1e-9,
+    1.0 - 2 ** -52, 1.0,
+])
+def test_log_affine_matches_decimal_logarithms(lo):
+    # relative accuracy in q on both sides of the series threshold, the
+    # endpoint zero (q = 1) and a constant function (q = 0), in either order
+    for ends in ((lo, 1.0), (3.0 * lo, 3.0)):
+        want = exact_log_affine_q(*ends)
+        for a, b in (ends, ends[::-1]):
+            big, q = rate._log_affine(np.array([a]), np.array([b]))
+            assert big[0] == max(a, b)
+            assert abs(q[0] - want) <= 4e-16 * want
+
+
+def criterion_1_paths():
+    for sched in (classical_schedule(), figure1_schedule()):
+        kernel = LLNKernel(sched, EMPTY, rel_spacing=2e-3)
+        for d in (0, 5, 20):
+            yield kernel.solve(d).path(), sched, EMPTY
+
+
+def profile_lln_paths():
+    for c_weighted in (None, 1.0):
+        profile = InitialProfile.from_masses((0.3, 0.1, 0.05), c_weighted=c_weighted)
+        yield solve_lln_closed(2, CLASSICAL, profile, rel_spacing=2e-3).path(), CLASSICAL, profile
+
+
+def straight_paths():
+    for law in (geometric_law(), star_law(), stretched_exponential(0.5)):
+        for d in (0, 5, 40):
+            for sched in (CLASSICAL, figure1_schedule()):
+                yield linear_target_path(law, d), sched, EMPTY
+
+
+def assert_routes_agree(path, sched, profile):
+    exact = path_rate_exact(path, sched, profile)
+    quad = path_rate_Id(path, sched, profile)
+    assert not exact.diverged and not quad.diverged
+    assert abs(exact.value - quad.value) <= 1e-13
+    assert abs(exact.condensation - quad.condensation) <= 1e-13
+    assert exact.renormalized == quad.renormalized
+    assert (exact.error, exact.deepest, exact.floor_hits) == (0.0, 0, 0)
+
+
+@pytest.mark.parametrize("cases", [criterion_1_paths, profile_lln_paths, straight_paths],
+                         ids=["criterion-1", "profile-lln", "straight"])
+def test_exact_route_matches_kronrod(cases):
+    for path, sched, profile in cases():
+        assert_routes_agree(path, sched, profile)
+
+
+def test_exact_route_matches_kronrod_on_benchmark_paths(monkeypatch):
+    # the rate workload's seeded 2,000-piece path at d = 20 and its d = 5
+    # projection
+    monkeypatch.syspath_prepend(str(FsPath(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)    # read perfbench only
+    import workloads
+
+    rng = np.random.default_rng(np.random.SeedSequence(1))
+    path = Path.from_knots(*workloads.random_admissible_path(rng, workloads.PATH_KNOTS,
+                                                             workloads.PATH_D))
+    for p in (path, project_path(path, workloads.PROJ_D)):
+        assert_routes_agree(p, CLASSICAL, EMPTY)
+
+
+def test_exact_route_diverges_where_kronrod_does():
+    # phi_1 starts just below 0 while mass escapes past level 1, so the
+    # natural law cannot make that move on [0, 4e-13]; Kronrod finds it by
+    # bisecting the short first piece
+    start = np.array([0.0, -1e-13, 0.0])
+    slope = np.array([0.5, 0.25, 0.25])
+    negative = Path.from_knots([0.0, 1e-6, 1.0],
+                               [start, start + 1e-6 * slope, start + slope])
+    assert rate._piece_laws(negative)[0] is not None
+    quad = path_rate_Id(negative, CLASSICAL, EMPTY)
+    assert quad.diverged and math.isinf(quad.value) and quad.deepest == 22
+    # the nonempty profile's limit path at d = 5, rejected by _piece_laws
+    profile = InitialProfile.from_masses((0.3, 0.1, 0.05))
+    rejected = solve_lln_closed(5, CLASSICAL, profile, rel_spacing=2e-3).path()
+    assert rate._piece_laws(rejected)[0] is None
+    for path, prof in ((negative, EMPTY), (rejected, profile)):
+        exact = path_rate_exact(path, CLASSICAL, prof)
+        assert exact.diverged and math.isinf(exact.value) and math.isinf(exact.condensation)
+        assert path_rate_Id(path, CLASSICAL, prof).diverged
+    # the law never reads the aggregate slot's own value, only its complement
+    start = np.array([0.0, 0.0, -1e-13])
+    below = Path.from_knots([0.0, 1e-6, 1.0], [start, start + 1e-6 * slope, start + slope])
+    exact, quad = path_rate_exact(below, CLASSICAL, EMPTY), path_rate_Id(below, CLASSICAL, EMPTY)
+    assert not exact.diverged and abs(exact.value - quad.value) <= 1e-13
+
+
+def test_exact_route_rejects_polynomial_schedules():
+    polynomial = Schedule.from_segments([(0.0, 0.0, 8.0), (0.5, (0.1, 0.2), 1.0)])
+    path = linear_target_path(geometric_law(), 3)
+    with pytest.raises(ValueError, match="piecewise-constant"):
+        path_rate_exact(path, polynomial, EMPTY)
+    assert math.isfinite(path_rate_Id(path, polynomial, EMPTY).value)
 
 
 # ------------------------------------------------------------ truncation

@@ -52,6 +52,9 @@ RUNS = [
     *((f"rate-lln-figure1-d{d}",
        ["rate", "--config", "figure1.json", "--preset", "lln", "--d", str(d)])
       for d in (0, 5, 20)),
+    # the Gauss-Kronrod route, which polynomial segments take
+    ("rate-lln-polynomial-d2",
+     ["rate", "--config", "polynomial.json", "--preset", "lln", "--d", "2"]),
     ("rate-geometric", ["rate", "--preset", "geometric"]),
     ("rate-star", ["rate", "--preset", "star"]),
     ("rate-stretched-0.5", ["rate", "--preset", "stretched:0.5"]),
