@@ -10,6 +10,7 @@ from .model import (
     TruncatedState,
     increments,
     realize_initial,
+    resolve_initial,
     sigma,
     validate_path,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "TruncatedState",
     "increments",
     "realize_initial",
+    "resolve_initial",
     "sigma",
     "validate_path",
     "__version__",

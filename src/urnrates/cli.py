@@ -19,7 +19,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import lln, rate, simulator, verify
-from .model import InitialProfile, Path, config_from_dict, realize_initial
+from .model import InitialProfile, Path, config_from_dict, resolve_initial
 
 SCHEMA_VERSION = 1
 
@@ -180,7 +180,7 @@ def cmd_simulate(args) -> int:
     if profile.c_total == 0.0 and seed_config is None:
         seed_config = verify.seed_counts(d)
     try:
-        state0 = realize_initial(profile, n, d, seed_config=seed_config)
+        state0 = resolve_initial(profile if seed_config is None else seed_config, n, d)
     except ValueError as exc:
         raise UsageError(str(exc))
 

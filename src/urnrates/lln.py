@@ -38,6 +38,10 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 # graded_grid raises rather than cut a segment short at this many cells
 MAX_CELLS_PER_SEGMENT = 100_000
 
+# solve_lln_numeric: the Runge-Kutta tolerances, and the start time of the
+# constant-coefficient seed when sigma(0) = 0
+ODE_RTOL, ODE_ATOL, SEED_T0 = 1e-10, 1e-13, 1e-6
+
 
 @dataclass(frozen=True)
 class LLNSolution:
@@ -95,9 +99,8 @@ def weighted_sum_check(sol: LLNSolution, profile: InitialProfile) -> WeightCheck
     )
 
 
-def graded_grid(schedule: Schedule, rel_spacing: float = 0.02,
-                rel_floor: float = 1e-12,
-                extra=None, profile: InitialProfile | None = None) -> np.ndarray:
+def graded_grid(schedule: Schedule, profile: InitialProfile, rel_spacing: float = 0.02,
+                rel_floor: float = 1e-12, extra=None) -> np.ndarray:
     """Grid on [0,1] refined after each schedule breakpoint.
 
     Cell widths grow like rel_spacing * (effective age), where age is the
@@ -114,11 +117,8 @@ def graded_grid(schedule: Schedule, rel_spacing: float = 0.02,
     brks = schedule.breakpoints.tolist()    # Python floats step faster below
     for a, b in zip(brks[:-1], brks[1:]):
         length = b - a
-        if profile is None:
-            age0 = 0.0
-        else:
-            beta_a = float(schedule.coefficients(a)[1])
-            age0 = float(sigma(profile, a, beta_a)) / (1.0 + beta_a)
+        beta_a = float(schedule.coefficients(a)[1])
+        age0 = float(sigma(profile, a, beta_a)) / (1.0 + beta_a)
         nodes = [a]
         t = a + max(rel_spacing * age0, rel_floor * length)
         while t < b:
@@ -326,8 +326,8 @@ class LLNKernel:
                  rel_spacing: float = 0.02, rel_floor: float = 1e-12):
         self.profile = profile
         self.requested = None if grid is None else _times(grid)
-        fine = graded_grid(schedule, rel_spacing=rel_spacing, rel_floor=rel_floor,
-                           extra=self.requested, profile=profile)
+        fine = graded_grid(schedule, profile, rel_spacing=rel_spacing, rel_floor=rel_floor,
+                           extra=self.requested)
         lo, hi = fine[:-1], fine[1:]
         half = 0.5 * (hi - lo)
         nodes = (0.5 * (hi + lo))[None, :] + half[None, :] * _GL_X[:, None]  # (15, K)
@@ -417,35 +417,34 @@ def _rhs(t, y, schedule, profile, d):
     return dy
 
 
-def _seed_values(d, schedule, t0):
-    """Solution values at a small t0 > 0 when sigma(0) = 0.
+def _seed_values(d, schedule):
+    """Solution values at the small time SEED_T0 > 0 when sigma(0) = 0.
 
     sigma(0) = 0 forces an empty profile, and constant coefficients then
     admit the exactly-linear solution zeta_i = b_i t.  The first segment is
     seeded with it at (p(0), beta(0)), exact when the segment is constant
-    and within O(t0^2) otherwise.
+    and within O(SEED_T0^2) otherwise.
     """
     seg = schedule.segments[0]
     p0 = float(seg.p_coeffs[0])
     b0 = float(seg.beta_coeffs[0])
     b = b_sequence(EnvelopeParams(p0, p0, b0, b0, 0.0), d)
     y = np.empty(d + 2)
-    y[: d + 1] = b * t0
-    y[d + 1] = t0 * (1.0 - p0) * (d + b0) * b[d] / (1.0 + b0)
+    y[: d + 1] = b * SEED_T0
+    y[d + 1] = SEED_T0 * (1.0 - p0) * (d + b0) * b[d] / (1.0 + b0)
     if d == 0:  # the aggregate slot also gains the new-urn ball
-        y[1] += t0 * p0
+        y[1] += SEED_T0 * p0
     return y
 
 
 def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
-                      grid=None, rtol: float = 1e-10, atol: float = 1e-13,
-                      t0: float = 1e-6) -> LLNSolution:
+                      grid=None) -> LLNSolution:
     """Integrate the limit ODE system with an adaptive Runge-Kutta scheme.
 
     Independent of the closed-form route: the right side is evaluated
     directly and the integrator restarts at every schedule breakpoint.
     When sigma(0) = 0 the system is singular at the origin; integration
-    starts from t0 with the constant-coefficient seed.
+    starts from SEED_T0 with the constant-coefficient seed.
     """
     from scipy.integrate import solve_ivp    # this route alone needs scipy
 
@@ -458,8 +457,8 @@ def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
 
     sig0 = float(sigma(profile, 0.0, schedule.coefficients(0.0)[1]))
     if sig0 == 0.0:
-        t_start = t0
-        y = _seed_values(d, schedule, t0)
+        t_start = SEED_T0
+        y = _seed_values(d, schedule)
         small = grid < t_start
         # below the seed point the trajectory is linear to leading order
         out[small] = np.outer(grid[small] / t_start, y)
@@ -475,7 +474,7 @@ def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
         inside = (grid >= left) & (grid <= right) & ~small
         t_eval = np.unique(np.concatenate([grid[inside], [left, right]]))
         res = solve_ivp(_rhs, (left, right), y, method="RK45",
-                        t_eval=t_eval, rtol=rtol, atol=atol,
+                        t_eval=t_eval, rtol=ODE_RTOL, atol=ODE_ATOL,
                         args=(schedule, profile, d))
         if not res.success:
             raise RuntimeError(f"integration failed on [{left}, {right}]: {res.message}")
@@ -660,6 +659,17 @@ def power_law_envelopes(schedule: Schedule, profile: InitialProfile,
 # ---------------------------------------------------------------------------
 # reference target laws on urn sizes
 
+# geometric_law stores q(k) for k <= GEOMETRIC_TERMS and keeps the rest as
+# its exact tail
+GEOMETRIC_TERMS = 200
+# stretched_exponential: the bisection for mu stops at this relative width,
+# the product walk at k^2 P_k < STRETCHED_FLOOR, and it raises past
+# STRETCHED_MAX_TERMS products (r close to 1 needs that many)
+STRETCHED_MU_RTOL = 1e-12
+STRETCHED_FLOOR = 1e-15
+STRETCHED_MAX_TERMS = 2_000_000
+
+
 @dataclass(frozen=True)
 class ReferenceLaw:
     """Probability law q on per-urn weights k = 1, 2, ...; values[k-1] = q(k).
@@ -688,12 +698,13 @@ class ReferenceLaw:
         return self.values
 
 
-def geometric_law(num_terms: int = 200) -> ReferenceLaw:
-    k = np.arange(1, num_terms + 1)
+def geometric_law() -> ReferenceLaw:
+    """q(k) = 2^-k, stored for k <= GEOMETRIC_TERMS."""
+    k = np.arange(1, GEOMETRIC_TERMS + 1)
     q = 0.5 ** k
     # exact geometric tails: sum_{k>K} q = 2^-K, sum_{k>K} k q = (K+2) 2^-K
-    tail = 0.5 ** num_terms
-    return ReferenceLaw("geometric", {}, q, tail, (num_terms + 2) * tail)
+    tail = 0.5 ** GEOMETRIC_TERMS
+    return ReferenceLaw("geometric", {}, q, tail, (GEOMETRIC_TERMS + 2) * tail)
 
 
 def star_law() -> ReferenceLaw:
@@ -713,58 +724,53 @@ def dirac_law(k: int) -> ReferenceLaw:
     return ReferenceLaw("dirac", {"k": k}, q, 0.0, 0.0)
 
 
-def _stretched_partial(mu: float, r: float, tol: float, max_terms: int):
-    """Products prod_{j<=k} (1+mu/j^r)^(-1) until they are negligible."""
+def _stretched_products(mu: float, r: float, stop: float = math.inf):
+    """The products P_k = prod_{j<=k} (1+mu/j^r)^(-1) up to the first k
+    with k^2 P_k < STRETCHED_FLOOR, or None as soon as their running sum
+    exceeds stop.  Raises RuntimeError past STRETCHED_MAX_TERMS products."""
     prods = []
-    term = 1.0
-    for k in range(1, max_terms + 1):
+    append = prods.append
+    term, acc = 1.0, 0.0
+    for k in range(1, STRETCHED_MAX_TERMS + 1):
         term /= 1.0 + mu / k ** r
-        prods.append(term)
-        if term * k * k < tol:
-            break
-    return np.asarray(prods)
+        acc += term
+        if acc > stop:
+            return None
+        append(term)
+        if term * k * k < STRETCHED_FLOOR:
+            return np.asarray(prods)
+    raise RuntimeError(
+        f"size-law products stay above k^-2 * {STRETCHED_FLOOR:g} for "
+        f"{STRETCHED_MAX_TERMS} terms; r is too close to 1")
 
 
-def stretched_exponential(r: float, tol: float = 1e-12,
-                          max_terms: int = 2_000_000) -> ReferenceLaw:
+def stretched_exponential(r: float) -> ReferenceLaw:
     """Size law q(k) = (mu / k^r) prod_{j<=k} (1+mu/j^r)^(-1), r in (0,1).
 
     mu is calibrated so the law is normalized (equivalently, has mean 2):
     the normalization sum is strictly decreasing in mu, so bisection
-    applies after doubling out an upper bracket.
+    applies after doubling out an upper bracket.  Each step walks the
+    products until their sum passes 1 or they are negligible; the law is
+    the same walk at the calibrated mu.
     """
     if not (0.0 < r < 1.0):
         raise ValueError("r must lie in (0, 1)")
 
-    def exceeds_one(mu):
-        # early exit: the partial sums are increasing, so crossing 1 decides
-        term, acc = 1.0, 0.0
-        for k in range(1, max_terms + 1):
-            term /= 1.0 + mu / k ** r
-            acc += term
-            if acc > 1.0:
-                return True
-            if term * k * k < tol * 1e-3:
-                return False
-        raise RuntimeError(
-            f"size-law series did not converge within {max_terms} terms; "
-            "r this close to 1 needs a larger max_terms")
-
     lo, hi = 0.0, 1.0          # normalization decreases in mu; sum(0+) = inf
-    while exceeds_one(hi):
+    while _stretched_products(hi, r, stop=1.0) is None:
         lo, hi = hi, hi * 2.0
         if hi > 1e12:
             raise RuntimeError("failed to bracket the normalizing constant")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if exceeds_one(mid):
+        if _stretched_products(mid, r, stop=1.0) is None:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * max(1.0, lo):
+        if hi - lo < STRETCHED_MU_RTOL * max(1.0, lo):
             break
     mu = 0.5 * (lo + hi)
-    prods = _stretched_partial(mu, r, tol * 1e-3, max_terms)
+    prods = _stretched_products(mu, r)
     k = np.arange(1, prods.size + 1)
     q = (mu / k ** r) * prods
     # remaining mass/mean, extrapolated from the last product ratio

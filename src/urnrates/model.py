@@ -12,7 +12,6 @@ zero-padded coefficient table.
 """
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -184,11 +183,11 @@ class Schedule:
         return self.coefficients(t)[1]
 
     def values_exact(self, t: Fraction) -> tuple:
-        """(p(t), beta(t)) as Fractions: the segment found against the
-        exact start values (a float start of 0.1 lies above 1/10), and its
+        """(p(t), beta(t)) as Fractions: the segment that coefficients finds
+        for float(t), the correctly rounded time the simulator steps at (a
+        float start of 0.1 takes t = 1/10 although it lies above it), and its
         polynomials evaluated at t in exact arithmetic."""
-        starts = [Fraction(s.t_start) for s in self.segments[1:]]
-        seg = self.segments[bisect.bisect_right(starts, t)]
+        seg = self.segments[int(self.segment_index(float(t)))]
         return tuple(sum(Fraction(c) * t ** k for k, c in enumerate(coeffs))
                      for coeffs in (seg.p_coeffs, seg.beta_coeffs))
 
@@ -252,17 +251,14 @@ def sigma(profile: InitialProfile, t, beta):
 
 @dataclass(frozen=True)
 class TruncatedState:
-    """Integer counts (Z_0, ..., Z_d, Zbar) after j of n steps.
+    """Integer counts (Z_0, ..., Z_d, Zbar) of a start state and its ball total.
 
     Zbar aggregates urns with more than d balls, so ball_total must be
-    carried explicitly: it is B(0)+j, while the visible weight
-    sum(i*Z_i) + (d+1)*Zbar is only a lower bound on it.
+    carried explicitly: the visible weight sum(i*Z_i) + (d+1)*Zbar is only
+    a lower bound on it.
     """
 
-    n: int
-    j: int
     counts: tuple
-    urn_total: int
     ball_total: int
 
     def __post_init__(self):
@@ -270,21 +266,18 @@ class TruncatedState:
             raise ValueError("counts must hold at least (Z_0, Zbar)")
         if any(z < 0 for z in self.counts):
             raise ValueError("negative count")
-        if sum(self.counts) != self.urn_total:
-            raise ValueError("counts do not sum to urn_total")
         d = len(self.counts) - 2
         weight = sum(i * z for i, z in enumerate(self.counts[:-1])) + (d + 1) * self.counts[-1]
         if weight > self.ball_total:
             raise ValueError("visible weight exceeds ball_total")
-        if not (0 <= self.j <= self.n):
-            raise ValueError("step index out of range")
 
     @property
     def d(self) -> int:
         return len(self.counts) - 2
 
-    def scaled(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.n
+    @property
+    def urn_total(self) -> int:
+        return sum(self.counts)
 
 
 def increments(d: int) -> np.ndarray:
@@ -451,31 +444,16 @@ def validate_path(path: Path, profile: InitialProfile, tol: float = PATH_TOL) ->
     return AdmissibilityReport(not violations, tuple(violations))
 
 
-def realize_initial(profile: InitialProfile, n: int, d: int | None = None,
-                    seed_config=None) -> TruncatedState:
+def realize_initial(profile: InitialProfile, n: int, d: int) -> TruncatedState:
     """Discretize a profile into integer counts at scheme size n.
 
     Uses largest-remainder rounding of n*c_i so each scaled count is
     within 1/n of its target and the urn total matches round(n*c_total).
-    seed_config (explicit counts) overrides the profile; it is required
-    when the profile carries no mass, since the selection rule needs at
-    least one urn at step 0.
+    A profile that leaves no urn at n is rejected, since the selection
+    rule needs at least one urn at step 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if seed_config is not None:
-        counts = tuple(int(z) for z in seed_config)
-        if d is not None and len(counts) != d + 2:
-            raise ValueError("seed_config length must be d+2")
-        dd = len(counts) - 2
-        urns = sum(counts)
-        if urns < 1:
-            raise ValueError("seed_config must contain at least one urn")
-        balls = sum(i * z for i, z in enumerate(counts[:-1])) + (dd + 1) * counts[-1]
-        return TruncatedState(n=n, j=0, counts=counts, urn_total=urns, ball_total=balls)
-
-    if d is None:
-        d = max(len(profile.c) - 1, 0)
 
     # Apportion over the full support first so the ball total is exact,
     # then fold sizes above d into the aggregate slot.
@@ -498,8 +476,7 @@ def realize_initial(profile: InitialProfile, n: int, d: int | None = None,
                 base[idx] -= 1
                 take += 1
 
-    urns = int(base.sum())
-    if urns < 1:
+    if base.sum() < 1:
         raise ValueError(
             "profile carries no urns at this n; pass seed_config to start the scheme"
         )
@@ -511,21 +488,28 @@ def realize_initial(profile: InitialProfile, n: int, d: int | None = None,
                 "condensed profile needs at least one aggregated urn to carry the excess weight"
             )
     counts = tuple(int(z) for z in base[: d + 1]) + (int(base[d + 1 :].sum()),)
-    return TruncatedState(n=n, j=0, counts=counts, urn_total=urns, ball_total=balls)
+    return TruncatedState(counts, balls)
 
 
 def resolve_initial(initial, n: int, d: int) -> TruncatedState:
-    """The validated step-0 state at scheme size n for a TruncatedState, an
-    InitialProfile (realized by realize_initial) or explicit counts
-    (Z_0, ..., Z_d, Zbar)."""
+    """The validated step-0 state for a TruncatedState (returned as given),
+    an InitialProfile (realized at scheme size n by realize_initial) or
+    explicit counts (Z_0, ..., Z_d, Zbar)."""
     if isinstance(initial, TruncatedState):
         if initial.d != d:
             raise ValueError("initial state truncation does not match d")
-        return TruncatedState(n=n, j=0, counts=initial.counts,
-                              urn_total=initial.urn_total, ball_total=initial.ball_total)
+        return initial
     if isinstance(initial, InitialProfile):
-        return realize_initial(initial, n, d=d)
-    return realize_initial(InitialProfile.empty(), n, d=d, seed_config=initial)
+        return realize_initial(initial, n, d)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    counts = tuple(int(z) for z in initial)
+    if len(counts) != d + 2:
+        raise ValueError("seed_config length must be d+2")
+    if sum(counts) < 1:
+        raise ValueError("seed_config must contain at least one urn")
+    balls = sum(i * z for i, z in enumerate(counts[:-1])) + (d + 1) * counts[-1]
+    return TruncatedState(counts, balls)
 
 
 def config_from_dict(cfg: dict):

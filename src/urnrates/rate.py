@@ -30,6 +30,7 @@ import numpy as np
 
 from .lln import ReferenceLaw
 from .model import (
+    PATH_TOL,
     InitialProfile,
     Path,
     Schedule,
@@ -72,32 +73,35 @@ _WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])           # 7 weights
 # Panels evaluated per vectorized batch; bounds the node arrays' memory.
 _BLOCK = 256
 
+# relative_entropy's slack on negative entries and on the totals of its laws
+LAW_TOL = 1e-12
 
-def relative_entropy(w, u, tol: float = 1e-12) -> float:
+
+def relative_entropy(w, u) -> float:
     """KL divergence sum_k w_k log(w_k/u_k) between laws on the increments."""
     w = np.asarray(w, dtype=float)
     u = np.asarray(u, dtype=float)
     if w.shape != u.shape:
         raise ValueError("w and u must have the same length")
-    if np.any(w < -tol) or np.any(u < -tol):
+    if np.any(w < -LAW_TOL) or np.any(u < -LAW_TOL):
         raise ValueError("negative probability")
-    if abs(math.fsum(w) - 1.0) > tol or abs(math.fsum(u) - 1.0) > tol:
+    if abs(math.fsum(w) - 1.0) > LAW_TOL or abs(math.fsum(u) - 1.0) > LAW_TOL:
         raise ValueError("inputs must be normalized probability vectors")
     return math.fsum(entropy_terms(np.maximum(w, 0.0), np.maximum(u, 0.0)))
 
 
-def _nu0_rows(v, tol: float = 1e-9):
+def _nu0_rows(v):
     """nu0 for each slope row in the last axis of v, clipped at 0, and the
-    mask of rows that are admissible within tol."""
+    mask of rows that are admissible within PATH_TOL."""
     # 1 - [v]_i as the suffix sum of v above i, which keeps exact zeros
     # above the last occupied level (where u_i = 0 too)
     w = np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
     w = np.concatenate([w, 1.0 - w.sum(axis=-1, keepdims=True)], axis=-1)
-    ok = (np.abs(v.sum(axis=-1) - 1.0) <= tol) & np.all(w >= -tol, axis=-1)
+    ok = (np.abs(v.sum(axis=-1) - 1.0) <= PATH_TOL) & np.all(w >= -PATH_TOL, axis=-1)
     return np.maximum(w, 0.0), ok
 
 
-def minimizer_nu0(slope, tol: float = 1e-9) -> np.ndarray:
+def minimizer_nu0(slope) -> np.ndarray:
     """The cost-minimizing increment law with mean equal to the given slope.
 
     Requires an admissible slope: nonnegative, summing to 1, partial sums
@@ -107,7 +111,7 @@ def minimizer_nu0(slope, tol: float = 1e-9) -> np.ndarray:
     v = np.asarray(slope, dtype=float)
     if v.ndim == 0 or v.shape[-1] < 2:
         raise ValueError("slope needs at least 2 components")
-    w, ok = _nu0_rows(v, tol)
+    w, ok = _nu0_rows(v)
     if not np.all(ok):
         raise ValueError("inadmissible slope: it must sum to 1 and leave every "
                          "increment weight nonnegative")
@@ -375,15 +379,13 @@ def _gamma_profile(law):
     sequence is gamma itself.  Returns (gamma, tail_count, ball_mass)
     with ball_mass = sum_i i*gamma_i including the tail.  Rejects inputs
     that are not occupancy profiles or that carry more than the unit
-    ball supply (the law objects get extra slack for their extrapolated
-    tails).
+    ball supply, both within PATH_TOL.
     """
     if isinstance(law, ReferenceLaw):
         gamma = np.asarray(law.values, dtype=float)
         tail_count = float(law.tail_mass)
         total = law.total()
         ball_mass = law.mean() - total
-        tol = 1e-4
     else:
         gamma = np.asarray(law, dtype=float)
         if gamma.ndim != 1 or gamma.size == 0:
@@ -391,12 +393,11 @@ def _gamma_profile(law):
         tail_count = 0.0
         total = float(math.fsum(gamma))
         ball_mass = float(np.arange(gamma.size) @ gamma)
-        tol = 1e-9
     if np.any(gamma < 0.0):
         raise ValueError("gamma components must be nonnegative")
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > PATH_TOL:
         raise ValueError(f"gamma must sum to 1 (got {total})")
-    if ball_mass > 1.0 + tol:
+    if ball_mass > 1.0 + PATH_TOL:
         raise ValueError(
             f"gamma carries ball mass {ball_mass} > 1, not reachable by one "
             "ball per step")

@@ -338,22 +338,34 @@ def test_geometric_law_calibration():
     assert_allclose(g.gamma()[:4], [0.5, 0.25, 0.125, 0.0625])
 
 
-def test_stretched_exponential_calibration():
-    law = stretched_exponential(0.5)
-    assert_allclose(law.total(), 1.0, atol=1e-10)
+@pytest.mark.parametrize("r", [0.5, 0.7, 0.8])
+def test_stretched_exponential_calibration(r):
+    law = stretched_exponential(r)
+    assert abs(law.total() - 1.0) <= 1e-12
     # normalization forces mean 2: q(k)*k^r/mu telescopes to a survival sum
-    assert_allclose(law.mean(), 2.0, atol=1e-10)
+    assert abs(law.mean() - 2.0) <= 1e-12
     assert law.values[0] > law.values[1] > law.values[2]
-    with pytest.raises(ValueError):
-        stretched_exponential(1.0)
-    with pytest.raises(ValueError):
-        stretched_exponential(0.0)
+    # q(k) = P_{k-1} - P_k, so the mass beyond the stored K is P_K
+    mu = law.params["mu"]
+    last = law.values[-1] * law.values.size ** r / mu
+    assert abs(law.tail_mass - last) <= 1e-12 * last
+
+
+def test_stretched_exponential_rejects_bad_r_and_long_walks(monkeypatch):
+    for r in (1.0, 0.0):
+        with pytest.raises(ValueError):
+            stretched_exponential(r)
+    # r = 0.7 needs more products than this cap allows
+    monkeypatch.setattr(lln, "STRETCHED_MAX_TERMS", 1000)
+    with pytest.raises(RuntimeError, match="r is too close to 1") as err:
+        stretched_exponential(0.7)
+    assert "max_terms" not in str(err.value)
 
 
 # ------------------------------------------------------------------ grid
 
 def test_graded_grid_structure():
-    grid = graded_grid(TWO_PHASE, rel_spacing=0.05)
+    grid = graded_grid(TWO_PHASE, EMPTY, rel_spacing=0.05)
     assert np.all(np.diff(grid) > 0)
     assert grid[0] == 0.0 and grid[-1] == 1.0
     for b in TWO_PHASE.breakpoints:
@@ -365,7 +377,7 @@ def test_graded_grid_structure():
 
 def test_graded_grid_extra_points_kept():
     extra = np.array([0.123456, 0.654321])
-    grid = graded_grid(CLASSICAL, extra=extra)
+    grid = graded_grid(CLASSICAL, EMPTY, extra=extra)
     assert np.all(np.isin(extra, grid))
 
 
@@ -384,8 +396,8 @@ def test_graded_grid_raises_rather_than_truncate():
     # short would leave one last cell hundreds of times wider than its
     # neighbour
     with pytest.raises(ValueError, match="cells"):
-        graded_grid(CLASSICAL, rel_spacing=2e-4)
-    grid = graded_grid(CLASSICAL, rel_spacing=5e-4)
+        graded_grid(CLASSICAL, EMPTY, rel_spacing=2e-4)
+    grid = graded_grid(CLASSICAL, EMPTY, rel_spacing=5e-4)
     assert grid.size - 1 < lln.MAX_CELLS_PER_SEGMENT
     widths = np.diff(grid)
     assert np.max(widths[1:] / widths[:-1]) <= 1 + 5e-4 + 1e-9

@@ -17,6 +17,7 @@ from urnrates.model import (
     entropy_terms,
     increments,
     realize_initial,
+    resolve_initial,
     sigma,
     validate_path,
 )
@@ -174,16 +175,28 @@ def test_values_exact_matches_coefficients_on_every_grid_time():
 
 
 def test_values_exact_resolves_breakpoints_exactly():
-    # the float start 0.1 lies just above 1/10, so t = 1/10 stays in
-    # segment 0, where the float lookup at 1/10 = 0.1 lands in segment 1
+    # the float start 0.1 lies just above 1/10, but 1/10 rounds to it, so
+    # t = 1/10 takes segment 1, as the float lookup (and the simulator)
+    # at 1/10 = 0.1 does
     s = Schedule.from_segments([(0.0, 0.0, 1.0), (0.1, 0.25, 2.0)])
     assert Fraction(1, 10) < Fraction(0.1)
-    assert s.values_exact(Fraction(1, 10)) == (0, 1)
+    assert s.values_exact(Fraction(1, 10)) == (Fraction(1, 4), 2)
     assert s.values_exact(Fraction(0.1)) == (Fraction(1, 4), 2)
     assert s.coefficients(1 / 10) == (0.25, 2.0)
+    assert s.values_exact(Fraction(1, 11)) == (0, 1)
     # times outside [0, 1) take the first or last segment, as the float lookup
     assert s.values_exact(Fraction(-1, 2)) == (0, 1)
     assert s.values_exact(Fraction(5, 4)) == (Fraction(1, 4), 2)
+
+
+def test_values_exact_takes_the_simulators_segment_on_figure1():
+    # figure 1 switches beta at the float start 0.01, above 1/100: every
+    # grid time j/n takes the segment the simulator's float lookup takes
+    s = Schedule.from_segments([(0.0, 0.0, 8.0), (0.01, 0.0, 1.0)])
+    for n in range(1, 201):
+        p, beta = s.coefficients(np.arange(n + 1) / n)
+        exact = [tuple(map(float, s.values_exact(Fraction(j, n)))) for j in range(n + 1)]
+        assert exact == list(zip(p.tolist(), beta.tolist())), n
 
 
 def test_one_lookup_matches_each_segment_polynomial():
@@ -264,12 +277,12 @@ def test_increment_rows_change_urn_count_correctly():
 
 
 def test_truncated_state_validation():
-    TruncatedState(n=10, j=0, counts=(2, 0, 0, 0), urn_total=2, ball_total=0)
-    with pytest.raises(ValueError):
-        TruncatedState(n=10, j=0, counts=(1, 0, 0, 0), urn_total=2, ball_total=0)
+    assert TruncatedState(counts=(2, 0, 0, 0), ball_total=0).urn_total == 2
+    with pytest.raises(ValueError, match="negative count"):
+        TruncatedState(counts=(2, -1, 0, 0), ball_total=0)
     with pytest.raises(ValueError):
         # aggregate slot implies at least (d+1) balls each
-        TruncatedState(n=10, j=0, counts=(0, 0, 0, 1), urn_total=1, ball_total=1)
+        TruncatedState(counts=(0, 0, 0, 1), ball_total=1)
 
 
 # ------------------------------------------------------------------- path
@@ -353,7 +366,7 @@ def test_realize_initial_rescaling_error_bound():
 def test_realize_initial_requires_some_urn():
     with pytest.raises(ValueError):
         realize_initial(InitialProfile.empty(), 100, d=2)
-    st0 = realize_initial(InitialProfile.empty(), 100, d=2, seed_config=(2, 0, 0, 0))
+    st0 = resolve_initial((2, 0, 0, 0), 100, d=2)
     assert st0.counts == (2, 0, 0, 0)
 
 

@@ -520,6 +520,10 @@ def test_target_profile_rejections():
         linear_target_path([-0.1, 1.1], 3)
     with pytest.raises(ValueError):
         linear_path_rate_classical([0.0, 0.0, 1.0])  # two balls per urn
+    # a law object gets the same tolerance as a sequence
+    heavy = ReferenceLaw("dirac", {}, np.array([0.5, 0.5 + 1e-6]), 0.0, 0.0)
+    with pytest.raises(ValueError, match="sum to 1"):
+        linear_target_path(heavy, 3)
 
 
 def test_rate_arguments_are_checked():

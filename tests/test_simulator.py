@@ -86,7 +86,7 @@ def test_transition_law_matches_exact_fractions():
 
 
 def test_urnless_start_is_rejected():
-    void = TruncatedState(n=5, j=0, counts=(0, 0, 0, 0), urn_total=0, ball_total=0)
+    void = TruncatedState(counts=(0, 0, 0, 0), ball_total=0)
     center = run(5, 2, CLASSICAL, SEED2, seed=0).interpolated
     calls = [
         lambda: run(5, 2, CLASSICAL, void, seed=3),
@@ -228,7 +228,7 @@ def test_single_run_walk_matches_one_replica_column_loop(d, start):
 
 
 def test_single_run_rejects_bad_input_and_is_read_only():
-    void = TruncatedState(n=5, j=0, counts=(0, 0, 0, 0), urn_total=0, ball_total=0)
+    void = TruncatedState(counts=(0, 0, 0, 0), ball_total=0)
     for args, message in [((0, 2, CLASSICAL, SEED2), "need n >= 1 and d >= 0"),
                           ((5, -1, CLASSICAL, (2,)), "need n >= 1 and d >= 0"),
                           ((5, 2, CLASSICAL, void), "selection weight is zero")]:

@@ -57,7 +57,8 @@ RUNS = [
      ["rate", "--config", "polynomial.json", "--preset", "lln", "--d", "2"]),
     ("rate-geometric", ["rate", "--preset", "geometric"]),
     ("rate-star", ["rate", "--preset", "star"]),
-    ("rate-stretched-0.5", ["rate", "--preset", "stretched:0.5"]),
+    *((f"rate-stretched-{r}", ["rate", "--preset", f"stretched:{r}"])
+      for r in ("0.5", "0.7", "0.8")),
     ("verify-default", ["verify", "--budget", "default"]),
 ]
 
