@@ -49,6 +49,10 @@ def _json_token(obj, indent: int) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        if all(type(k) is str and type(v) is int for k, v in obj.items()):
+            # a flat str -> int table (the terminal histogram): the same
+            # text from one dumps, indented to this level
+            return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
         items = [f'{pad}  {json.dumps(str(k))}: {_json_token(v, indent + 2)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
@@ -199,9 +203,9 @@ def cmd_simulate(args) -> int:
     if samples > 1:
         states, counts = simulator.run_ensemble_terminal(n, d, sched, state0,
                                                          num_samples=samples, seed=seed)
+        key = ",".join(["%d"] * (d + 2))
         summary["terminal_histogram"] = {
-            ",".join(str(int(x)) for x in row): int(c)
-            for row, c in zip(states, counts)
+            key % tuple(row): c for row, c in zip(states.tolist(), counts.tolist())
         }
     (out / "summary.json").write_text(emit_json(summary))
     print(f"wrote {out / 'trajectory.csv'} and {out / 'summary.json'}")

@@ -20,9 +20,10 @@ on the truncation d, so one kernel serves every d, propagating each
 level once.  Each level reaches the next through monotone
 (Fritsch-Carlson) cubics, built here from their slopes and evaluated on
 the Gauss nodes' offsets in their cells, fixed for the kernel.  Beside
-it are an independent Runge-Kutta route (the one caller of scipy,
-imported when it runs), the constant-coefficient comparison family,
-power-law envelopes, and reference target laws.
+it are an independent route that integrates the ODE system directly by
+an adaptive Dormand-Prince 5(4) pair written here in numpy, the
+constant-coefficient comparison family, power-law envelopes, and
+reference target laws.
 """
 from __future__ import annotations
 
@@ -38,9 +39,28 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 # graded_grid raises rather than cut a segment short at this many cells
 MAX_CELLS_PER_SEGMENT = 100_000
 
-# solve_lln_numeric: the Runge-Kutta tolerances, and the start time of the
-# constant-coefficient seed when sigma(0) = 0
+# solve_lln_numeric: the Runge-Kutta tolerances, the start time of the
+# constant-coefficient seed when sigma(0) = 0, and the most steps, accepted
+# or rejected, that one interval between breakpoints may take
 ODE_RTOL, ODE_ATOL, SEED_T0 = 1e-10, 1e-13, 1e-6
+ODE_MAX_STEPS = 100_000
+
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980): the times of stages 2-5 as fractions of the step (stages 6 and 7 sit
+# at its end), the stage weights row by row, the last row being the
+# fifth-order solution (whose slope is the next step's first stage), and the
+# weights of the difference between the fifth- and fourth-order steps.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
+_DP_A = np.array([
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+                  -1 / 40])
 
 
 @dataclass(frozen=True)
@@ -437,17 +457,79 @@ def _seed_values(d, schedule):
     return y
 
 
+def _rms(x) -> float:
+    return math.sqrt(float(x @ x) / x.size)
+
+
+def _initial_step(f, t, y, f0, span):
+    """Hairer, Norsett & Wanner's starting step (Solving Ordinary
+    Differential Equations I, II.4): the size at which an Euler probe's
+    change in f predicts a local error of 0.01 at order 5."""
+    scale = ODE_ATOL + ODE_RTOL * np.abs(y)
+    d0, d1 = _rms(y / scale), _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((f(t + h0, y + h0 * f0) - f0) / scale) / h0
+    top = max(d1, d2)
+    h1 = max(1e-6, h0 * 1e-3) if top <= 1e-15 else (0.01 / top) ** 0.2
+    return min(100.0 * h0, h1, span)
+
+
+def _dormand_prince(f, t, y, times):
+    """Values of the solution of y' = f(t, y) from y at t, at the
+    increasing times, all above t, by the Dormand-Prince 5(4) pair.
+
+    A step is accepted when the RMS of its error estimate over ODE_ATOL +
+    ODE_RTOL * max(|y|, |y_new|) is below 1; the next step is the last one
+    times 0.9 * err**(-1/5), clipped to [0.2, 10] (to at most 1 straight
+    after a rejection).  Steps are cut short to end on each requested time,
+    so each row is the value of a step that ends there, not an
+    interpolated one, and a cut step does not shrink the step proposed.
+    Raises RuntimeError after ODE_MAX_STEPS steps, accepted or rejected.
+    """
+    k = np.empty((7, y.size))
+    k[0] = f(t, y)
+    h = _initial_step(f, t, y, k[0], times[-1] - t)
+    out = np.empty((len(times), y.size))
+    i, rejected, start = 0, False, t
+    for _ in range(ODE_MAX_STEPS):
+        t_new = min(t + h, times[i])
+        step = t_new - t
+        for s in range(1, 7):  # the last stage is at the fifth-order solution
+            y_new = y + step * (_DP_A[s - 1, :s] @ k[:s])
+            k[s] = f(t + _DP_C[s - 1] * step if s < 5 else t_new, y_new)
+        scale = ODE_ATOL + ODE_RTOL * np.maximum(np.abs(y), np.abs(y_new))
+        err = _rms(step * (_DP_E @ k) / scale)
+        if not err < 1.0:  # a nan error shrinks the step by 0.2 as well
+            h = step * max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+            continue
+        factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+        if rejected:
+            factor = min(1.0, factor)
+        landed = t_new == times[i]
+        h = max(h, step * factor) if landed else step * factor
+        y, t, rejected = y_new, t_new, False
+        k[0] = k[6]  # first same as last
+        if landed:
+            out[i] = y
+            i += 1
+            if i == len(times):
+                return out
+    raise RuntimeError(f"integration failed on [{start}, {times[-1]}]: "
+                       f"more than {ODE_MAX_STEPS} steps")
+
+
 def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
                       grid=None) -> LLNSolution:
-    """Integrate the limit ODE system with an adaptive Runge-Kutta scheme.
+    """Integrate the limit ODE system by the Dormand-Prince 5(4) pair
+    (_dormand_prince).
 
     Independent of the closed-form route: the right side is evaluated
-    directly and the integrator restarts at every schedule breakpoint.
-    When sigma(0) = 0 the system is singular at the origin; integration
-    starts from SEED_T0 with the constant-coefficient seed.
+    directly and the integrator restarts at every schedule breakpoint,
+    stepping onto every grid time.  When sigma(0) = 0 the system is
+    singular at the origin; integration starts from SEED_T0 with the
+    constant-coefficient seed.
     """
-    from scipy.integrate import solve_ivp    # this route alone needs scipy
-
     if grid is None:
         grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 201),
                                          schedule.breakpoints]))
@@ -472,15 +554,15 @@ def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
     left = t_start
     for right in stops:
         inside = (grid >= left) & (grid <= right) & ~small
-        t_eval = np.unique(np.concatenate([grid[inside], [left, right]]))
-        res = solve_ivp(_rhs, (left, right), y, method="RK45",
-                        t_eval=t_eval, rtol=ODE_RTOL, atol=ODE_ATOL,
-                        args=(schedule, profile, d))
-        if not res.success:
-            raise RuntimeError(f"integration failed on [{left}, {right}]: {res.message}")
-        sel = np.searchsorted(res.t, grid[inside])
-        out[inside] = res.y[:, sel].T
-        y = res.y[:, -1]
+        times = np.unique(np.concatenate([[left], grid[inside], [right]]))
+        # the interval's own coefficients up to its end: the last stage of a
+        # step that lands on a breakpoint would read the next segment's
+        below = float(np.nextafter(right, left))
+        rows = np.vstack([y, _dormand_prince(
+            lambda t, z: _rhs(min(t, below), z, schedule, profile, d),
+            left, y, times[1:])])
+        out[inside] = rows[np.searchsorted(times, grid[inside])]
+        y = rows[-1]
         left = right
     return LLNSolution(d=d, grid=grid, values=out, method="numeric")
 

@@ -301,8 +301,9 @@ def selection_rates(p, beta, d: int) -> np.ndarray:
     """(1-p)*(i+beta) for i = 0..d+1, in a new last axis after those of p
     and beta: the weight of linear selection on each urn of size i, the
     coefficient of Z_i/s in transition_law (the new urn's p is added to
-    entry 0 apart).  The simulator takes these once per run for the whole
-    lattice, so the law is written here alone."""
+    entry 0 apart).  The simulator takes these on the lattice j/n (its
+    expanded loop for every step at once, a single run one block of steps
+    at a time), so the law is written here alone."""
     p, beta = (np.asarray(x, dtype=float)[..., None] for x in (p, beta))
     return (1.0 - p) * (np.arange(d + 2) + beta)
 

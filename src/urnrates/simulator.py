@@ -3,10 +3,11 @@
 States move by one of d+2 increment vectors per step, drawn from the law
 of model.transition_law.  One stepping loop serves every ensemble: it is
 vectorized across independent replicas.  Every route evaluates the
-schedule and the selection rates (1-p)(i+beta) (model.selection_rates)
-once per run on the lattice j/n, and draws from a single generator seeded
-through numpy's SeedSequence, so results are reproducible given (seed,
-num_samples).
+schedule once per run on the lattice j/n, and draws from a single
+generator seeded through numpy's SeedSequence, so results are
+reproducible given (seed, num_samples).  The expanded loop and the single
+run take the selection rates (1-p)(i+beta) (model.selection_rates) from
+those values; the merged loop never reads them.
 
 Terminal ensembles only need the histogram of final states, so the loop
 starts merged: replicas in equal states advance together as one state
@@ -147,8 +148,8 @@ def _cumulative_law(z, rates, s, p, out):
 
 def _prologue(n, d, schedule, initial, seed):
     """What every route of the chain starts from: the checked step-0 state,
-    the schedule p, beta on the lattice j/n, the selection weights s and the
-    (n, d+2) selection_rates before each step, and the seeded generator."""
+    the schedule p, beta on the lattice j/n, the selection weights s before
+    each step, and the seeded generator."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
     state0 = resolve_initial(initial, n, d)
@@ -158,7 +159,7 @@ def _prologue(n, d, schedule, initial, seed):
     if s[0] <= 0.0:
         raise ValueError("selection weight is zero; configuration has no urns")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return state0, p, beta, s, selection_rates(p, beta, d), rng
+    return state0, p, beta, s, rng
 
 
 def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
@@ -181,7 +182,7 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
     """
     if num_samples < 1:
         raise ValueError("need num_samples >= 1")
-    state0, p, beta, s, rates, rng = _prologue(n, d, schedule, initial, seed)
+    state0, p, beta, s, rng = _prologue(n, d, schedule, initial, seed)
     f = increments(d)
     counts = np.asarray(state0.counts, dtype=np.int64)[None, :]
     urns = int(counts.sum())
@@ -197,7 +198,7 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
         return counts, mult
 
     z = _expand(counts, mult)  # exact: counts stay far below 2**53
-    rates = rates[:, : d + 1, None]
+    rates = selection_rates(p, beta, d)[:, : d + 1, None]
     move = _move_matrix(d)
     # Rows 1.. of above take the cumulative law, then in place whether u is
     # at or above it; row 0 stays 1 (see _move_matrix).
@@ -229,18 +230,20 @@ def _walk(n, d, schedule, initial, seed):
     the move k = the number of entries at or below u, which, c being
     nondecreasing, is the first i with u < c_i (d+1 if none): the walk stops
     there.  The uniforms are the column loop's stream, rng.random(block),
-    and the lattice arrays become lists one block of steps at a time, so
-    memory stays that of the history.  Only the moves are recorded; the
-    history is their increments summed in int64, which is exact.
+    and the selection rates and lattice arrays become lists one block of
+    steps at a time, so memory stays that of the history.  Only the moves
+    are recorded; the history is their increments summed in int64, which is
+    exact.
     """
-    state0, p, _, s, rates, rng = _prologue(n, d, schedule, initial, seed)
+    state0, p, beta, s, rng = _prologue(n, d, schedule, initial, seed)
     f = increments(d)
     z = [float(x) for x in state0.counts]  # exact: counts stay far below 2**53
     moves = np.empty(n, dtype=np.intp)
     for start in range(0, n, _WALK_BLOCK):
         stop = min(start + _WALK_BLOCK, n)
         block = []
-        for r, sj, pj, u in zip(rates[start:stop, : d + 1].tolist(), s[start:stop].tolist(),
+        rates = selection_rates(p[start:stop], beta[start:stop], d)[:, : d + 1]
+        for r, sj, pj, u in zip(rates.tolist(), s[start:stop].tolist(),
                                 p[start:stop].tolist(), rng.random(stop - start).tolist()):
             c = pj
             for k in range(d + 1):

@@ -366,17 +366,45 @@ def test_console_script_entry_point(tmp_path):
     assert format(printed, ".17g") == line.split(": ")[1]  # full precision echoed
 
 
+def test_flat_histogram_json_is_the_entrywise_text():
+    # emit_json writes a flat str -> int dict with one json.dumps; the text
+    # must be the entry-by-entry format, byte for byte, at any depth, on a
+    # histogram of 10^4 states
+    rng = np.random.default_rng(20261019)
+    states = rng.integers(0, 2000, size=(10_000, 7)).tolist()
+    counts = rng.integers(1, 9, size=10_000).tolist()
+    hist = {",".join(map(str, row)): c for row, c in zip(states, counts)}
+    assert len(hist) == 10_000
+
+    def entrywise(table, pad):
+        items = [f"{pad}  {json.dumps(k)}: {v}" for k, v in table.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+
+    summary = {"samples": 10_000, "terminal_histogram": hist}
+    want = '{\n  "samples": 10000,\n  "terminal_histogram": ' + entrywise(hist, "  ") + "\n}\n"
+    assert cli.emit_json(summary) == want
+    assert cli.emit_json(hist) == entrywise(hist, "") + "\n"
+    # a key that needs escaping, and a bool value (which takes the
+    # entrywise path)
+    assert cli.emit_json({'a"\n\u00e9': 1}) == '{\n  "a\\"\\n\\u00e9": 1\n}\n'
+    assert cli.emit_json({"x": True, "y": 2}) == '{\n  "x": true,\n  "y": 2\n}\n'
+
+
 def test_subcommands_never_load_scipy(tmp_path):
-    # scipy serves only the ODE route and the tests; a fresh interpreter
-    # that runs every subcommand must not have imported it
+    # scipy serves only the tests; a fresh interpreter that runs every
+    # subcommand and the ODE route must not have imported it
     src = str(Path(urnrates.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = """
 import json, sys
-from urnrates import cli
+from urnrates import cli, lln
+from urnrates.model import InitialProfile, Schedule
 runs = (["simulate", "--n", "200"], ["lln"], ["envelope"], ["rate", "--preset", "star"],
         ["rate", "--preset", "lln", "--d", "5"], ["verify", "--budget", "reduced"])
 codes = [cli.main([*argv, "--out", sys.argv[1]]) for argv in runs]
+figure1 = Schedule.from_segments([(0.0, 0.0, 8.0), (0.01, 0.0, 1.0)])
+sol = lln.solve_lln_numeric(30, figure1, InitialProfile.empty())
+codes.append(sol.values.shape[1])
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": scipy}))
 """
@@ -385,8 +413,9 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    # verify exits 1 on its documented expected failure
-    assert result == {"codes": [0, 0, 0, 0, 0, 1], "scipy": []}
+    # verify exits 1 on its documented expected failure; the ODE route
+    # returns its d+2 = 32 columns
+    assert result == {"codes": [0, 0, 0, 0, 0, 1, 32], "scipy": []}
 
 
 @pytest.mark.xfail(strict=True, reason=(

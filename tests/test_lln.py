@@ -109,6 +109,89 @@ def test_closed_vs_ode_mixed_constant_and_polynomial_segments():
             assert a.mass_deviation(prof) < 1e-7
 
 
+# ------------------------------------------------------ the ODE integrator
+
+PROFILE = InitialProfile.from_masses((0.3, 0.1, 0.05))
+
+
+def _scipy_route(d, sched, prof, grid):
+    """The ODE route's trajectory by scipy's RK45: the same right side, seed
+    and restarts at the breakpoints, read off scipy's dense output.  That
+    interpolant has no error control of its own (at the route's tolerances
+    it reads up to 4e-9 off at d = 0), so the tolerances are tighter and no
+    step is longer than the grid spacing."""
+    from scipy.integrate import solve_ivp
+
+    if prof.c_total == 0.0:
+        left, y = lln.SEED_T0, lln._seed_values(d, sched)
+    else:
+        left, y = 0.0, prof.truncated(d)
+    out = np.empty((grid.size, d + 2))
+    out[grid < left] = np.outer(grid[grid < left] / left, y)
+    for right in sched.breakpoints[sched.breakpoints > left]:
+        inside = (grid >= left) & (grid <= right)
+        res = solve_ivp(lln._rhs, (left, right), y, method="RK45", dense_output=True,
+                        rtol=1e-12, atol=1e-15, max_step=0.01, args=(sched, prof, d))
+        assert res.success
+        out[inside] = res.sol(grid[inside]).T
+        y, left = res.y[:, -1], right
+    return out
+
+
+@pytest.mark.parametrize("sched, prof, d", [
+    *((CLASSICAL, EMPTY, d) for d in (0, 6, 30)),
+    *((TWO_PHASE, EMPTY, d) for d in (0, 6, 30)),
+    *((THREE, prof, d) for prof in (EMPTY, PROFILE) for d in (0, 6))],
+    ids=[*(f"classical-d{d}" for d in (0, 6, 30)), *(f"figure1-d{d}" for d in (0, 6, 30)),
+         *(f"polynomial-{p}-d{d}" for p in ("empty", "profile") for d in (0, 6))])
+def test_ode_route_matches_scipy_rk45(sched, prof, d):
+    # second route for the Dormand-Prince integrator: scipy's solve_ivp
+    grid = np.linspace(0.0, 1.0, 101)
+    got = solve_lln_numeric(d, sched, prof, grid=grid)
+    assert_allclose(got.values, _scipy_route(d, sched, prof, grid), rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("p, beta", [(0.0, 1.0), (0.3, 1.5)])
+def test_ode_route_is_exact_on_linear_levels(p, beta):
+    # from empty on a constant schedule the levels are b_i t: every stage
+    # of a step lies on that line, so only round-off leaves it, and the
+    # step control holds that within the absolute tolerance
+    d = 30
+    grid = np.linspace(0.0, 1.0, 101)
+    sol = solve_lln_numeric(d, Schedule.constant(p, beta), EMPTY, grid=grid)
+    b = b_sequence(EnvelopeParams(p, p, beta, beta, 0.0), d)
+    assert_allclose(sol.values[:, : d + 1], np.outer(grid, b), rtol=1e-13,
+                    atol=lln.ODE_ATOL)
+    assert_allclose(sol.values[:, d + 1], grid * (1.0 - b.sum()), rtol=1e-13,
+                    atol=lln.ODE_ATOL)
+
+
+def test_ode_rows_are_steps_ending_at_the_requested_times():
+    # each row is the state at which a step's last stage was evaluated,
+    # at exactly its requested time: stepped, not interpolated
+    d = 6
+    seen = []
+
+    def rhs(t, y):
+        seen.append((t, y.copy()))
+        return lln._rhs(t, y, POLY, PROFILE, d)
+
+    times = np.array([1e-3, 0.0123, 0.2, 0.2 + 1e-9, 0.7, 1.0])
+    rows = lln._dormand_prince(rhs, 0.0, PROFILE.truncated(d), times)
+    for t, row in zip(times, rows):
+        assert any(s == t and np.array_equal(y, row) for s, y in seen)
+    grid = np.concatenate([[0.0], times])
+    sol = solve_lln_numeric(d, POLY, PROFILE, grid=grid)
+    assert_array_equal(sol.grid, grid)
+    assert_array_equal(sol.values[1:], rows)
+
+
+def test_ode_step_cap_raises_naming_the_interval(monkeypatch):
+    monkeypatch.setattr(lln, "ODE_MAX_STEPS", 5)
+    with pytest.raises(RuntimeError, match=r"on \[0\.0, 1\.0\]: more than 5 steps"):
+        solve_lln_numeric(6, CLASSICAL, PROFILE)
+
+
 @pytest.mark.parametrize("sched, prof", [
     (TWO_PHASE, EMPTY), (THREE, InitialProfile.from_masses((0.3, 0.1, 0.05)))],
     ids=["figure1", "polynomial"])

@@ -3,8 +3,9 @@
 Runs the commands below in-process into a temporary directory and hashes
 what each writes (the verify battery: its printed lines, timings
 stripped), then the exact oracle's terminal atoms on a piecewise-constant
-and on the polynomial schedule.  Run it on two checkouts and diff the
-listings to check that a change leaves the numbers byte-identical:
+and on the polynomial schedule, then the ODE route's values on figure 1.
+Run it on two checkouts and diff the listings to check that a change
+leaves the numbers byte-identical:
 
     PYTHONPATH=src python tools/fingerprint.py > after.txt
     PYTHONPATH=/path/to/other/checkout/src python tools/fingerprint.py > before.txt
@@ -22,7 +23,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from urnrates import cli, oracle
+import numpy as np
+
+from urnrates import cli, lln, oracle
 from urnrates.model import Schedule, config_from_dict
 
 FIGURE1 = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
@@ -95,6 +98,14 @@ def oracle_atoms(schedule: Schedule) -> str:
     return digest.hexdigest()
 
 
+def ode_route() -> str:
+    """sha256 over the ODE route's values on figure 1 from empty at d = 30,
+    on 101 equally spaced times (no subcommand runs that route)."""
+    schedule, profile, _ = config_from_dict(FIGURE1)
+    sol = lln.solve_lln_numeric(30, schedule, profile, grid=np.linspace(0.0, 1.0, 101))
+    return hashlib.sha256(sol.values.tobytes()).hexdigest()
+
+
 def main() -> int:
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -110,6 +121,7 @@ def main() -> int:
           flush=True)
     print("oracle-exact-polynomial-n10-d2", oracle_atoms(config_from_dict(POLYNOMIAL)[0]),
           flush=True)
+    print("lln-ode-figure1-d30", ode_route(), flush=True)
     return 0
 
 
