@@ -23,7 +23,9 @@ the Gauss nodes' offsets in their cells, fixed for the kernel.  Beside
 it are an independent route that integrates the ODE system directly by
 an adaptive Dormand-Prince 5(4) pair written here in numpy, the
 constant-coefficient comparison family, power-law envelopes, and
-reference target laws.
+reference target laws.  A comparison solution is linear in t plus
+transients that each move by the negative-binomial law of a linear
+pure-birth (Yule) process, a propagator with positive terms only.
 """
 from __future__ import annotations
 
@@ -642,66 +644,46 @@ class ChiSolution:
     grid: np.ndarray
     values: np.ndarray          # (K, d+1)
     b: np.ndarray               # linear slopes
-    a: np.ndarray               # transient coefficients, lower triangular
-    exponents: np.ndarray       # e_l, decay exponents of the transients
-
-    def derivative(self) -> np.ndarray:
-        t5 = self.grid + self.params.o5
-        if self.params.o5 == 0.0:
-            return np.tile(self.b, (self.grid.size, 1))
-        ratio = self.params.o5 / t5
-        pw = ratio[:, None] ** self.exponents[None, :]
-        dpw = -pw * self.exponents[None, :] / t5[:, None]
-        return self.b[None, :] + dpw @ self.a.T
-
-    def residual(self) -> float:
-        """max | chi' - RHS | over grid points with t + o5 > 0."""
-        q = self.params.drift_ratio
-        o1, o3, o5 = self.params.o1, self.params.o3, self.params.o5
-        t5 = self.grid + o5
-        ok = t5 > 0.0
-        der = self.derivative()[ok]
-        vals = self.values[ok]
-        t5 = t5[ok]
-        i = np.arange(self.d + 1, dtype=float)
-        inflow = np.zeros((t5.size, self.d + 1))
-        inflow[:, 0] = 1.0 - o1
-        if self.d >= 1:
-            inflow[:, 1] = o1 + q * o3 * vals[:, 0] / t5
-            if self.d >= 2:
-                inflow[:, 2:] = q * (i[1:-1] + o3)[None, :] * vals[:, 1:-1] / t5[:, None]
-        drain = q * (i + o3)[None, :] * vals / t5[:, None]
-        return float(np.abs(der - inflow + drain).max())
 
 
 def constant_coefficient_solution(params: EnvelopeParams, profile: InitialProfile,
                                   grid, d: int) -> ChiSolution:
     """Exact solution of the comparison system from the given initial masses.
 
-    chi_i(t) = b_i (t+o5) + sum_{l<=i} a_{i,l} (o5/(t+o5))^{e_l},
-    e_l = (1-o2)(l+o3)/(1+o4).  With o5 = 0 the transients are
-    identically zero for t > 0 and the initial masses must vanish.
+    chi_i(t) = b_i (t+o5) + sum_{k<=i} (c_k - b_k o5) P_{k->i}(y), where
+    y = (o5/(t+o5))^q with q the drift ratio, and
+
+        P_{k->i}(y) = Gamma(i+o3) / (Gamma(k+o3) (i-k)!) y^(k+o3) (1-y)^(i-k)
+
+    is the negative-binomial law of a linear pure-birth process with rate
+    i+o3 at level i, started at level k and run for time -log y (Feller,
+    An Introduction to Probability Theory and Its Applications, vol. I,
+    ch. XVII).  The propagator is stepped in i by its ratio
+    (i+o3)/(i+1-k) (1-y) for every start level k at once, so each of its
+    terms is positive.  With o5 = 0 the transients are identically zero
+    for t > 0 and the initial masses must vanish.
     """
     grid = np.asarray(grid, dtype=float)
     b = b_sequence(params, d)
-    q = params.drift_ratio
     o3, o5 = params.o3, params.o5
-    c = profile.truncated(d)[: d + 1]
-    exponents = q * (np.arange(d + 1) + o3)
-    a = np.zeros((d + 1, d + 1))
     if o5 == 0.0:
         if profile.c_total != 0.0 or profile.c_weighted != 0.0:
             raise ValueError("o5 = 0 requires an empty initial profile")
         values = np.outer(grid + o5, b)
-        return ChiSolution(params, d, grid, values, b, a, exponents)
+        return ChiSolution(params, d, grid, values, b)
+    transient = profile.truncated(d)[: d + 1] - b * o5
+    # 1 - y by expm1, which keeps its digits at small t where y is near 1
+    log_y = -params.drift_ratio * np.log1p(grid / o5)
+    y, rest = np.exp(log_y), -np.expm1(log_y)
+    k = np.arange(d + 1)
+    prop = np.empty((d + 1, grid.size))       # row k: P_{k->i}(y) at level i
+    values = np.outer(grid + o5, b)
     for i in range(d + 1):
-        for l in range(i):
-            a[i, l] = a[i - 1, l] * (i - 1 + o3) / (i - l)
-        a[i, i] = c[i] - b[i] * o5 - a[i, :i].sum()
-    ratio = o5 / (grid + o5)
-    pw = ratio[:, None] ** exponents[None, :]
-    values = np.outer(grid + o5, b) + pw @ a.T
-    return ChiSolution(params, d, grid, values, b, a, exponents)
+        prop[:i] *= rest
+        prop[:i] *= ((i - 1 + o3) / (i - k[:i]))[:, None]
+        prop[i] = y ** (i + o3)
+        values[:, i] += transient[: i + 1] @ prop[: i + 1]
+    return ChiSolution(params, d, grid, values, b)
 
 
 @dataclass(frozen=True)

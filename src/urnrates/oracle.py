@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .model import Schedule, resolve_initial
 from .simulator import run_ensemble_terminal
 
@@ -198,49 +196,6 @@ def enumerate_naive(n: int, d: int, schedule: Schedule, initial) -> ExactDistrib
 
     descend(state0.counts, 0, Fraction(1))
     return ExactDistribution(n=n, d=d, atoms=atoms, marked=False)
-
-
-def laplace_functional(n: int, d: int, schedule: Schedule, initial, h,
-                       method: str = "backward",
-                       max_n: int = DEFAULT_MAX_N, max_d: int = DEFAULT_MAX_D) -> float:
-    """-(1/n) log E[exp(-n h(terminal counts / n))], computed exactly.
-
-    "backward" runs the dynamic-programming recursion over merged states;
-    "forward" sums exp(-n h) against the enumerated terminal law.  The two
-    routes are independent and agree to float precision.
-    """
-    _check_budget(n, d, max_n, max_d)
-    state0 = resolve_initial(initial, n, d)
-    counts0 = state0.counts
-
-    if method == "forward":
-        dist = enumerate_exact(n, d, schedule, counts0, max_n=max_n, max_d=max_d)
-        total = math.fsum(
-            p * math.exp(-n * float(h(np.asarray(key, dtype=float) / n)))
-            for key, p in dist.as_floats().items()
-        )
-        return -math.log(total) / n
-    if method != "backward":
-        raise ValueError("method must be 'backward' or 'forward'")
-
-    # forward reachability, then the backward value sweep
-    steps = _steps(schedule, n, state0)
-    layers = [{counts0}]
-    for step, balls, s, _ in steps:
-        layers.append({nxt for counts in layers[-1]
-                       for nxt, _ in _count_weights(counts, step, balls, s)})
-
-    value = {
-        counts: math.exp(-n * float(h(np.asarray(counts, dtype=float) / n)))
-        for counts in layers[n]
-    }
-    for (step, balls, s, total), layer in zip(reversed(steps), reversed(layers[:-1])):
-        value = {
-            counts: math.fsum(w / total * value[nxt]
-                              for nxt, w in _count_weights(counts, step, balls, s))
-            for counts in layer
-        }
-    return -math.log(value[counts0]) / n
 
 
 def _named_event(event, d):

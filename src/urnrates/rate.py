@@ -91,31 +91,16 @@ def relative_entropy(w, u) -> float:
 
 
 def _nu0_rows(v):
-    """nu0 for each slope row in the last axis of v, clipped at 0, and the
-    mask of rows that are admissible within PATH_TOL."""
+    """nu0, the cost-minimizing increment law with mean equal to the slope,
+    for each slope row in the last axis of v, clipped at 0, and the mask of
+    rows that are admissible within PATH_TOL (summing to 1 and leaving
+    every increment weight nonnegative)."""
     # 1 - [v]_i as the suffix sum of v above i, which keeps exact zeros
     # above the last occupied level (where u_i = 0 too)
     w = np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
     w = np.concatenate([w, 1.0 - w.sum(axis=-1, keepdims=True)], axis=-1)
     ok = (np.abs(v.sum(axis=-1) - 1.0) <= PATH_TOL) & np.all(w >= -PATH_TOL, axis=-1)
     return np.maximum(w, 0.0), ok
-
-
-def minimizer_nu0(slope) -> np.ndarray:
-    """The cost-minimizing increment law with mean equal to the given slope.
-
-    Requires an admissible slope: nonnegative, summing to 1, partial sums
-    at most 1, and total escape sum_{i<=d}(1-[v]_i) at most 1.  slope may
-    hold one row or many in its last axis; any inadmissible row raises.
-    """
-    v = np.asarray(slope, dtype=float)
-    if v.ndim == 0 or v.shape[-1] < 2:
-        raise ValueError("slope needs at least 2 components")
-    w, ok = _nu0_rows(v)
-    if not np.all(ok):
-        raise ValueError("inadmissible slope: it must sum to 1 and leave every "
-                         "increment weight nonnegative")
-    return w
 
 
 def _piece_laws(path: Path, sum_tol: float = 1e-6):

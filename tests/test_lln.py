@@ -18,7 +18,7 @@ from urnrates.lln import (
     stretched_exponential,
     weighted_sum_check,
 )
-from urnrates.model import InitialProfile, Schedule, validate_path
+from urnrates.model import InitialProfile, Schedule, sigma, validate_path
 
 CLASSICAL = Schedule.constant(0.0, 1.0)
 TWO_PHASE = Schedule.from_segments([(0.0, 0.0, 8.0), (0.01, 0.0, 1.0)])
@@ -355,8 +355,46 @@ def test_chi_solution_exactness():
     prof = InitialProfile.from_masses((0.15, 0.1, 0.05))
     grid = np.linspace(0.0, 1.0, 41)
     chi = constant_coefficient_solution(params, prof, grid, d=6)
-    assert chi.residual() < 1e-12
     assert_allclose(chi.values[0], prof.truncated(6)[:7], atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [0, 5, 24, 60, 230])
+def test_chi_solution_matches_ode_route(d):
+    # with o1 = o2 = p, o3 = o4 = beta and o5 = sigma(0)/(1+beta), the
+    # comparison system is the limit ODE system on a constant schedule
+    p, beta = 0.2, 1.5
+    o5 = float(sigma(PROFILE, 0.0, beta)) / (1.0 + beta)
+    grid = np.linspace(0.0, 1.0, 101)
+    chi = constant_coefficient_solution(EnvelopeParams(p, p, beta, beta, o5),
+                                        PROFILE, grid, d)
+    sol = solve_lln_numeric(d, Schedule.constant(p, beta), PROFILE, grid=grid)
+    assert_allclose(chi.values, sol.values[:, : d + 1], rtol=0, atol=1e-10)
+
+
+def _comparison_rhs(t, chi, params):
+    """The comparison system as EnvelopeParams states it."""
+    o1, o2, o3, o4, o5 = params.o1, params.o2, params.o3, params.o4, params.o5
+    drain = (1.0 - o2) * (np.arange(chi.size) + o3) * chi / ((1.0 + o4) * (t + o5))
+    dchi = -drain
+    dchi[1:] += drain[:-1]
+    dchi[0] += 1.0 - o1
+    dchi[1:2] += o1             # level 1's source, when d >= 1
+    return dchi
+
+
+@pytest.mark.parametrize("d", [6, 60])
+def test_chi_solution_matches_scipy_dop853(d):
+    # second route with o1 != o2: scipy's DOP853 on the comparison system
+    from scipy.integrate import solve_ivp
+
+    params = EnvelopeParams(0.3, 0.1, 2.5, 1.7, 0.4)
+    prof = InitialProfile.from_masses((0.15, 0.1, 0.05))
+    grid = np.linspace(0.0, 1.0, 41)
+    chi = constant_coefficient_solution(params, prof, grid, d)
+    res = solve_ivp(_comparison_rhs, (0.0, 1.0), prof.truncated(d)[: d + 1],
+                    method="DOP853", t_eval=grid, rtol=1e-13, atol=1e-15, args=(params,))
+    assert res.success
+    assert_allclose(chi.values, res.y.T, rtol=0, atol=1e-12)
 
 
 def test_chi_zero_offset_needs_empty_profile():
@@ -389,6 +427,20 @@ def test_envelopes_bracket_partial_sums():
     # beta in [1, 8], p = 0: density exponents 1 + (1+beta)
     assert_allclose(env.upper_tail_exponent, 10.0)
     assert_allclose(env.lower_tail_exponent, 3.0)
+
+
+def test_envelopes_bracket_from_nonempty_profile():
+    # deep levels from a profile, where the transients carry far; the ODE
+    # route is the reference, since the closed form's own grid error at
+    # the default spacing exceeds the slack
+    d = 60
+    grid = np.array([0.1, 0.5, 1.0])
+    sched = Schedule.constant(0.2, 1.5)
+    sol = solve_lln_numeric(d, sched, PROFILE, grid=grid)
+    env = power_law_envelopes(sched, PROFILE, grid, d)
+    cs = np.cumsum(sol.values[:, : d + 1], axis=1)
+    assert np.all(np.cumsum(env.upper.values, axis=1) >= cs - 1e-12)
+    assert np.all(np.cumsum(env.lower.values, axis=1) <= cs + 1e-12)
 
 
 def test_envelopes_collapse_for_constant_schedule():

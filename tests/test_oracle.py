@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -11,7 +10,6 @@ from urnrates.oracle import (
     empirical_rate,
     enumerate_exact,
     enumerate_naive,
-    laplace_functional,
     star_probability,
     straight_road_probability,
 )
@@ -116,8 +114,6 @@ def test_invalid_initial_counts_are_rejected(counts):
         enumerate_exact(3, 2, CLASSICAL, counts)
     with pytest.raises(ValueError):
         enumerate_naive(3, 2, CLASSICAL, counts)
-    with pytest.raises(ValueError):
-        laplace_functional(3, 2, CLASSICAL, counts, lambda x: float(x.sum()))
 
 
 def test_enumeration_budget_guard():
@@ -126,25 +122,6 @@ def test_enumeration_budget_guard():
     assert enumerate_exact(16, 1, CLASSICAL, (2, 0, 0), max_n=16).total() == 1
     with pytest.raises(ValueError):
         enumerate_naive(7, 1, CLASSICAL, (2, 0, 0))
-
-
-def test_laplace_functional_routes_agree():
-    def h(x):
-        return 0.5 * float(np.sum((x - 0.2) ** 2))
-
-    for n, d, init, sched in [(8, 1, (2, 0, 0), CLASSICAL),
-                              (6, 2, (2, 0, 0, 0), CLASSICAL),
-                              (10, 2, (2, 0, 0, 0), Schedule.from_segments(POLYNOMIAL))]:
-        back = laplace_functional(n, d, sched, init, h, method="backward")
-        fwd = laplace_functional(n, d, sched, init, h, method="forward")
-        assert_allclose(back, fwd, rtol=1e-12)
-        # h >= 0 forces a nonnegative functional, bounded by max h
-        assert 0.0 <= back
-
-
-def test_laplace_functional_zero_h():
-    val = laplace_functional(7, 1, CLASSICAL, (2, 0, 0), lambda x: 0.0)
-    assert_allclose(val, 0.0, atol=1e-14)
 
 
 def test_empirical_rate_star_is_flat_log2():

@@ -7,7 +7,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 from urnrates import cli, rate
@@ -27,7 +27,6 @@ from urnrates.rate import (
     linear_path_rate_classical,
     linear_target_path,
     local_cost,
-    minimizer_nu0,
     natural_law,
     path_rate_exact,
     path_rate_Id,
@@ -54,18 +53,20 @@ def test_minimizer_reproduces_slope():
             v[0] = 1.0 - w_target[0]
             v[1 : d + 1] = w_target[:-1] - w_target[1:]
             v[d + 1] = w_target[-1]
-            nu = minimizer_nu0(v)
+            nu, ok = rate._nu0_rows(v)
+            assert ok
             assert_allclose(f.T @ nu, v, atol=1e-12)
             assert_allclose(nu.sum(), 1.0, atol=1e-12)
 
 
 def test_minimizer_rejects_inadmissible_slopes():
-    with pytest.raises(ValueError):
-        minimizer_nu0([0.5, 0.0, 0.0, 0.0])       # sums to 0.5
-    with pytest.raises(ValueError):
-        minimizer_nu0([1.2, -0.2, 0.0, 0.0])      # partial sum above 1
-    with pytest.raises(ValueError):
-        minimizer_nu0([0.0, 0.0, 0.0, 1.0])       # escape beyond one ball
+    _, ok = rate._nu0_rows(np.array([
+        [0.5, 0.0, 0.0, 0.0],       # sums to 0.5
+        [1.2, -0.2, 0.0, 0.0],      # partial sum above 1
+        [0.0, 0.0, 0.0, 1.0],       # escape beyond one ball
+        [0.5, 0.25, 0.0, 0.25],     # admissible
+    ]))
+    assert_array_equal(ok, [False, False, False, True])
 
 
 def test_natural_law_hand_value():
@@ -225,7 +226,7 @@ def test_condensation_charge_matches_quad(sched):
     cuts = np.union1d(path.times, sched.breakpoints)
 
     def charge(t):
-        nu0 = minimizer_nu0(path.slope_at(t))
+        nu0 = rate._nu0_rows(path.slope_at(t))[0]
         u = natural_law(t, path.at(t), sched, EMPTY)
         return float(entropy_terms(nu0[-1], u[..., -1]))
 

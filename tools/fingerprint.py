@@ -48,6 +48,8 @@ RUNS = [
      ["simulate", "--preset", "figure1", "--n", "2000", "--samples", "10000"]),
     ("lln-figure1-d30", ["lln", "--preset", "figure1", "--d", "30"]),
     ("lln-polynomial-d12", ["lln", "--config", "polynomial.json", "--d", "12"]),
+    # deep levels from the profile, where the envelope transients carry far
+    ("lln-polynomial-d60", ["lln", "--config", "polynomial.json", "--d", "60"]),
     ("envelope-figure1-d30", ["envelope", "--preset", "figure1", "--d", "30"]),
     # criterion 1's six cases, which verify prints to 4 significant digits
     *((f"rate-lln-homogeneous-d{d}", ["rate", "--preset", "lln", "--d", str(d)])
