@@ -19,7 +19,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import lln, rate, simulator, verify
-from .model import InitialProfile, Path, config_from_dict, resolve_initial
+from .model import PATH_TOL, InitialProfile, Path, config_from_dict, resolve_initial
 
 SCHEMA_VERSION = 1
 
@@ -125,6 +125,8 @@ def _load_config(path: str | None):
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     for section, keys in _SECTION_KEYS.items():
+        if not isinstance(cfg.get(section, {}), dict):
+            raise UsageError(f"config section '{section}' must be an object")
         extra = set(cfg.get(section, {})) - keys
         if extra:
             raise UsageError(f"unknown keys in '{section}' section: {sorted(extra)}")
@@ -145,8 +147,10 @@ def _model_parts(cfg: dict, preset: str | None):
         return verify.classical_schedule(), InitialProfile.empty(), None
     try:
         return config_from_dict(model_keys)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    except (TypeError, ValueError) as exc:
+        # a TypeError here is a JSON value of the wrong type, such as null
+        # where a number belongs
+        raise UsageError(f"bad model config: {exc}")
 
 
 def _opt(args, cfg, section, key, default, kind=None, low=None):
@@ -299,6 +303,9 @@ def cmd_rate(args) -> int:
     sched, profile, _ = _model_parts(cfg, None)
     preset = args.preset or cfg.get("rate", {}).get("preset")
     path_csv = _opt(args, cfg, "rate", "path_csv", None)
+    for key, val in (("preset", preset), ("path_csv", path_csv)):
+        if val is not None and not isinstance(val, str):
+            raise UsageError(f"{key} must be a string (got {val!r})")
     d = _opt(args, cfg, "rate", "d", 20, int, low=0)
     tol = _opt(args, cfg, "rate", "tol", 1e-6, float)
     if not (math.isfinite(tol) and tol >= rate.MIN_TOL):
@@ -328,6 +335,9 @@ def cmd_rate(args) -> int:
                 law = lln.stretched_exponential(float(parts[1]))
             except (ValueError, RuntimeError) as exc:
                 raise UsageError(f"bad stretched preset: {exc}")
+        if profile.truncated(law.values.size - 1).max() > PATH_TOL:
+            raise UsageError(f"preset {preset} rates a straight path from the empty "
+                             "state, which does not start at the config's profile")
         rep = rate.path_rate_Iinf(law, sched, profile, tol=tol)
         report.update({
             "preset": preset, "method": "kronrod", "value": rep.value,

@@ -82,9 +82,6 @@ class LLNSolution:
         total = self.values.sum(axis=1)
         return float(np.abs(total - (self.grid + profile.c_total)).max())
 
-    def at(self, t) -> np.ndarray:
-        return self.path().at(t)
-
 
 @dataclass(frozen=True)
 class WeightCheck:
@@ -757,9 +754,6 @@ class ReferenceLaw:
     def mean(self) -> float:
         k = np.arange(1, self.values.size + 1)
         return float(math.fsum(k * self.values) + self.tail_mean)
-
-    def gamma(self) -> np.ndarray:
-        return self.values
 
 
 def geometric_law() -> ReferenceLaw:

@@ -53,10 +53,11 @@ def _as_coeffs(value) -> tuple:
     """Normalize a constant or polynomial coefficient sequence (low order first)."""
     if isinstance(value, numbers.Real):
         return (value,)
-    coeffs = tuple(value)
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    return coeffs
+    # a string is a sequence too, but "12" is not the coefficients (1, 2)
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"p and beta take a number or a nonempty coefficient list "
+                         f"(got {value!r})")
+    return tuple(value)
 
 
 def _polyval(coeffs: tuple, t) -> np.ndarray:
@@ -401,6 +402,20 @@ class AdmissibilityReport:
         return max((v[2] for v in self.violations), default=0.0)
 
 
+def _knot_violations(path: Path, profile: InitialProfile, tol: float) -> list:
+    """validate_path's initial_value and nonnegative violations: the path
+    must start at the truncated profile and be nonnegative at its knots,
+    where a piecewise-linear path takes its extremes."""
+    violations = []
+    err = float(np.abs(path.values[0] - profile.truncated(path.d)).max())
+    if err > tol:
+        violations.append(("initial_value", 0.0, err))
+    neg = path.values.min(axis=1)
+    for k in np.nonzero(neg < -tol)[0]:
+        violations.append(("nonnegative", float(path.times[k]), float(-neg[k])))
+    return violations
+
+
 def validate_path(path: Path, profile: InitialProfile, tol: float = PATH_TOL) -> AdmissibilityReport:
     """Check membership in the admissible deviation class at truncation d.
 
@@ -409,17 +424,7 @@ def validate_path(path: Path, profile: InitialProfile, tol: float = PATH_TOL) ->
     slopes [v]_i in [0,1] for i <= d; slopes sum to 1; the total escape
     rate sum_i (1 - [v]_i) at most 1.
     """
-    violations = []
-
-    start = path.values[0]
-    target = profile.truncated(path.d)
-    err = float(np.abs(start - target).max())
-    if err > tol:
-        violations.append(("initial_value", 0.0, err))
-
-    neg = path.values.min(axis=1)
-    for k in np.nonzero(neg < -tol)[0]:
-        violations.append(("nonnegative", float(path.times[k]), float(-neg[k])))
+    violations = _knot_violations(path, profile, tol)
 
     v = path.slopes
     mids = 0.5 * (path.times[:-1] + path.times[1:])
@@ -527,20 +532,28 @@ def config_from_dict(cfg: dict):
     unknown = set(cfg) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "schedule" not in cfg:
+    if not isinstance(cfg.get("schedule"), list):
         raise ValueError("config needs a 'schedule' list")
+    keys = {"t_start", "p", "beta"}
     specs = []
     for entry in cfg["schedule"]:
-        extra = set(entry) - {"t_start", "p", "beta"}
+        if not isinstance(entry, dict) or not keys <= set(entry):
+            raise ValueError(f"each schedule entry must be an object with the keys "
+                             f"{sorted(keys)} (got {entry!r})")
+        extra = set(entry) - keys
         if extra:
             raise ValueError(f"unknown schedule keys: {sorted(extra)}")
         specs.append((entry["t_start"], entry["p"], entry["beta"]))
     schedule = Schedule.from_segments(specs)
 
     prof_cfg = cfg.get("profile", {})
+    if not isinstance(prof_cfg, dict):
+        raise ValueError("the profile must be an object")
     extra = set(prof_cfg) - {"c", "c_weighted"}
     if extra:
         raise ValueError(f"unknown profile keys: {sorted(extra)}")
+    if not isinstance(prof_cfg.get("c", []), list):
+        raise ValueError("the profile's 'c' must be a list of masses")
     profile = InitialProfile.from_masses(prof_cfg.get("c", ()), prof_cfg.get("c_weighted"))
 
     seed_config = cfg.get("seed_config")

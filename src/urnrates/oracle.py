@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import Schedule, resolve_initial
-from .simulator import run_ensemble_terminal
 
 DEFAULT_MAX_N = 14
 DEFAULT_MAX_D = 2
@@ -67,14 +66,6 @@ def _steps(schedule, n, state0):
         s = step[3] * balls + step[2] * (state0.urn_total + j)
         out.append((step, balls, s, step[1] * s))
     return out
-
-
-def _check_budget(n, d, max_n, max_d):
-    if n > max_n or d > max_d:
-        raise ValueError(
-            f"enumeration budget exceeded (n={n}, d={d}; allowed n<={max_n}, d<={max_d}); "
-            "reduce n or d, or raise max_n/max_d explicitly"
-        )
 
 
 def _count_weights(counts, step, balls, s):
@@ -133,8 +124,8 @@ def _marked_weights(key, step, balls, s):
     return out
 
 
-def enumerate_exact(n: int, d: int, schedule: Schedule, initial, *, marked: bool = False,
-                    max_n: int = DEFAULT_MAX_N, max_d: int = DEFAULT_MAX_D) -> ExactDistribution:
+def enumerate_exact(n: int, d: int, schedule: Schedule, initial, *,
+                    marked: bool = False) -> ExactDistribution:
     """Exact terminal distribution of the truncated chain, in Fractions.
 
     Each layer holds integer numerators over the one denominator
@@ -142,9 +133,12 @@ def enumerate_exact(n: int, d: int, schedule: Schedule, initial, *, marked: bool
     marked=True the state is (counts, marked_balls) for one designated
     urn that starts empty; the initial configuration must contain an
     empty urn to mark.  Every state's weights must sum to their total
-    and the atoms to 1, or RuntimeError is raised.
+    and the atoms to 1, or RuntimeError is raised.  n and d are held to
+    DEFAULT_MAX_N and DEFAULT_MAX_D.
     """
-    _check_budget(n, d, max_n, max_d)
+    if n > DEFAULT_MAX_N or d > DEFAULT_MAX_D:
+        raise ValueError(f"enumeration budget exceeded (n={n}, d={d}; allowed "
+                         f"n<={DEFAULT_MAX_N}, d<={DEFAULT_MAX_D})")
     weigh = _marked_weights if marked else _count_weights
 
     state0 = resolve_initial(initial, n, d)
@@ -198,41 +192,23 @@ def enumerate_naive(n: int, d: int, schedule: Schedule, initial) -> ExactDistrib
     return ExactDistribution(n=n, d=d, atoms=atoms, marked=False)
 
 
-def _named_event(event, d):
-    """(marked, predicate(key, n)) for a terminal event: "star" (one
-    designated initially-empty urn receives all n balls) on the marked
-    chain, "straight-road" (every ball lands in a previously empty urn)
-    or a predicate on terminal counts on the count chain."""
-    if event == "star":
-        return True, lambda key, n: key[1] == n
-    if event in ("straight-road", "straight_road"):
-        if d < 1:
-            raise ValueError("straight-road event needs d >= 1")
-        return False, lambda counts, n: counts[1] == n
-    if callable(event):
-        return False, event
-    raise ValueError(f"unknown event {event!r}")
+def star_probability(n: int, schedule: Schedule):
+    """Probability that one designated initially-empty urn receives all n
+    balls, from two empty urns at d = 2 (the marked chain)."""
+    dist = enumerate_exact(n, 2, schedule, (2, 0, 0, 0), marked=True)
+    return dist.probability(lambda key: key[1] == n)
 
 
-def star_probability(n: int, schedule: Schedule, initial=(2, 0, 0, 0),
-                     d: int = 2):
-    """Probability that one designated initially-empty urn receives all n balls."""
-    marked, predicate = _named_event("star", d)
-    return enumerate_exact(n, d, schedule, initial, marked=marked).probability(
-        lambda key: predicate(key, n))
-
-
-def straight_road_probability(n: int, schedule: Schedule, initial=(2, 0, 0, 0),
-                              d: int = 2):
-    """Probability that every ball lands in a previously empty urn."""
-    marked, predicate = _named_event("straight-road", d)
-    return enumerate_exact(n, d, schedule, initial, marked=marked).probability(
-        lambda key: predicate(key, n))
+def straight_road_probability(n: int, schedule: Schedule):
+    """Probability that every ball lands in a previously empty urn, from
+    two empty urns at d = 2."""
+    dist = enumerate_exact(n, 2, schedule, (2, 0, 0, 0))
+    return dist.probability(lambda counts: counts[1] == n)
 
 
 @dataclass(frozen=True)
 class EmpiricalRate:
-    """-(1/n) log P_n along n_list, with a Richardson-style trend readout."""
+    """-(1/n) log P_n along n_values, with a Richardson-style trend readout."""
 
     n_values: tuple
     probabilities: tuple
@@ -241,52 +217,12 @@ class EmpiricalRate:
     extrapolation_sequence: tuple
     increasing: bool
     diverging: bool
-    stderrs: tuple = ()
 
 
-def empirical_rate(event, n_list, schedule: Schedule, initial=(2, 0, 0, 0),
-                   d: int = 2, method: str = "exact",
-                   num_samples: int = 100_000, seed: int = 0,
-                   max_n: int = DEFAULT_MAX_N) -> EmpiricalRate:
-    """Finite-size rate readout -(1/n) log P_n for a terminal event.
-
-    event is "star", "straight-road", or a predicate on terminal counts.
-    method "exact" enumerates; "mc" estimates by simulation and reports
-    binomial standard errors (zero hits give a one-sided lower bound via
-    the rule of three).
-    """
-    marked, predicate = _named_event(event, d)
-    probs, stderrs = [], []
-    for n in n_list:
-        if method == "exact":
-            dist = enumerate_exact(n, d, schedule, initial, marked=marked, max_n=max_n)
-            pnf = float(dist.probability(lambda key: predicate(key, n)))
-            stderrs.append(0.0)
-        elif method == "mc":
-            if marked:
-                raise ValueError("mc mode supports count events only")
-            states, counts = run_ensemble_terminal(n, d, schedule, initial,
-                                                   num_samples, seed + n)
-            hits = sum(int(c) for row, c in zip(states, counts)
-                       if predicate(tuple(int(z) for z in row), n))
-            if hits == 0:
-                # rule of three: P <= 3/num_samples at 95%
-                pnf = 3.0 / num_samples
-                stderrs.append(float("nan"))
-            else:
-                pnf = hits / num_samples
-                stderrs.append(math.sqrt(pnf * (1 - pnf) / num_samples))
-        else:
-            raise ValueError("method must be 'exact' or 'mc'")
-        probs.append(pnf)
-    return rate_readout(n_list, probs, stderrs)
-
-
-def rate_readout(n_list, probs, stderrs=None) -> EmpiricalRate:
-    """The readout of empirical_rate on given probabilities P_n, one per n
-    in n_list: the rates -(1/n) log P_n, their Richardson sequence and
-    whether they increase and diverge.  stderrs defaults to zeros (exact
-    probabilities)."""
+def rate_readout(n_list, probs) -> EmpiricalRate:
+    """Finite-size rate readout of exact probabilities P_n, one per n in
+    n_list: the rates -(1/n) log P_n, their Richardson sequence and
+    whether they increase and diverge."""
     rates = [-math.log(pnf) / n if pnf > 0 else math.inf
              for n, pnf in zip(n_list, probs)]
     # Richardson step under the model r_n = r_inf + a/n
@@ -308,5 +244,4 @@ def rate_readout(n_list, probs, stderrs=None) -> EmpiricalRate:
         extrapolation_sequence=tuple(extrap),
         increasing=increasing,
         diverging=diverging,
-        stderrs=tuple([0.0] * len(probs) if stderrs is None else stderrs),
     )

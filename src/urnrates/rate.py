@@ -34,6 +34,7 @@ from .model import (
     InitialProfile,
     Path,
     Schedule,
+    _knot_violations,
     entropy_terms,
     selection_rates,
     sigma,
@@ -73,21 +74,12 @@ _WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])           # 7 weights
 # Panels evaluated per vectorized batch; bounds the node arrays' memory.
 _BLOCK = 256
 
-# relative_entropy's slack on negative entries and on the totals of its laws
-LAW_TOL = 1e-12
+# Bisection depths path_rate_Id may refine to
+MAX_DEPTH = 48
 
-
-def relative_entropy(w, u) -> float:
-    """KL divergence sum_k w_k log(w_k/u_k) between laws on the increments."""
-    w = np.asarray(w, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if w.shape != u.shape:
-        raise ValueError("w and u must have the same length")
-    if np.any(w < -LAW_TOL) or np.any(u < -LAW_TOL):
-        raise ValueError("negative probability")
-    if abs(math.fsum(w) - 1.0) > LAW_TOL or abs(math.fsum(u) - 1.0) > LAW_TOL:
-        raise ValueError("inputs must be normalized probability vectors")
-    return math.fsum(entropy_terms(np.maximum(w, 0.0), np.maximum(u, 0.0)))
+# Interpolated limit trajectories carry slope-sum noise at the quadrature
+# scale: _piece_laws renormalizes slope rows within this of total 1
+SLOPE_SUM_TOL = 1e-6
 
 
 def _nu0_rows(v):
@@ -103,14 +95,15 @@ def _nu0_rows(v):
     return np.maximum(w, 0.0), ok
 
 
-def _piece_laws(path: Path, sum_tol: float = 1e-6):
+def _piece_laws(path: Path, profile: InitialProfile):
     """(nu0 of each linear piece of the path, its slope renormalized to
-    total 1, or None if any piece is inadmissible (the path then costs
-    +inf); the number of slope rows rescaled).
+    total 1, or None if the path is inadmissible (it then costs +inf); the
+    number of slope rows rescaled).
 
-    Interpolated limit trajectories carry slope-sum noise at the
-    quadrature scale; rows within sum_tol of total 1 are renormalized
-    before the strict admissibility check, anything further off fails.
+    Slope rows within SLOPE_SUM_TOL of total 1 are renormalized before the
+    strict admissibility check, anything further off fails.  A path that
+    does not start at the profile or goes negative (validate_path's
+    initial_value and nonnegative rules) fails too.
     """
     slopes = path.slopes
     total = slopes.sum(axis=1, keepdims=True)
@@ -118,8 +111,9 @@ def _piece_laws(path: Path, sum_tol: float = 1e-6):
         v = slopes / total
     w, ok = _nu0_rows(v)
     off = np.abs(total[:, 0] - 1.0)
-    rescaled = int(np.count_nonzero((off > 0.0) & (off <= sum_tol)))
-    return (w if np.all(ok & (off <= sum_tol)) else None), rescaled
+    rescaled = int(np.count_nonzero((off > 0.0) & (off <= SLOPE_SUM_TOL)))
+    ok = np.all(ok & (off <= SLOPE_SUM_TOL)) and not _knot_violations(path, profile, PATH_TOL)
+    return (w if ok else None), rescaled
 
 
 def natural_law(t, phi, schedule: Schedule, profile: InitialProfile) -> np.ndarray:
@@ -186,23 +180,23 @@ class RateReport:
 
 
 def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
-                 tol: float = 1e-10, max_depth: int = 48) -> RateReport:
+                 tol: float = 1e-10) -> RateReport:
     """Adaptive Gauss-Kronrod integral of the local cost along the path.
 
     Panels start as knot intervals split at schedule breakpoints (the
     integrand jumps there), each carrying its constant minimizing law; all
     unfinished panels of one bisection depth are refined together.  A
     panel whose nodes all cost +inf is declared divergent, and isolated
-    endpoint singularities are bisected down to a width floor.  The
-    condensation charge h(nu0_{d+1}, u_{d+1}) is integrated on the panels
-    accepted for the total; refinement looks at the total only.  A tol
-    below MIN_TOL is rejected.
+    endpoint singularities are bisected down to a width floor, at most
+    MAX_DEPTH times.  The condensation charge h(nu0_{d+1}, u_{d+1}) is
+    integrated on the panels accepted for the total; refinement looks at
+    the total only.  A tol below MIN_TOL is rejected.
     """
-    if not (math.isfinite(tol) and tol >= MIN_TOL) or max_depth < 0:
-        raise ValueError(f"need finite tol >= MIN_TOL = {MIN_TOL:g} and max_depth >= 0 "
-                         f"(got {tol}, {max_depth})")
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise ValueError(f"tol must be finite and at least MIN_TOL = {MIN_TOL:g} "
+                         f"(got {tol})")
     a, b, piece = _panels(path, schedule)
-    w, renormalized = _piece_laws(path)
+    w, renormalized = _piece_laws(path, profile)
     if w is None:
         return RateReport(math.inf, math.inf, a.size, 0, True, renormalized=renormalized)
 
@@ -232,7 +226,7 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
         err = np.abs(vk - vg)
         width = b - a
         done = all_finite & (err <= tol * np.maximum(width / span, 1e-6))
-        split = ~done & (width > 1e-14 * span) & (depth < max_depth)
+        split = ~done & (width > 1e-14 * span) & (depth < MAX_DEPTH)
         # panels neither done nor split are slivers around an isolated
         # singular point: keep their finite part, count them as unresolved
         charge = half * (fc[..., 1] * _WK[None, :]).sum(axis=1)
@@ -302,7 +296,7 @@ def path_rate_exact(path: Path, schedule: Schedule, profile: InitialProfile) -> 
         raise ValueError("path_rate_exact needs a piecewise-constant schedule "
                          "(path_rate_Id integrates polynomial segments)")
     a, b, piece = _panels(path, schedule)
-    w, renormalized = _piece_laws(path)
+    w, renormalized = _piece_laws(path, profile)
     if w is None:
         return RateReport(math.inf, math.inf, a.size, 0, True, renormalized=renormalized)
 

@@ -121,7 +121,7 @@ def criterion_4(budget: str = "default") -> CheckResult:
     n_list = list(range(2, 11))
     probs = [oracle.straight_road_probability(n, sched) for n in n_list]
     bad = [n for n, p in zip(n_list, probs) if p != Fraction(1, math.factorial(n))]
-    # empirical_rate's readout on the same exact laws, each enumerated once
+    # the finite-size readout of the exact laws, each enumerated once
     emp = oracle.rate_readout(n_list, [float(p) for p in probs])
     series = rate.linear_path_rate_classical((0.0, 1.0))
     ok = (not bad) and emp.increasing and emp.diverging and math.isinf(series.value)
@@ -206,13 +206,14 @@ def criterion_7(budget: str = "default") -> CheckResult:
     return CheckResult(name, ok, details, seconds=time.perf_counter() - t0)
 
 
-def _random_admissible_path(rng, d: int, num_segments: int = 3) -> Path:
-    """Piecewise-linear admissible path from the empty state.
+def _random_admissible_path(rng, d: int) -> Path:
+    """Piecewise-linear admissible path from the empty state, in three
+    pieces.
 
     Slopes are sampled through the bijection with decreasing probability
     vectors: sort a Dirichlet draw on the first d+1 slots and map back.
     """
-    cuts = np.sort(rng.uniform(0.05, 0.95, size=num_segments - 1))
+    cuts = np.sort(rng.uniform(0.05, 0.95, size=2))
     knots = np.concatenate([[0.0], cuts, [1.0]])
     values = np.zeros((knots.size, d + 2))
     for k in range(knots.size - 1):

@@ -324,6 +324,24 @@ CLASSICAL_SPEC = [{"t_start": 0.0, "p": 0.0, "beta": 1.0}]
                  id="config-seed-config-without-schedule"),
     pytest.param(["simulate", "--n", "10"], None, {"profile": {"c": [0.001]}},
                  id="config-profile-without-schedule"),
+    # config values of the wrong type
+    pytest.param(["rate", "--preset", "star"], None, {"rate": 5}, id="config-section-number"),
+    pytest.param(["rate"], None, {"rate": {"preset": 5}}, id="config-preset-number"),
+    pytest.param(["rate"], None, {"rate": {"path_csv": 2}}, id="config-path-csv-number"),
+    pytest.param(["lln"], None, {"schedule": [{"t_start": 0.0, "p": 0.0}]},
+                 id="config-schedule-entry-without-beta"),
+    pytest.param(["lln"], None, {"schedule": CLASSICAL_SPEC, "profile": {"c": 0.3}},
+                 id="config-profile-c-number"),
+    pytest.param(["lln"], None, {"schedule": [{"t_start": 0.0, "p": None, "beta": 1.0}]},
+                 id="config-schedule-p-null"),
+    pytest.param(["simulate"], None, {"schedule": CLASSICAL_SPEC, "seed_config": 5},
+                 id="config-seed-config-number"),
+    pytest.param(["lln"], None, {"schedule": [{"t_start": 0.0, "p": "0", "beta": "12"}]},
+                 id="config-schedule-beta-text"),
+    # a law preset's straight path starts empty, not at the profile
+    pytest.param(["rate", "--preset", "star"], None,
+                 {"schedule": CLASSICAL_SPEC, "profile": {"c": [0.3, 0.1, 0.05]}},
+                 id="rate-star-from-profile"),
 ])
 def test_malformed_input_exits_two(tmp_path, argv, csv_text, config):
     if csv_text is not None:

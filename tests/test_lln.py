@@ -456,12 +456,12 @@ def test_envelopes_collapse_for_constant_schedule():
 
 def test_star_and_dirac_laws():
     star = star_law()
-    assert_allclose(star.gamma(), [1.0])
+    assert_allclose(star.values, [1.0])
     assert star.total() == 1.0 and star.mean() == 1.0
     road = dirac_law(2)
-    assert_allclose(road.gamma(), [0.0, 1.0])
+    assert_allclose(road.values, [0.0, 1.0])
     assert road.mean() == 2.0
-    assert_allclose(dirac_law(1).gamma(), star.gamma())
+    assert_allclose(dirac_law(1).values, star.values)
     with pytest.raises(ValueError):
         dirac_law(0)
 
@@ -470,7 +470,7 @@ def test_geometric_law_calibration():
     g = geometric_law()
     assert_allclose(g.total(), 1.0, atol=1e-15)
     assert_allclose(g.mean(), 2.0, atol=1e-14)
-    assert_allclose(g.gamma()[:4], [0.5, 0.25, 0.125, 0.0625])
+    assert_allclose(g.values[:4], [0.5, 0.25, 0.125, 0.0625])
 
 
 @pytest.mark.parametrize("r", [0.5, 0.7, 0.8])

@@ -1,15 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path as FsPath
 
 import pytest
 from numpy.testing import assert_allclose
 
+import urnrates
 from urnrates import oracle
 from urnrates.model import Schedule
 from urnrates.oracle import (
-    empirical_rate,
     enumerate_exact,
     enumerate_naive,
+    rate_readout,
     star_probability,
     straight_road_probability,
 )
@@ -116,38 +121,51 @@ def test_invalid_initial_counts_are_rejected(counts):
         enumerate_naive(3, 2, CLASSICAL, counts)
 
 
-def test_enumeration_budget_guard():
+def test_enumeration_budget_guard(monkeypatch):
     with pytest.raises(ValueError, match="budget"):
         enumerate_exact(15, 1, CLASSICAL, (2, 0, 0))
-    assert enumerate_exact(16, 1, CLASSICAL, (2, 0, 0), max_n=16).total() == 1
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_exact(3, 3, CLASSICAL, (2, 0, 0, 0, 0))
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_N", 16)
+    assert enumerate_exact(16, 1, CLASSICAL, (2, 0, 0)).total() == 1
     with pytest.raises(ValueError):
         enumerate_naive(7, 1, CLASSICAL, (2, 0, 0))
 
 
 def test_empirical_rate_star_is_flat_log2():
-    out = empirical_rate("star", [2, 4, 6, 8], CLASSICAL)
+    n_list = [2, 4, 6, 8]
+    out = rate_readout(n_list, [float(star_probability(n, CLASSICAL)) for n in n_list])
     assert_allclose(out.rates, math.log(2.0), rtol=1e-12)
     assert_allclose(out.extrapolated, math.log(2.0), rtol=1e-12)
     assert not out.increasing and not out.diverging
 
 
 def test_empirical_rate_road_diverges():
-    out = empirical_rate("straight-road", [2, 4, 6, 8, 10], CLASSICAL)
-    expected = [math.log(math.factorial(n)) / n for n in (2, 4, 6, 8, 10)]
+    n_list = [2, 4, 6, 8, 10]
+    out = rate_readout(n_list, [float(straight_road_probability(n, CLASSICAL))
+                                for n in n_list])
+    expected = [math.log(math.factorial(n)) / n for n in n_list]
     assert_allclose(out.rates, expected, rtol=1e-12)
     assert out.increasing and out.diverging
 
 
-def test_rate_readout_on_exact_probabilities_matches_empirical_rate():
-    n_list = [2, 4, 6, 8, 10]
-    probs = [float(straight_road_probability(n, CLASSICAL)) for n in n_list]
-    assert oracle.rate_readout(n_list, probs) == empirical_rate(
-        "straight-road", n_list, CLASSICAL)
-
-
-def test_empirical_rate_mc_agrees_with_exact():
-    event = lambda counts, n: counts[1] >= n // 2
-    exact = empirical_rate(event, [6], CLASSICAL, d=1, initial=(2, 0, 0))
-    mc = empirical_rate(event, [6], CLASSICAL, d=1, initial=(2, 0, 0),
-                        method="mc", num_samples=60_000, seed=2)
-    assert abs(mc.probabilities[0] - exact.probabilities[0]) <= 4 * mc.stderrs[0]
+def test_oracle_never_loads_the_simulator():
+    # the exact oracle is the simulator's independent check: a fresh
+    # interpreter that enumerates and reads out rates with it must not have
+    # imported the simulator
+    src = str(FsPath(urnrates.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = """
+import sys
+from urnrates import oracle
+from urnrates.model import Schedule
+sched = Schedule.constant(0.0, 1.0)
+oracle.rate_readout([2, 3], [float(oracle.straight_road_probability(n, sched)) for n in (2, 3)])
+oracle.star_probability(3, sched)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("urnrates"))))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "urnrates.oracle" in loaded and "urnrates.simulator" not in loaded

@@ -32,7 +32,6 @@ from urnrates.rate import (
     path_rate_Id,
     path_rate_Iinf,
     project_path,
-    relative_entropy,
 )
 from urnrates.verify import _random_admissible_path, classical_schedule, figure1_schedule
 
@@ -83,14 +82,11 @@ def test_natural_law_degenerate_at_zero():
 
 
 def test_relative_entropy_properties():
+    # KL(w | u) as the local cost sums it: the entropy terms over the moves
     w = np.array([0.5, 0.25, 0.25])
-    assert relative_entropy(w, w) == 0.0
-    assert relative_entropy(w, [0.25, 0.5, 0.25]) > 0.0
-    assert relative_entropy(w, [0.5, 0.5, 0.0]) == math.inf
-    with pytest.raises(ValueError):
-        relative_entropy(w, [0.5, 0.25])
-    with pytest.raises(ValueError):
-        relative_entropy([0.7, 0.2, 0.2], w)
+    assert entropy_terms(w, w).sum() == 0.0
+    assert entropy_terms(w, np.array([0.25, 0.5, 0.25])).sum() > 0.0
+    assert entropy_terms(w, np.array([0.5, 0.5, 0.0])).sum() == math.inf
 
 
 # --------------------------------------------------- zero-cost reference
@@ -371,8 +367,9 @@ def test_deep_refinement_matches_quad():
     assert abs(rep.value - singular_reference()) <= 1e-12
 
 
-def test_depth_limit_counts_floor_hit_within_error():
-    rep = path_rate_Id(SINGULAR, CLASSICAL, EMPTY, max_depth=10)
+def test_depth_limit_counts_floor_hit_within_error(monkeypatch):
+    monkeypatch.setattr(rate, "MAX_DEPTH", 10)
+    rep = path_rate_Id(SINGULAR, CLASSICAL, EMPTY)
     assert rep.floor_hits == 1 and rep.deepest == 10
     assert abs(rep.value - singular_reference()) <= rep.error
 
@@ -466,22 +463,40 @@ def test_exact_route_diverges_where_kronrod_does():
     slope = np.array([0.5, 0.25, 0.25])
     negative = Path.from_knots([0.0, 1e-6, 1.0],
                                [start, start + 1e-6 * slope, start + slope])
-    assert rate._piece_laws(negative)[0] is not None
+    assert rate._piece_laws(negative, EMPTY)[0] is not None
     quad = path_rate_Id(negative, CLASSICAL, EMPTY)
     assert quad.diverged and math.isinf(quad.value) and quad.deepest == 22
     # the nonempty profile's limit path at d = 5, rejected by _piece_laws
     profile = InitialProfile.from_masses((0.3, 0.1, 0.05))
     rejected = solve_lln_closed(5, CLASSICAL, profile, rel_spacing=2e-3).path()
-    assert rate._piece_laws(rejected)[0] is None
-    for path, prof in ((negative, EMPTY), (rejected, profile)):
+    assert rate._piece_laws(rejected, profile)[0] is None
+    # a path that does not start at the profile: without the start rule the
+    # exact route wrote -0.3466 (phi_0 = 0.5 against sigma = 0 at t = 0)
+    away = Path.from_knots([0.0, 1.0], [[0.5, 0.0, 0.0], [1.0, 0.25, 0.25]])
+    assert rate._piece_laws(away, EMPTY)[0] is None
+    for path, prof in ((negative, EMPTY), (rejected, profile), (away, EMPTY)):
         exact = path_rate_exact(path, CLASSICAL, prof)
         assert exact.diverged and math.isinf(exact.value) and math.isinf(exact.condensation)
-        assert path_rate_Id(path, CLASSICAL, prof).diverged
+        quad = path_rate_Id(path, CLASSICAL, prof)
+        assert quad.diverged and math.isinf(quad.value)
     # the law never reads the aggregate slot's own value, only its complement
     start = np.array([0.0, 0.0, -1e-13])
     below = Path.from_knots([0.0, 1e-6, 1.0], [start, start + 1e-6 * slope, start + slope])
     exact, quad = path_rate_exact(below, CLASSICAL, EMPTY), path_rate_Id(below, CLASSICAL, EMPTY)
     assert not exact.diverged and abs(exact.value - quad.value) <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "phi_1 < 0 on the sliver [0, 4e-13] while w_1 = 0.25: path_rate_exact "
+    "reads the panel end and returns inf, while no Kronrod node lands in the "
+    "sliver and path_rate_Id returns 0.1733; the start is within PATH_TOL, so "
+    "both routes and validate_path accept the path"))
+def test_routes_agree_on_a_sliver_below_zero():
+    start = np.array([0.0, -1e-13, 0.0])
+    sliver = Path.from_knots([0.0, 1.0], [start, start + np.array([0.5, 0.25, 0.25])])
+    exact, quad = path_rate_exact(sliver, CLASSICAL, EMPTY), path_rate_Id(sliver, CLASSICAL, EMPTY)
+    assert exact.diverged == quad.diverged
+    assert exact.value == quad.value or abs(exact.value - quad.value) <= 1e-13
 
 
 def test_exact_route_rejects_polynomial_schedules():
@@ -530,18 +545,14 @@ def test_target_profile_rejections():
 def test_rate_arguments_are_checked():
     path = linear_target_path(star_law(), 2)
     # 1e-300 would split every panel down to the width floor: rejected
-    # before any panel is evaluated (max_depth bounds the work if it is not)
+    # before any panel is evaluated
     for bad in (0.0, -1.0, math.nan, math.inf, 1e-300, 0.5 * MIN_TOL):
         with pytest.raises(ValueError, match="tol"):
-            path_rate_Id(path, CLASSICAL, EMPTY, tol=bad, max_depth=8)
+            path_rate_Id(path, CLASSICAL, EMPTY, tol=bad)
         with pytest.raises(ValueError, match="tol"):
             path_rate_Iinf(star_law(), CLASSICAL, EMPTY, tol=bad)
     # the floor itself is met: no panel is split down to the width floor
     assert path_rate_Id(path, CLASSICAL, EMPTY, tol=MIN_TOL).floor_hits == 0
-    with pytest.raises(ValueError, match="max_depth"):
-        path_rate_Id(path, CLASSICAL, EMPTY, max_depth=-1)
-    # the boundary values stay accepted
-    assert path_rate_Id(path, CLASSICAL, EMPTY, max_depth=0).deepest == 0
 
 
 def test_slope_sum_noise_tolerance():
