@@ -14,10 +14,12 @@ flat arrays over the cells of one graded grid, in two phases.  The
 kernel build (LLNKernel) takes the grid, the Gauss weights, p, beta and
 sigma at the nodes and the decay integrals of every cell once (exact
 logarithms on constant schedule segments, Gauss rules on polynomial
-ones), each per-node array node-major, (15, cells).  Level propagation
-then runs one affine scan across the cells per level; no level depends
-on the truncation d, so one kernel serves every d, propagating each
-level once.  Each level reaches the next through monotone
+ones).  Arrays over the nodes are node-major, (15, cells); where each
+cell holds one value, as p and beta do on a piecewise-constant
+schedule, they are (1, cells) rows that broadcast against them.  Level
+propagation then runs one affine scan across the cells per level, in
+two reused node arrays; no level depends on the truncation d, so one
+kernel serves every d, propagating each level once.  Each level reaches the next through monotone
 (Fritsch-Carlson) cubics, built here from their slopes and evaluated on
 the Gauss nodes' offsets in their cells, fixed for the kernel.  Beside
 it are an independent route that integrates the ODE system directly by
@@ -138,15 +140,18 @@ def graded_grid(schedule: Schedule, profile: InitialProfile, rel_spacing: float 
         length = b - a
         beta_a = float(schedule.coefficients(a)[1])
         age0 = float(sigma(profile, a, beta_a)) / (1.0 + beta_a)
+        floor = rel_floor * length
         nodes = [a]
-        t = a + max(rel_spacing * age0, rel_floor * length)
+        append = nodes.append
+        t = a + max(rel_spacing * age0, floor)
         while t < b:
             if len(nodes) >= MAX_CELLS_PER_SEGMENT:
                 raise ValueError(f"segment [{a}, {b}] needs over {MAX_CELLS_PER_SEGMENT} "
                                  f"cells at rel_spacing {rel_spacing}")
-            nodes.append(t)
-            t += max(rel_spacing * (t - a + age0), rel_floor * length)
-        nodes.append(b)
+            append(t)
+            step = rel_spacing * (t - a + age0)
+            t += floor if floor > step else step    # max(step, floor)
+        append(b)
         pts.append(np.asarray(nodes))
     grid = np.unique(np.concatenate(pts))
     return grid[(grid >= 0.0) & (grid <= 1.0)]
@@ -155,18 +160,29 @@ def graded_grid(schedule: Schedule, profile: InitialProfile, rel_spacing: float 
 def _inflow(level, p, beta, zprev, sig):
     """Source g_level of the closed form: 1-p at level 0, the new-urn ball
     plus the flux out of level 0 at level 1, and the flux out of level
-    level-1 above that.  Level d+1 is the flux into the aggregate slot."""
+    level-1 above that.  Level d+1 is the flux into the aggregate slot.
+    Above level 0 the source is written over zprev, an array."""
     if level == 0:
         return 1.0 - p
-    g = (1.0 - p) * (level - 1 + beta) * zprev / sig
-    return p + g if level == 1 else g
+    g = np.multiply((1.0 - p) * (level - 1 + beta), zprev, out=zprev)
+    g /= sig
+    return np.add(p, g, out=g) if level == 1 else g
 
 
 def _node_sums(f):
     """Sum over the 15 nodes of each cell of a node-major (15, K) array,
-    taken on a contiguous (K, 15) copy so that every cell's terms are
-    added in the order numpy adds a contiguous row."""
-    return np.ascontiguousarray(f.T).sum(axis=1)
+    adding every cell's terms in the order numpy sums a contiguous row of
+    15: from 0.0, the first eight pairwise, then the other seven in turn."""
+    s = f[0] + f[1]
+    t = f[2] + f[3]
+    s += t
+    np.add(f[4], f[5], out=t)
+    t += f[6] + f[7]
+    s += t
+    s += 0.0
+    for q in range(8, 15):
+        s += f[q]
+    return s
 
 
 def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, weights, const):
@@ -235,7 +251,7 @@ def _singular_first_cell(level, h, p, beta, prev_cubic):
     u = 0.5 + 0.5 * _GL_X
     s = h * u ** (1.0 / (kappa + 1.0))
     zprev = np.empty(s.size)
-    _on_offsets([c[:1] for c in prev_cubic], s[:, None], zprev[:, None])
+    _on_offsets([c[:1] for c in prev_cubic], _powers(s), zprev, np.empty(s.size))
     g = _inflow(level, p, beta, zprev, (1.0 + beta) * s)
     return h / (kappa + 1.0) * float((0.5 * _GL_W * g).sum())
 
@@ -281,40 +297,58 @@ def _pchip(x, y):
 
 
 def _segment_cubics(fine, cells, z):
-    """One monotone cubic per schedule segment, keyed by segment index;
-    cells maps each index to the slice of its cells.
+    """The coefficients (c0, c1, c2, c3) of every cell's piece, built by
+    one monotone cubic per schedule segment; cells maps each segment to
+    the slice of its cells, which together run over the grid in order.
 
     The solution has slope kinks at the breakpoints; a single interpolant
     over the whole grid would leak them into the neighboring cells through
     the derivative estimates at the shared nodes.
     """
-    return {k: _pchip(fine[c.start : c.stop + 1], z[c.start : c.stop + 1])
-            for k, c in cells.items()}
+    pieces = [_pchip(fine[c.start : c.stop + 1], z[c.start : c.stop + 1])
+              for c in cells.values()]
+    return tuple(np.concatenate(col) for col in zip(*pieces))
 
 
-def _on_offsets(cubic, dx, out):
-    """The cubic's pieces at offsets dx (nodes, cells) from each cell's
-    left end, written to out.  The terms are summed from 0.0 up in scipy
-    PPoly's order, so the values are its interpolant's to the last bit."""
-    c0, c1, c2, c3 = (c[None, :] for c in cubic)    # c0 multiplies dx**3
-    np.add(0.0 + c3, c2 * dx, out=out)
-    power = dx * dx
-    out += c1 * power
-    power *= dx
-    out += c0 * power
+def _powers(dx):
+    """(dx, dx**2, dx**3), each power one product on the last."""
+    square = dx * dx
+    return dx, square, square * dx
+
+
+def _on_offsets(cubic, powers, out, buf):
+    """The cubic's pieces at the offsets from each cell's left end whose
+    _powers are given, (nodes, cells) or (nodes,) for one cell, written to
+    out; buf, of out's shape, is overwritten.  The terms are summed from
+    0.0 up in scipy PPoly's order, so the values are its interpolant's to
+    the last bit."""
+    c0, c1, c2, c3 = cubic    # c0 multiplies dx**3
+    dx, square, cube = powers
+    np.multiply(c2, dx, out=out)
+    out += 0.0 + c3
+    out += np.multiply(c1, square, out=buf)
+    out += np.multiply(c0, cube, out=buf)
 
 
 def _affine_scan(z0, m, c):
     """z[0] = z0 and z[k+1] = m[k]*z[k] + c[k], by log2(K) doubling passes
     that compose the affine steps pairwise; every m and c is >= 0, so no
-    pass cancels."""
-    m, c = m.copy(), c.copy()
+    pass cancels.  m and c are overwritten."""
+    size = m.size
+    spare = np.empty(size)
     shift = 1
-    while shift < m.size:
-        c[shift:] += m[shift:] * c[:-shift]
-        m[shift:] *= m[:-shift]
+    while shift < size:
+        rest = size - shift
+        c[shift:] += np.multiply(m[shift:], c[:rest], out=spare[:rest])
+        np.multiply(m[shift:], m[:rest], out=spare[shift:])
+        spare[:shift] = m[:shift]
+        m, spare = spare, m
         shift *= 2
-    return np.concatenate([[z0], z0 * m + c])
+    z = np.empty(size + 1)
+    z[0] = z0
+    np.multiply(z0, m, out=z[1:])
+    z[1:] += c
+    return z
 
 
 def _times(grid) -> np.ndarray:
@@ -329,16 +363,18 @@ class LLNKernel:
     """The d-independent part of the closed form on one graded grid.
 
     Built once per (schedule, profile, grid arguments): the grid, the Gauss
-    weights, p, beta and sigma at the nodes, the decay integrals and the
-    nodes' offsets in their cells.  Every per-node array is node-major,
-    (15, K), so the level loop broadcasts along the long cell axis.
-    Levels are computed in increasing i by propagating across the cells;
-    each level's values are kept on the full grid and fed to the next
-    level through a monotone cubic interpolant.  Level i never depends on
-    d, so solve(d) propagates only the levels no earlier call reached,
-    then adds depth d's aggregate slot: level d+1's recurrence without
-    decay.  If grid is given, it is merged into the computation grid and
-    each solution is returned restricted to it.
+    weights, sigma at the nodes, the negated decay integrals and the
+    powers of the nodes' offsets in their cells, each node-major (15, K),
+    so the level loop broadcasts along the long cell axis.  p and beta are
+    (1, K) rows taken at the cell midpoints on a piecewise-constant
+    schedule, whose cells each hold one value, and (15, K) at the nodes
+    otherwise.  Levels are computed in increasing i by propagating across
+    the cells; each level's values are kept on the full grid and fed to
+    the next level through a monotone cubic interpolant.  Level i never
+    depends on d, so solve(d) propagates only the levels no earlier call
+    reached, then adds depth d's aggregate slot: level d+1's recurrence
+    without decay.  If grid is given, it is merged into the computation
+    grid and each solution is returned restricted to it.
     """
 
     def __init__(self, schedule: Schedule, profile: InitialProfile, grid=None,
@@ -349,20 +385,25 @@ class LLNKernel:
                            extra=self.requested)
         lo, hi = fine[:-1], fine[1:]
         half = 0.5 * (hi - lo)
-        nodes = (0.5 * (hi + lo))[None, :] + half[None, :] * _GL_X[:, None]  # (15, K)
+        mid = 0.5 * (hi + lo)
+        nodes = mid[None, :] + half[None, :] * _GL_X[:, None]  # (15, K)
         self.weights = half[None, :] * _GL_W[:, None]
-        self.p, self.beta = schedule.coefficients(nodes)
+        self.p, self.beta = schedule.coefficients(
+            mid[None, :] if schedule.is_piecewise_constant else nodes)
         self.sig = sigma(profile, nodes, self.beta)
 
         # cells of one segment are contiguous: the grid holds every breakpoint
-        seg_idx = schedule.segment_index(0.5 * (lo + hi))
+        seg_idx = schedule.segment_index(mid)
         self.cells = {k: slice(*np.searchsorted(seg_idx, [k, k + 1]).tolist())
                       for k in np.unique(seg_idx).tolist()}
         const = np.array([s.is_constant for s in schedule.segments])[seg_idx]
-        self.W1_cell, self.W2_cell, self.W1_nodes, self.W2_nodes = _decay_integrals(
+        self.W1_cell, self.W2_cell, W1_nodes, W2_nodes = _decay_integrals(
             schedule, profile, lo, hi, nodes, self.p, self.beta, self.sig,
             self.weights, const)
-        self.dx = nodes - lo[None, :]    # the nodes' offsets in their cells
+        # -W at the nodes, so a level's decay is exp(i*(-W1) + (-W2))
+        self.W1_neg = np.negative(W1_nodes, out=W1_nodes)
+        self.W2_neg = np.negative(W2_nodes, out=W2_nodes)
+        self.powers = _powers(nodes - lo[None, :])    # of the nodes' offsets in their cells
         self.grid = fine
 
         seg0 = schedule.segments[0]
@@ -372,38 +413,41 @@ class LLNKernel:
             self.singular0 = float(seg0.p_coeffs[0]), float(seg0.beta_coeffs[0])
         self.levels = []         # level i's values on the grid, i < len(levels)
 
-    def _contrib(self, i, m_nodes):
-        """Per cell, the node sum of weight * g_i * m_nodes, with g_i read
-        off level i-1's cubics; also returns those cubics (None at i = 0)."""
-        cubics = zprev = None
+    def _contrib(self, i, decay, z, buf):
+        """Per cell, the node sum of weight * g_i, times the level's decay
+        exp(-(i*W1 + W2)) at the nodes if decay is set, with g_i read off
+        level i-1's cubics; also returns those cubics (None at i = 0).
+        z and buf are (15, K) arrays, overwritten."""
+        cubic = None
         if i > 0:
-            cubics = _segment_cubics(self.grid, self.cells, self.levels[i - 1])
-            zprev = np.empty(self.dx.shape)
-            for k, c in self.cells.items():
-                _on_offsets(cubics[k], self.dx[:, c], zprev[:, c])
-        f = self.weights * _inflow(i, self.p, self.beta, zprev, self.sig)
-        if m_nodes is not None:
-            f *= m_nodes
-        return _node_sums(f), cubics
+            cubic = _segment_cubics(self.grid, self.cells, self.levels[i - 1])
+            _on_offsets(cubic, self.powers, z, buf)
+        f = np.multiply(self.weights, _inflow(i, self.p, self.beta, z, self.sig), out=z)
+        if decay:
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(i, self.W1_neg, out=buf)
+                buf += self.W2_neg
+                f *= np.exp(buf, out=buf)
+        return _node_sums(f), cubic
 
     def solve(self, d: int) -> LLNSolution:
         """Limit trajectory truncated at d: levels 0..d and the aggregate slot."""
         if d < 0:
             raise ValueError("d must be >= 0")
+        z, buf = np.empty(self.W1_neg.shape), np.empty(self.W1_neg.shape)
         for i in range(len(self.levels), d + 1):
             with np.errstate(over="ignore", invalid="ignore"):
                 e_cell = i * self.W1_cell + self.W2_cell
                 # 0 * inf from the sigma(0) = 0 cell: the kernel still vanishes
                 m_cell = np.exp(-np.where(np.isnan(e_cell), np.inf, e_cell))
-                m_nodes = np.exp(-(i * self.W1_nodes + self.W2_nodes))
-            contrib, cubics = self._contrib(i, m_nodes)
+            contrib, cubic = self._contrib(i, True, z, buf)
             if self.singular0 is not None:
-                contrib[0] = _singular_first_cell(
-                    i, self.grid[1], *self.singular0, None if cubics is None else cubics[0])
+                contrib[0] = _singular_first_cell(i, self.grid[1], *self.singular0, cubic)
             self.levels.append(_affine_scan(self.profile.truncated(i)[i], m_cell, contrib))
         # the aggregate slot integrates its inflow without decay, and its
         # integrand carries no kernel singularity at t = 0
-        contrib, _ = self._contrib(d + 1, None)
+        contrib, _ = self._contrib(d + 1, False, z, buf)
+        del z, buf    # before the solution's values are stacked
         aggregate = _affine_scan(self.profile.truncated(d)[d + 1],
                                  np.ones(contrib.size), contrib)
         values = np.column_stack(self.levels[: d + 1] + [aggregate])

@@ -558,5 +558,10 @@ def config_from_dict(cfg: dict):
 
     seed_config = cfg.get("seed_config")
     if seed_config is not None:
-        seed_config = tuple(int(z) for z in seed_config)
+        # bool is an int subclass, and int() would truncate 2.7 to 2 urns
+        if not isinstance(seed_config, (list, tuple)) or not all(
+                isinstance(z, int) and not isinstance(z, bool) for z in seed_config):
+            raise ValueError(f"seed_config must be a list of integer counts "
+                             f"(got {seed_config!r})")
+        seed_config = tuple(seed_config)
     return schedule, profile, seed_config

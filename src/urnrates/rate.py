@@ -268,10 +268,15 @@ def _log_affine(lo, hi):
     with np.errstate(divide="ignore", invalid="ignore"):
         r = small / big
         e = (big - small) / big
-        q = np.where(r > 0.0, 1.0 + r * np.log(r) / e, 1.0)
-    near = e < _TAYLOR_BELOW
-    if near.any():
-        q[near] = np.polyval(_Q_TAYLOR, e[near]) * e[near]
+        q = np.zeros_like(e)
+        for coef in _Q_TAYLOR:    # the series by Horner's rule, as np.polyval
+            q *= e
+            q += coef
+        q *= e
+        far = ~(e < _TAYLOR_BELOW)    # the closed form, the only logs taken
+        if far.any():
+            r_far = r[far]
+            q[far] = np.where(r_far > 0.0, 1.0 + r_far * np.log(r_far) / e[far], 1.0)
     return big, q
 
 

@@ -336,6 +336,13 @@ CLASSICAL_SPEC = [{"t_start": 0.0, "p": 0.0, "beta": 1.0}]
                  id="config-schedule-p-null"),
     pytest.param(["simulate"], None, {"schedule": CLASSICAL_SPEC, "seed_config": 5},
                  id="config-seed-config-number"),
+    # a count must be an integer: 2.7 used to start from 2 urns, true from 1
+    pytest.param(["simulate", "--n", "10"], None,
+                 {"schedule": CLASSICAL_SPEC, "seed_config": [2.7, 0, 0, 0, 0, 0, 0]},
+                 id="config-seed-config-fraction"),
+    pytest.param(["simulate", "--n", "10"], None,
+                 {"schedule": CLASSICAL_SPEC, "seed_config": [True, 1, 0, 0, 0, 0, 0]},
+                 id="config-seed-config-bool"),
     pytest.param(["lln"], None, {"schedule": [{"t_start": 0.0, "p": "0", "beta": "12"}]},
                  id="config-schedule-beta-text"),
     # a law preset's straight path starts empty, not at the profile

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -196,11 +198,12 @@ def test_ode_step_cap_raises_naming_the_interval(monkeypatch):
     (TWO_PHASE, EMPTY), (THREE, InitialProfile.from_masses((0.3, 0.1, 0.05)))],
     ids=["figure1", "polynomial"])
 def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
-    # every level's monotone cubics are evaluated on the Gauss nodes' fixed
-    # offsets in their cells, node-major (15, cells); the values must be
-    # scipy's PchipInterpolator's at the nodes to the last bit, segment by
-    # segment, and at the substituted nodes of the singular first cell
-    # (figure 1 starts at sigma(0) = 0)
+    # every level builds one monotone cubic per schedule segment and
+    # evaluates them on the Gauss nodes' fixed offsets in every cell at
+    # once, node-major (15, cells); the values must be scipy's
+    # PchipInterpolator's at the nodes to the last bit, segment by segment,
+    # and at the substituted nodes of the singular first cell (figure 1
+    # starts at sigma(0) = 0)
     from scipy.interpolate import PchipInterpolator
 
     d = 6
@@ -208,31 +211,36 @@ def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
     lo, hi = fine[:-1], fine[1:]
     nodes = (0.5 * (hi + lo))[None, :] + (0.5 * (hi - lo))[None, :] * lln._GL_X[:, None]
     pchip, on_offsets = lln._pchip, lln._on_offsets
-    built, starts, singular = [], [], []
+    segments = len(sched.segments)
+    built, levels, singular = [], [], []
 
     def recorded(x, y):
-        cubic = pchip(x, y)
-        built.append((cubic, PchipInterpolator(x, y), int(np.searchsorted(fine, x[0]))))
-        return cubic
+        built.append((PchipInterpolator(x, y), int(np.searchsorted(fine, x[0])), x.size - 1))
+        return pchip(x, y)
 
-    def checked(cubic, dx, out):
-        on_offsets(cubic, dx, out)
-        found = [(interp, start) for c, interp, start in built if c is cubic]
-        if found:
-            interp, start = found[0]
-            assert dx.shape == (15, out.shape[1])
-            assert_array_equal(out, interp(nodes[:, start : start + dx.shape[1]]))
-            starts.append(start)
+    def checked(cubic, powers, out, buf):
+        on_offsets(cubic, powers, out, buf)
+        level = built[-segments:]    # this level's cubics, in segment order
+        if out.shape == nodes.shape:
+            starts = [start for _, start, _ in level]
+            sizes = [size for *_, size in level]
+            # the segments' cells run over the whole grid in order
+            assert starts == [sum(sizes[:j]) for j in range(segments)]
+            assert sum(sizes) == nodes.shape[1]
+            for interp, start, size in level:
+                cells = slice(start, start + size)
+                assert_array_equal(out[:, cells], interp(nodes[:, cells]))
+            levels.append(starts)
         else:    # the first segment's first cell, which starts at t = 0
-            interp = built[-len(sched.segments)][1]
-            assert_array_equal(out, interp(dx))
-            singular.append(dx.shape)
+            assert_array_equal(out, level[0][0](powers[0]))
+            singular.append(out.shape)
 
     monkeypatch.setattr(lln, "_pchip", recorded)
     monkeypatch.setattr(lln, "_on_offsets", checked)
     solve_lln_closed(d, sched, prof)
-    assert len(starts) == (d + 1) * len(sched.segments)
-    assert singular == ([(15, 1)] * d if prof.c_total == 0.0 else [])
+    assert len(built) == (d + 1) * segments
+    assert len(levels) == d + 1 and all(len(starts) == segments for starts in levels)
+    assert singular == ([(15,)] * d if prof.c_total == 0.0 else [])
 
 
 @pytest.mark.parametrize("grid", [None, np.array([0.0, 0.005, 0.01, 0.3, 0.55, 1.0])],
@@ -251,6 +259,37 @@ def test_one_kernel_matches_separate_solves(sched, prof, grid):
         assert_array_equal(got.grid, want.grid)
         assert_array_equal(got.values, want.values)
     assert len(kernel.levels) == 21
+
+
+@pytest.mark.parametrize("cells", [1, 7, 13_524])
+def test_node_sums_add_in_numpys_row_order(cells):
+    # the level loop sums each cell's 15 node terms by row adds that must
+    # reproduce numpy's sum over a contiguous row bit for bit, signed zeros
+    # included; a numpy that reorders its pairwise sum fails here
+    rng = np.random.default_rng(cells)
+    f = rng.standard_normal((15, cells)) * 10.0 ** rng.integers(-300, 300, (15, cells))
+    f[rng.random((15, cells)) < 0.1] = 0.0
+    f[rng.random((15, cells)) < 0.1] = -0.0
+    f[:, 3::7] = -0.0    # a cell of -0.0 terms sums to 0.0
+    want = np.ascontiguousarray(f.T).sum(axis=1)
+    assert lln._node_sums(f).tobytes() == want.tobytes()
+
+
+def test_level_loop_memory_is_the_levels_and_a_few_node_arrays():
+    # above the built kernel, solve(20) on figure 1's criterion-1 grid
+    # holds the 21 levels it keeps, two (15, K) scratch arrays and
+    # per-cell rows: 3.0 node arrays besides the levels, measured (a loop
+    # that allocates its node arrays afresh each level reads 4.7)
+    kernel = lln.LLNKernel(TWO_PHASE, EMPTY, rel_spacing=2e-3)
+    cells = kernel.grid.size - 1
+    tracemalloc.start()
+    try:
+        kernel.solve(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    levels = 21 * (cells + 1) * 8
+    assert peak <= levels + 3.5 * 15 * cells * 8
 
 
 def _pchip_cases():

@@ -35,7 +35,11 @@ POLYNOMIAL = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
                            {"t_start": 0.3, "p": [0.1, 0.2], "beta": [1.0, 0.5]},
                            {"t_start": 0.7, "p": 0.2, "beta": 2.0}],
               "profile": {"c": [0.3, 0.1, 0.05]}}
-CONFIGS = {"figure1.json": FIGURE1, "polynomial.json": POLYNOMIAL}
+# two constant segments with p > 0, from a nonempty profile
+TWO_STEP = {"schedule": [{"t_start": 0, "p": 0.2, "beta": 1.5},
+                         {"t_start": 0.4, "p": 0.05, "beta": 0.5}],
+            "profile": {"c": [0.3, 0.1, 0.05]}}
+CONFIGS = {"figure1.json": FIGURE1, "polynomial.json": POLYNOMIAL, "two-step.json": TWO_STEP}
 
 RUNS = [
     ("simulate-figure1-n20000", ["simulate", "--preset", "figure1", "--n", "20000"]),
@@ -60,6 +64,9 @@ RUNS = [
     # the Gauss-Kronrod route, which polynomial segments take
     ("rate-lln-polynomial-d2",
      ["rate", "--config", "polynomial.json", "--preset", "lln", "--d", "2"]),
+    # the exact route with p > 0 from a nonempty profile
+    ("rate-lln-two-step-d2",
+     ["rate", "--config", "two-step.json", "--preset", "lln", "--d", "2"]),
     ("rate-geometric", ["rate", "--preset", "geometric"]),
     ("rate-star", ["rate", "--preset", "star"]),
     *((f"rate-stretched-{r}", ["rate", "--preset", f"stretched:{r}"])
