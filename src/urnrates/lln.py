@@ -11,20 +11,21 @@ g_i = (1-p)(i-1+beta) zeta_{i-1} / sigma for i >= 2.  The aggregate
 component integrates g_{d+1}, the flux out of level d (at d = 0 it also
 receives the new-urn ball).  This module evaluates that closed form on
 flat arrays over the cells of one graded grid, in two phases.  The
-kernel build (LLNKernel) takes the grid, the Gauss weights, p, beta and
-sigma at the nodes and the decay integrals of every cell once (exact
+kernel build (LLNKernel) takes the grid, p, beta and sigma at the 15
+Gauss nodes of every cell and the decay integrals once (exact
 logarithms on constant schedule segments, Gauss rules on polynomial
 ones).  Arrays over the nodes are node-major, (15, cells); where each
 cell holds one value, as p and beta do on a piecewise-constant
 schedule, they are (1, cells) rows that broadcast against them.  Level
 propagation then runs one affine scan across the cells per level, in
 two reused node arrays; no level depends on the truncation d, so one
-kernel serves every d, propagating each level once.  Each level reaches the next through monotone
-(Fritsch-Carlson) cubics, built here from their slopes and evaluated on
-the Gauss nodes' offsets in their cells, fixed for the kernel.  Beside
-it are an independent route that integrates the ODE system directly by
-an adaptive Dormand-Prince 5(4) pair written here in numpy, the
-constant-coefficient comparison family, power-law envelopes, and
+kernel serves every d, propagating each level once.  Each level reaches
+the next through monotone (Fritsch-Carlson) cubics, built here from
+their slopes and evaluated by Horner's rule in the nodes' fractions of
+their cells, and each cell's Gauss rule sums its nodes by einsum.
+Beside it are an independent route that integrates the ODE system
+directly by an adaptive Dormand-Prince 5(4) pair written here in numpy,
+the constant-coefficient comparison family, power-law envelopes, and
 reference target laws.  A comparison solution is linear in t plus
 transients that each move by the negative-binomial law of a linear
 pure-birth (Yule) process, a propagator with positive terms only.
@@ -39,6 +40,7 @@ import numpy as np
 from .model import InitialProfile, Path, Schedule, sigma
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+_GL_U = 0.5 + 0.5 * _GL_X    # the nodes' fractions of their cells
 
 # graded_grid raises rather than cut a segment short at this many cells
 MAX_CELLS_PER_SEGMENT = 100_000
@@ -169,30 +171,24 @@ def _inflow(level, p, beta, zprev, sig):
     return np.add(p, g, out=g) if level == 1 else g
 
 
-def _node_sums(f):
-    """Sum over the 15 nodes of each cell of a node-major (15, K) array,
-    adding every cell's terms in the order numpy sums a contiguous row of
-    15: from 0.0, the first eight pairwise, then the other seven in turn."""
-    s = f[0] + f[1]
-    t = f[2] + f[3]
-    s += t
-    np.add(f[4], f[5], out=t)
-    t += f[6] + f[7]
-    s += t
-    s += 0.0
-    for q in range(8, 15):
-        s += f[q]
-    return s
+def _cell_sums(f, width):
+    """(h/2) * sum_q w_q f_q over the 15 Gauss nodes of each cell of width
+    h, for f node-major (15, K): the cells' Gauss rules.  einsum adds the
+    nodes in its own loop; a BLAS product would add them in an order that
+    depends on the BLAS build."""
+    out = np.einsum("q,qk->k", _GL_W, f)
+    out *= 0.5 * width
+    return out
 
 
-def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, weights, const):
+def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, const):
     """W1 = int (1-p)/sigma and W2 = int (1-p)*beta/sigma over each cell
     [x,y], shape (K,), and from each Gauss node s to the cell end, shape
     (15, K), so that M_i = exp(-(i*W1 + W2)) for every level i.
 
     On cells of constant segments (the mask const) the integrals are exact
-    logarithms; on the others they are Gauss rules, with a nested 15-point
-    sub-rule on [s, y] for each node s.
+    logarithms; on the others they are the cells' Gauss rules, with a
+    nested 15-point sub-rule on [s, y] for each node s.
     """
     K = lo.size
     W1_cell, W2_cell = np.empty(K), np.empty(K)
@@ -217,20 +213,15 @@ def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, weights, co
     # polynomial segments
     poly = ~const
     w = (1.0 - p[:, poly]) / sig[:, poly]
-    bw = beta[:, poly] * w
-    W1_cell[poly] = _node_sums(weights[:, poly] * w)
-    W2_cell[poly] = _node_sums(weights[:, poly] * bw)
-    y, s_all = hi[poly], nodes[:, poly]
-    for q in range(15):
-        s = s_all[q]
-        h2 = 0.5 * (y - s)
-        m2 = 0.5 * (y + s)
-        sub = m2[:, None] + h2[:, None] * _GL_X[None, :]
-        wsub = h2[:, None] * _GL_W[None, :]
+    y = hi[poly]
+    W1_cell[poly] = _cell_sums(w, y - lo[poly])
+    W2_cell[poly] = _cell_sums(beta[:, poly] * w, y - lo[poly])
+    for q, s in enumerate(nodes[:, poly]):
+        sub = (0.5 * (y + s))[None, :] + (0.5 * (y - s))[None, :] * _GL_X[:, None]
         psub, bsub = schedule.coefficients(sub)
         integ = (1.0 - psub) / sigma(profile, sub, bsub)
-        W1_nodes[q, poly] = (wsub * integ).sum(axis=1)
-        W2_nodes[q, poly] = (wsub * integ * bsub).sum(axis=1)
+        W1_nodes[q, poly] = _cell_sums(integ, y - s)
+        W2_nodes[q, poly] = _cell_sums(integ * bsub, y - s)
     return W1_cell, W2_cell, W1_nodes, W2_nodes
 
 
@@ -241,19 +232,17 @@ def _singular_first_cell(level, h, p, beta, prev_cubic):
     singularity at s = 0 that defeats the plain Gauss rule, so integrate
     in u = (s/h)**(kappa+1) where the kernel contributes only the factor
     1/(kappa+1) and the remaining coefficient is smooth.  prev_cubic is
-    the previous level's cubic on the first segment; its first cell
-    starts at 0, so s is its own offset.
+    the previous level's cubic on the first segment, whose first cell is
+    [0, h]: s sits at the fraction u**(1/(kappa+1)) of it.
     """
     kappa = (1.0 - p) * (level + beta) / (1.0 + beta)
     if level == 0:
         # constant source: the substitution integrates it exactly
         return _inflow(0, p, beta, None, None) * h / (kappa + 1.0)
-    u = 0.5 + 0.5 * _GL_X
-    s = h * u ** (1.0 / (kappa + 1.0))
-    zprev = np.empty(s.size)
-    _on_offsets([c[:1] for c in prev_cubic], _powers(s), zprev, np.empty(s.size))
-    g = _inflow(level, p, beta, zprev, (1.0 + beta) * s)
-    return h / (kappa + 1.0) * float((0.5 * _GL_W * g).sum())
+    frac = _GL_U ** (1.0 / (kappa + 1.0))
+    zprev = _on_fractions([c[:1] for c in prev_cubic], h, frac, np.empty(15))
+    g = _inflow(level, p, beta, zprev, (1.0 + beta) * (h * frac))
+    return float(_cell_sums(g[:, None], h)[0]) / (kappa + 1.0)
 
 
 def _edge_slope(h0, h1, m0, m1):
@@ -310,24 +299,21 @@ def _segment_cubics(fine, cells, z):
     return tuple(np.concatenate(col) for col in zip(*pieces))
 
 
-def _powers(dx):
-    """(dx, dx**2, dx**3), each power one product on the last."""
-    square = dx * dx
-    return dx, square, square * dx
-
-
-def _on_offsets(cubic, powers, out, buf):
-    """The cubic's pieces at the offsets from each cell's left end whose
-    _powers are given, (nodes, cells) or (nodes,) for one cell, written to
-    out; buf, of out's shape, is overwritten.  The terms are summed from
-    0.0 up in scipy PPoly's order, so the values are its interpolant's to
-    the last bit."""
-    c0, c1, c2, c3 = cubic    # c0 multiplies dx**3
-    dx, square, cube = powers
-    np.multiply(c2, dx, out=out)
-    out += 0.0 + c3
-    out += np.multiply(c1, square, out=buf)
-    out += np.multiply(c0, cube, out=buf)
+def _on_fractions(cubic, width, u, out):
+    """The cubic's pieces at the fractions u of their cells of the given
+    widths, written to out: Horner's rule in u on the coefficients scaled
+    by powers of the width.  u is the (15, 1) column of the nodes'
+    fractions for every cell, with out (15, K), or a (15,) vector for one
+    cell, with out (15,)."""
+    c0, c1, c2, c3 = cubic    # c0 multiplies (t - x_k)**3
+    square = width * width
+    np.multiply(c0 * (square * width), u, out=out)
+    out += c1 * square
+    out *= u
+    out += c2 * width
+    out *= u
+    out += c3
+    return out
 
 
 def _affine_scan(z0, m, c):
@@ -362,15 +348,15 @@ def _times(grid) -> np.ndarray:
 class LLNKernel:
     """The d-independent part of the closed form on one graded grid.
 
-    Built once per (schedule, profile, grid arguments): the grid, the Gauss
-    weights, sigma at the nodes, the negated decay integrals and the
-    powers of the nodes' offsets in their cells, each node-major (15, K),
-    so the level loop broadcasts along the long cell axis.  p and beta are
-    (1, K) rows taken at the cell midpoints on a piecewise-constant
-    schedule, whose cells each hold one value, and (15, K) at the nodes
-    otherwise.  Levels are computed in increasing i by propagating across
-    the cells; each level's values are kept on the full grid and fed to
-    the next level through a monotone cubic interpolant.  Level i never
+    Built once per (schedule, profile, grid arguments): the grid and its
+    cell widths, and sigma and the negated decay integrals at the Gauss
+    nodes, each node-major (15, K), so the level loop broadcasts along the
+    long cell axis.  p and beta are (1, K) rows taken at the cell
+    midpoints on a piecewise-constant schedule, whose cells each hold one
+    value, and (15, K) at the nodes otherwise.  Levels are computed in
+    increasing i by propagating across the cells; each level's values are
+    kept on the full grid and fed to the next level through a monotone
+    cubic interpolant.  Level i never
     depends on d, so solve(d) propagates only the levels no earlier call
     reached, then adds depth d's aggregate slot: level d+1's recurrence
     without decay.  If grid is given, it is merged into the computation
@@ -384,10 +370,9 @@ class LLNKernel:
         fine = graded_grid(schedule, profile, rel_spacing=rel_spacing, rel_floor=rel_floor,
                            extra=self.requested)
         lo, hi = fine[:-1], fine[1:]
-        half = 0.5 * (hi - lo)
+        self.width = hi - lo
         mid = 0.5 * (hi + lo)
-        nodes = mid[None, :] + half[None, :] * _GL_X[:, None]  # (15, K)
-        self.weights = half[None, :] * _GL_W[:, None]
+        nodes = mid[None, :] + (0.5 * self.width)[None, :] * _GL_X[:, None]  # (15, K)
         self.p, self.beta = schedule.coefficients(
             mid[None, :] if schedule.is_piecewise_constant else nodes)
         self.sig = sigma(profile, nodes, self.beta)
@@ -398,12 +383,10 @@ class LLNKernel:
                       for k in np.unique(seg_idx).tolist()}
         const = np.array([s.is_constant for s in schedule.segments])[seg_idx]
         self.W1_cell, self.W2_cell, W1_nodes, W2_nodes = _decay_integrals(
-            schedule, profile, lo, hi, nodes, self.p, self.beta, self.sig,
-            self.weights, const)
+            schedule, profile, lo, hi, nodes, self.p, self.beta, self.sig, const)
         # -W at the nodes, so a level's decay is exp(i*(-W1) + (-W2))
         self.W1_neg = np.negative(W1_nodes, out=W1_nodes)
         self.W2_neg = np.negative(W2_nodes, out=W2_nodes)
-        self.powers = _powers(nodes - lo[None, :])    # of the nodes' offsets in their cells
         self.grid = fine
 
         seg0 = schedule.segments[0]
@@ -414,21 +397,21 @@ class LLNKernel:
         self.levels = []         # level i's values on the grid, i < len(levels)
 
     def _contrib(self, i, decay, z, buf):
-        """Per cell, the node sum of weight * g_i, times the level's decay
+        """Per cell, the Gauss rule of g_i, times the level's decay
         exp(-(i*W1 + W2)) at the nodes if decay is set, with g_i read off
         level i-1's cubics; also returns those cubics (None at i = 0).
         z and buf are (15, K) arrays, overwritten."""
         cubic = None
         if i > 0:
             cubic = _segment_cubics(self.grid, self.cells, self.levels[i - 1])
-            _on_offsets(cubic, self.powers, z, buf)
-        f = np.multiply(self.weights, _inflow(i, self.p, self.beta, z, self.sig), out=z)
+            _on_fractions(cubic, self.width, _GL_U[:, None], z)
+        f = _inflow(i, self.p, self.beta, z, self.sig)
         if decay:
             with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply(i, self.W1_neg, out=buf)
                 buf += self.W2_neg
-                f *= np.exp(buf, out=buf)
-        return _node_sums(f), cubic
+                f = np.multiply(f, np.exp(buf, out=buf), out=buf)
+        return _cell_sums(f, self.width), cubic
 
     def solve(self, d: int) -> LLNSolution:
         """Limit trajectory truncated at d: levels 0..d and the aggregate slot."""

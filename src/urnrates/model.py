@@ -114,12 +114,16 @@ class Schedule:
         segs = []
         for t_start, p, beta in specs:
             segs.append(ScheduleSegment(float(t_start), _as_coeffs(p), _as_coeffs(beta)))
+        # each check below is written so that NaN fails it
+        if not all(math.isfinite(v) for s in segs
+                   for v in (s.t_start, *s.p_coeffs, *s.beta_coeffs)):
+            raise ValueError("segment starts and coefficients must be finite")
         starts = [s.t_start for s in segs]
         if starts[0] != 0.0:
             raise ValueError("first segment must start at t=0")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
+        if not all(a < b for a, b in zip(starts, starts[1:])):
             raise ValueError("segment breakpoints must be strictly increasing")
-        if starts[-1] >= 1.0:
+        if not starts[-1] < 1.0:
             raise ValueError("segment starts must lie in [0,1)")
 
         ends = starts[1:] + [1.0]
@@ -130,10 +134,11 @@ class Schedule:
         pv, bv = np.concatenate(pv), np.concatenate(bv)
         p_max, p_min = float(pv.max()), float(pv.min())
         beta_min, beta_max = float(bv.min()), float(bv.max())
-        if p_min < 0.0 or p_max >= 1.0:
+        if not (0.0 <= p_min and p_max < 1.0):
             raise ValueError(f"p(t) must stay in [0,1): range [{p_min}, {p_max}]")
-        if beta_min <= 0.0:
-            raise ValueError(f"beta(t) must be positive: min {beta_min}")
+        if not (0.0 < beta_min and beta_max < math.inf):
+            raise ValueError(f"beta(t) must be positive and finite: range "
+                             f"[{beta_min}, {beta_max}]")
         return cls(tuple(segs), p_max=p_max, beta_min=beta_min, beta_max=beta_max,
                    p_min=p_min)
 
@@ -353,7 +358,9 @@ class Path:
             raise ValueError("need times (K,) and values (K, d+2)")
         if times.size < 2:
             raise ValueError("need at least two knots")
-        if np.any(np.diff(times) <= 0):
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValueError("knot times and values must be finite")
+        if not np.all(np.diff(times) > 0):
             raise ValueError("knot times must be strictly increasing")
         if times[0] != 0.0 or times[-1] != 1.0:
             raise ValueError("knots must span [0,1]")

@@ -92,7 +92,7 @@ def _nu0_rows(v):
     w = np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
     w = np.concatenate([w, 1.0 - w.sum(axis=-1, keepdims=True)], axis=-1)
     ok = (np.abs(v.sum(axis=-1) - 1.0) <= PATH_TOL) & np.all(w >= -PATH_TOL, axis=-1)
-    return np.maximum(w, 0.0), ok
+    return np.maximum(w, 0.0, out=w), ok
 
 
 def _piece_laws(path: Path, profile: InitialProfile):
@@ -108,7 +108,9 @@ def _piece_laws(path: Path, profile: InitialProfile):
     slopes = path.slopes
     total = slopes.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = slopes / total
+        # in place: slopes is this call's own copy, and a second (pieces, d+2)
+        # array would raise the rate's memory peak
+        v = np.divide(slopes, total, out=slopes)
     w, ok = _nu0_rows(v)
     off = np.abs(total[:, 0] - 1.0)
     rescaled = int(np.count_nonzero((off > 0.0) & (off <= SLOPE_SUM_TOL)))

@@ -304,6 +304,12 @@ CLASSICAL_SPEC = [{"t_start": 0.0, "p": 0.0, "beta": 1.0}]
     pytest.param(["rate"], HEADER + "0,0,0\n1,0.5,0.5\n", None,
                  id="csv-rows-one-cell-short"),
     pytest.param(["rate"], HEADER, None, id="csv-no-knots"),
+    # non-finite knots
+    pytest.param(["rate"], HEADER + "0,0,0,0\nnan,0.25,0.25,0\n1,0.5,0.5,0\n", None,
+                 id="csv-time-nan"),
+    pytest.param(["rate"], HEADER + "0,0,0,0\n0.5,nan,0.25,0\n1,0.5,0.5,0\n", None,
+                 id="csv-value-nan"),
+    pytest.param(["rate"], HEADER + "0,0,0,0\n1,inf,0.5,0\n", None, id="csv-value-inf"),
     pytest.param(["lln", "--preset", "star"], None, None, id="lln-unknown-preset"),
     pytest.param(["envelope", "--preset", "geometric"], None, None,
                  id="envelope-unknown-preset"),
@@ -345,6 +351,20 @@ CLASSICAL_SPEC = [{"t_start": 0.0, "p": 0.0, "beta": 1.0}]
                  id="config-seed-config-bool"),
     pytest.param(["lln"], None, {"schedule": [{"t_start": 0.0, "p": "0", "beta": "12"}]},
                  id="config-schedule-beta-text"),
+    # non-finite schedule values: json reads NaN and Infinity
+    pytest.param(["simulate", "--n", "50"], None,
+                 {"schedule": [{"t_start": 0, "p": math.nan, "beta": 1}]},
+                 id="config-schedule-p-nan"),
+    pytest.param(["lln", "--d", "3"], None,
+                 {"schedule": [{"t_start": 0, "p": 0, "beta": math.nan}]},
+                 id="config-schedule-beta-nan"),
+    pytest.param(["rate", "--preset", "lln", "--d", "2"], None,
+                 {"schedule": [{"t_start": 0, "p": 0, "beta": math.inf}]},
+                 id="config-schedule-beta-inf"),
+    pytest.param(["rate", "--preset", "lln", "--d", "2"], None,
+                 {"schedule": [{"t_start": 0, "p": 0, "beta": 1},
+                               {"t_start": math.nan, "p": 0, "beta": 2}]},
+                 id="config-schedule-start-nan"),
     # a law preset's straight path starts empty, not at the profile
     pytest.param(["rate", "--preset", "star"], None,
                  {"schedule": CLASSICAL_SPEC, "profile": {"c": [0.3, 0.1, 0.05]}},

@@ -194,23 +194,30 @@ def test_ode_step_cap_raises_naming_the_interval(monkeypatch):
         solve_lln_numeric(6, CLASSICAL, PROFILE)
 
 
+# Horner's rule in the node fraction, on coefficients scaled by powers of
+# the cell width, against scipy's evaluation at the kernel's nodes: at most
+# 23 ulps of the value on figure 1 and 54 on the polynomial case, measured
+# at d = 6 (the singular first cell's substituted nodes: 2)
+PCHIP_ULPS = 128
+
+
 @pytest.mark.parametrize("sched, prof", [
     (TWO_PHASE, EMPTY), (THREE, InitialProfile.from_masses((0.3, 0.1, 0.05)))],
     ids=["figure1", "polynomial"])
 def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
-    # every level builds one monotone cubic per schedule segment and
-    # evaluates them on the Gauss nodes' fixed offsets in every cell at
-    # once, node-major (15, cells); the values must be scipy's
-    # PchipInterpolator's at the nodes to the last bit, segment by segment,
-    # and at the substituted nodes of the singular first cell (figure 1
-    # starts at sigma(0) = 0)
+    # every level builds one monotone cubic per schedule segment, whose
+    # coefficient rows must be scipy's PchipInterpolator's to the last bit,
+    # and evaluates them at the Gauss nodes of every cell at once,
+    # node-major (15, cells), within PCHIP_ULPS of scipy's values there,
+    # segment by segment, and at the substituted nodes of the singular
+    # first cell (figure 1 starts at sigma(0) = 0)
     from scipy.interpolate import PchipInterpolator
 
     d = 6
     fine = graded_grid(sched, profile=prof)
     lo, hi = fine[:-1], fine[1:]
     nodes = (0.5 * (hi + lo))[None, :] + (0.5 * (hi - lo))[None, :] * lln._GL_X[:, None]
-    pchip, on_offsets = lln._pchip, lln._on_offsets
+    pchip, on_fractions = lln._pchip, lln._on_fractions
     segments = len(sched.segments)
     built, levels, singular = [], [], []
 
@@ -218,8 +225,11 @@ def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
         built.append((PchipInterpolator(x, y), int(np.searchsorted(fine, x[0])), x.size - 1))
         return pchip(x, y)
 
-    def checked(cubic, powers, out, buf):
-        on_offsets(cubic, powers, out, buf)
+    def assert_near(got, want):
+        assert np.all(np.abs(got - want) <= PCHIP_ULPS * np.spacing(np.abs(want)))
+
+    def checked(cubic, width, u, out):
+        on_fractions(cubic, width, u, out)
         level = built[-segments:]    # this level's cubics, in segment order
         if out.shape == nodes.shape:
             starts = [start for _, start, _ in level]
@@ -229,14 +239,17 @@ def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
             assert sum(sizes) == nodes.shape[1]
             for interp, start, size in level:
                 cells = slice(start, start + size)
-                assert_array_equal(out[:, cells], interp(nodes[:, cells]))
+                assert_array_equal(np.stack([c[cells] for c in cubic]), interp.c)
+                assert_near(out[:, cells], interp(nodes[:, cells]))
             levels.append(starts)
-        else:    # the first segment's first cell, which starts at t = 0
-            assert_array_equal(out, level[0][0](powers[0]))
+        else:    # the first segment's first cell, [0, width]
+            assert_array_equal(np.stack(cubic), level[0][0].c[:, :1])
+            assert_near(out, level[0][0](width * u))
             singular.append(out.shape)
+        return out
 
     monkeypatch.setattr(lln, "_pchip", recorded)
-    monkeypatch.setattr(lln, "_on_offsets", checked)
+    monkeypatch.setattr(lln, "_on_fractions", checked)
     solve_lln_closed(d, sched, prof)
     assert len(built) == (d + 1) * segments
     assert len(levels) == d + 1 and all(len(starts) == segments for starts in levels)
@@ -261,20 +274,6 @@ def test_one_kernel_matches_separate_solves(sched, prof, grid):
     assert len(kernel.levels) == 21
 
 
-@pytest.mark.parametrize("cells", [1, 7, 13_524])
-def test_node_sums_add_in_numpys_row_order(cells):
-    # the level loop sums each cell's 15 node terms by row adds that must
-    # reproduce numpy's sum over a contiguous row bit for bit, signed zeros
-    # included; a numpy that reorders its pairwise sum fails here
-    rng = np.random.default_rng(cells)
-    f = rng.standard_normal((15, cells)) * 10.0 ** rng.integers(-300, 300, (15, cells))
-    f[rng.random((15, cells)) < 0.1] = 0.0
-    f[rng.random((15, cells)) < 0.1] = -0.0
-    f[:, 3::7] = -0.0    # a cell of -0.0 terms sums to 0.0
-    want = np.ascontiguousarray(f.T).sum(axis=1)
-    assert lln._node_sums(f).tobytes() == want.tobytes()
-
-
 def test_level_loop_memory_is_the_levels_and_a_few_node_arrays():
     # above the built kernel, solve(20) on figure 1's criterion-1 grid
     # holds the 21 levels it keeps, two (15, K) scratch arrays and
@@ -290,6 +289,26 @@ def test_level_loop_memory_is_the_levels_and_a_few_node_arrays():
         tracemalloc.stop()
     levels = 21 * (cells + 1) * 8
     assert peak <= levels + 3.5 * 15 * cells * 8
+
+
+@pytest.mark.parametrize("sched, prof, node_arrays", [
+    (TWO_PHASE, EMPTY, 3), (THREE, InitialProfile.from_masses((0.3, 0.1, 0.05)), 5)],
+    ids=["figure1", "polynomial"])
+def test_kernel_holds_few_node_arrays(sched, prof, node_arrays):
+    # a built kernel keeps sigma and the two negated decay integrals at
+    # the nodes (p and beta too where a segment is polynomial) and a few
+    # per-cell rows; at criterion 1's spacing, figure 1's kernel holds
+    # 3.4 node arrays' worth, where one that also stored the Gauss weights
+    # and the offsets' powers held 7.3
+    lln.LLNKernel(sched, prof, rel_spacing=2e-3)    # after first-call allocations
+    tracemalloc.start()
+    try:
+        kernel = lln.LLNKernel(sched, prof, rel_spacing=2e-3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    cells = kernel.grid.size - 1
+    assert held <= (node_arrays * 15 + 8) * cells * 8
 
 
 def _pchip_cases():

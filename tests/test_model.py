@@ -146,6 +146,15 @@ def test_schedule_rejects_bad_parameters():
         Schedule.from_segments([(0.5, 0.0, 1.0)])   # must start at 0
     with pytest.raises(ValueError):
         Schedule.from_segments([(0.0, 0.0, 1.0), (0.0, 0.0, 2.0)])
+    # non-finite starts and coefficients: NaN fails no comparison
+    for spec in ([(0.0, math.nan, 1.0)], [(0.0, 0.0, math.nan)], [(0.0, 0.0, math.inf)],
+                 [(0.0, (0.1, math.nan), 1.0)],
+                 [(0.0, 0.0, 1.0), (math.nan, 0.0, 2.0)]):
+        with pytest.raises(ValueError, match="finite"):
+            Schedule.from_segments(spec)
+    # finite coefficients whose values overflow
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        Schedule.from_segments([(0.0, 0.0, (1.0, 1e308, 1e308))])
 
 
 def test_values_exact_returns_fractions():
@@ -305,6 +314,12 @@ def test_path_rejects_malformed_knots():
         Path.from_knots([0.0, 0.5, 0.5, 1.0], np.zeros((4, 3)))
     with pytest.raises(ValueError):
         Path.from_knots([0.1, 1.0], np.zeros((2, 3)))
+    # non-finite times and values: NaN fails no comparison
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Path.from_knots([0.0, bad, 1.0], np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            Path.from_knots([0.0, 0.5, 1.0], [[0.0] * 3, [bad, 0.25, 0.0], [0.5] * 3])
 
 
 def test_validate_path_accepts_star_and_flags_bad_sums():

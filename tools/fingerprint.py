@@ -3,7 +3,9 @@
 Runs the commands below in-process into a temporary directory and hashes
 what each writes (the verify battery: its printed lines, timings
 stripped), then the exact oracle's terminal atoms on a piecewise-constant
-and on the polynomial schedule, then the ODE route's values on figure 1.
+and on the polynomial schedule, then the ODE route's values on figure 1,
+then the closed-form kernel's values at criterion 1's spacing on figure 1
+and on the polynomial config.
 Run it on two checkouts and diff the listings to check that a change
 leaves the numbers byte-identical:
 
@@ -115,6 +117,14 @@ def ode_route() -> str:
     return hashlib.sha256(sol.values.tobytes()).hexdigest()
 
 
+def kernel_route(config: dict) -> str:
+    """sha256 over the closed-form kernel's values at d = 20 on its own
+    grid at rel_spacing 2e-3, criterion 1's spacing."""
+    schedule, profile, _ = config_from_dict(config)
+    sol = lln.LLNKernel(schedule, profile, rel_spacing=2e-3).solve(20)
+    return hashlib.sha256(sol.values.tobytes()).hexdigest()
+
+
 def main() -> int:
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -131,6 +141,8 @@ def main() -> int:
     print("oracle-exact-polynomial-n10-d2", oracle_atoms(config_from_dict(POLYNOMIAL)[0]),
           flush=True)
     print("lln-ode-figure1-d30", ode_route(), flush=True)
+    print("lln-kernel-figure1-d20", kernel_route(FIGURE1), flush=True)
+    print("lln-kernel-polynomial-d20", kernel_route(POLYNOMIAL), flush=True)
     return 0
 
 
