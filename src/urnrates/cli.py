@@ -147,9 +147,10 @@ def _model_parts(cfg: dict, preset: str | None):
         return verify.classical_schedule(), InitialProfile.empty(), None
     try:
         return config_from_dict(model_keys)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         # a TypeError here is a JSON value of the wrong type, such as null
-        # where a number belongs
+        # where a number belongs; an OverflowError a JSON integer too large
+        # for a float
         raise UsageError(f"bad model config: {exc}")
 
 
@@ -163,7 +164,7 @@ def _opt(args, cfg, section, key, default, kind=None, low=None):
         return val
     try:
         val = kind(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"bad value for {key}: {val!r}")
     if low is not None and val < low:
         raise UsageError(f"{key} must be at least {low} (got {val})")

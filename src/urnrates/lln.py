@@ -225,26 +225,6 @@ def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, const):
     return W1_cell, W2_cell, W1_nodes, W2_nodes
 
 
-def _singular_first_cell(level, h, p, beta, prev_cubic):
-    """First-cell source integral when sigma(0) = 0.
-
-    The kernel (sigma(s)/sigma(h))**kappa has a fractional-power
-    singularity at s = 0 that defeats the plain Gauss rule, so integrate
-    in u = (s/h)**(kappa+1) where the kernel contributes only the factor
-    1/(kappa+1) and the remaining coefficient is smooth.  prev_cubic is
-    the previous level's cubic on the first segment, whose first cell is
-    [0, h]: s sits at the fraction u**(1/(kappa+1)) of it.
-    """
-    kappa = (1.0 - p) * (level + beta) / (1.0 + beta)
-    if level == 0:
-        # constant source: the substitution integrates it exactly
-        return _inflow(0, p, beta, None, None) * h / (kappa + 1.0)
-    frac = _GL_U ** (1.0 / (kappa + 1.0))
-    zprev = _on_fractions([c[:1] for c in prev_cubic], h, frac, np.empty(15))
-    g = _inflow(level, p, beta, zprev, (1.0 + beta) * (h * frac))
-    return float(_cell_sums(g[:, None], h)[0]) / (kappa + 1.0)
-
-
 def _edge_slope(h0, h1, m0, m1):
     """One-sided three-point end slope, set to 0 when its sign is not the
     end secant's and to 3*m0 when the secants change sign and it exceeds
@@ -301,10 +281,9 @@ def _segment_cubics(fine, cells, z):
 
 def _on_fractions(cubic, width, u, out):
     """The cubic's pieces at the fractions u of their cells of the given
-    widths, written to out: Horner's rule in u on the coefficients scaled
-    by powers of the width.  u is the (15, 1) column of the nodes'
-    fractions for every cell, with out (15, K), or a (15,) vector for one
-    cell, with out (15,)."""
+    widths, written to out (15, K): Horner's rule in u, the (15, 1) column
+    of the nodes' fractions, on the coefficients scaled by powers of the
+    width."""
     c0, c1, c2, c3 = cubic    # c0 multiplies (t - x_k)**3
     square = width * width
     np.multiply(c0 * (square * width), u, out=out)
@@ -356,11 +335,14 @@ class LLNKernel:
     value, and (15, K) at the nodes otherwise.  Levels are computed in
     increasing i by propagating across the cells; each level's values are
     kept on the full grid and fed to the next level through a monotone
-    cubic interpolant.  Level i never
-    depends on d, so solve(d) propagates only the levels no earlier call
-    reached, then adds depth d's aggregate slot: level d+1's recurrence
-    without decay.  If grid is given, it is merged into the computation
-    grid and each solution is returned restricted to it.
+    cubic interpolant.  From an empty profile on a constant first segment,
+    where sigma(0) = 0, the first cell [0, h] takes the exact value
+    zeta_i(h) = b_i h of the linear solution (b_sequence) in place of a
+    Gauss rule, which the kernel's singularity at t = 0 defeats.  Level i
+    never depends on d, so solve(d) propagates only the levels no earlier
+    call reached, then adds depth d's aggregate slot: level d+1's
+    recurrence without decay.  If grid is given, it is merged into the
+    computation grid and each solution is returned restricted to it.
     """
 
     def __init__(self, schedule: Schedule, profile: InitialProfile, grid=None,
@@ -389,19 +371,16 @@ class LLNKernel:
         self.W2_neg = np.negative(W2_nodes, out=W2_nodes)
         self.grid = fine
 
-        seg0 = schedule.segments[0]
-        self.singular0 = None    # (p, beta) of a first cell where sigma(0) = 0
+        self.start = None    # the first cell's linear solution where sigma(0) = 0
         if (profile.c_total == 0.0 and profile.c_weighted == 0.0
-                and seg0.is_constant and fine[0] == 0.0):
-            self.singular0 = float(seg0.p_coeffs[0]), float(seg0.beta_coeffs[0])
+                and schedule.segments[0].is_constant and fine[0] == 0.0):
+            self.start = _start_params(schedule)
         self.levels = []         # level i's values on the grid, i < len(levels)
 
     def _contrib(self, i, decay, z, buf):
         """Per cell, the Gauss rule of g_i, times the level's decay
         exp(-(i*W1 + W2)) at the nodes if decay is set, with g_i read off
-        level i-1's cubics; also returns those cubics (None at i = 0).
-        z and buf are (15, K) arrays, overwritten."""
-        cubic = None
+        level i-1's cubics.  z and buf are (15, K) arrays, overwritten."""
         if i > 0:
             cubic = _segment_cubics(self.grid, self.cells, self.levels[i - 1])
             _on_fractions(cubic, self.width, _GL_U[:, None], z)
@@ -411,25 +390,27 @@ class LLNKernel:
                 np.multiply(i, self.W1_neg, out=buf)
                 buf += self.W2_neg
                 f = np.multiply(f, np.exp(buf, out=buf), out=buf)
-        return _cell_sums(f, self.width), cubic
+        return _cell_sums(f, self.width)
 
     def solve(self, d: int) -> LLNSolution:
         """Limit trajectory truncated at d: levels 0..d and the aggregate slot."""
         if d < 0:
             raise ValueError("d must be >= 0")
         z, buf = np.empty(self.W1_neg.shape), np.empty(self.W1_neg.shape)
+        slopes = None if self.start is None else b_sequence(self.start, d)
         for i in range(len(self.levels), d + 1):
             with np.errstate(over="ignore", invalid="ignore"):
                 e_cell = i * self.W1_cell + self.W2_cell
                 # 0 * inf from the sigma(0) = 0 cell: the kernel still vanishes
                 m_cell = np.exp(-np.where(np.isnan(e_cell), np.inf, e_cell))
-            contrib, cubic = self._contrib(i, True, z, buf)
-            if self.singular0 is not None:
-                contrib[0] = _singular_first_cell(i, self.grid[1], *self.singular0, cubic)
+            contrib = self._contrib(i, True, z, buf)
+            if slopes is not None:
+                # zeta_i = b_i t exactly on [0, h], and the cell starts at 0
+                contrib[0] = slopes[i] * self.grid[1]
             self.levels.append(_affine_scan(self.profile.truncated(i)[i], m_cell, contrib))
         # the aggregate slot integrates its inflow without decay, and its
         # integrand carries no kernel singularity at t = 0
-        contrib, _ = self._contrib(d + 1, False, z, buf)
+        contrib = self._contrib(d + 1, False, z, buf)
         del z, buf    # before the solution's values are stacked
         aggregate = _affine_scan(self.profile.truncated(d)[d + 1],
                                  np.ones(contrib.size), contrib)
@@ -463,6 +444,15 @@ def _rhs(t, y, schedule, profile, d):
     return dy
 
 
+def _start_params(schedule) -> EnvelopeParams:
+    """The comparison system at the first segment's coefficients at t = 0:
+    from an empty profile its linear solution chi_i = b_i t (b_sequence) is
+    the limit trajectory wherever that segment is constant."""
+    seg = schedule.segments[0]
+    p0, b0 = float(seg.p_coeffs[0]), float(seg.beta_coeffs[0])
+    return EnvelopeParams(p0, p0, b0, b0, 0.0)
+
+
 def _seed_values(d, schedule):
     """Solution values at the small time SEED_T0 > 0 when sigma(0) = 0.
 
@@ -471,10 +461,9 @@ def _seed_values(d, schedule):
     seeded with it at (p(0), beta(0)), exact when the segment is constant
     and within O(SEED_T0^2) otherwise.
     """
-    seg = schedule.segments[0]
-    p0 = float(seg.p_coeffs[0])
-    b0 = float(seg.beta_coeffs[0])
-    b = b_sequence(EnvelopeParams(p0, p0, b0, b0, 0.0), d)
+    start = _start_params(schedule)
+    p0, b0 = start.o1, start.o3
+    b = b_sequence(start, d)
     y = np.empty(d + 2)
     y[: d + 1] = b * SEED_T0
     y[d + 1] = SEED_T0 * (1.0 - p0) * (d + b0) * b[d] / (1.0 + b0)

@@ -25,27 +25,17 @@ PATH_TOL = 1e-9
 
 
 def entropy_terms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x*log(x/y) elementwise over broadcasting arrays, under the
-    conventions 0*log0 = 0/0 = 0 and x/0 = +inf for x > 0."""
+    """x*log(x/y) elementwise over broadcasting arrays, for y >= 0 (every
+    caller passes a transition_law output), under the conventions
+    0*log0 = 0/0 = 0 and x/0 = +inf for x > 0; y = inf gives -inf."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.empty(np.broadcast(x, y).shape)
-    pos = x > 0.0
-    if np.all(y >= 0.0):
-        # unmasked: y = 0 gives +inf and y = inf gives -inf by themselves,
-        # as the masked route does, and the entries with x <= 0 are zeroed
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(x, y, out=out)
-            np.log(out, out=out)
-            np.multiply(x, out, out=out)
-        np.copyto(out, 0.0, where=~pos)
-        return out
-    out.fill(0.0)
-    ok = pos & (y > 0.0)
-    np.divide(x, y, out=out, where=ok)
-    np.log(out, out=out, where=ok)
-    np.multiply(x, out, out=out, where=ok)
-    np.copyto(out, np.inf, where=pos & (y <= 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(x, y, out=out)
+        np.log(out, out=out)
+        np.multiply(x, out, out=out)
+    np.copyto(out, 0.0, where=~(x > 0.0))
     return out
 
 

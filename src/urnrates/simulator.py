@@ -70,13 +70,14 @@ class TubeEstimate:
 
 
 # The merged phase ends once the distinct states outnumber this share of the
-# replicas: a multinomial per state costs more than one uniform per replica
-# (at R=10^4, figure-1 schedule, d=5, on a 2-core x86-64 box, a merged step
-# over m distinct states took about 7-12 ms * m/R for m/R below 0.25 and
-# 3.2-4.3 ms with every state distinct, against 0.18-0.19 ms for an expanded
-# step, so the two break even near m/R = 0.02).  The value also fixes which
-# draws a seed gives, so changing it changes same-seed histograms.
-_EXPAND_FRACTION = 0.25
+# replicas, where a multinomial and a sort per state cost more than one
+# uniform per replica: on figure 1's schedule, on a 2-core x86-64 box, a
+# merged step cost as much as an expanded one (0.19 ms at d = 5, 0.12 ms at
+# d = 2, R = 10^4) at m/R = 0.01-0.015 and (0.32 ms at d = 30, R = 2000)
+# near m/R = 0.03, and whole runs took the same time for every fraction
+# from 0.005 to 0.05.  The value also fixes which draws a seed gives, so
+# changing it changes same-seed histograms.
+_EXPAND_FRACTION = 0.02
 # The expanded loop draws its uniforms this many bytes at a time, a block of
 # steps per call: the same stream as one call per step, without that call's
 # fixed cost at small R, in memory that scales with R and not with n*R (one
@@ -85,35 +86,27 @@ _UNIFORM_BLOCK_BYTES = 2**20
 # A single run turns the lattice arrays and its uniforms into Python lists
 # this many steps at a time, so they take memory that does not grow with n.
 _WALK_BLOCK = 1024
-# Packed keys are int64 and below (urns+1)**(d+1).
-_KEY_LIMIT = 2**62
-
-
-def _key_fits(urns: int, d: int) -> bool:
-    """Whether states holding this many urns have a packed int64 key."""
-    return (urns + 1) ** (d + 1) <= _KEY_LIMIT
 
 
 def _tabulate(states, weights=None):
     """Distinct rows of states in lexicographic order and the total weight
     of each (one per row when weights is None).
 
-    Every row holds the same number of urns U, so Zbar is implied by Z_0..Z_d
-    and the rows pack without collision into the mixed-radix key
-    sum_i Z_i (U+1)^(d-i), whose order is the lexicographic one; when that
-    key cannot fit in int64 the rows are compared whole.
+    Every row holds the same number of urns, so Zbar is implied by
+    Z_0..Z_d and the rows are sorted on those columns alone (lexsort's
+    primary key is its last); equal rows then sit together, and each run
+    of them starts where a row differs from the one before.
     """
     d = states.shape[1] - 2
-    urns = int(states[0].sum())
-    if _key_fits(urns, d):
-        radix = (urns + 1) ** np.arange(d, -1, -1, dtype=np.int64)
-        _, first, inverse = np.unique(states[:, : d + 1] @ radix,
-                                      return_index=True, return_inverse=True)
+    order = np.lexsort(states[:, d::-1].T)
+    states = states[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], np.any(states[1:] != states[:-1], axis=1))))
+    if weights is None:
+        counts = np.diff(starts, append=len(states))
     else:
-        _, first, inverse = np.unique(states, axis=0, return_index=True,
-                                      return_inverse=True)
-    counts = np.bincount(inverse.ravel(), weights=weights, minlength=first.size)
-    return states[first], counts.astype(np.int64)
+        counts = np.add.reduceat(weights[order], starts)
+    return states[starts], counts
 
 
 def _expand(states, mult):
@@ -172,10 +165,10 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
     multiplicities) and drawing the moves out of each state as one
     Multinomial(multiplicity, law), which samples the histogram's law
     exactly.  It expands to one column per replica (_expand) once the
-    distinct states outnumber _EXPAND_FRACTION of the replicas, or before a
-    step after which packed keys could overflow.  Expanded, each replica
-    draws its move by the cumulative inverse of one uniform, the uniforms
-    drawn in blocks of steps (the same stream as one draw per step).
+    distinct states outnumber _EXPAND_FRACTION of the replicas.  Expanded,
+    each replica draws its move by the cumulative inverse of one uniform,
+    the uniforms drawn in blocks of steps (the same stream as one draw per
+    step).
     observe(j, counts) sees the (num_samples, d+2) integer rows at j = 0
     and after every step j.  With an observer the loop never merges, so
     paths and their random stream do not depend on the merging.
@@ -185,11 +178,9 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
     state0, p, beta, s, rng = _prologue(n, d, schedule, initial, seed)
     f = increments(d)
     counts = np.asarray(state0.counts, dtype=np.int64)[None, :]
-    urns = int(counts.sum())
     mult = np.array([num_samples], dtype=np.int64)
     j = 0
-    while (observe is None and j < n and mult.size <= _EXPAND_FRACTION * num_samples
-           and _key_fits(urns + j + 1, d)):
+    while observe is None and j < n and mult.size <= _EXPAND_FRACTION * num_samples:
         moves = rng.multinomial(mult, transition_law(p[j], beta[j], counts, s[j]))
         row, k = np.nonzero(moves)
         counts, mult = _tabulate(counts[row] + f[k], moves[row, k])

@@ -267,6 +267,7 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path):
 HEADER = "t,x_0,x_1,x_bar\n"
 # a profile or seed_config is read only with a schedule beside it
 CLASSICAL_SPEC = [{"t_start": 0.0, "p": 0.0, "beta": 1.0}]
+HUGE = 10**400
 
 
 @pytest.mark.parametrize("argv, csv_text, config", [
@@ -365,6 +366,24 @@ CLASSICAL_SPEC = [{"t_start": 0.0, "p": 0.0, "beta": 1.0}]
                  {"schedule": [{"t_start": 0, "p": 0, "beta": 1},
                                {"t_start": math.nan, "p": 0, "beta": 2}]},
                  id="config-schedule-start-nan"),
+    # JSON integers too large for a float
+    pytest.param(["lln", "--d", "2"], None,
+                 {"schedule": [{"t_start": 0, "p": 0, "beta": 1},
+                               {"t_start": HUGE, "p": 0, "beta": 2}]},
+                 id="config-schedule-start-huge"),
+    pytest.param(["lln", "--d", "2"], None,
+                 {"schedule": [{"t_start": 0, "p": 0, "beta": HUGE}]},
+                 id="config-schedule-beta-huge"),
+    pytest.param(["lln", "--d", "2"], None,
+                 {"schedule": CLASSICAL_SPEC, "profile": {"c": [0.3, HUGE]}},
+                 id="config-profile-c-huge"),
+    pytest.param(["lln", "--d", "2"], None,
+                 {"schedule": CLASSICAL_SPEC,
+                  "profile": {"c": [0.3, 0.1], "c_weighted": HUGE}},
+                 id="config-profile-c-weighted-huge"),
+    pytest.param(["lln"], None, {"lln": {"times": [0.5, HUGE]}}, id="config-times-huge"),
+    pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": HUGE}},
+                 id="config-tol-huge"),
     # a law preset's straight path starts empty, not at the profile
     pytest.param(["rate", "--preset", "star"], None,
                  {"schedule": CLASSICAL_SPEC, "profile": {"c": [0.3, 0.1, 0.05]}},

@@ -197,7 +197,7 @@ def test_ode_step_cap_raises_naming_the_interval(monkeypatch):
 # Horner's rule in the node fraction, on coefficients scaled by powers of
 # the cell width, against scipy's evaluation at the kernel's nodes: at most
 # 23 ulps of the value on figure 1 and 54 on the polynomial case, measured
-# at d = 6 (the singular first cell's substituted nodes: 2)
+# at d = 6
 PCHIP_ULPS = 128
 
 
@@ -209,8 +209,7 @@ def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
     # coefficient rows must be scipy's PchipInterpolator's to the last bit,
     # and evaluates them at the Gauss nodes of every cell at once,
     # node-major (15, cells), within PCHIP_ULPS of scipy's values there,
-    # segment by segment, and at the substituted nodes of the singular
-    # first cell (figure 1 starts at sigma(0) = 0)
+    # segment by segment
     from scipy.interpolate import PchipInterpolator
 
     d = 6
@@ -219,7 +218,7 @@ def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
     nodes = (0.5 * (hi + lo))[None, :] + (0.5 * (hi - lo))[None, :] * lln._GL_X[:, None]
     pchip, on_fractions = lln._pchip, lln._on_fractions
     segments = len(sched.segments)
-    built, levels, singular = [], [], []
+    built, levels = [], []
 
     def recorded(x, y):
         built.append((PchipInterpolator(x, y), int(np.searchsorted(fine, x[0])), x.size - 1))
@@ -231,21 +230,17 @@ def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
     def checked(cubic, width, u, out):
         on_fractions(cubic, width, u, out)
         level = built[-segments:]    # this level's cubics, in segment order
-        if out.shape == nodes.shape:
-            starts = [start for _, start, _ in level]
-            sizes = [size for *_, size in level]
-            # the segments' cells run over the whole grid in order
-            assert starts == [sum(sizes[:j]) for j in range(segments)]
-            assert sum(sizes) == nodes.shape[1]
-            for interp, start, size in level:
-                cells = slice(start, start + size)
-                assert_array_equal(np.stack([c[cells] for c in cubic]), interp.c)
-                assert_near(out[:, cells], interp(nodes[:, cells]))
-            levels.append(starts)
-        else:    # the first segment's first cell, [0, width]
-            assert_array_equal(np.stack(cubic), level[0][0].c[:, :1])
-            assert_near(out, level[0][0](width * u))
-            singular.append(out.shape)
+        assert out.shape == nodes.shape
+        starts = [start for _, start, _ in level]
+        sizes = [size for *_, size in level]
+        # the segments' cells run over the whole grid in order
+        assert starts == [sum(sizes[:j]) for j in range(segments)]
+        assert sum(sizes) == nodes.shape[1]
+        for interp, start, size in level:
+            cells = slice(start, start + size)
+            assert_array_equal(np.stack([c[cells] for c in cubic]), interp.c)
+            assert_near(out[:, cells], interp(nodes[:, cells]))
+        levels.append(starts)
         return out
 
     monkeypatch.setattr(lln, "_pchip", recorded)
@@ -253,7 +248,19 @@ def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
     solve_lln_closed(d, sched, prof)
     assert len(built) == (d + 1) * segments
     assert len(levels) == d + 1 and all(len(starts) == segments for starts in levels)
-    assert singular == ([(15,)] * d if prof.c_total == 0.0 else [])
+
+
+@pytest.mark.parametrize("sched", [CLASSICAL, TWO_PHASE], ids=["homogeneous", "figure1"])
+def test_empty_start_first_cell_is_the_linear_solution(sched):
+    # from an empty profile on a constant first segment, zeta_i = b_i t
+    # exactly on the first cell [0, h]: every level takes b_i * h there
+    d = 20
+    kernel = lln.LLNKernel(sched, EMPTY, rel_spacing=2e-3)
+    sol = kernel.solve(d)
+    p0, beta0 = sched.coefficients(0.0)
+    b = b_sequence(EnvelopeParams(float(p0), float(p0), float(beta0), float(beta0), 0.0), d)
+    h = kernel.grid[1]
+    assert_array_equal(sol.values[1, : d + 1], b * h)
 
 
 @pytest.mark.parametrize("grid", [None, np.array([0.0, 0.005, 0.01, 0.3, 0.55, 1.0])],

@@ -49,7 +49,7 @@ def test_entropy_terms_broadcasts():
 
 
 def _masked_entropy_terms(x, y):
-    # the masked route, written out on its own as the second route
+    # the conventions written out by masks, as the second route
     out = np.zeros(np.broadcast(x, y).shape)
     pos = x > 0.0
     ok = pos & (y > 0.0)
@@ -63,8 +63,7 @@ def _masked_entropy_terms(x, y):
 def test_entropy_terms_unmasked_route_matches_masked_route():
     # the (B,1,D) slope laws against (B,15,D) natural laws, as the rate
     # quadrature calls it: x = 0 (also against y = 0), y = 0, y = +inf and
-    # tiny or huge ratios; every y >= 0 takes the unmasked route, a y < 0
-    # or NaN anywhere the masked one
+    # tiny or huge ratios, every y >= 0 as transition_law gives
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, 1.0, size=(6, 1, 5))
     x[0, 0, :2] = 0.0
@@ -75,21 +74,11 @@ def test_entropy_terms_unmasked_route_matches_masked_route():
     y[3, 4:9, :] = 0.0          # x > 0 against y = 0: +inf
     y[4, :, 2] = np.inf         # x > 0 against y = inf: -inf
     y[5, 7, :] = 1e-308
-    unmasked = entropy_terms(x, y)
-    assert np.isposinf(unmasked).any() and np.isneginf(unmasked).any()
-    assert (unmasked[0, :, :2] == 0.0).all()
+    out = entropy_terms(x, y)
+    assert np.isposinf(out).any() and np.isneginf(out).any()
+    assert (out[0, :, :2] == 0.0).all()
     with np.errstate(divide="ignore"):
-        np.testing.assert_array_equal(unmasked, _masked_entropy_terms(x, y))
-    y[2, 3, 0] = -1e-17         # now the masked route: y < 0 and y = NaN
-    y[1, 5, 4] = np.nan
-    with np.errstate(divide="ignore"):      # log(x/inf) = log 0 on that route
-        masked = entropy_terms(x, y)
-        np.testing.assert_array_equal(masked, _masked_entropy_terms(x, y))
-    assert masked[2, 3, 0] == math.inf and masked[1, 5, 4] == 0.0
-    # the two routes agree wherever both ran
-    changed = np.zeros(y.shape, dtype=bool)
-    changed[2, 3, 0] = changed[1, 5, 4] = True
-    np.testing.assert_array_equal(masked[~changed], unmasked[~changed])
+        np.testing.assert_array_equal(out, _masked_entropy_terms(x, y))
 
 
 @given(st.floats(1e-9, 1.0), st.floats(1e-9, 1.0))

@@ -52,6 +52,10 @@ RUNS = [
      ["simulate", "--preset", "figure1", "--n", "3000", "--d", "30"]),
     ("simulate-figure1-n2000-samples10000",
      ["simulate", "--preset", "figure1", "--n", "2000", "--samples", "10000"]),
+    # a terminal ensemble at d = 8, whose states pass 118 urns, from where
+    # (urns+1)**(d+1) > 2**62: shows a change to the merged phase at depth
+    ("simulate-figure1-n300-d8-samples2000",
+     ["simulate", "--preset", "figure1", "--n", "300", "--d", "8", "--samples", "2000"]),
     ("lln-figure1-d30", ["lln", "--preset", "figure1", "--d", "30"]),
     ("lln-polynomial-d12", ["lln", "--config", "polynomial.json", "--d", "12"]),
     # deep levels from the profile, where the envelope transients carry far
