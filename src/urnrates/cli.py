@@ -171,6 +171,15 @@ def _opt(args, cfg, section, key, default, kind=None, low=None):
     return val
 
 
+def _size(val) -> int:
+    """val as an int that numpy takes as an array size or dimension, at
+    most np.iinfo(np.intp).max (a JSON integer can be far larger)."""
+    val = int(val)
+    if val > np.iinfo(np.intp).max:
+        raise ValueError(f"{val} is larger than an array size can be")
+    return val
+
+
 def _outdir(args) -> FsPath:
     out = FsPath(args.out if args.out else ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -182,9 +191,9 @@ def _outdir(args) -> FsPath:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     sched, profile, seed_config = _model_parts(cfg, args.preset)
-    n = _opt(args, cfg, "simulate", "n", 1000, int, low=1)
-    d = _opt(args, cfg, "simulate", "d", 5, int, low=0)
-    samples = _opt(args, cfg, "simulate", "samples", 1, int, low=1)
+    n = _opt(args, cfg, "simulate", "n", 1000, _size, low=1)
+    d = _opt(args, cfg, "simulate", "d", 5, _size, low=0)
+    samples = _opt(args, cfg, "simulate", "samples", 1, _size, low=1)
     seed = _opt(args, cfg, "simulate", "seed", 0, int, low=0)
     if profile.c_total == 0.0 and seed_config is None:
         seed_config = verify.seed_counts(d)
@@ -219,7 +228,7 @@ def cmd_simulate(args) -> int:
 
 def _occupancy_slices(args, cfg, section: str):
     sched, profile, _ = _model_parts(cfg, args.preset)
-    d = _opt(args, cfg, section, "d", 30, int, low=0)
+    d = _opt(args, cfg, section, "d", 30, _size, low=0)
     default = [0.01, 0.1, 1.0] if args.preset == "figure1" else [0.1, 0.5, 1.0]
     times = _opt(args, cfg, section, "times", default,
                  lambda ts: [float(t) for t in ts])
@@ -307,7 +316,7 @@ def cmd_rate(args) -> int:
     for key, val in (("preset", preset), ("path_csv", path_csv)):
         if val is not None and not isinstance(val, str):
             raise UsageError(f"{key} must be a string (got {val!r})")
-    d = _opt(args, cfg, "rate", "d", 20, int, low=0)
+    d = _opt(args, cfg, "rate", "d", 20, _size, low=0)
     tol = _opt(args, cfg, "rate", "tol", 1e-6, float)
     if not (math.isfinite(tol) and tol >= rate.MIN_TOL):
         raise UsageError(f"tol must be finite and at least {rate.MIN_TOL:g} (got {tol})")

@@ -12,23 +12,24 @@ component integrates g_{d+1}, the flux out of level d (at d = 0 it also
 receives the new-urn ball).  This module evaluates that closed form on
 flat arrays over the cells of one graded grid, in two phases.  The
 kernel build (LLNKernel) takes the grid, p, beta and sigma at the 15
-Gauss nodes of every cell and the decay integrals once (exact
-logarithms on constant schedule segments, Gauss rules on polynomial
-ones).  Arrays over the nodes are node-major, (15, cells); where each
-cell holds one value, as p and beta do on a piecewise-constant
-schedule, they are (1, cells) rows that broadcast against them.  Level
-propagation then runs one affine scan across the cells per level, in
-two reused node arrays; no level depends on the truncation d, so one
-kernel serves every d, propagating each level once.  Each level reaches
-the next through monotone (Fritsch-Carlson) cubics, built here from
-their slopes and evaluated by Horner's rule in the nodes' fractions of
-their cells, and each cell's Gauss rule sums its nodes by einsum.
-Beside it are an independent route that integrates the ODE system
-directly by an adaptive Dormand-Prince 5(4) pair written here in numpy,
-the constant-coefficient comparison family, power-law envelopes, and
-reference target laws.  A comparison solution is linear in t plus
-transients that each move by the negative-binomial law of a linear
-pure-birth (Yule) process, a propagator with positive terms only.
+Gauss nodes of every cell and the decay integrals once, segment by
+segment, over whole cells and from the nodes (exact logarithms on
+constant segments, nested Gauss rules on polynomial ones).  Arrays over
+the nodes are node-major, (15, cells); where each cell holds one value,
+as p and beta do on a piecewise-constant schedule, they are (1, cells)
+rows that broadcast against them.  Level propagation then runs one
+affine scan across the cells per level, in two reused node arrays; no
+level depends on the truncation d, so one kernel serves every d,
+propagating each level once.  Each level reaches the next through
+monotone (Fritsch-Carlson) cubics, built here from their slopes and
+evaluated by Horner's rule in the nodes' fractions of their cells, and
+each cell's Gauss rule sums its nodes by einsum.  Beside it are an
+independent route that integrates the ODE system directly, each segment
+on its own polynomials, by an adaptive Dormand-Prince 5(4) pair written
+here in numpy, the constant-coefficient comparison family, power-law
+envelopes, and reference target laws.  A comparison solution is linear
+in t plus transients that each move by the negative-binomial law of a
+linear pure-birth (Yule) process, a propagator with positive terms only.
 """
 from __future__ import annotations
 
@@ -37,10 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialProfile, Path, Schedule, sigma
+from .model import InitialProfile, Path, Schedule, _polyval, sigma
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 _GL_U = 0.5 + 0.5 * _GL_X    # the nodes' fractions of their cells
+_START_X = np.concatenate([[-1.0], _GL_X])    # a cell's start, then its nodes
 
 # graded_grid raises rather than cut a segment short at this many cells
 MAX_CELLS_PER_SEGMENT = 100_000
@@ -181,48 +183,40 @@ def _cell_sums(f, width):
     return out
 
 
-def _decay_integrals(schedule, profile, lo, hi, nodes, p, beta, sig, const):
-    """W1 = int (1-p)/sigma and W2 = int (1-p)*beta/sigma over each cell
-    [x,y], shape (K,), and from each Gauss node s to the cell end, shape
-    (15, K), so that M_i = exp(-(i*W1 + W2)) for every level i.
+def _decay_integrals(schedule, profile, lo, hi, nodes, sig, cells):
+    """W1 = int (1-p)/sigma and W2 = int (1-p)*beta/sigma from 16 points s
+    of each cell [x,y] to y, (16, K): row 0 from x (the whole cell), rows
+    1-15 from the Gauss nodes; M_i = exp(-(i*W1 + W2)) for every level i.
 
-    On cells of constant segments (the mask const) the integrals are exact
-    logarithms; on the others they are the cells' Gauss rules, with a
-    nested 15-point sub-rule on [s, y] for each node s.
+    Filled in place on each segment's slice of cells (cells): on a constant
+    segment by one chain of exact logarithms over the 16 rows (sigma(x) = 0
+    gives +inf), on a polynomial one by nested 15-point Gauss rules on [s, y].
     """
-    K = lo.size
-    W1_cell, W2_cell = np.empty(K), np.empty(K)
-    W1_nodes, W2_nodes = np.empty((15, K)), np.empty((15, K))
-
-    # constant segments: p, beta are the node values, sigma is linear
-    x, y, pc, bc = lo[const], hi[const], p[0, const], beta[0, const]
-    base = (1.0 - pc) / (1.0 + bc)
-    sx = sigma(profile, x, bc)
-    # log(sy/sx) = log1p((1+beta)(y-x)/sx) avoids cancellation on narrow
-    # cells where sy/sx is within a few ulps of 1
-    with np.errstate(divide="ignore"):
-        w1 = np.where(sx > 0.0,
-                      base * np.log1p((1.0 + bc) * (y - x) / np.where(sx > 0, sx, 1.0)),
-                      np.inf)
-    # y - s at the Gauss nodes, exactly half*(1 - x_q)
-    y_minus_s = (1.0 - _GL_X[:, None]) * (0.5 * (y - x))[None, :]
-    w1n = base[None, :] * np.log1p((1.0 + bc)[None, :] * y_minus_s / sig[:, const])
-    W1_cell[const], W2_cell[const] = w1, bc * w1
-    W1_nodes[:, const], W2_nodes[:, const] = w1n, bc[None, :] * w1n
-
-    # polynomial segments
-    poly = ~const
-    w = (1.0 - p[:, poly]) / sig[:, poly]
-    y = hi[poly]
-    W1_cell[poly] = _cell_sums(w, y - lo[poly])
-    W2_cell[poly] = _cell_sums(beta[:, poly] * w, y - lo[poly])
-    for q, s in enumerate(nodes[:, poly]):
-        sub = (0.5 * (y + s))[None, :] + (0.5 * (y - s))[None, :] * _GL_X[:, None]
-        psub, bsub = schedule.coefficients(sub)
-        integ = (1.0 - psub) / sigma(profile, sub, bsub)
-        W1_nodes[q, poly] = _cell_sums(integ, y - s)
-        W2_nodes[q, poly] = _cell_sums(integ * bsub, y - s)
-    return W1_cell, W2_cell, W1_nodes, W2_nodes
+    W1, W2 = np.empty((16, lo.size)), np.empty((16, lo.size))
+    for k, c in cells.items():
+        seg = schedule.segments[k]
+        x, y, w1 = lo[c], hi[c], W1[:, c]
+        if seg.is_constant:
+            p, beta = float(seg.p_coeffs[0]), float(seg.beta_coeffs[0])
+            # y - s, exactly half*(1 - x_q), and y - x in row 0
+            np.multiply(1.0 - _START_X[:, None], 0.5 * (y - x), out=w1)
+            # log(sy/ss) = log1p((1+beta)(y-s)/ss) avoids cancellation on
+            # narrow cells where sy/ss is within a few ulps of 1
+            w1 *= 1.0 + beta
+            with np.errstate(divide="ignore"):
+                w1[0] /= sigma(profile, x, beta)
+            w1[1:] /= sig[:, c]
+            np.log1p(w1, out=w1)
+            w1 *= (1.0 - p) / (1.0 + beta)
+            np.multiply(beta, w1, out=W2[:, c])
+        else:
+            for q, s in enumerate((x, *nodes[:, c])):
+                sub = (0.5 * (y + s))[None, :] + (0.5 * (y - s))[None, :] * _GL_X[:, None]
+                bsub = _polyval(seg.beta_coeffs, sub)
+                integ = (1.0 - _polyval(seg.p_coeffs, sub)) / sigma(profile, sub, bsub)
+                w1[q] = _cell_sums(integ, y - s)
+                W2[q, c] = _cell_sums(integ * bsub, y - s)
+    return W1, W2
 
 
 def _edge_slope(h0, h1, m0, m1):
@@ -328,9 +322,11 @@ class LLNKernel:
     """The d-independent part of the closed form on one graded grid.
 
     Built once per (schedule, profile, grid arguments): the grid and its
-    cell widths, and sigma and the negated decay integrals at the Gauss
-    nodes, each node-major (15, K), so the level loop broadcasts along the
-    long cell axis.  p and beta are (1, K) rows taken at the cell
+    cell widths, the cells of each segment as one slice, the decay
+    integrals over whole cells, and sigma and the negated decay integrals
+    at the Gauss nodes, node-major (15, K) views beside them (rows 1-15 of
+    _decay_integrals' arrays), so the level loop broadcasts along the long
+    cell axis.  p and beta are (1, K) rows taken at the cell
     midpoints on a piecewise-constant schedule, whose cells each hold one
     value, and (15, K) at the nodes otherwise.  Levels are computed in
     increasing i by propagating across the cells; each level's values are
@@ -363,12 +359,11 @@ class LLNKernel:
         seg_idx = schedule.segment_index(mid)
         self.cells = {k: slice(*np.searchsorted(seg_idx, [k, k + 1]).tolist())
                       for k in np.unique(seg_idx).tolist()}
-        const = np.array([s.is_constant for s in schedule.segments])[seg_idx]
-        self.W1_cell, self.W2_cell, W1_nodes, W2_nodes = _decay_integrals(
-            schedule, profile, lo, hi, nodes, self.p, self.beta, self.sig, const)
+        W1, W2 = _decay_integrals(schedule, profile, lo, hi, nodes, self.sig, self.cells)
+        self.W1_cell, self.W2_cell = W1[0], W2[0]
         # -W at the nodes, so a level's decay is exp(i*(-W1) + (-W2))
-        self.W1_neg = np.negative(W1_nodes, out=W1_nodes)
-        self.W2_neg = np.negative(W2_nodes, out=W2_nodes)
+        self.W1_neg = np.negative(W1[1:], out=W1[1:])
+        self.W2_neg = np.negative(W2[1:], out=W2[1:])
         self.grid = fine
 
         self.start = None    # the first cell's linear solution where sigma(0) = 0
@@ -430,8 +425,10 @@ def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
     return LLNKernel(schedule, profile, grid, rel_spacing, rel_floor).solve(d)
 
 
-def _rhs(t, y, schedule, profile, d):
-    p, beta = schedule.coefficients(t)
+def _rhs(t, y, segment, profile, d):
+    """The limit system's right side at a time t on the schedule segment,
+    whose polynomials give p and beta (in floats at a float t)."""
+    p, beta = _polyval(segment.p_coeffs, t), _polyval(segment.beta_coeffs, t)
     sig = sigma(profile, t, beta)
     rates = (1.0 - p) * (np.arange(d + 1) + beta) * y[: d + 1] / sig
     # level i+1 gains what level i loses, and the new-urn ball enters at 1
@@ -564,18 +561,16 @@ def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
         y = profile.truncated(d)
         small = grid < 0.0
 
-    stops = [b for b in schedule.breakpoints if b > t_start] + [1.0]
-    stops = np.unique(np.asarray(stops))
     left = t_start
-    for right in stops:
+    for seg, right in zip(schedule.segments, schedule.breakpoints[1:].tolist()):
+        if right <= left:
+            continue
         inside = (grid >= left) & (grid <= right) & ~small
         times = np.unique(np.concatenate([[left], grid[inside], [right]]))
-        # the interval's own coefficients up to its end: the last stage of a
-        # step that lands on a breakpoint would read the next segment's
-        below = float(np.nextafter(right, left))
+        # every stage lies in [left, right], so it reads this segment's
+        # polynomials, the one that lands on right included
         rows = np.vstack([y, _dormand_prince(
-            lambda t, z: _rhs(min(t, below), z, schedule, profile, d),
-            left, y, times[1:])])
+            lambda t, z: _rhs(t, z, seg, profile, d), left, y, times[1:])])
         out[inside] = rows[np.searchsorted(times, grid[inside])]
         y = rows[-1]
         left = right

@@ -50,8 +50,11 @@ def _as_coeffs(value) -> tuple:
     return tuple(value)
 
 
-def _polyval(coeffs: tuple, t) -> np.ndarray:
-    out = np.zeros_like(np.asarray(t, dtype=float))
+def _polyval(coeffs: tuple, t):
+    """The polynomial with coefficients coeffs (low order first) at t, by
+    Horner's rule started from 0.0: a float at a float t, an array at an
+    array t."""
+    out = 0.0
     for c in reversed(coeffs):
         out = out * t + float(c)
     return out

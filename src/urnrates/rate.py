@@ -15,11 +15,12 @@ Where p and beta are constant on every schedule segment, path_rate_exact
 sums closed-form integrals of log(affine) per panel; path_rate_Id, its
 paired check and the route across polynomial segments, runs an adaptive
 Gauss-Kronrod rule that refines all panels of one bisection depth
-together, interpolating phi on each panel's known path piece.  Both carry
-the condensation charge, the aggregate slot's share of L, on the same
-panels.  The untruncated functional of a reference law is the truncated
-one at the law's own depth, where the aggregate slot holds the urns the
-law does not store.
+together, interpolating phi on each panel's known path piece.  Both judge
+reachability by one rule at the panel ends, and both carry the
+condensation charge, the aggregate slot's share of L, on the same panels.
+The untruncated functional of a reference law is the truncated one at
+the law's own depth, where the aggregate slot holds the urns the law
+does not store.
 """
 from __future__ import annotations
 
@@ -73,6 +74,9 @@ _WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])           # 7 weights
 
 # Panels evaluated per vectorized batch; bounds the node arrays' memory.
 _BLOCK = 256
+# Panels whose two ends are judged per batch: as many ends as a block has
+# Kronrod nodes, which keeps a batch's peak memory at a quadrature block's
+_ENDS_BATCH = 15 * _BLOCK // 2
 
 # Bisection depths path_rate_Id may refine to
 MAX_DEPTH = 48
@@ -86,11 +90,14 @@ def _nu0_rows(v):
     """nu0, the cost-minimizing increment law with mean equal to the slope,
     for each slope row in the last axis of v, clipped at 0, and the mask of
     rows that are admissible within PATH_TOL (summing to 1 and leaving
-    every increment weight nonnegative)."""
+    every increment weight nonnegative).  The rows are one new array the
+    shape of v."""
     # 1 - [v]_i as the suffix sum of v above i, which keeps exact zeros
-    # above the last occupied level (where u_i = 0 too)
-    w = np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
-    w = np.concatenate([w, 1.0 - w.sum(axis=-1, keepdims=True)], axis=-1)
+    # above the last occupied level (where u_i = 0 too), written backwards
+    # into w's first d+1 slots; the aggregate slot takes the complement
+    w = np.empty_like(v)
+    np.cumsum(v[..., :0:-1], axis=-1, out=w[..., -2::-1])
+    w[..., -1] = 1.0 - w[..., :-1].sum(axis=-1)
     ok = (np.abs(v.sum(axis=-1) - 1.0) <= PATH_TOL) & np.all(w >= -PATH_TOL, axis=-1)
     return np.maximum(w, 0.0, out=w), ok
 
@@ -187,7 +194,10 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
 
     Panels start as knot intervals split at schedule breakpoints (the
     integrand jumps there), each carrying its constant minimizing law; all
-    unfinished panels of one bisection depth are refined together.  A
+    unfinished panels of one bisection depth are refined together.  Before
+    any quadrature, a panel where some w_i > 0 (i <= d) meets N_i < 0 at an
+    end makes the path diverge, by path_rate_exact's rule (_panel_ends),
+    so a sliver below zero that no node lands in still costs +inf.  A
     panel whose nodes all cost +inf is declared divergent, and isolated
     endpoint singularities are bisected down to a width floor, at most
     MAX_DEPTH times.  The condensation charge h(nu0_{d+1}, u_{d+1}) is
@@ -199,7 +209,8 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
                          f"(got {tol})")
     a, b, piece = _panels(path, schedule)
     w, renormalized = _piece_laws(path, profile)
-    if w is None:
+    if w is None or any(np.any(_panel_ends(a[s], b[s], piece[s], path, schedule, profile)[2]
+                               & (w[piece[s]] > 0.0)) for s in _batches(a.size)):
         return RateReport(math.inf, math.inf, a.size, 0, True, renormalized=renormalized)
 
     def cost(nodes, rows):  # rows of the current depth's (a, b, piece)
@@ -282,14 +293,41 @@ def _log_affine(lo, hi):
     return big, q
 
 
+def _batches(size: int) -> list:
+    """Slices of _ENDS_BATCH panels covering size panels."""
+    return [slice(lo, lo + _ENDS_BATCH) for lo in range(0, size, _ENDS_BATCH)]
+
+
+def _panel_ends(lo, hi, k, path: Path, schedule: Schedule, profile: InitialProfile):
+    """sigma (2, B) and the numerators N_i = u_i*sigma (2, B, d+2) at both
+    ends of the panels [lo, hi] on path pieces k, with p and beta at each
+    panel's midpoint, and the (B, d+2) mask of slots i <= d where N_i < 0
+    at an end: the reachability rule of both I_d routes, under which a
+    panel where such a slot has w_i > 0 costs +inf.
+
+    N_0 = p*sigma + (1-p)*beta*phi_0 and N_i = (1-p)(i+beta)*phi_i for
+    1 <= i <= d, formed as transition_law forms u.  For i >= 1 the sign of
+    N_i is the sign of phi_i on any segment; slot 0 on a polynomial
+    segment is judged with the midpoint coefficients.  N_bar, the last
+    slot, is left for the caller to set.
+    """
+    p, beta = schedule.coefficients(0.5 * (lo + hi))
+    ends = np.stack([lo, hi])
+    sig = sigma(profile, ends, beta)
+    num = selection_rates(p, beta, path.d) * path.on_piece(ends, k)
+    num[..., 0] += p * sig
+    unreachable = np.any(num < 0.0, axis=0)
+    unreachable[:, -1] = False
+    return sig, num, unreachable
+
+
 def path_rate_exact(path: Path, schedule: Schedule, profile: InitialProfile) -> RateReport:
     """I_d of the path in closed form, on a piecewise-constant schedule.
 
     path_rate_Id's panels (knot intervals split at schedule breakpoints)
     hold p and beta constant and the path linear, so sigma and the
-    numerator N_i = u_i*sigma of each natural-law entry are affine in t:
-    N_0 = p*sigma + (1-p)*beta*phi_0, N_i = (1-p)(i+beta)*phi_i for
-    1 <= i <= d, and N_bar = sigma - sum_{i<=d} N_i clipped at 0, as
+    numerator N_i = u_i*sigma of each natural-law entry are affine in t
+    (_panel_ends), and N_bar = sigma - sum_{i<=d} N_i clipped at 0, as
     transition_law clips u_bar.  The panel's minimizing law w is
     constant, so its cost is sum_i w_i*(h*log w_i + int log sigma -
     int log N_i), each integral of the log of an affine function in
@@ -309,16 +347,9 @@ def path_rate_exact(path: Path, schedule: Schedule, profile: InitialProfile) -> 
 
     def panel_costs(rows):  # (cost, charge) of the panels a[rows], (B, 2)
         lo, hi, k = a[rows], b[rows], piece[rows]
-        p, beta = schedule.coefficients(0.5 * (lo + hi))
-        ends = np.stack([lo, hi])
-        sig = sigma(profile, ends, beta)                          # (2, B)
-        # N_i = u_i*sigma at both ends, formed as transition_law forms u
-        num = selection_rates(p, beta, path.d) * path.on_piece(ends, k)
-        num[..., 0] += p * sig
-        unreachable = np.any(num < 0.0, axis=0)
-        unreachable[:, -1] = False      # N_bar is the complement set below
+        sig, num, unreachable = _panel_ends(lo, hi, k, path, schedule, profile)
         np.maximum(num, 0.0, out=num)
-        rest = num[..., -1]
+        rest = num[..., -1]    # N_bar, the complement
         np.subtract(sig, np.einsum("...i->...", num[..., :-1]), out=rest)
         np.maximum(rest, 0.0, out=rest)
         big_n, q_n = _log_affine(num[0], num[1])
@@ -333,11 +364,7 @@ def path_rate_exact(path: Path, schedule: Schedule, profile: InitialProfile) -> 
         terms[pos & unreachable] = math.inf
         return np.stack([terms.sum(axis=1), terms[:, -1]], axis=1)
 
-    # as many panel ends per batch as path_rate_Id has Kronrod nodes, which
-    # keeps the peak memory of a batch at a quadrature block's
-    step = 15 * _BLOCK // 2
-    costs = np.concatenate([panel_costs(slice(lo, lo + step))
-                            for lo in range(0, a.size, step)])
+    costs = np.concatenate([panel_costs(rows) for rows in _batches(a.size)])
     if not np.isfinite(costs[:, 0]).all():
         return RateReport(math.inf, math.inf, a.size, 0, True, renormalized=renormalized)
     value, charge = (math.fsum(col) for col in costs.T)

@@ -59,6 +59,15 @@ def test_simulate_seed_changes_output(tmp_path):
     assert (a / "trajectory.csv").read_bytes() != (b / "trajectory.csv").read_bytes()
 
 
+def test_simulate_takes_a_seed_beyond_array_sizes(tmp_path):
+    # n, samples and d are array sizes and stop at np.intp's largest value;
+    # a seed is not one, and numpy takes any nonnegative integer
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulate": {"n": 20, "seed": HUGE}}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["seed"] == HUGE
+
+
 def test_simulate_histogram_counts_samples(tmp_path):
     code = main(["simulate", "--n", "12", "--d", "1", "--samples", "50",
                  "--seed", "3", "--out", str(tmp_path)])
@@ -384,6 +393,16 @@ HUGE = 10**400
     pytest.param(["lln"], None, {"lln": {"times": [0.5, HUGE]}}, id="config-times-huge"),
     pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": HUGE}},
                  id="config-tol-huge"),
+    # sizes beyond an array's: numpy raised ValueError or OverflowError
+    pytest.param(["simulate"], None, {"simulate": {"n": HUGE}}, id="config-n-huge"),
+    pytest.param(["simulate", "--n", "20"], None, {"simulate": {"samples": HUGE}},
+                 id="config-samples-huge"),
+    pytest.param(["simulate", "--n", "20"], None, {"simulate": {"d": HUGE}},
+                 id="config-simulate-d-huge"),
+    pytest.param(["lln"], None, {"lln": {"d": HUGE}}, id="config-lln-d-huge"),
+    pytest.param(["envelope"], None, {"envelope": {"d": HUGE}}, id="config-envelope-d-huge"),
+    pytest.param(["rate", "--preset", "lln"], None, {"rate": {"d": HUGE}},
+                 id="config-rate-d-huge"),
     # a law preset's straight path starts empty, not at the profile
     pytest.param(["rate", "--preset", "star"], None,
                  {"schedule": CLASSICAL_SPEC, "profile": {"c": [0.3, 0.1, 0.05]}},

@@ -130,10 +130,12 @@ def _scipy_route(d, sched, prof, grid):
         left, y = 0.0, prof.truncated(d)
     out = np.empty((grid.size, d + 2))
     out[grid < left] = np.outer(grid[grid < left] / left, y)
-    for right in sched.breakpoints[sched.breakpoints > left]:
+    for seg, right in zip(sched.segments, sched.breakpoints[1:]):
+        if right <= left:
+            continue
         inside = (grid >= left) & (grid <= right)
         res = solve_ivp(lln._rhs, (left, right), y, method="RK45", dense_output=True,
-                        rtol=1e-12, atol=1e-15, max_step=0.01, args=(sched, prof, d))
+                        rtol=1e-12, atol=1e-15, max_step=0.01, args=(seg, prof, d))
         assert res.success
         out[inside] = res.sol(grid[inside]).T
         y, left = res.y[:, -1], right
@@ -176,7 +178,7 @@ def test_ode_rows_are_steps_ending_at_the_requested_times():
 
     def rhs(t, y):
         seen.append((t, y.copy()))
-        return lln._rhs(t, y, POLY, PROFILE, d)
+        return lln._rhs(t, y, POLY.segments[0], PROFILE, d)
 
     times = np.array([1e-3, 0.0123, 0.2, 0.2 + 1e-9, 0.7, 1.0])
     rows = lln._dormand_prince(rhs, 0.0, PROFILE.truncated(d), times)
@@ -186,6 +188,29 @@ def test_ode_rows_are_steps_ending_at_the_requested_times():
     sol = solve_lln_numeric(d, POLY, PROFILE, grid=grid)
     assert_array_equal(sol.grid, grid)
     assert_array_equal(sol.values[1:], rows)
+
+
+@pytest.mark.parametrize("sched, prof", [(TWO_PHASE, EMPTY), (THREE, PROFILE)],
+                         ids=["figure1", "polynomial"])
+def test_ode_stages_read_their_own_segment(monkeypatch, sched, prof):
+    # each interval between breakpoints is stepped on its own segment's
+    # polynomials, including the stages that land on the interval's end,
+    # where a lookup by time would read the next segment
+    starts, ends = sched.breakpoints[:-1], sched.breakpoints[1:]
+    calls = []
+    rhs = lln._rhs
+
+    def spy(t, y, segment, profile, d):
+        calls.append((float(t), next(k for k, s in enumerate(sched.segments) if s is segment)))
+        return rhs(t, y, segment, profile, d)
+
+    monkeypatch.setattr(lln, "_rhs", spy)
+    solve_lln_numeric(6, sched, prof, grid=np.linspace(0.0, 1.0, 101))
+    assert all(starts[k] <= t <= ends[k] for t, k in calls)
+    assert {k for _, k in calls} == set(range(len(sched.segments)))
+    # every interval but the last ends on a breakpoint its stages reach
+    for k in range(len(sched.segments) - 1):
+        assert (float(ends[k]), k) in calls
 
 
 def test_ode_step_cap_raises_naming_the_interval(monkeypatch):
@@ -316,6 +341,24 @@ def test_kernel_holds_few_node_arrays(sched, prof, node_arrays):
         tracemalloc.stop()
     cells = kernel.grid.size - 1
     assert held <= (node_arrays * 15 + 8) * cells * 8
+
+
+@pytest.mark.parametrize("sched", [TWO_PHASE, CLASSICAL], ids=["figure1", "homogeneous"])
+def test_kernel_build_peaks_near_what_it_keeps(sched):
+    # the decay integrals are written in place, segment by segment, into
+    # the (16, K) arrays the kernel keeps: at criterion 1's spacing a
+    # second build peaks 1.24 (figure 1) and 1.27 (homogeneous) node
+    # arrays above what it keeps, measured; one that gathered the cells
+    # through a mask into separate node temporaries read 4.68
+    lln.LLNKernel(sched, EMPTY, rel_spacing=2e-3)    # after first-call allocations
+    tracemalloc.start()
+    try:
+        kernel = lln.LLNKernel(sched, EMPTY, rel_spacing=2e-3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = kernel.grid.size - 1
+    assert peak - kept <= 1.5 * 15 * cells * 8
 
 
 def _pchip_cases():

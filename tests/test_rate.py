@@ -20,7 +20,14 @@ from urnrates.lln import (
     star_law,
     stretched_exponential,
 )
-from urnrates.model import InitialProfile, Path, Schedule, entropy_terms, increments
+from urnrates.model import (
+    PATH_TOL,
+    InitialProfile,
+    Path,
+    Schedule,
+    entropy_terms,
+    increments,
+)
 from urnrates.rate import (
     MIN_TOL,
     condensation_term,
@@ -66,6 +73,28 @@ def test_minimizer_rejects_inadmissible_slopes():
         [0.5, 0.25, 0.0, 0.25],     # admissible
     ]))
     assert_array_equal(ok, [False, False, False, True])
+
+
+def _concatenated_nu0_rows(v):
+    """nu0 rows as a reversed cumsum view and a concatenated copy: the
+    earlier form of rate._nu0_rows, which held three arrays the size of v."""
+    w = np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
+    w = np.concatenate([w, 1.0 - w.sum(axis=-1, keepdims=True)], axis=-1)
+    ok = (np.abs(v.sum(axis=-1) - 1.0) <= PATH_TOL) & np.all(w >= -PATH_TOL, axis=-1)
+    return np.maximum(w, 0.0, out=w), ok
+
+
+@pytest.mark.parametrize("d", [0, 1, 5, 8, 20, 230])
+def test_nu0_rows_written_in_place_match_the_concatenated_form(d):
+    # suffix sums written backwards into one array give the same bits, on
+    # Dirichlet rows, rows nudged off the simplex, and a single row
+    rng = np.random.default_rng(d)
+    v = rng.dirichlet(np.ones(d + 2), size=500)
+    v[::3] += rng.normal(scale=1e-9, size=v[::3].shape)
+    for slopes in (v, v[0]):
+        got, want = rate._nu0_rows(slopes), _concatenated_nu0_rows(slopes)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert_array_equal(got[1], want[1])
 
 
 def test_natural_law_hand_value():
@@ -457,15 +486,15 @@ def test_exact_route_matches_kronrod_on_benchmark_paths(monkeypatch):
 
 def test_exact_route_diverges_where_kronrod_does():
     # phi_1 starts just below 0 while mass escapes past level 1, so the
-    # natural law cannot make that move on [0, 4e-13]; Kronrod finds it by
-    # bisecting the short first piece
+    # natural law cannot make that move on [0, 4e-13]; both routes read it
+    # at the first panel's start, so Kronrod stops before any bisection
     start = np.array([0.0, -1e-13, 0.0])
     slope = np.array([0.5, 0.25, 0.25])
     negative = Path.from_knots([0.0, 1e-6, 1.0],
                                [start, start + 1e-6 * slope, start + slope])
     assert rate._piece_laws(negative, EMPTY)[0] is not None
     quad = path_rate_Id(negative, CLASSICAL, EMPTY)
-    assert quad.diverged and math.isinf(quad.value) and quad.deepest == 22
+    assert quad.diverged and math.isinf(quad.value) and quad.deepest == 0
     # the nonempty profile's limit path at d = 5, rejected by _piece_laws
     profile = InitialProfile.from_masses((0.3, 0.1, 0.05))
     rejected = solve_lln_closed(5, CLASSICAL, profile, rel_spacing=2e-3).path()
@@ -486,12 +515,10 @@ def test_exact_route_diverges_where_kronrod_does():
     assert not exact.diverged and abs(exact.value - quad.value) <= 1e-13
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "phi_1 < 0 on the sliver [0, 4e-13] while w_1 = 0.25: path_rate_exact "
-    "reads the panel end and returns inf, while no Kronrod node lands in the "
-    "sliver and path_rate_Id returns 0.1733; the start is within PATH_TOL, so "
-    "both routes and validate_path accept the path"))
 def test_routes_agree_on_a_sliver_below_zero():
+    # phi_1 < 0 on the sliver [0, 4e-13] while w_1 = 0.25, and the start is
+    # within PATH_TOL: no Kronrod node lands in the sliver (the quadrature
+    # alone read 0.1733), but both routes judge the panel ends by one rule
     start = np.array([0.0, -1e-13, 0.0])
     sliver = Path.from_knots([0.0, 1.0], [start, start + np.array([0.5, 0.25, 0.25])])
     exact, quad = path_rate_exact(sliver, CLASSICAL, EMPTY), path_rate_Id(sliver, CLASSICAL, EMPTY)

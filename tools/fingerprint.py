@@ -3,9 +3,9 @@
 Runs the commands below in-process into a temporary directory and hashes
 what each writes (the verify battery: its printed lines, timings
 stripped), then the exact oracle's terminal atoms on a piecewise-constant
-and on the polynomial schedule, then the ODE route's values on figure 1,
-then the closed-form kernel's values at criterion 1's spacing on figure 1
-and on the polynomial config.
+and on the polynomial schedule, then the ODE route's values on figure 1
+and on the polynomial config, then the closed-form kernel's values at
+criterion 1's spacing on figure 1 and on the polynomial config.
 Run it on two checkouts and diff the listings to check that a change
 leaves the numbers byte-identical:
 
@@ -113,11 +113,11 @@ def oracle_atoms(schedule: Schedule) -> str:
     return digest.hexdigest()
 
 
-def ode_route() -> str:
-    """sha256 over the ODE route's values on figure 1 from empty at d = 30,
-    on 101 equally spaced times (no subcommand runs that route)."""
-    schedule, profile, _ = config_from_dict(FIGURE1)
-    sol = lln.solve_lln_numeric(30, schedule, profile, grid=np.linspace(0.0, 1.0, 101))
+def ode_route(config: dict, d: int) -> str:
+    """sha256 over the ODE route's values at depth d on 101 equally spaced
+    times (no subcommand runs that route)."""
+    schedule, profile, _ = config_from_dict(config)
+    sol = lln.solve_lln_numeric(d, schedule, profile, grid=np.linspace(0.0, 1.0, 101))
     return hashlib.sha256(sol.values.tobytes()).hexdigest()
 
 
@@ -144,7 +144,9 @@ def main() -> int:
           flush=True)
     print("oracle-exact-polynomial-n10-d2", oracle_atoms(config_from_dict(POLYNOMIAL)[0]),
           flush=True)
-    print("lln-ode-figure1-d30", ode_route(), flush=True)
+    print("lln-ode-figure1-d30", ode_route(FIGURE1, 30), flush=True)
+    # steps a polynomial segment and lands on both of its breakpoints
+    print("lln-ode-polynomial-d12", ode_route(POLYNOMIAL, 12), flush=True)
     print("lln-kernel-figure1-d20", kernel_route(FIGURE1), flush=True)
     print("lln-kernel-polynomial-d20", kernel_route(POLYNOMIAL), flush=True)
     return 0
