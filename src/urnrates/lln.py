@@ -9,25 +9,26 @@ whose solution has the integral form
 with g_0 = 1-p, g_1 = p + (1-p) beta zeta_0 / sigma, and
 g_i = (1-p)(i-1+beta) zeta_{i-1} / sigma for i >= 2.  The aggregate
 component integrates g_{d+1}, the flux out of level d (at d = 0 it also
-receives the new-urn ball).  This module evaluates that closed form on
-flat arrays over the cells of one graded grid, in two phases.  The
-kernel build (LLNKernel) takes the grid, p, beta and sigma at the 15
-Gauss nodes of every cell and the decay integrals once, segment by
-segment, over whole cells and from the nodes (exact logarithms on
-constant segments, nested Gauss rules on polynomial ones).  Arrays over
-the nodes are node-major, (15, cells); where each cell holds one value,
-as p and beta do on a piecewise-constant schedule, they are (1, cells)
-rows that broadcast against them.  Level propagation then runs one
-affine scan across the cells per level, in two reused node arrays; no
-level depends on the truncation d, so one kernel serves every d,
-propagating each level once.  Each level reaches the next through
-monotone (Fritsch-Carlson) cubics, built here from their slopes and
-evaluated by Horner's rule in the nodes' fractions of their cells, and
-each cell's Gauss rule sums its nodes by einsum.  Beside it are an
-independent route that integrates the ODE system directly, each segment
-on its own polynomials, by an adaptive Dormand-Prince 5(4) pair written
-here in numpy, the constant-coefficient comparison family, power-law
-envelopes, and reference target laws.  A comparison solution is linear
+receives the new-urn ball).  From an empty profile, on a constant
+first segment the system has the exactly linear solution zeta_i = b_i t
+(b_sequence), which the closed form takes as known there.  This module
+evaluates that closed form on flat arrays over the cells of one graded
+grid, in two phases.  The kernel build (LLNKernel) takes the grid,
+sigma at the 15 Gauss nodes of every cell and the decay integrals once,
+segment by segment, over whole cells and from the nodes (exact
+logarithms on constant segments, nested Gauss rules on polynomial ones);
+p and beta are numbers on a constant segment and node arrays on a
+polynomial one.  Arrays over the nodes are node-major, (15, cells).
+Level propagation then runs one affine scan across the cells per level,
+in two reused node arrays; no level depends on the truncation d, so one
+kernel serves every d, propagating each level once.  Each level reaches
+the next through monotone (Fritsch-Carlson) cubics, built here from
+their slopes and evaluated by Horner's rule in the nodes' fractions of
+their cells, and each cell's Gauss rule sums its nodes by einsum.
+Beside it are an independent route that integrates the ODE system
+directly, each segment on its own polynomials, by an adaptive
+Dormand-Prince 5(4) pair written here in numpy, the constant-coefficient
+comparison family, power-law envelopes, and reference target laws.  A comparison solution is linear
 in t plus transients that each move by the negative-binomial law of a
 linear pure-birth (Yule) process, a propagator with positive terms only.
 """
@@ -124,6 +125,14 @@ def weighted_sum_check(sol: LLNSolution, profile: InitialProfile) -> WeightCheck
     )
 
 
+def _linear_start(schedule: Schedule, profile: InitialProfile) -> bool:
+    """Whether the limit is the linear solution zeta = slope * t
+    (_start_slopes) on the whole first segment: from an empty profile,
+    where sigma(0) = 0, on a constant first segment."""
+    return (profile.c_total == 0.0 and profile.c_weighted == 0.0
+            and schedule.segments[0].is_constant)
+
+
 def graded_grid(schedule: Schedule, profile: InitialProfile, rel_spacing: float = 0.02,
                 rel_floor: float = 1e-12, extra=None) -> np.ndarray:
     """Grid on [0,1] refined after each schedule breakpoint.
@@ -135,12 +144,16 @@ def graded_grid(schedule: Schedule, profile: InitialProfile, rel_spacing: float 
     at rel_floor * segment length, resolving the power behavior at t=0;
     at interior breakpoints sigma is positive and the solution is smooth,
     so no sub-scale cells are produced there (slopes measured on cells far
-    below the value round-off scale would be pure noise).  A segment that
-    needs more than MAX_CELLS_PER_SEGMENT cells raises ValueError.
+    below the value round-off scale would be pure noise).  A first segment
+    on which the limit is linear (_linear_start) keeps only its ends and
+    the extra points: LLNKernel.solve writes the linear solution there.  A
+    segment that needs more than MAX_CELLS_PER_SEGMENT cells raises
+    ValueError.
     """
-    pts = [np.asarray([] if extra is None else extra, dtype=float)]
     brks = schedule.breakpoints.tolist()    # Python floats step faster below
-    for a, b in zip(brks[:-1], brks[1:]):
+    pts = [np.asarray([] if extra is None else extra, dtype=float), np.asarray(brks)]
+    skip = 1 if _linear_start(schedule, profile) else 0
+    for a, b in zip(brks[skip:-1], brks[skip + 1:]):
         length = b - a
         beta_a = float(schedule.coefficients(a)[1])
         age0 = float(sigma(profile, a, beta_a)) / (1.0 + beta_a)
@@ -155,22 +168,27 @@ def graded_grid(schedule: Schedule, profile: InitialProfile, rel_spacing: float 
             append(t)
             step = rel_spacing * (t - a + age0)
             t += floor if floor > step else step    # max(step, floor)
-        append(b)
         pts.append(np.asarray(nodes))
     grid = np.unique(np.concatenate(pts))
     return grid[(grid >= 0.0) & (grid <= 1.0)]
 
 
-def _inflow(level, p, beta, zprev, sig):
-    """Source g_level of the closed form: 1-p at level 0, the new-urn ball
-    plus the flux out of level 0 at level 1, and the flux out of level
-    level-1 above that.  Level d+1 is the flux into the aggregate slot.
-    Above level 0 the source is written over zprev, an array."""
-    if level == 0:
-        return 1.0 - p
-    g = np.multiply((1.0 - p) * (level - 1 + beta), zprev, out=zprev)
-    g /= sig
-    return np.add(p, g, out=g) if level == 1 else g
+def _inflow(level, coeffs, cells, z, sig):
+    """Source g_level of the closed form, written over z: 1-p at level 0,
+    the new-urn ball plus the flux out of level 0 at level 1, and the flux
+    out of level level-1 above that, where z holds level-1's values.
+    Level d+1 is the flux into the aggregate slot.  coeffs holds p and beta
+    of each segment whose cells are the matching slice of cells."""
+    for (p, beta), c in zip(coeffs, cells.values()):
+        g = z[:, c]
+        if level == 0:
+            g[...] = 1.0 - p
+            continue
+        g *= (1.0 - p) * (level - 1 + beta)
+        g /= sig[:, c]
+        if level == 1:
+            g += p
+    return z
 
 
 def _cell_sums(f, width):
@@ -231,9 +249,25 @@ def _edge_slope(h0, h1, m0, m1):
     return d
 
 
+class _Knots(np.ndarray):
+    """The points x of a monotone cubic, carrying the terms of _pchip that
+    depend on them alone: the widths h = diff(x) and the slope weights
+    w1 = 2h[1:] + h[:-1], w2 = h[1:] + 2h[:-1] and w1 + w2.  The kernel
+    keeps one per segment, so each level's cubic on it reuses them."""
+
+    def __new__(cls, x, h=None):
+        x = np.asarray(x, dtype=float)
+        knots = x.view(cls)
+        knots.h = h = np.diff(x) if h is None else h
+        knots.w1, knots.w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        knots.wsum = knots.w1 + knots.w2
+        return knots
+
+
 def _pchip(x, y):
     """Coefficients (c0, c1, c2, c3) of the monotone cubic through the
-    points (x, y), one entry per cell; c0 multiplies (t - x_k)**3.
+    points (x, y), one entry per cell; c0 multiplies (t - x_k)**3.  x may
+    be _Knots, whose grid-only terms are then not recomputed.
 
     The slope at an interior point is the weighted harmonic mean of its two
     secants, or 0 where they differ in sign or one is flat (Fritsch and
@@ -241,17 +275,17 @@ def _pchip(x, y):
     Every operation is the one scipy's PchipInterpolator performs, in the
     same order, so the coefficients agree with it to the last bit.
     """
-    h = np.diff(x)
+    if not isinstance(x, _Knots):
+        x = _Knots(x)
+    h = x.h
     m = np.diff(y) / h
     dk = np.zeros_like(y)
     if y.size == 2:
         dk[:] = m[0]
     else:
         flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            whmean = (x.w1 / m[:-1] + x.w2 / m[1:]) / x.wsum
             dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
         dk[0] = _edge_slope(h[0], h[1], m[0], m[1])
         dk[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
@@ -259,17 +293,17 @@ def _pchip(x, y):
     return t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]
 
 
-def _segment_cubics(fine, cells, z):
+def _segment_cubics(knots, cells, z):
     """The coefficients (c0, c1, c2, c3) of every cell's piece, built by
-    one monotone cubic per schedule segment; cells maps each segment to
-    the slice of its cells, which together run over the grid in order.
+    one monotone cubic per schedule segment on its _Knots; cells maps each
+    segment to the slice of its cells, which together run over the grid in
+    order.
 
     The solution has slope kinks at the breakpoints; a single interpolant
     over the whole grid would leak them into the neighboring cells through
     the derivative estimates at the shared nodes.
     """
-    pieces = [_pchip(fine[c.start : c.stop + 1], z[c.start : c.stop + 1])
-              for c in cells.values()]
+    pieces = [_pchip(x, z[c.start : c.stop + 1]) for x, c in zip(knots, cells.values())]
     return tuple(np.concatenate(col) for col in zip(*pieces))
 
 
@@ -322,21 +356,22 @@ class LLNKernel:
     """The d-independent part of the closed form on one graded grid.
 
     Built once per (schedule, profile, grid arguments): the grid and its
-    cell widths, the cells of each segment as one slice, the decay
-    integrals over whole cells, and sigma and the negated decay integrals
-    at the Gauss nodes, node-major (15, K) views beside them (rows 1-15 of
-    _decay_integrals' arrays), so the level loop broadcasts along the long
-    cell axis.  p and beta are (1, K) rows taken at the cell
-    midpoints on a piecewise-constant schedule, whose cells each hold one
-    value, and (15, K) at the nodes otherwise.  Levels are computed in
-    increasing i by propagating across the cells; each level's values are
-    kept on the full grid and fed to the next level through a monotone
-    cubic interpolant.  From an empty profile on a constant first segment,
-    where sigma(0) = 0, the first cell [0, h] takes the exact value
-    zeta_i(h) = b_i h of the linear solution (b_sequence) in place of a
-    Gauss rule, which the kernel's singularity at t = 0 defeats.  Level i
-    never depends on d, so solve(d) propagates only the levels no earlier
-    call reached, then adds depth d's aggregate slot: level d+1's
+    cell widths, the cells of each segment as one slice, each segment's p
+    and beta (numbers on a constant segment, (15, cells) at its nodes on
+    a polynomial one) and _Knots, the decay integrals over whole cells,
+    and sigma and the negated decay integrals at the Gauss nodes,
+    node-major (15, K) views beside them (rows 1-15 of _decay_integrals'
+    arrays), so the level loop broadcasts along the long cell axis.
+    Levels are computed in increasing i by propagating across the cells;
+    each level's values are kept on the full grid and fed to the next
+    level through one monotone cubic interpolant per segment.  From an
+    empty profile on a constant first segment (_linear_start) the limit
+    there is the linear solution zeta = slope * t (_start_slopes), and
+    graded_grid gives that segment only its ends and the requested
+    times: on its cells the scan steps by z[k+1] = slope * t[k+1], with
+    no Gauss rule, which the kernel's singularity at t = 0 would defeat.
+    Level i never depends on d, so solve(d) propagates only the levels no
+    earlier call reached, then adds depth d's aggregate slot: level d+1's
     recurrence without decay.  If grid is given, it is merged into the
     computation grid and each solution is returned restricted to it.
     """
@@ -351,14 +386,22 @@ class LLNKernel:
         self.width = hi - lo
         mid = 0.5 * (hi + lo)
         nodes = mid[None, :] + (0.5 * self.width)[None, :] * _GL_X[:, None]  # (15, K)
-        self.p, self.beta = schedule.coefficients(
-            mid[None, :] if schedule.is_piecewise_constant else nodes)
-        self.sig = sigma(profile, nodes, self.beta)
 
         # cells of one segment are contiguous: the grid holds every breakpoint
         seg_idx = schedule.segment_index(mid)
         self.cells = {k: slice(*np.searchsorted(seg_idx, [k, k + 1]).tolist())
                       for k in np.unique(seg_idx).tolist()}
+        self.coeffs, self.sig = [], np.empty_like(nodes)
+        for k, c in self.cells.items():
+            seg = schedule.segments[k]
+            if seg.is_constant:
+                p, beta = float(seg.p_coeffs[0]), float(seg.beta_coeffs[0])
+            else:
+                p, beta = (_polyval(f, nodes[:, c]) for f in (seg.p_coeffs, seg.beta_coeffs))
+            self.coeffs.append((p, beta))
+            self.sig[:, c] = sigma(profile, nodes[:, c], beta)
+        self.knots = [_Knots(fine[c.start : c.stop + 1], self.width[c])
+                      for c in self.cells.values()]
         W1, W2 = _decay_integrals(schedule, profile, lo, hi, nodes, self.sig, self.cells)
         self.W1_cell, self.W2_cell = W1[0], W2[0]
         # -W at the nodes, so a level's decay is exp(i*(-W1) + (-W2))
@@ -366,10 +409,9 @@ class LLNKernel:
         self.W2_neg = np.negative(W2[1:], out=W2[1:])
         self.grid = fine
 
-        self.start = None    # the first cell's linear solution where sigma(0) = 0
-        if (profile.c_total == 0.0 and profile.c_weighted == 0.0
-                and schedule.segments[0].is_constant and fine[0] == 0.0):
-            self.start = _start_params(schedule)
+        self.schedule = schedule
+        # the cells of a first segment on which the limit is linear
+        self.linear = self.cells[0] if _linear_start(schedule, profile) else None
         self.levels = []         # level i's values on the grid, i < len(levels)
 
     def _contrib(self, i, decay, z, buf):
@@ -377,9 +419,9 @@ class LLNKernel:
         exp(-(i*W1 + W2)) at the nodes if decay is set, with g_i read off
         level i-1's cubics.  z and buf are (15, K) arrays, overwritten."""
         if i > 0:
-            cubic = _segment_cubics(self.grid, self.cells, self.levels[i - 1])
+            cubic = _segment_cubics(self.knots, self.cells, self.levels[i - 1])
             _on_fractions(cubic, self.width, _GL_U[:, None], z)
-        f = _inflow(i, self.p, self.beta, z, self.sig)
+        f = _inflow(i, self.coeffs, self.cells, z, self.sig)
         if decay:
             with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply(i, self.W1_neg, out=buf)
@@ -387,28 +429,35 @@ class LLNKernel:
                 f = np.multiply(f, np.exp(buf, out=buf), out=buf)
         return _cell_sums(f, self.width)
 
+    def _write_linear(self, slopes, i, m, c):
+        """Set the scan's steps on the linear first segment, if any, to
+        z[k+1] = 0 * z[k] + slopes[i] * t[k+1], the linear solution."""
+        if self.linear is not None:
+            cells = self.linear
+            m[cells] = 0.0
+            np.multiply(slopes[i], self.grid[cells.start + 1 : cells.stop + 1], out=c[cells])
+
     def solve(self, d: int) -> LLNSolution:
         """Limit trajectory truncated at d: levels 0..d and the aggregate slot."""
         if d < 0:
             raise ValueError("d must be >= 0")
         z, buf = np.empty(self.W1_neg.shape), np.empty(self.W1_neg.shape)
-        slopes = None if self.start is None else b_sequence(self.start, d)
+        slopes = None if self.linear is None else _start_slopes(self.schedule, d)
         for i in range(len(self.levels), d + 1):
             with np.errstate(over="ignore", invalid="ignore"):
                 e_cell = i * self.W1_cell + self.W2_cell
-                # 0 * inf from the sigma(0) = 0 cell: the kernel still vanishes
+                # 0 * inf from a sigma(0) = 0 cell: the kernel still vanishes
                 m_cell = np.exp(-np.where(np.isnan(e_cell), np.inf, e_cell))
             contrib = self._contrib(i, True, z, buf)
-            if slopes is not None:
-                # zeta_i = b_i t exactly on [0, h], and the cell starts at 0
-                contrib[0] = slopes[i] * self.grid[1]
+            self._write_linear(slopes, i, m_cell, contrib)
             self.levels.append(_affine_scan(self.profile.truncated(i)[i], m_cell, contrib))
         # the aggregate slot integrates its inflow without decay, and its
         # integrand carries no kernel singularity at t = 0
         contrib = self._contrib(d + 1, False, z, buf)
         del z, buf    # before the solution's values are stacked
-        aggregate = _affine_scan(self.profile.truncated(d)[d + 1],
-                                 np.ones(contrib.size), contrib)
+        m_cell = np.ones(contrib.size)
+        self._write_linear(slopes, d + 1, m_cell, contrib)
+        aggregate = _affine_scan(self.profile.truncated(d)[d + 1], m_cell, contrib)
         values = np.column_stack(self.levels[: d + 1] + [aggregate])
         if self.requested is None:
             return LLNSolution(d=d, grid=self.grid, values=values, method="closed-form")
@@ -441,32 +490,32 @@ def _rhs(t, y, segment, profile, d):
     return dy
 
 
-def _start_params(schedule) -> EnvelopeParams:
-    """The comparison system at the first segment's coefficients at t = 0:
-    from an empty profile its linear solution chi_i = b_i t (b_sequence) is
-    the limit trajectory wherever that segment is constant."""
+def _start_slopes(schedule, d) -> np.ndarray:
+    """Slopes of the linear solution of the limit system at the first
+    segment's coefficients at t = 0, from an empty profile: b_0..b_d
+    (b_sequence), then the aggregate slot's, its inflow
+    (1-p)(d+beta) b_d/(1+beta), plus p at d = 0, where the slot also gains
+    the new-urn ball.  The limit is slope * t on the whole first segment
+    when that segment is constant (_linear_start)."""
     seg = schedule.segments[0]
     p0, b0 = float(seg.p_coeffs[0]), float(seg.beta_coeffs[0])
-    return EnvelopeParams(p0, p0, b0, b0, 0.0)
+    slopes = np.empty(d + 2)
+    slopes[: d + 1] = b_sequence(EnvelopeParams(p0, p0, b0, b0, 0.0), d)
+    slopes[d + 1] = (1.0 - p0) * (d + b0) * slopes[d] / (1.0 + b0)
+    if d == 0:
+        slopes[1] += p0
+    return slopes
 
 
 def _seed_values(d, schedule):
     """Solution values at the small time SEED_T0 > 0 when sigma(0) = 0.
 
-    sigma(0) = 0 forces an empty profile, and constant coefficients then
-    admit the exactly-linear solution zeta_i = b_i t.  The first segment is
-    seeded with it at (p(0), beta(0)), exact when the segment is constant
-    and within O(SEED_T0^2) otherwise.
+    sigma(0) = 0 forces an empty profile, and the first segment is seeded
+    with the linear solution SEED_T0 * _start_slopes at (p(0), beta(0)):
+    exact when the segment is constant (_linear_start) and within
+    O(SEED_T0^2) otherwise.
     """
-    start = _start_params(schedule)
-    p0, b0 = start.o1, start.o3
-    b = b_sequence(start, d)
-    y = np.empty(d + 2)
-    y[: d + 1] = b * SEED_T0
-    y[d + 1] = SEED_T0 * (1.0 - p0) * (d + b0) * b[d] / (1.0 + b0)
-    if d == 0:  # the aggregate slot also gains the new-urn ball
-        y[1] += SEED_T0 * p0
-    return y
+    return _start_slopes(schedule, d) * SEED_T0
 
 
 def _rms(x) -> float:

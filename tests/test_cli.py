@@ -164,12 +164,19 @@ def test_rate_preset_geometric(tmp_path):
 
 
 def test_rate_preset_lln_is_zero(tmp_path):
-    assert main(["rate", "--preset", "lln", "--d", "10", "--out", str(tmp_path)]) == 0
-    report = read_json(tmp_path / "rate.json")
+    # on figure 1's schedule: the homogeneous limit path is one linear piece
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
+                                            {"t_start": 0.01, "p": 0.0, "beta": 1.0}]}))
+    out = tmp_path / "out"
+    assert main(["rate", "--config", str(cfg), "--preset", "lln", "--d", "10",
+                 "--out", str(out)]) == 0
+    report = read_json(out / "rate.json")
     assert abs(report["value"]) < 1e-8
     assert report["diverged"] is False
-    # a constant schedule takes the closed-form route; the interpolated
-    # limit path's slopes carry sum noise that _piece_laws rescales
+    # a piecewise-constant schedule takes the closed-form route; the
+    # interpolated limit path's slopes carry sum noise that _piece_laws
+    # rescales
     assert report["method"] == "exact" and report["error"] == 0.0
     assert 0 < report["renormalized"] < report["num_panels"]
 

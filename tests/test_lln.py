@@ -277,15 +277,32 @@ def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
 
 @pytest.mark.parametrize("sched", [CLASSICAL, TWO_PHASE], ids=["homogeneous", "figure1"])
 def test_empty_start_first_cell_is_the_linear_solution(sched):
-    # from an empty profile on a constant first segment, zeta_i = b_i t
-    # exactly on the first cell [0, h]: every level takes b_i * h there
-    d = 20
-    kernel = lln.LLNKernel(sched, EMPTY, rel_spacing=2e-3)
-    sol = kernel.solve(d)
-    p0, beta0 = sched.coefficients(0.0)
-    b = b_sequence(EnvelopeParams(float(p0), float(p0), float(beta0), float(beta0), 0.0), d)
-    h = kernel.grid[1]
-    assert_array_equal(sol.values[1, : d + 1], b * h)
+    # from an empty profile on a constant first segment the limit is
+    # zeta_i = b_i t exactly up to the first breakpoint t1: every grid
+    # value there, levels and aggregate slot, is slope * t to the last
+    # bit, on the kernel's own grid and on requested times inside (0, t1)
+    t1 = sched.breakpoints[1]
+    p0, beta0 = (float(v) for v in sched.coefficients(0.0))
+    requested = np.array([0.0, 0.002, 0.005, 0.01, 0.3, 0.55, 1.0])
+    for grid, inside in ((None, 0), (requested, 2)):
+        kernel = lln.LLNKernel(sched, EMPTY, grid=grid, rel_spacing=2e-3)
+        for d in (0, 5, 20):
+            sol = kernel.solve(d)
+            b = b_sequence(EnvelopeParams(p0, p0, beta0, beta0, 0.0), d)
+            # the aggregate slot gains level d's outflow, and at d = 0 the
+            # new-urn ball
+            bar = (1.0 - p0) * (d + beta0) * b[d] / (1.0 + beta0) + (p0 if d == 0 else 0.0)
+            first = sol.grid <= t1
+            assert np.count_nonzero((sol.grid > 0.0) & (sol.grid < t1)) >= inside
+            assert_array_equal(sol.values[first], np.outer(sol.grid[first], np.append(b, bar)))
+
+
+def test_graded_grid_floors_a_polynomial_first_segment():
+    # from empty, a polynomial first segment is not linear: the grading
+    # still resolves t = 0 with floor cells
+    grid = graded_grid(POLY, EMPTY, rel_spacing=2e-3)
+    assert grid[1] - grid[0] < 1e-9
+    assert grid.size > 10_000
 
 
 @pytest.mark.parametrize("grid", [None, np.array([0.0, 0.005, 0.01, 0.3, 0.55, 1.0])],
@@ -328,10 +345,11 @@ def test_level_loop_memory_is_the_levels_and_a_few_node_arrays():
     ids=["figure1", "polynomial"])
 def test_kernel_holds_few_node_arrays(sched, prof, node_arrays):
     # a built kernel keeps sigma and the two negated decay integrals at
-    # the nodes (p and beta too where a segment is polynomial) and a few
-    # per-cell rows; at criterion 1's spacing, figure 1's kernel holds
-    # 3.4 node arrays' worth, where one that also stored the Gauss weights
-    # and the offsets' powers held 7.3
+    # the nodes (p and beta too on the cells of a polynomial segment) and
+    # a few per-cell rows, the cubics' slope weights among them; at
+    # criterion 1's spacing, figure 1's kernel holds 3.5 node arrays'
+    # worth and the polynomial one 4.3, where one that also stored the
+    # Gauss weights and the offsets' powers held 7.3
     lln.LLNKernel(sched, prof, rel_spacing=2e-3)    # after first-call allocations
     tracemalloc.start()
     try:
@@ -346,18 +364,23 @@ def test_kernel_holds_few_node_arrays(sched, prof, node_arrays):
 @pytest.mark.parametrize("sched", [TWO_PHASE, CLASSICAL], ids=["figure1", "homogeneous"])
 def test_kernel_build_peaks_near_what_it_keeps(sched):
     # the decay integrals are written in place, segment by segment, into
-    # the (16, K) arrays the kernel keeps: at criterion 1's spacing a
-    # second build peaks 1.24 (figure 1) and 1.27 (homogeneous) node
-    # arrays above what it keeps, measured; one that gathered the cells
-    # through a mask into separate node temporaries read 4.68
-    lln.LLNKernel(sched, EMPTY, rel_spacing=2e-3)    # after first-call allocations
+    # the (16, K) arrays the kernel keeps: from a nonempty profile, where
+    # every segment is graded, at rel_spacing 2e-4 (about 7,000 cells) a
+    # second build peaks 1.27 node arrays above what it keeps on figure 1
+    # and on homogeneous, measured; one that gathered the cells through a
+    # mask into separate node temporaries read 4.68.  At 2e-3 (about 700
+    # cells) numpy's iterator buffers for the broadcast products, about
+    # 120 KB at that size, alone exceed the bound
+    prof = InitialProfile.from_masses((0.3, 0.1, 0.05))
+    lln.LLNKernel(sched, prof, rel_spacing=2e-4)    # after first-call allocations
     tracemalloc.start()
     try:
-        kernel = lln.LLNKernel(sched, EMPTY, rel_spacing=2e-3)
+        kernel = lln.LLNKernel(sched, prof, rel_spacing=2e-4)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     cells = kernel.grid.size - 1
+    assert cells > 5_000
     assert peak - kept <= 1.5 * 15 * cells * 8
 
 
@@ -625,9 +648,10 @@ def test_graded_grid_extra_points_kept():
 
 
 def test_graded_grid_profile_offsets_initial_refinement():
+    # on a polynomial first segment, which empty starts still grade
     prof = InitialProfile.from_masses((0.3, 0.2))
-    fine = graded_grid(CLASSICAL, profile=EMPTY)
-    coarse = graded_grid(CLASSICAL, profile=prof)
+    fine = graded_grid(POLY, profile=EMPTY)
+    coarse = graded_grid(POLY, profile=prof)
     # positive sigma(0) means no sub-scale cells are needed at t = 0
     assert coarse.size < fine.size
     assert coarse[1] - coarse[0] > 1e-3
@@ -635,12 +659,12 @@ def test_graded_grid_profile_offsets_initial_refinement():
 
 
 def test_graded_grid_raises_rather_than_truncate():
-    # 2e-4 needs about 138,000 cells from t = 0; cutting the segment
-    # short would leave one last cell hundreds of times wider than its
-    # neighbour
+    # 2e-4 needs about 138,000 cells from t = 0 on a polynomial first
+    # segment from empty; cutting the segment short would leave one last
+    # cell hundreds of times wider than its neighbour
     with pytest.raises(ValueError, match="cells"):
-        graded_grid(CLASSICAL, EMPTY, rel_spacing=2e-4)
-    grid = graded_grid(CLASSICAL, EMPTY, rel_spacing=5e-4)
+        graded_grid(POLY, EMPTY, rel_spacing=2e-4)
+    grid = graded_grid(POLY, EMPTY, rel_spacing=5e-4)
     assert grid.size - 1 < lln.MAX_CELLS_PER_SEGMENT
     widths = np.diff(grid)
     assert np.max(widths[1:] / widths[:-1]) <= 1 + 5e-4 + 1e-9

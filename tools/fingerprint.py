@@ -5,7 +5,8 @@ what each writes (the verify battery: its printed lines, timings
 stripped), then the exact oracle's terminal atoms on a piecewise-constant
 and on the polynomial schedule, then the ODE route's values on figure 1
 and on the polynomial config, then the closed-form kernel's values at
-criterion 1's spacing on figure 1 and on the polynomial config.
+criterion 1's spacing on figure 1, on the polynomial config and on the
+homogeneous schedule from a nonempty profile.
 Run it on two checkouts and diff the listings to check that a change
 leaves the numbers byte-identical:
 
@@ -41,6 +42,9 @@ POLYNOMIAL = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
 TWO_STEP = {"schedule": [{"t_start": 0, "p": 0.2, "beta": 1.5},
                          {"t_start": 0.4, "p": 0.05, "beta": 0.5}],
             "profile": {"c": [0.3, 0.1, 0.05]}}
+# the homogeneous schedule from a nonempty profile: graded constant cells
+HOMOGENEOUS_PROFILE = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 1.0}],
+                       "profile": {"c": [0.3, 0.1, 0.05]}}
 CONFIGS = {"figure1.json": FIGURE1, "polynomial.json": POLYNOMIAL, "two-step.json": TWO_STEP}
 
 RUNS = [
@@ -149,6 +153,7 @@ def main() -> int:
     print("lln-ode-polynomial-d12", ode_route(POLYNOMIAL, 12), flush=True)
     print("lln-kernel-figure1-d20", kernel_route(FIGURE1), flush=True)
     print("lln-kernel-polynomial-d20", kernel_route(POLYNOMIAL), flush=True)
+    print("lln-kernel-homogeneous-profile-d20", kernel_route(HOMOGENEOUS_PROFILE), flush=True)
     return 0
 
 
