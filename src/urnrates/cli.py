@@ -232,6 +232,8 @@ def _occupancy_slices(args, cfg, section: str):
     default = [0.01, 0.1, 1.0] if args.preset == "figure1" else [0.1, 0.5, 1.0]
     times = _opt(args, cfg, section, "times", default,
                  lambda ts: [float(t) for t in ts])
+    if not times:
+        raise UsageError("times must hold at least one time")
     try:
         grid = lln._times(times)
     except ValueError as exc:

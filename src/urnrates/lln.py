@@ -13,24 +13,25 @@ receives the new-urn ball).  From an empty profile, on a constant
 first segment the system has the exactly linear solution zeta_i = b_i t
 (b_sequence), which the closed form takes as known there.  This module
 evaluates that closed form on flat arrays over the cells of one graded
-grid, in two phases.  The kernel build (LLNKernel) takes the grid,
-sigma at the 15 Gauss nodes of every cell and the decay integrals once,
-segment by segment, over whole cells and from the nodes (exact
-logarithms on constant segments, nested Gauss rules on polynomial ones);
-p and beta are numbers on a constant segment and node arrays on a
-polynomial one.  Arrays over the nodes are node-major, (15, cells).
-Level propagation then runs one affine scan across the cells per level,
-in two reused node arrays; no level depends on the truncation d, so one
-kernel serves every d, propagating each level once.  Each level reaches
-the next through monotone (Fritsch-Carlson) cubics, built here from
-their slopes and evaluated by Horner's rule in the nodes' fractions of
-their cells, and each cell's Gauss rule sums its nodes by einsum.
-Beside it are an independent route that integrates the ODE system
-directly, each segment on its own polynomials, by an adaptive
-Dormand-Prince 5(4) pair written here in numpy, the constant-coefficient
-comparison family, power-law envelopes, and reference target laws.  A comparison solution is linear
-in t plus transients that each move by the negative-binomial law of a
-linear pure-birth (Yule) process, a propagator with positive terms only.
+grid that follow the known part, in two phases.  The kernel build
+(LLNKernel) takes the grid, sigma at the 15 Gauss nodes of every cell
+and the decay integrals once, segment by segment, over whole cells and
+from the nodes (exact logarithms on constant segments, nested Gauss
+rules on polynomial ones); p and beta are numbers on a constant segment
+and node arrays on a polynomial one.  Arrays over the nodes are
+node-major, (15, cells).  Level propagation then runs one affine scan
+across the cells per level, in two reused node arrays; no level depends
+on the truncation d, so one kernel serves every d, propagating each
+level once.  Each level reaches the next through monotone
+(Fritsch-Carlson) cubics, built here from their slopes and evaluated by
+Horner's rule in the nodes' fractions of their cells, and each cell's
+Gauss rule sums its nodes by einsum.  Beside it are an independent
+route that integrates the ODE system directly, each segment on its own
+polynomials, by an adaptive Dormand-Prince 5(4) pair written here in
+numpy, the constant-coefficient comparison family, power-law envelopes,
+and reference target laws.  A comparison solution is linear in t plus
+transients that each move by the negative-binomial law of a linear
+pure-birth (Yule) process, a propagator with positive terms only.
 """
 from __future__ import annotations
 
@@ -128,7 +129,8 @@ def weighted_sum_check(sol: LLNSolution, profile: InitialProfile) -> WeightCheck
 def _linear_start(schedule: Schedule, profile: InitialProfile) -> bool:
     """Whether the limit is the linear solution zeta = slope * t
     (_start_slopes) on the whole first segment: from an empty profile,
-    where sigma(0) = 0, on a constant first segment."""
+    where sigma(0) = 0, on a constant first segment.  graded_grid then
+    grades no cell there, and LLNKernel's cells start at its end."""
     return (profile.c_total == 0.0 and profile.c_weighted == 0.0
             and schedule.segments[0].is_constant)
 
@@ -146,7 +148,7 @@ def graded_grid(schedule: Schedule, profile: InitialProfile, rel_spacing: float 
     so no sub-scale cells are produced there (slopes measured on cells far
     below the value round-off scale would be pure noise).  A first segment
     on which the limit is linear (_linear_start) keeps only its ends and
-    the extra points: LLNKernel.solve writes the linear solution there.  A
+    the extra points, where LLNKernel takes the values as slope * t.  A
     segment that needs more than MAX_CELLS_PER_SEGMENT cells raises
     ValueError.
     """
@@ -207,8 +209,8 @@ def _decay_integrals(schedule, profile, lo, hi, nodes, sig, cells):
     1-15 from the Gauss nodes; M_i = exp(-(i*W1 + W2)) for every level i.
 
     Filled in place on each segment's slice of cells (cells): on a constant
-    segment by one chain of exact logarithms over the 16 rows (sigma(x) = 0
-    gives +inf), on a polynomial one by nested 15-point Gauss rules on [s, y].
+    segment by one chain of exact logarithms over the 16 rows, on a
+    polynomial one by nested 15-point Gauss rules on [s, y].
     """
     W1, W2 = np.empty((16, lo.size)), np.empty((16, lo.size))
     for k, c in cells.items():
@@ -221,8 +223,7 @@ def _decay_integrals(schedule, profile, lo, hi, nodes, sig, cells):
             # log(sy/ss) = log1p((1+beta)(y-s)/ss) avoids cancellation on
             # narrow cells where sy/ss is within a few ulps of 1
             w1 *= 1.0 + beta
-            with np.errstate(divide="ignore"):
-                w1[0] /= sigma(profile, x, beta)
+            w1[0] /= sigma(profile, x, beta)
             w1[1:] /= sig[:, c]
             np.log1p(w1, out=w1)
             w1 *= (1.0 - p) / (1.0 + beta)
@@ -249,25 +250,9 @@ def _edge_slope(h0, h1, m0, m1):
     return d
 
 
-class _Knots(np.ndarray):
-    """The points x of a monotone cubic, carrying the terms of _pchip that
-    depend on them alone: the widths h = diff(x) and the slope weights
-    w1 = 2h[1:] + h[:-1], w2 = h[1:] + 2h[:-1] and w1 + w2.  The kernel
-    keeps one per segment, so each level's cubic on it reuses them."""
-
-    def __new__(cls, x, h=None):
-        x = np.asarray(x, dtype=float)
-        knots = x.view(cls)
-        knots.h = h = np.diff(x) if h is None else h
-        knots.w1, knots.w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        knots.wsum = knots.w1 + knots.w2
-        return knots
-
-
 def _pchip(x, y):
     """Coefficients (c0, c1, c2, c3) of the monotone cubic through the
-    points (x, y), one entry per cell; c0 multiplies (t - x_k)**3.  x may
-    be _Knots, whose grid-only terms are then not recomputed.
+    points (x, y), one entry per cell; c0 multiplies (t - x_k)**3.
 
     The slope at an interior point is the weighted harmonic mean of its two
     secants, or 0 where they differ in sign or one is flat (Fritsch and
@@ -275,17 +260,17 @@ def _pchip(x, y):
     Every operation is the one scipy's PchipInterpolator performs, in the
     same order, so the coefficients agree with it to the last bit.
     """
-    if not isinstance(x, _Knots):
-        x = _Knots(x)
-    h = x.h
+    h = np.diff(x)
     m = np.diff(y) / h
     dk = np.zeros_like(y)
     if y.size == 2:
         dk[:] = m[0]
     else:
         flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (x.w1 / m[:-1] + x.w2 / m[1:]) / x.wsum
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
             dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
         dk[0] = _edge_slope(h[0], h[1], m[0], m[1])
         dk[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
@@ -293,17 +278,18 @@ def _pchip(x, y):
     return t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]
 
 
-def _segment_cubics(knots, cells, z):
+def _segment_cubics(x, cells, z):
     """The coefficients (c0, c1, c2, c3) of every cell's piece, built by
-    one monotone cubic per schedule segment on its _Knots; cells maps each
-    segment to the slice of its cells, which together run over the grid in
-    order.
+    one monotone cubic per schedule segment through the points (x, z);
+    cells maps each segment to the slice of its cells, which together run
+    over the points in order.
 
     The solution has slope kinks at the breakpoints; a single interpolant
     over the whole grid would leak them into the neighboring cells through
     the derivative estimates at the shared nodes.
     """
-    pieces = [_pchip(x, z[c.start : c.stop + 1]) for x, c in zip(knots, cells.values())]
+    pieces = [_pchip(x[c.start : c.stop + 1], z[c.start : c.stop + 1])
+              for c in cells.values()]
     return tuple(np.concatenate(col) for col in zip(*pieces))
 
 
@@ -323,10 +309,10 @@ def _on_fractions(cubic, width, u, out):
     return out
 
 
-def _affine_scan(z0, m, c):
-    """z[0] = z0 and z[k+1] = m[k]*z[k] + c[k], by log2(K) doubling passes
-    that compose the affine steps pairwise; every m and c is >= 0, so no
-    pass cancels.  m and c are overwritten."""
+def _affine_scan(m, c, z):
+    """z[k+1] = m[k]*z[k] + c[k] from the given z[0], written over z[1:],
+    by log2(K) doubling passes that compose the affine steps pairwise;
+    every m and c is >= 0, so no pass cancels.  m and c are overwritten."""
     size = m.size
     spare = np.empty(size)
     shift = 1
@@ -337,9 +323,7 @@ def _affine_scan(z0, m, c):
         spare[:shift] = m[:shift]
         m, spare = spare, m
         shift *= 2
-    z = np.empty(size + 1)
-    z[0] = z0
-    np.multiply(z0, m, out=z[1:])
+    np.multiply(z[0], m, out=z[1:])
     z[1:] += c
     return z
 
@@ -355,33 +339,39 @@ def _times(grid) -> np.ndarray:
 class LLNKernel:
     """The d-independent part of the closed form on one graded grid.
 
-    Built once per (schedule, profile, grid arguments): the grid and its
-    cell widths, the cells of each segment as one slice, each segment's p
-    and beta (numbers on a constant segment, (15, cells) at its nodes on
-    a polynomial one) and _Knots, the decay integrals over whole cells,
-    and sigma and the negated decay integrals at the Gauss nodes,
-    node-major (15, K) views beside them (rows 1-15 of _decay_integrals'
-    arrays), so the level loop broadcasts along the long cell axis.
-    Levels are computed in increasing i by propagating across the cells;
-    each level's values are kept on the full grid and fed to the next
-    level through one monotone cubic interpolant per segment.  From an
-    empty profile on a constant first segment (_linear_start) the limit
-    there is the linear solution zeta = slope * t (_start_slopes), and
-    graded_grid gives that segment only its ends and the requested
-    times: on its cells the scan steps by z[k+1] = slope * t[k+1], with
-    no Gauss rule, which the kernel's singularity at t = 0 would defeat.
-    Level i never depends on d, so solve(d) propagates only the levels no
-    earlier call reached, then adds depth d's aggregate slot: level d+1's
-    recurrence without decay.  If grid is given, it is merged into the
-    computation grid and each solution is returned restricted to it.
+    Built once per (schedule, profile, grid arguments): the grid, and over
+    the cells it solves their widths, the cells of each segment as one
+    slice, each segment's p and beta (numbers on a constant segment,
+    (15, cells) at its nodes on a polynomial one), the decay integrals
+    over whole cells, and sigma and the negated decay integrals at the
+    Gauss nodes, node-major (15, K) views beside them (rows 1-15 of
+    _decay_integrals' arrays), so the level loop broadcasts along the long
+    cell axis.  The cells start where the limit stops being known: from
+    an empty profile on a constant first segment (_linear_start) the limit
+    there is zeta = slope * t (_start_slopes), so the cells start at the
+    first breakpoint t1 (none at all on a one-segment constant schedule),
+    and every level's values on the grid points up to t1 are slope * t.
+    Otherwise they start at 0, from the profile.  Levels are computed in
+    increasing i by propagating across the cells from that start; each
+    level's values are kept on the full grid and fed to the next level
+    through one monotone cubic interpolant per segment.  Level i never
+    depends on d, so solve(d) propagates only the levels no earlier call
+    reached, then adds depth d's aggregate slot: level d+1's recurrence
+    without decay.  If grid is given, it is merged into the computation
+    grid and each solution is returned restricted to it.
     """
 
     def __init__(self, schedule: Schedule, profile: InitialProfile, grid=None,
                  rel_spacing: float = 0.02, rel_floor: float = 1e-12):
-        self.profile = profile
+        self.schedule, self.profile = schedule, profile
         self.requested = None if grid is None else _times(grid)
-        fine = graded_grid(schedule, profile, rel_spacing=rel_spacing, rel_floor=rel_floor,
-                           extra=self.requested)
+        self.grid = graded_grid(schedule, profile, rel_spacing=rel_spacing,
+                                rel_floor=rel_floor, extra=self.requested)
+        # the grid index at which the cells start: t1's (the grid holds
+        # it) after a linear first segment, else 0
+        self.start = (int(np.searchsorted(self.grid, schedule.breakpoints[1]))
+                      if _linear_start(schedule, profile) else 0)
+        fine = self.grid[self.start :]
         lo, hi = fine[:-1], fine[1:]
         self.width = hi - lo
         mid = 0.5 * (hi + lo)
@@ -400,64 +390,56 @@ class LLNKernel:
                 p, beta = (_polyval(f, nodes[:, c]) for f in (seg.p_coeffs, seg.beta_coeffs))
             self.coeffs.append((p, beta))
             self.sig[:, c] = sigma(profile, nodes[:, c], beta)
-        self.knots = [_Knots(fine[c.start : c.stop + 1], self.width[c])
-                      for c in self.cells.values()]
         W1, W2 = _decay_integrals(schedule, profile, lo, hi, nodes, self.sig, self.cells)
         self.W1_cell, self.W2_cell = W1[0], W2[0]
         # -W at the nodes, so a level's decay is exp(i*(-W1) + (-W2))
         self.W1_neg = np.negative(W1[1:], out=W1[1:])
         self.W2_neg = np.negative(W2[1:], out=W2[1:])
-        self.grid = fine
-
-        self.schedule = schedule
-        # the cells of a first segment on which the limit is linear
-        self.linear = self.cells[0] if _linear_start(schedule, profile) else None
         self.levels = []         # level i's values on the grid, i < len(levels)
 
     def _contrib(self, i, decay, z, buf):
         """Per cell, the Gauss rule of g_i, times the level's decay
         exp(-(i*W1 + W2)) at the nodes if decay is set, with g_i read off
         level i-1's cubics.  z and buf are (15, K) arrays, overwritten."""
-        if i > 0:
-            cubic = _segment_cubics(self.knots, self.cells, self.levels[i - 1])
+        if i > 0 and self.cells:
+            s = self.start
+            cubic = _segment_cubics(self.grid[s:], self.cells, self.levels[i - 1][s:])
             _on_fractions(cubic, self.width, _GL_U[:, None], z)
         f = _inflow(i, self.coeffs, self.cells, z, self.sig)
         if decay:
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(i, self.W1_neg, out=buf)
-                buf += self.W2_neg
-                f = np.multiply(f, np.exp(buf, out=buf), out=buf)
+            np.multiply(i, self.W1_neg, out=buf)
+            buf += self.W2_neg
+            f = np.multiply(f, np.exp(buf, out=buf), out=buf)
         return _cell_sums(f, self.width)
 
-    def _write_linear(self, slopes, i, m, c):
-        """Set the scan's steps on the linear first segment, if any, to
-        z[k+1] = 0 * z[k] + slopes[i] * t[k+1], the linear solution."""
-        if self.linear is not None:
-            cells = self.linear
-            m[cells] = 0.0
-            np.multiply(slopes[i], self.grid[cells.start + 1 : cells.stop + 1], out=c[cells])
+    def _scan(self, head, m, c):
+        """A level's values on the grid: head on the points up to the
+        cells' start, then the affine scan across the cells from there."""
+        z = np.empty(self.grid.size)
+        z[: self.start + 1] = head
+        _affine_scan(m, c, z[self.start :])
+        return z
 
     def solve(self, d: int) -> LLNSolution:
         """Limit trajectory truncated at d: levels 0..d and the aggregate slot."""
         if d < 0:
             raise ValueError("d must be >= 0")
+        # each slot's values up to the cells' start, one row per slot:
+        # slope * t when they start at t1 > 0, else the profile at t = 0
+        if self.start:
+            heads = np.multiply.outer(_start_slopes(self.schedule, d),
+                                      self.grid[: self.start + 1])
+        else:
+            heads = self.profile.truncated(d)[:, None]
         z, buf = np.empty(self.W1_neg.shape), np.empty(self.W1_neg.shape)
-        slopes = None if self.linear is None else _start_slopes(self.schedule, d)
         for i in range(len(self.levels), d + 1):
-            with np.errstate(over="ignore", invalid="ignore"):
-                e_cell = i * self.W1_cell + self.W2_cell
-                # 0 * inf from a sigma(0) = 0 cell: the kernel still vanishes
-                m_cell = np.exp(-np.where(np.isnan(e_cell), np.inf, e_cell))
+            m_cell = np.exp(-(i * self.W1_cell + self.W2_cell))
             contrib = self._contrib(i, True, z, buf)
-            self._write_linear(slopes, i, m_cell, contrib)
-            self.levels.append(_affine_scan(self.profile.truncated(i)[i], m_cell, contrib))
-        # the aggregate slot integrates its inflow without decay, and its
-        # integrand carries no kernel singularity at t = 0
+            self.levels.append(self._scan(heads[i], m_cell, contrib))
+        # the aggregate slot integrates its inflow without decay
         contrib = self._contrib(d + 1, False, z, buf)
         del z, buf    # before the solution's values are stacked
-        m_cell = np.ones(contrib.size)
-        self._write_linear(slopes, d + 1, m_cell, contrib)
-        aggregate = _affine_scan(self.profile.truncated(d)[d + 1], m_cell, contrib)
+        aggregate = self._scan(heads[d + 1], np.ones(contrib.size), contrib)
         values = np.column_stack(self.levels[: d + 1] + [aggregate])
         if self.requested is None:
             return LLNSolution(d=d, grid=self.grid, values=values, method="closed-form")
@@ -505,17 +487,6 @@ def _start_slopes(schedule, d) -> np.ndarray:
     if d == 0:
         slopes[1] += p0
     return slopes
-
-
-def _seed_values(d, schedule):
-    """Solution values at the small time SEED_T0 > 0 when sigma(0) = 0.
-
-    sigma(0) = 0 forces an empty profile, and the first segment is seeded
-    with the linear solution SEED_T0 * _start_slopes at (p(0), beta(0)):
-    exact when the segment is constant (_linear_start) and within
-    O(SEED_T0^2) otherwise.
-    """
-    return _start_slopes(schedule, d) * SEED_T0
 
 
 def _rms(x) -> float:
@@ -588,8 +559,10 @@ def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
     Independent of the closed-form route: the right side is evaluated
     directly and the integrator restarts at every schedule breakpoint,
     stepping onto every grid time.  When sigma(0) = 0 the system is
-    singular at the origin; integration starts from SEED_T0 with the
-    constant-coefficient seed.
+    singular at the origin; sigma(0) = 0 forces an empty profile, and
+    integration starts from SEED_T0 with the linear solution at (p(0),
+    beta(0)), SEED_T0 * _start_slopes: exact when the first segment is
+    constant (_linear_start) and within O(SEED_T0^2) otherwise.
     """
     if grid is None:
         grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 201),
@@ -601,7 +574,7 @@ def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
     sig0 = float(sigma(profile, 0.0, schedule.coefficients(0.0)[1]))
     if sig0 == 0.0:
         t_start = SEED_T0
-        y = _seed_values(d, schedule)
+        y = _start_slopes(schedule, d) * SEED_T0
         small = grid < t_start
         # below the seed point the trajectory is linear to leading order
         out[small] = np.outer(grid[small] / t_start, y)

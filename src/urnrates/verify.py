@@ -237,27 +237,18 @@ def criterion_8(budget: str = "default") -> CheckResult:
     num_paths = 20 if budget == "reduced" else 100
     ts = (np.arange(64) + 0.5) / 64.0
     paths = [_random_admissible_path(rng, 20) for _ in range(num_paths)]
-    # every path has the same knot count, so knots and values stack; a
-    # projection keeps its path's knots, so the pieces holding ts and the
-    # weights of ts on them serve every level
-    knots = np.stack([path.times for path in paths])      # (paths, knots)
-    values = np.stack([path.values for path in paths])    # (paths, knots, 22)
-    rows = np.arange(num_paths)[:, None]
-    pieces = np.stack([path._segment_of(ts) for path in paths])
-    left = knots[rows, pieces]
-    w = ((ts - left) / (knots[rows, pieces + 1] - left))[..., None]
-    # per level r, the projections (rate.project_path), their values at ts
-    # (Path.on_piece) and slopes (Path.slopes) by the same operations on the
-    # stack, then one local_cost call on the (paths, times) stack
+    # projection (rate.project_path) is linear, so it commutes with
+    # sampling a path and with its slopes: sample every full path once,
+    # (paths, times, 22); from r = 20 down, the first r+2 slots are the
+    # projection to depth r, costed by one local_cost call on the stack,
+    # and adding slot r+1 into slot r projects to depth r-1
+    phi = np.stack([path.at(ts) for path in paths])
+    slopes = np.stack([path.slope_at(ts) for path in paths])
     costs = np.empty((21, num_paths, ts.size))
-    for r in range(21):
-        proj = np.empty(values.shape[:2] + (r + 2,))
-        proj[..., : r + 1] = values[..., : r + 1]
-        proj[..., r + 1] = values[..., r + 1 :].sum(axis=-1)
-        phi = (1.0 - w) * proj[rows, pieces]
-        phi += w * proj[rows, pieces + 1]
-        slopes = np.diff(proj, axis=1) / np.diff(knots, axis=1)[..., None]
-        costs[r] = rate.local_cost(ts, phi, slopes[rows, pieces], sched, profile)
+    for r in range(20, -1, -1):
+        costs[r] = rate.local_cost(ts, phi[..., : r + 2], slopes[..., : r + 2], sched, profile)
+        phi[..., r] += phi[..., r + 1]
+        slopes[..., r] += slopes[..., r + 1]
     running = np.maximum.accumulate(costs, axis=0)
     worst = float((running[:-1] - costs[1:]).max())
     ok = worst <= 1e-12

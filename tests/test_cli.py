@@ -398,6 +398,10 @@ HUGE = 10**400
                   "profile": {"c": [0.3, 0.1], "c_weighted": HUGE}},
                  id="config-profile-c-weighted-huge"),
     pytest.param(["lln"], None, {"lln": {"times": [0.5, HUGE]}}, id="config-times-huge"),
+    # no times: the mass deviation's maximum over them raised ValueError
+    pytest.param(["lln"], None, {"lln": {"times": []}}, id="config-lln-times-empty"),
+    pytest.param(["envelope"], None, {"envelope": {"times": []}},
+                 id="config-envelope-times-empty"),
     pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": HUGE}},
                  id="config-tol-huge"),
     # sizes beyond an array's: numpy raised ValueError or OverflowError

@@ -125,7 +125,7 @@ def _scipy_route(d, sched, prof, grid):
     from scipy.integrate import solve_ivp
 
     if prof.c_total == 0.0:
-        left, y = lln.SEED_T0, lln._seed_values(d, sched)
+        left, y = lln.SEED_T0, lln._start_slopes(sched, d) * lln.SEED_T0
     else:
         left, y = 0.0, prof.truncated(d)
     out = np.empty((grid.size, d + 2))
@@ -226,23 +226,25 @@ def test_ode_step_cap_raises_naming_the_interval(monkeypatch):
 PCHIP_ULPS = 128
 
 
-@pytest.mark.parametrize("sched, prof", [
-    (TWO_PHASE, EMPTY), (THREE, InitialProfile.from_masses((0.3, 0.1, 0.05)))],
+@pytest.mark.parametrize("sched, prof, segments", [
+    (TWO_PHASE, EMPTY, 1), (THREE, InitialProfile.from_masses((0.3, 0.1, 0.05)), 3)],
     ids=["figure1", "polynomial"])
-def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
-    # every level builds one monotone cubic per schedule segment, whose
-    # coefficient rows must be scipy's PchipInterpolator's to the last bit,
-    # and evaluates them at the Gauss nodes of every cell at once,
-    # node-major (15, cells), within PCHIP_ULPS of scipy's values there,
-    # segment by segment
+def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof, segments):
+    # every level builds one monotone cubic per graded schedule segment
+    # (on figure 1 from empty the first segment is linear and has no
+    # cells), whose coefficient rows must be scipy's PchipInterpolator's to
+    # the last bit, and evaluates them at the Gauss nodes of every cell at
+    # once, node-major (15, cells), within PCHIP_ULPS of scipy's values
+    # there, segment by segment
     from scipy.interpolate import PchipInterpolator
 
     d = 6
     fine = graded_grid(sched, profile=prof)
-    lo, hi = fine[:-1], fine[1:]
+    # the cells start at the first graded segment's breakpoint
+    first = int(np.searchsorted(fine, sched.breakpoints[len(sched.segments) - segments]))
+    lo, hi = fine[first:-1], fine[first + 1:]
     nodes = (0.5 * (hi + lo))[None, :] + (0.5 * (hi - lo))[None, :] * lln._GL_X[:, None]
     pchip, on_fractions = lln._pchip, lln._on_fractions
-    segments = len(sched.segments)
     built, levels = [], []
 
     def recorded(x, y):
@@ -258,11 +260,11 @@ def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof):
         assert out.shape == nodes.shape
         starts = [start for _, start, _ in level]
         sizes = [size for *_, size in level]
-        # the segments' cells run over the whole grid in order
-        assert starts == [sum(sizes[:j]) for j in range(segments)]
+        # the segments' cells run over the grid from there in order
+        assert starts == [first + sum(sizes[:j]) for j in range(segments)]
         assert sum(sizes) == nodes.shape[1]
         for interp, start, size in level:
-            cells = slice(start, start + size)
+            cells = slice(start - first, start - first + size)
             assert_array_equal(np.stack([c[cells] for c in cubic]), interp.c)
             assert_near(out[:, cells], interp(nodes[:, cells]))
         levels.append(starts)
@@ -295,6 +297,40 @@ def test_empty_start_first_cell_is_the_linear_solution(sched):
             first = sol.grid <= t1
             assert np.count_nonzero((sol.grid > 0.0) & (sol.grid < t1)) >= inside
             assert_array_equal(sol.values[first], np.outer(sol.grid[first], np.append(b, bar)))
+
+
+def test_linear_first_segment_has_no_cells(monkeypatch):
+    # the kernel's cells start at the first breakpoint after a linear first
+    # segment, so a one-segment constant schedule from empty has none, and
+    # its solve builds no cubic
+    figure1 = lln.LLNKernel(TWO_PHASE, EMPTY)
+    assert figure1.grid[figure1.start] == 0.01
+    assert figure1.width.size == figure1.grid.size - 1 - figure1.start
+    homogeneous = lln.LLNKernel(CLASSICAL, EMPTY)
+    assert homogeneous.width.size == 0 and not homogeneous.cells
+
+    def refuse(*args):
+        raise AssertionError("a kernel without cells builds no cubic")
+    monkeypatch.setattr(lln, "_pchip", refuse)
+    sol = homogeneous.solve(20)
+    assert_array_equal(sol.grid, [0.0, 1.0])
+
+
+TWO_STEP = Schedule.from_segments([(0.0, 0.2, 1.5), (0.4, 0.05, 0.5)])
+
+
+@pytest.mark.parametrize("grid", [None, np.array([0.0, 0.005, 0.01, 0.3, 0.55, 1.0])],
+                         ids=["own", "requested"])
+@pytest.mark.parametrize("prof", [EMPTY, PROFILE], ids=["empty", "profile"])
+@pytest.mark.parametrize("sched", [CLASSICAL, TWO_PHASE, POLY, THREE, TWO_STEP],
+                         ids=["homogeneous", "figure1", "polynomial", "three", "two-step"])
+def test_kernel_meets_no_singular_intermediate(sched, prof, grid):
+    # no cell starts where sigma vanishes, so building and solving the
+    # kernel divides by no zero and overflows or loses nothing to nan
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        kernel = lln.LLNKernel(sched, prof, grid=grid)
+        for d in (0, 5, 20):
+            assert np.all(np.isfinite(kernel.solve(d).values))
 
 
 def test_graded_grid_floors_a_polynomial_first_segment():
