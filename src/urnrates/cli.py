@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -49,11 +50,9 @@ def _json_token(obj, indent: int) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        if all(type(k) is str and type(v) is int for k, v in obj.items()):
-            # a flat str -> int table (the terminal histogram): the same
-            # text from one dumps, indented to this level
-            return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-        items = [f'{pad}  {json.dumps(str(k))}: {_json_token(v, indent + 2)}'
+        # int values written inline: the terminal histogram holds 10^4 of them
+        items = [f"{pad}  {encode_basestring_ascii(str(k))}: "
+                 f"{v if type(v) is int else _json_token(v, indent + 2)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):

@@ -16,18 +16,18 @@ and the result is the histogram (states, counts), the size of the
 answer.  Once states are mostly distinct it expands to one column per
 replica, each drawing its move by the cumulative inverse with the last
 entry taken as complement.  Expanded, the counts are a float (d+2, R)
-buffer, exact since they stay far below 2**53: each category's counts
-are one contiguous row, the cumulative law of a step is written into a
-preallocated buffer, and the move is one small matrix product on the
-comparison mask.  The uniforms are drawn a block of steps at a time
-under a fixed byte budget, the same stream as one draw per step.
-Counts leave the loop as int64 (observer rows and the histogram).
+buffer, exact since they stay far below 2**53, one row per category.
+The law is never normalized: uniforms u become thresholds (u - p)*s,
+compared with the cumulative sums of the weights z_i (1-p)(i+beta), and
+the comparison mask moves the counts by an int8 stencil.  The uniforms
+are drawn a block of steps at a time under a fixed byte budget, the same
+stream as one draw per step.
 Paths never merge: a per-step observer sees every replica's counts, so
 the history of run_ensemble_paths is recorded step by step and
 the tube estimate keeps only a running per-replica sup of the L1
 distance.  A single run walks its one replica in Python floats, stopping
-at the drawn entry of the cumulative law; it makes the draws of the
-one-replica ensemble, bit for bit, and is checked against it.
+at the first cumulative weight above its threshold; it makes the draws
+of the one-replica ensemble, bit for bit, and is checked against it.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ class TubeQuery:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN too
             raise ValueError("tube radius must be positive")
 
 
@@ -115,28 +115,28 @@ def _expand(states, mult):
     return np.repeat(states.T.astype(float), mult, axis=1)
 
 
-def _move_matrix(d):
-    """The (d+2, d+2) matrix that maps the comparison column (1, u >= c_0,
-    ..., u >= c_d) to the increment f[k], k = the number of cumulative law
-    entries c_i at or below u: column 0 is f[0] and column i+1 is f[i+1] -
-    f[i], which telescope, since c is nondecreasing."""
-    f = increments(d).astype(float)
-    return np.column_stack([f[0], *(f[1:] - f[:-1])])
-
-
-def _cumulative_law(z, rates, s, p, out):
-    """Left-to-right cumulative sums of the first d+1 entries of
-    transition_law for the (d+2, R) counts z, written into out (d+1, R);
-    rates is the (d+1, 1) column of selection_rates for the step.  The same
-    operations in the same order as transition_law, so the same values bit
-    for bit, without its complement, which the cumulative inverse never
-    reads."""
+def _cumulative_law(z, rates, out):
+    """Left-to-right cumulative sums W_0..W_d of the weights z_i r_i for the
+    (d+2, R) counts z, written into out (d+1, R); rates is the (d+1, 1)
+    column of selection_rates for the step.  The weights are the products
+    transition_law forms before it divides by s, so entry i of the law's
+    cumulative inverse is drawn when W_{i-1} <= (u - p)*s < W_i; the
+    complement, never read, is not formed."""
     np.multiply(z[:-1], rates, out=out)
-    out /= s
-    out[0] += p
     for i in range(1, len(out)):  # np.cumsum(axis=0) walks the strided columns
         out[i] += out[i - 1]
     return out
+
+
+def _move(above, onehot, out):
+    """The moves f[k] into the float (d+2, R) out, from the mask above, rows
+    a_{-1} = 1 and a_i = [t >= W_i], 1 for i < k as W is nondecreasing: the
+    stencil dz_0 = a_0, dz_i = a_{i-2} - 2 a_{i-1} + a_i (a_{d+1} := a_d),
+    the difference of the one-hot rows e_i = a_{i-1} - a_i formed in the
+    int8 (d+3, R) onehot between its fixed rows e_{-1} = 1, e_{d+1} = 0."""
+    bits = above.view(np.int8)
+    np.subtract(bits[:-1], bits[1:], out=onehot[1:-1])
+    return np.subtract(onehot[:-1], onehot[1:], out=out)
 
 
 def _prologue(n, d, schedule, initial, seed):
@@ -166,12 +166,14 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
     Multinomial(multiplicity, law), which samples the histogram's law
     exactly.  It expands to one column per replica (_expand) once the
     distinct states outnumber _EXPAND_FRACTION of the replicas.  Expanded,
-    each replica draws its move by the cumulative inverse of one uniform,
-    the uniforms drawn in blocks of steps (the same stream as one draw per
-    step).
-    observe(j, counts) sees the (num_samples, d+2) integer rows at j = 0
-    and after every step j.  With an observer the loop never merges, so
-    paths and their random stream do not depend on the merging.
+    each replica draws its move by the cumulative inverse of one uniform u,
+    (u - p)*s against _cumulative_law, moved by _move, the uniforms drawn
+    in blocks of steps (the same stream as one draw per step).
+    observe(j, z) sees the float (d+2, num_samples) counts at j = 0 and
+    after every step j.  z is the loop's own buffer, which the next step
+    overwrites: an observer copies what it keeps and never writes to z.
+    With an observer the loop never merges, so paths and their random
+    stream do not depend on the merging.
     """
     if num_samples < 1:
         raise ValueError("need num_samples >= 1")
@@ -190,23 +192,26 @@ def _simulate(n, d, schedule, initial, num_samples, seed, observe=None):
 
     z = _expand(counts, mult)  # exact: counts stay far below 2**53
     rates = selection_rates(p, beta, d)[:, : d + 1, None]
-    move = _move_matrix(d)
-    # Rows 1.. of above take the cumulative law, then in place whether u is
-    # at or above it; row 0 stays 1 (see _move_matrix).
-    above = np.ones((d + 2, num_samples))
-    cum = above[1:]
+    above = np.ones((d + 2, num_samples), dtype=bool)  # a_{-1} = 1, then t >= W_i
+    onehot = np.zeros((d + 3, num_samples), dtype=np.int8)
+    onehot[0] = 1  # see _move
+    move = np.empty((d + 2, num_samples))
+    cum = move[1:]  # compared before the move overwrites it
     per_block = max(1, _UNIFORM_BLOCK_BYTES // (8 * num_samples))
     if observe is not None:
-        observe(0, z.T.astype(np.int64))
+        observe(0, z)
     for start in range(j, n, per_block):
-        uniforms = rng.random((min(per_block, n - start), num_samples))
-        for j, u in enumerate(uniforms, start):
-            _cumulative_law(z, rates[j], s[j], p[j], out=cum)
-            np.greater_equal(u, cum, out=cum)
-            z += move @ above
+        stop = min(start + per_block, n)
+        thresholds = rng.random((stop - start, num_samples))
+        thresholds -= p[start:stop, None]
+        thresholds *= s[start:stop, None]
+        for j, t in enumerate(thresholds, start):
+            _cumulative_law(z, rates[j], out=cum)
+            np.greater_equal(t, cum, out=above[1:])
+            z += _move(above, onehot, out=move)
             if observe is not None:
-                observe(j + 1, z.T.astype(np.int64))
-    del above, cum, uniforms, u  # before _tabulate's sort buffers
+                observe(j + 1, z)
+    del above, onehot, move, cum, thresholds, t  # before _tabulate's sort buffers
     return _tabulate(z.T.astype(np.int64))
 
 
@@ -215,16 +220,16 @@ def _walk(n, d, schedule, initial, seed):
     run_ensemble_paths(..., 1, seed)[0], bit for bit, stepped in Python
     floats instead of one-element arrays.
 
-    Each step builds the cumulative law c_0 = p + z_0 r_0/s, c_i = c_{i-1} +
-    z_i r_i/s by the operations of _cumulative_law in the same order (a
-    rounded sum does not depend on the order of its two terms), and takes
-    the move k = the number of entries at or below u, which, c being
-    nondecreasing, is the first i with u < c_i (d+1 if none): the walk stops
-    there.  The uniforms are the column loop's stream, rng.random(block),
-    and the selection rates and lattice arrays become lists one block of
-    steps at a time, so memory stays that of the history.  Only the moves
-    are recorded; the history is their increments summed in int64, which is
-    exact.
+    Each step forms the threshold t = (u - p)*s and the cumulative weights
+    W_0 = z_0 r_0, W_i = W_{i-1} + z_i r_i by the operations of the column
+    loop in the same order (a rounded sum does not depend on the order of
+    its two terms), and takes the move k = the number of weights at or
+    below t, which, W being nondecreasing, is the first i with t < W_i
+    (d+1 if none): the walk stops there.  The uniforms are the column
+    loop's stream, rng.random(block), and the thresholds and selection
+    rates become lists one block of steps at a time, so memory stays that
+    of the history.  Only the moves are recorded; the history is their
+    increments summed in int64, which is exact.
     """
     state0, p, beta, s, rng = _prologue(n, d, schedule, initial, seed)
     f = increments(d)
@@ -234,12 +239,12 @@ def _walk(n, d, schedule, initial, seed):
         stop = min(start + _WALK_BLOCK, n)
         block = []
         rates = selection_rates(p[start:stop], beta[start:stop], d)[:, : d + 1]
-        for r, sj, pj, u in zip(rates.tolist(), s[start:stop].tolist(),
-                                p[start:stop].tolist(), rng.random(stop - start).tolist()):
-            c = pj
+        thresholds = (rng.random(stop - start) - p[start:stop]) * s[start:stop]
+        for r, t in zip(rates.tolist(), thresholds.tolist()):
+            c = 0.0
             for k in range(d + 1):
-                c += z[k] * r[k] / sj
-                if u < c:
+                c += z[k] * r[k]
+                if t < c:
                     break
             else:
                 k = d + 1
@@ -281,11 +286,11 @@ def run_ensemble_paths(n, d, schedule, initial, num_samples, seed) -> np.ndarray
     """Full count histories, shape (num_samples, n+1, d+2)."""
     history = None
 
-    def record(j, counts):
+    def record(j, z):
         nonlocal history
         if history is None:  # allocated once _simulate has checked n and d
             history = np.empty((num_samples, n + 1, d + 2), dtype=np.int64)
-        history[:, j, :] = counts
+        history[:, j, :] = z.T  # exact: the float counts are integers
 
     _simulate(n, d, schedule, initial, num_samples, seed, observe=record)
     return history
@@ -322,11 +327,15 @@ def ensemble_sup_l1_distance(center: Path, n: int, d: int, schedule: Schedule,
     O(num_samples * d) memory instead of the whole history."""
     if center.d != d:
         raise ValueError("center path truncation does not match d")
-    ref = center.at(np.arange(n + 1) / n)  # (n+1, d+2)
+    ref = center.at(np.arange(n + 1) / n)[:, :, None]  # (n+1, d+2, 1)
     sup = np.zeros(num_samples)
+    dist = np.empty((d + 2, num_samples))
 
-    def observe(j, counts):
-        np.maximum(sup, _row_sums(np.abs(counts / n - ref[j])), out=sup)
+    def observe(j, z):
+        np.divide(z, n, out=dist)
+        np.subtract(dist, ref[j], out=dist)
+        np.abs(dist, out=dist)
+        np.maximum(sup, _row_sums(dist.T), out=sup)
 
     _simulate(n, d, schedule, initial, num_samples, seed, observe=observe)
     return sup

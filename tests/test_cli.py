@@ -461,9 +461,9 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_flat_histogram_json_is_the_entrywise_text():
-    # emit_json writes a flat str -> int dict with one json.dumps; the text
-    # must be the entry-by-entry format, byte for byte, at any depth, on a
-    # histogram of 10^4 states
+    # emit_json writes a dict entry by entry, an int value inline; on a
+    # histogram of 10^4 states the text must be the entrywise format, byte
+    # for byte, at any depth
     rng = np.random.default_rng(20261019)
     states = rng.integers(0, 2000, size=(10_000, 7)).tolist()
     counts = rng.integers(1, 9, size=10_000).tolist()
@@ -478,10 +478,25 @@ def test_flat_histogram_json_is_the_entrywise_text():
     want = '{\n  "samples": 10000,\n  "terminal_histogram": ' + entrywise(hist, "  ") + "\n}\n"
     assert cli.emit_json(summary) == want
     assert cli.emit_json(hist) == entrywise(hist, "") + "\n"
-    # a key that needs escaping, and a bool value (which takes the
-    # entrywise path)
+    # a key that needs escaping, and a bool value (written as JSON, not
+    # inline as an int)
     assert cli.emit_json({'a"\n\u00e9': 1}) == '{\n  "a\\"\\n\\u00e9": 1\n}\n'
     assert cli.emit_json({"x": True, "y": 2}) == '{\n  "x": true,\n  "y": 2\n}\n'
+    # random tables whose keys need escapes or hold non-ASCII characters (a
+    # lone surrogate too), at three depths: json.dumps' indented text,
+    # shifted to the depth
+    alphabet = ["a", "Z", "0", ",", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f",
+                "\x7f", "\u00e9", "\u20ac", "\u2028", "\U0001f600", "\ud800"]
+    for _ in range(50):
+        size = int(rng.integers(1, 40))
+        keys = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 8))))
+                for _ in range(size)]
+        values = [int(v) * 10 ** int(e) for v, e in zip(rng.integers(-9, 10, size=size),
+                                                        rng.integers(0, 25, size=size))]
+        table = dict(zip(keys, values))
+        for indent in (0, 2, 4):
+            want = json.dumps(table, indent=2).replace("\n", "\n" + " " * indent)
+            assert cli._json_token(table, indent) == want
 
 
 def test_subcommands_never_load_scipy(tmp_path):

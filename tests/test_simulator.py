@@ -355,6 +355,36 @@ def test_streamed_sup_l1_matches_history(num_samples, d):
         assert np.array_equal(streamed, sup_l1_distance(hist, center, n))
 
 
+@pytest.mark.parametrize("num_samples", [1, 2])
+def test_streamed_sup_l1_matches_history_on_one_deep_column(num_samples):
+    # at d = 9 each replica's distance sums 11 terms, which np.add.reduce
+    # pairs when they form a lone column (one replica); the streamed sum
+    # must still add them in the history's order
+    n, d = 150, 9
+    sched = Schedule.constant(0.2, 1.0)
+    start = (2,) + (0,) * (d + 1)
+    own = run(n, d, sched, start, seed=1).interpolated
+    hist = run_ensemble_paths(n, d, sched, start, num_samples, seed=6)
+    for shift in np.geomspace(1e-3, 1e3, 7):
+        center = Path.from_knots(own.times, own.values * shift)
+        streamed = ensemble_sup_l1_distance(center, n, d, sched, start, num_samples, seed=6)
+        assert np.array_equal(streamed, sup_l1_distance(hist, center, n))
+
+
+@pytest.mark.parametrize("d", [0, 1, 5, 30])
+def test_move_stencil_gives_the_increments(d):
+    # column k is the comparison mask of a replica whose threshold reaches
+    # k cumulative weights: a_{-1} = 1, then a_i = [i < k] for i = 0..d
+    k = np.arange(d + 2)
+    above = np.vstack([np.ones(d + 2, dtype=bool), np.arange(d + 1)[:, None] < k])
+    onehot = np.zeros((d + 3, d + 2), dtype=np.int8)
+    onehot[0] = 1
+    move = simulator._move(above, onehot, out=np.full((d + 2, d + 2), np.nan))
+    assert np.array_equal(move.T, increments(d))
+    # the boundary rows e_{-1} = 1 and e_{d+1} = 0 survive for the next step
+    assert np.all(onehot[0] == 1) and np.all(onehot[-1] == 0)
+
+
 def test_tube_estimate_memory_is_bounded():
     # the (R, n+1, d+2) history alone would take 107 MB
     n, d, num = 2000, 5, 1000
@@ -411,6 +441,8 @@ def test_tube_probability_degenerate_radii():
     assert est.estimate == 1.0 and est.hits == 64 and est.stderr == 0.0
     with pytest.raises(ValueError):
         TubeQuery(center, radius=0.0)
+    with pytest.raises(ValueError):
+        TubeQuery(center, radius=float("nan"))
 
 
 def test_tube_probability_monotone_in_radius():

@@ -6,7 +6,8 @@ stripped), then the exact oracle's terminal atoms on a piecewise-constant
 and on the polynomial schedule, then the ODE route's values on figure 1
 and on the polynomial config, then the closed-form kernel's values at
 criterion 1's spacing on figure 1, on the polynomial config and on the
-homogeneous schedule from a nonempty profile.
+homogeneous schedule from a nonempty profile, then the streamed tube
+distances of an ensemble around figure 1's limit path.
 Run it on two checkouts and diff the listings to check that a change
 leaves the numbers byte-identical:
 
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from urnrates import cli, lln, oracle
+from urnrates import cli, lln, oracle, simulator
 from urnrates.model import Schedule, config_from_dict
 
 FIGURE1 = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
@@ -133,6 +134,18 @@ def kernel_route(config: dict) -> str:
     return hashlib.sha256(sol.values.tobytes()).hexdigest()
 
 
+def tube_distances(config: dict) -> str:
+    """sha256 over the per-replica sup-L1 distances of 1000 replicas from
+    two empty urns, n = 2000, d = 5, to the closed-form limit path on the
+    lattice (the streamed observer loop of the tube estimate)."""
+    n, d = 2000, 5
+    schedule, profile, _ = config_from_dict(config)
+    center = lln.solve_lln_closed(d, schedule, profile, grid=np.arange(n + 1) / n).path()
+    dist = simulator.ensemble_sup_l1_distance(center, n, d, schedule, (2,) + (0,) * (d + 1),
+                                              1000, seed=11)
+    return hashlib.sha256(dist.tobytes()).hexdigest()
+
+
 def main() -> int:
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -154,6 +167,7 @@ def main() -> int:
     print("lln-kernel-figure1-d20", kernel_route(FIGURE1), flush=True)
     print("lln-kernel-polynomial-d20", kernel_route(POLYNOMIAL), flush=True)
     print("lln-kernel-homogeneous-profile-d20", kernel_route(HOMOGENEOUS_PROFILE), flush=True)
+    print("tube-distances-figure1-n2000-d5", tube_distances(FIGURE1), flush=True)
     return 0
 
 
