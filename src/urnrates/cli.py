@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import json
 import math
 import sys
@@ -294,17 +296,21 @@ def cmd_envelope(args) -> int:
 def _path_from_csv(fname: str) -> Path:
     try:
         with open(fname) as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(x) for x in row] for row in reader if row]
+            header = next(csv.reader(fh))
+            # loadtxt warns on input without rows, and from_knots rejects
+            # them below; a '#' cell is an error, not a comment
+            first = next((line for line in fh if line != "\n"), None)
+            cells = np.empty((0, len(header))) if first is None else np.loadtxt(
+                itertools.chain([first], fh), delimiter=",", ndmin=2, comments=None,
+                quotechar='"')
     except (OSError, ValueError, StopIteration) as exc:
         raise UsageError(f"cannot read path CSV {fname}: {exc}")
     if not header or header[0] != "t" or header[-1] != "x_bar":
         raise UsageError("path CSV must have header t,x_0,...,x_d,x_bar")
-    if any(len(row) != len(header) for row in rows):
+    if cells.shape[1] != len(header):
         raise UsageError(f"every row of path CSV {fname} needs {len(header)} cells")
     try:
-        return Path.from_knots([row[0] for row in rows], [row[1:] for row in rows])
+        return Path.from_knots(cells[:, 0], cells[:, 1:])
     except ValueError as exc:
         raise UsageError(f"bad path in {fname}: {exc}")
 
@@ -414,6 +420,7 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="urnrates",

@@ -758,7 +758,7 @@ def power_law_envelopes(schedule: Schedule, profile: InitialProfile,
 GEOMETRIC_TERMS = 200
 # stretched_exponential: the bisection for mu stops at this relative width,
 # the product walk at k^2 P_k < STRETCHED_FLOOR, and it raises past
-# STRETCHED_MAX_TERMS products (r close to 1 needs that many)
+# STRETCHED_MAX_TERMS products (r close to 1 needs that many), read per walk
 STRETCHED_MU_RTOL = 1e-12
 STRETCHED_FLOOR = 1e-15
 STRETCHED_MAX_TERMS = 2_000_000
@@ -815,24 +815,40 @@ def dirac_law(k: int) -> ReferenceLaw:
     return ReferenceLaw("dirac", {"k": k}, q, 0.0, 0.0)
 
 
-def _stretched_products(mu: float, r: float, stop: float = math.inf):
+def _stretched_products(mu: float, r: float, powers: list, stop: float = math.inf):
     """The products P_k = prod_{j<=k} (1+mu/j^r)^(-1) up to the first k
     with k^2 P_k < STRETCHED_FLOOR, or None as soon as their running sum
-    exceeds stop.  Raises RuntimeError past STRETCHED_MAX_TERMS products."""
-    prods = []
-    append = prods.append
-    term, acc = 1.0, 0.0
-    for k in range(1, STRETCHED_MAX_TERMS + 1):
-        term /= 1.0 + mu / k ** r
-        acc += term
-        if acc > stop:
-            return None
-        append(term)
-        if term * k * k < STRETCHED_FLOOR:
-            return np.asarray(prods)
+    exceeds stop (tested first at the same k).  Raises RuntimeError past
+    STRETCHED_MAX_TERMS products.  powers holds (k, k^r) array pairs on runs
+    of k from 1, and a walk past its end adds a run as long as the table (128
+    at first: r = 0.05 needs 69; 256 made it slower than a scalar loop).
+    divide.accumulate and add.accumulate are sequential, so the passes over
+    each run make a scalar loop's IEEE operations in its order."""
+    cap, walked = STRETCHED_MAX_TERMS, 0
+    term, acc, parts = 1.0, 0.0, []
+    while walked < cap:
+        if len(parts) == len(powers):
+            k = np.arange(walked + 1, walked + 1 + min(walked or 128, cap - walked), dtype=float)
+            powers.append((k, np.array([x ** r for x in k.tolist()])))
+        k, kr = powers[len(parts)]
+        prods = np.divide(mu, kr)
+        prods += 1.0
+        prods[0] = term / prods[0]
+        np.divide.accumulate(prods, out=prods)
+        sums = prods.copy()
+        sums[0] += acc
+        np.add.accumulate(sums, out=sums)
+        over = sums.searchsorted(stop, "right")     # the sums never decrease
+        hit = prods * k * k < STRETCHED_FLOOR
+        floor = hit.argmax() if hit[hit.argmax()] else prods.size
+        if min(over, floor) < min(prods.size, cap - walked):   # not past the cap
+            return None if over <= floor else np.concatenate([*parts, prods[: floor + 1]])
+        parts.append(prods)
+        walked += prods.size
+        term, acc = prods[-1], sums[-1]
     raise RuntimeError(
         f"size-law products stay above k^-2 * {STRETCHED_FLOOR:g} for "
-        f"{STRETCHED_MAX_TERMS} terms; r is too close to 1")
+        f"{cap} terms; r is too close to 1")
 
 
 def stretched_exponential(r: float) -> ReferenceLaw:
@@ -842,26 +858,28 @@ def stretched_exponential(r: float) -> ReferenceLaw:
     the normalization sum is strictly decreasing in mu, so bisection
     applies after doubling out an upper bracket.  Each step walks the
     products until their sum passes 1 or they are negligible; the law is
-    the same walk at the calibrated mu.
+    the same walk at the calibrated mu.  The walks share one table of k^r,
+    grown by doubling, from Python's pow: np.power misses libm's last bit.
     """
     if not (0.0 < r < 1.0):
         raise ValueError("r must lie in (0, 1)")
 
+    powers = []
     lo, hi = 0.0, 1.0          # normalization decreases in mu; sum(0+) = inf
-    while _stretched_products(hi, r, stop=1.0) is None:
+    while _stretched_products(hi, r, powers, stop=1.0) is None:
         lo, hi = hi, hi * 2.0
         if hi > 1e12:
             raise RuntimeError("failed to bracket the normalizing constant")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _stretched_products(mid, r, stop=1.0) is None:
+        if _stretched_products(mid, r, powers, stop=1.0) is None:
             lo = mid
         else:
             hi = mid
         if hi - lo < STRETCHED_MU_RTOL * max(1.0, lo):
             break
     mu = 0.5 * (lo + hi)
-    prods = _stretched_products(mu, r)
+    prods = _stretched_products(mu, r, powers)
     k = np.arange(1, prods.size + 1)
     q = (mu / k ** r) * prods
     # remaining mass/mean, extrapolated from the last product ratio

@@ -59,6 +59,32 @@ def test_simulate_seed_changes_output(tmp_path):
     assert (a / "trajectory.csv").read_bytes() != (b / "trajectory.csv").read_bytes()
 
 
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    # main parses with one parser per process; a value given to one call,
+    # even one that ended in a usage error, must not reach the next
+    calls = [["simulate", "--seed", "5"], ["simulate", "--seed", "9", "--budget", "x"],
+             ["simulate"], ["rate", "--preset", "star"], ["rate", "--preset", "geometric"]]
+
+    def run_all(root, fresh):
+        files = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = root / str(i)
+            if "--budget" in argv:       # simulate has no --budget
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + ["--out", str(out)])
+                assert exc.value.code == 2
+            else:
+                assert main(argv + ["--out", str(out)]) == 0
+            files.append({f.name: f.read_bytes() for f in sorted(out.glob("*"))})
+        return files
+
+    together = run_all(tmp_path / "together", fresh=False)
+    assert together == run_all(tmp_path / "separate", fresh=True)
+    assert json.loads(together[2]["summary.json"])["seed"] == 0
+
+
 def test_simulate_takes_a_seed_beyond_array_sizes(tmp_path):
     # n, samples and d are array sizes and stop at np.intp's largest value;
     # a seed is not one, and numpy takes any nonnegative integer
@@ -197,19 +223,21 @@ def test_rate_on_polynomial_schedule_uses_kronrod(tmp_path):
 
 
 def test_rate_from_path_csv(tmp_path):
-    path_csv = tmp_path / "star_path.csv"
-    with open(path_csv, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x_0", "x_1", "x_2", "x_bar"])
-        w.writerow([0.0, 0.0, 0.0, 0.0, 0.0])
-        w.writerow([1.0, 1.0, 0.0, 0.0, 0.0])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"rate": {"path_csv": str(path_csv)}}))
-    assert main(["rate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    report = read_json(tmp_path / "rate.json")
-    assert report["d"] == 2
-    assert_allclose(report["value"], math.log(2.0), rtol=1e-10)
-    assert report["method"] == "exact" and report["renormalized"] == 0
+    # quoted numeric cells are numbers too
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        path_csv = tmp_path / "star_path.csv"
+        with open(path_csv, "w", newline="") as fh:
+            w = csv.writer(fh, quoting=quoting)
+            w.writerow(["t", "x_0", "x_1", "x_2", "x_bar"])
+            w.writerow([0.0, 0.0, 0.0, 0.0, 0.0])
+            w.writerow([1.0, 1.0, 0.0, 0.0, 0.0])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rate": {"path_csv": str(path_csv)}}))
+        assert main(["rate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = read_json(tmp_path / "rate.json")
+        assert report["d"] == 2
+        assert_allclose(report["value"], math.log(2.0), rtol=1e-10)
+        assert report["method"] == "exact" and report["renormalized"] == 0
 
 
 def test_floats_use_full_precision(tmp_path):
@@ -321,6 +349,11 @@ HUGE = 10**400
     pytest.param(["rate"], HEADER + "0,0,0\n1,0.5,0.5\n", None,
                  id="csv-rows-one-cell-short"),
     pytest.param(["rate"], HEADER, None, id="csv-no-knots"),
+    # a '#' row is no comment, and digit underscores are no CSV number
+    pytest.param(["rate"], HEADER + "0,0,0,0\n#0.5,0.25,0.25,0\n1,0.5,0.5,0\n", None,
+                 id="csv-comment-row"),
+    pytest.param(["rate"], HEADER + "0,0,0,0\n1,0.2_5,0.75,0\n", None,
+                 id="csv-digit-underscore"),
     # non-finite knots
     pytest.param(["rate"], HEADER + "0,0,0,0\nnan,0.25,0.25,0\n1,0.5,0.5,0\n", None,
                  id="csv-time-nan"),
@@ -419,6 +452,7 @@ HUGE = 10**400
                  {"schedule": CLASSICAL_SPEC, "profile": {"c": [0.3, 0.1, 0.05]}},
                  id="rate-star-from-profile"),
 ])
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_malformed_input_exits_two(tmp_path, argv, csv_text, config):
     if csv_text is not None:
         (tmp_path / "path.csv").write_text(csv_text)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -662,6 +664,71 @@ def test_stretched_exponential_rejects_bad_r_and_long_walks(monkeypatch):
     with pytest.raises(RuntimeError, match="r is too close to 1") as err:
         stretched_exponential(0.7)
     assert "max_terms" not in str(err.value)
+
+
+def scalar_products(mu, r, powers=None, stop=math.inf):
+    """The scalar product walk, the reference for the array walk (it takes
+    the power table only to share its signature)."""
+    prods = []
+    append = prods.append
+    term, acc = 1.0, 0.0
+    for k in range(1, lln.STRETCHED_MAX_TERMS + 1):
+        term /= 1.0 + mu / k ** r
+        acc += term
+        if acc > stop:
+            return None
+        append(term)
+        if term * k * k < lln.STRETCHED_FLOOR:
+            return np.asarray(prods)
+    raise RuntimeError("r is too close to 1")
+
+
+@pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.7, 0.8])
+def test_stretched_walk_matches_scalar_loop(monkeypatch, r):
+    law = stretched_exponential(r)
+    monkeypatch.setattr(lln, "_stretched_products", scalar_products)
+    ref = stretched_exponential(r)
+    assert law.params["mu"] == ref.params["mu"]
+    assert law.values.tobytes() == ref.values.tobytes()
+    assert law.tail_mass == ref.tail_mass and law.tail_mean == ref.tail_mean
+
+
+def walk_outcome(walk, *args, **kwargs):
+    try:
+        prods = walk(*args, **kwargs)
+    except RuntimeError:
+        return "raised"
+    return None if prods is None else prods.tobytes()
+
+
+def test_stretched_walk_ends_as_the_loop_at_table_growth(monkeypatch):
+    # at r = 0.5 the calibrated walk takes 398 products, past the table's
+    # growths after 128 and 256 terms.  A stop at the running sum of k - 1
+    # products ends the walk at k by the sum test, and caps of k - 1, k and
+    # k + 1 products end it one product before, at and after that
+    r = 0.5
+    mu = stretched_exponential(r).params["mu"]
+    sums = list(itertools.accumulate(scalar_products(mu, r)))
+    assert len(sums) == 398
+    shared = []        # one table for every walk, grown in full first, so
+    lln._stretched_products(mu, r, shared)      # its runs end past the caps
+    seen = set()
+    for end in (127, 128, 129, 255, 256, 257, 398):
+        for stop in (sums[end - 2], math.inf):
+            for cap in (end - 1, end, end + 1):
+                monkeypatch.setattr(lln, "STRETCHED_MAX_TERMS", cap)
+                want = walk_outcome(scalar_products, mu, r, stop=stop)
+                assert walk_outcome(lln._stretched_products, mu, r, [], stop=stop) == want
+                assert walk_outcome(lln._stretched_products, mu, r, shared, stop=stop) == want
+                seen.add(want if want in ("raised", None) else "products")
+    assert seen == {"raised", None, "products"}
+    # at mu = 1e12 the second product is below the floor and still raises
+    # the sum: both tests fire at k = 2, and the sum test wins
+    first = scalar_products(1e12, r)[0]
+    for stop in (first, math.inf):
+        want = walk_outcome(scalar_products, 1e12, r, stop=stop)
+        assert walk_outcome(lln._stretched_products, 1e12, r, [], stop=stop) == want
+    assert want is not None and walk_outcome(scalar_products, 1e12, r, stop=first) is None
 
 
 # ------------------------------------------------------------------ grid

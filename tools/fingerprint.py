@@ -2,8 +2,9 @@
 
 Runs the commands below in-process into a temporary directory and hashes
 what each writes (the verify battery: its printed lines, timings
-stripped), then the exact oracle's terminal atoms on a piecewise-constant
-and on the polynomial schedule, then the ODE route's values on figure 1
+stripped; one command rates a seeded path read from a CSV), then the
+exact oracle's terminal atoms on a piecewise-constant and on the
+polynomial schedule, then the ODE route's values on figure 1
 and on the polynomial config, then the closed-form kernel's values at
 criterion 1's spacing on figure 1, on the polynomial config and on the
 homogeneous schedule from a nonempty profile, then the streamed tube
@@ -46,7 +47,10 @@ TWO_STEP = {"schedule": [{"t_start": 0, "p": 0.2, "beta": 1.5},
 # the homogeneous schedule from a nonempty profile: graded constant cells
 HOMOGENEOUS_PROFILE = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 1.0}],
                        "profile": {"c": [0.3, 0.1, 0.05]}}
-CONFIGS = {"figure1.json": FIGURE1, "polynomial.json": POLYNOMIAL, "two-step.json": TWO_STEP}
+# rates the seeded path that path_csv() writes, on the classical schedule
+PATH_CSV = {"rate": {"path_csv": "path.csv"}}
+CONFIGS = {"figure1.json": FIGURE1, "polynomial.json": POLYNOMIAL, "two-step.json": TWO_STEP,
+           "path-csv.json": PATH_CSV}
 
 RUNS = [
     ("simulate-figure1-n20000", ["simulate", "--preset", "figure1", "--n", "20000"]),
@@ -78,6 +82,8 @@ RUNS = [
     # the exact route with p > 0 from a nonempty profile
     ("rate-lln-two-step-d2",
      ["rate", "--config", "two-step.json", "--preset", "lln", "--d", "2"]),
+    # the path CSV parser, on 17-digit cells
+    ("rate-path-csv", ["rate", "--config", "path-csv.json"]),
     ("rate-geometric", ["rate", "--preset", "geometric"]),
     ("rate-star", ["rate", "--preset", "star"]),
     *((f"rate-stretched-{r}", ["rate", "--preset", f"stretched:{r}"])
@@ -106,6 +112,25 @@ def run(name: str, argv: list) -> str:
         for path in sorted(p for p in Path(name).rglob("*") if p.is_file()):
             digest.update(str(path).encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def path_csv(fname: str, knots: int = 400, d: int = 5) -> None:
+    """Write a seeded admissible path from the empty state, one repr cell
+    per value: on each piece the slopes of x_0..x_d, x_bar are
+    1 - a_0, a_0 - a_1, ..., a_{d-1} - a_d, a_d for a decreasing
+    Dirichlet draw a, so every partial sum of the slope lies in [0, 1]."""
+    rng = np.random.default_rng(2024)
+    # one knot in the middle part of each of knots - 1 equal cells, so no
+    # piece is short enough for rounding to spoil its slopes
+    inner = (np.arange(1, knots - 1) + rng.uniform(0.1, 0.9, knots - 2)) / (knots - 1)
+    times = np.concatenate([[0.0], inner, [1.0]])
+    lead = -np.sort(-rng.dirichlet(np.ones(d + 2), size=knots - 1)[:, : d + 1], axis=1)
+    slopes = np.column_stack([1.0 - lead[:, 0], lead[:, :-1] - lead[:, 1:], lead[:, -1]])
+    values = np.zeros((knots, d + 2))
+    values[1:] = np.cumsum(slopes * np.diff(times)[:, None], axis=0)
+    rows = [["t"] + [f"x_{i}" for i in range(d + 1)] + ["x_bar"]]
+    rows += [[repr(x) for x in row] for row in np.column_stack([times, values]).tolist()]
+    Path(fname).write_text("".join(",".join(row) + "\n" for row in rows))
 
 
 def oracle_atoms(schedule: Schedule) -> str:
@@ -153,6 +178,7 @@ def main() -> int:
         try:
             for fname, cfg in CONFIGS.items():
                 Path(fname).write_text(json.dumps(cfg))
+            path_csv(PATH_CSV["rate"]["path_csv"])
             for name, argv in RUNS:
                 print(name, run(name, argv), flush=True)
         finally:
