@@ -1,35 +1,30 @@
 """Scaling-limit degree trajectories and comparison solutions.
 
 The limit trajectory zeta solves a lower-triangular linear ODE system
-whose solution has the integral form
 
-    zeta_i(t) = c_i M_i(0,t) + int_0^t g_i(s) M_i(s,t) ds,
-    M_i(s,t)  = exp(-int_s^t (1-p(u)) (i+beta(u)) / sigma(u) du),
+    sigma zeta_0'  = (1-p) sigma - A_0 zeta_0,
+    sigma zeta_i'  = A_{i-1} zeta_{i-1} - A_i zeta_i   (+ p sigma at i = 1),
+    sigma zetabar' = A_d zeta_d                        (+ p sigma at d = 0),
 
-with g_0 = 1-p, g_1 = p + (1-p) beta zeta_0 / sigma, and
-g_i = (1-p)(i-1+beta) zeta_{i-1} / sigma for i >= 2.  The aggregate
-component integrates g_{d+1}, the flux out of level d (at d = 0 it also
-receives the new-urn ball).  From an empty profile, on a constant
-first segment the system has the exactly linear solution zeta_i = b_i t
-(b_sequence), which the closed form takes as known there.  This module
-evaluates that closed form on flat arrays over the cells of one graded
-grid that follow the known part, in two phases.  The kernel build
-(LLNKernel) takes the grid, sigma at the 15 Gauss nodes of every cell
-and the decay integrals once, segment by segment, over whole cells and
-from the nodes (exact logarithms on constant segments, nested Gauss
-rules on polynomial ones); p and beta are numbers on a constant segment
-and node arrays on a polynomial one.  Arrays over the nodes are
-node-major, (15, cells).  Level propagation then runs one affine scan
-across the cells per level, in two reused node arrays; no level depends
-on the truncation d, so one kernel serves every d, propagating each
-level once.  Each level reaches the next through monotone
-(Fritsch-Carlson) cubics, built here from their slopes and evaluated by
-Horner's rule in the nodes' fractions of their cells, and each cell's
-Gauss rule sums its nodes by einsum.  Beside it are an independent
+with A_i = (1-p)(i+beta) and sigma = (1+beta) t + c_weighted + c_total
+beta: level i+1 gains the flux that level i loses, the new-urn ball enters
+at 1, and the aggregate slot keeps what leaves level d.  On a schedule
+segment p and beta are polynomials, so the solution is analytic wherever
+sigma > 0, within the distance to sigma's nearest complex root.
+solve_lln_closed evaluates it by its own power series: a step writes sigma,
+the A_i and the sources as Taylor coefficients in the step's scaled time
+and takes the solution's order by order (_taylor), to SERIES_TERMS terms.
+On a constant segment one expansion of the propagator marches every step by
+one product; on a polynomial one each step is expanded (_segment_steps).
+From an empty profile sigma(0) = 0: on a constant first segment the
+solution there is exactly b_i t (b_sequence), taken as known, and on a
+polynomial one the first step is a Frobenius start.  Each requested time
+reads its step's series, all in one batched Horner pass; graded_grid's
+knots are the times of a rated limit path.  Beside it are an independent
 route that integrates the ODE system directly, each segment on its own
-polynomials, by an adaptive Dormand-Prince 5(4) pair written here in
-numpy, the constant-coefficient comparison family, power-law envelopes,
-and reference target laws.  A comparison solution is linear in t plus
+polynomials, by an adaptive Dormand-Prince 5(4) pair written here in numpy,
+the constant-coefficient comparison family, power-law envelopes, and
+reference target laws.  A comparison solution is linear in t plus
 transients that each move by the negative-binomial law of a linear
 pure-birth (Yule) process, a propagator with positive terms only.
 """
@@ -39,12 +34,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .model import InitialProfile, Path, Schedule, _polyval, sigma
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
-_GL_U = 0.5 + 0.5 * _GL_X    # the nodes' fractions of their cells
-_START_X = np.concatenate([[-1.0], _GL_X])    # a cell's start, then its nodes
+# solve_lln_closed: the Taylor terms kept per step, and a step's reach as a
+# fraction of the distance from its start to sigma's nearest root: at most
+# SERIES_REACH, and at most SERIES_DECAY_REACH / alpha_d, where alpha_d =
+# (1-p)(d+beta)/(1+beta) is level d's decay exponent, whose forward
+# expansion alternates in sign with terms growing like
+# binomial(n+alpha_d-1, n) * reach^n (with a reach of 1/3 alone, figure 1
+# from empty read 1.4e-3 off at d = 60 and 3e146 at d = 120)
+SERIES_TERMS = 40
+SERIES_REACH, SERIES_DECAY_REACH = 1.0 / 3.0, 3.0
 
 # graded_grid raises rather than cut a segment short at this many cells
 MAX_CELLS_PER_SEGMENT = 100_000
@@ -90,6 +92,17 @@ class LLNSolution:
         total = self.values.sum(axis=1)
         return float(np.abs(total - (self.grid + profile.c_total)).max())
 
+    def truncated(self, d: int) -> "LLNSolution":
+        """The trajectory at depth d <= self.d: levels 0..d, and as the
+        aggregate slot the sum of the levels above d and this one's slot,
+        which the limit system gains exactly as depth d's slot does (the
+        fluxes between them telescope), as a sum of nonnegative terms."""
+        if not 0 <= d <= self.d:
+            raise ValueError(f"depth {d} is not in [0, {self.d}]")
+        values = self.values[:, : d + 2].copy()
+        self.values[:, d + 1 :].sum(axis=1, out=values[:, d + 1])
+        return LLNSolution(d=d, grid=self.grid, values=values, method=self.method)
+
 
 @dataclass(frozen=True)
 class WeightCheck:
@@ -130,7 +143,7 @@ def _linear_start(schedule: Schedule, profile: InitialProfile) -> bool:
     """Whether the limit is the linear solution zeta = slope * t
     (_start_slopes) on the whole first segment: from an empty profile,
     where sigma(0) = 0, on a constant first segment.  graded_grid then
-    grades no cell there, and LLNKernel's cells start at its end."""
+    grades no cell there, and solve_lln_closed expands no series."""
     return (profile.c_total == 0.0 and profile.c_weighted == 0.0
             and schedule.segments[0].is_constant)
 
@@ -148,7 +161,7 @@ def graded_grid(schedule: Schedule, profile: InitialProfile, rel_spacing: float 
     so no sub-scale cells are produced there (slopes measured on cells far
     below the value round-off scale would be pure noise).  A first segment
     on which the limit is linear (_linear_start) keeps only its ends and
-    the extra points, where LLNKernel takes the values as slope * t.  A
+    the extra points, where the values are slope * t.  A
     segment that needs more than MAX_CELLS_PER_SEGMENT cells raises
     ValueError.
     """
@@ -175,159 +188,6 @@ def graded_grid(schedule: Schedule, profile: InitialProfile, rel_spacing: float 
     return grid[(grid >= 0.0) & (grid <= 1.0)]
 
 
-def _inflow(level, coeffs, cells, z, sig):
-    """Source g_level of the closed form, written over z: 1-p at level 0,
-    the new-urn ball plus the flux out of level 0 at level 1, and the flux
-    out of level level-1 above that, where z holds level-1's values.
-    Level d+1 is the flux into the aggregate slot.  coeffs holds p and beta
-    of each segment whose cells are the matching slice of cells."""
-    for (p, beta), c in zip(coeffs, cells.values()):
-        g = z[:, c]
-        if level == 0:
-            g[...] = 1.0 - p
-            continue
-        g *= (1.0 - p) * (level - 1 + beta)
-        g /= sig[:, c]
-        if level == 1:
-            g += p
-    return z
-
-
-def _cell_sums(f, width):
-    """(h/2) * sum_q w_q f_q over the 15 Gauss nodes of each cell of width
-    h, for f node-major (15, K): the cells' Gauss rules.  einsum adds the
-    nodes in its own loop; a BLAS product would add them in an order that
-    depends on the BLAS build."""
-    out = np.einsum("q,qk->k", _GL_W, f)
-    out *= 0.5 * width
-    return out
-
-
-def _decay_integrals(schedule, profile, lo, hi, nodes, sig, cells):
-    """W1 = int (1-p)/sigma and W2 = int (1-p)*beta/sigma from 16 points s
-    of each cell [x,y] to y, (16, K): row 0 from x (the whole cell), rows
-    1-15 from the Gauss nodes; M_i = exp(-(i*W1 + W2)) for every level i.
-
-    Filled in place on each segment's slice of cells (cells): on a constant
-    segment by one chain of exact logarithms over the 16 rows, on a
-    polynomial one by nested 15-point Gauss rules on [s, y].
-    """
-    W1, W2 = np.empty((16, lo.size)), np.empty((16, lo.size))
-    for k, c in cells.items():
-        seg = schedule.segments[k]
-        x, y, w1 = lo[c], hi[c], W1[:, c]
-        if seg.is_constant:
-            p, beta = float(seg.p_coeffs[0]), float(seg.beta_coeffs[0])
-            # y - s, exactly half*(1 - x_q), and y - x in row 0
-            np.multiply(1.0 - _START_X[:, None], 0.5 * (y - x), out=w1)
-            # log(sy/ss) = log1p((1+beta)(y-s)/ss) avoids cancellation on
-            # narrow cells where sy/ss is within a few ulps of 1
-            w1 *= 1.0 + beta
-            w1[0] /= sigma(profile, x, beta)
-            w1[1:] /= sig[:, c]
-            np.log1p(w1, out=w1)
-            w1 *= (1.0 - p) / (1.0 + beta)
-            np.multiply(beta, w1, out=W2[:, c])
-        else:
-            for q, s in enumerate((x, *nodes[:, c])):
-                sub = (0.5 * (y + s))[None, :] + (0.5 * (y - s))[None, :] * _GL_X[:, None]
-                bsub = _polyval(seg.beta_coeffs, sub)
-                integ = (1.0 - _polyval(seg.p_coeffs, sub)) / sigma(profile, sub, bsub)
-                w1[q] = _cell_sums(integ, y - s)
-                W2[q, c] = _cell_sums(integ * bsub, y - s)
-    return W1, W2
-
-
-def _edge_slope(h0, h1, m0, m1):
-    """One-sided three-point end slope, set to 0 when its sign is not the
-    end secant's and to 3*m0 when the secants change sign and it exceeds
-    that (Moler, Numerical Computing with MATLAB, 3.6)."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip(x, y):
-    """Coefficients (c0, c1, c2, c3) of the monotone cubic through the
-    points (x, y), one entry per cell; c0 multiplies (t - x_k)**3.
-
-    The slope at an interior point is the weighted harmonic mean of its two
-    secants, or 0 where they differ in sign or one is flat (Fritsch and
-    Carlson, SIAM J. Numer. Anal. 17, 1980); two points give the line.
-    Every operation is the one scipy's PchipInterpolator performs, in the
-    same order, so the coefficients agree with it to the last bit.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    dk = np.zeros_like(y)
-    if y.size == 2:
-        dk[:] = m[0]
-    else:
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-        dk[0] = _edge_slope(h[0], h[1], m[0], m[1])
-        dk[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (dk[:-1] + dk[1:] - 2 * m) / h
-    return t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]
-
-
-def _segment_cubics(x, cells, z):
-    """The coefficients (c0, c1, c2, c3) of every cell's piece, built by
-    one monotone cubic per schedule segment through the points (x, z);
-    cells maps each segment to the slice of its cells, which together run
-    over the points in order.
-
-    The solution has slope kinks at the breakpoints; a single interpolant
-    over the whole grid would leak them into the neighboring cells through
-    the derivative estimates at the shared nodes.
-    """
-    pieces = [_pchip(x[c.start : c.stop + 1], z[c.start : c.stop + 1])
-              for c in cells.values()]
-    return tuple(np.concatenate(col) for col in zip(*pieces))
-
-
-def _on_fractions(cubic, width, u, out):
-    """The cubic's pieces at the fractions u of their cells of the given
-    widths, written to out (15, K): Horner's rule in u, the (15, 1) column
-    of the nodes' fractions, on the coefficients scaled by powers of the
-    width."""
-    c0, c1, c2, c3 = cubic    # c0 multiplies (t - x_k)**3
-    square = width * width
-    np.multiply(c0 * (square * width), u, out=out)
-    out += c1 * square
-    out *= u
-    out += c2 * width
-    out *= u
-    out += c3
-    return out
-
-
-def _affine_scan(m, c, z):
-    """z[k+1] = m[k]*z[k] + c[k] from the given z[0], written over z[1:],
-    by log2(K) doubling passes that compose the affine steps pairwise;
-    every m and c is >= 0, so no pass cancels.  m and c are overwritten."""
-    size = m.size
-    spare = np.empty(size)
-    shift = 1
-    while shift < size:
-        rest = size - shift
-        c[shift:] += np.multiply(m[shift:], c[:rest], out=spare[:rest])
-        np.multiply(m[shift:], m[:rest], out=spare[shift:])
-        spare[:shift] = m[:shift]
-        m, spare = spare, m
-        shift *= 2
-    np.multiply(z[0], m, out=z[1:])
-    z[1:] += c
-    return z
-
-
 def _times(grid) -> np.ndarray:
     """grid as a float array, checked to hold only times in [0, 1]."""
     grid = np.asarray(grid, dtype=float)
@@ -336,124 +196,158 @@ def _times(grid) -> np.ndarray:
     return grid
 
 
-class LLNKernel:
-    """The d-independent part of the closed form on one graded grid.
+def _taylor(sig, a, src, w0, weight) -> np.ndarray:
+    """Taylor coefficients (SERIES_TERMS, K, d+2) in u of the K solutions of
 
-    Built once per (schedule, profile, grid arguments): the grid, and over
-    the cells it solves their widths, the cells of each segment as one
-    slice, each segment's p and beta (numbers on a constant segment,
-    (15, cells) at its nodes on a polynomial one), the decay integrals
-    over whole cells, and sigma and the negated decay integrals at the
-    Gauss nodes, node-major (15, K) views beside them (rows 1-15 of
-    _decay_integrals' arrays), so the level loop broadcasts along the long
-    cell axis.  The cells start where the limit stops being known: from
-    an empty profile on a constant first segment (_linear_start) the limit
-    there is zeta = slope * t (_start_slopes), so the cells start at the
-    first breakpoint t1 (none at all on a one-segment constant schedule),
-    and every level's values on the grid points up to t1 are slope * t.
-    Otherwise they start at 0, from the profile.  Levels are computed in
-    increasing i by propagating across the cells from that start; each
-    level's values are kept on the full grid and fed to the next level
-    through one monotone cubic interpolant per segment.  Level i never
-    depends on d, so solve(d) propagates only the levels no earlier call
-    reached, then adds depth d's aggregate slot: level d+1's recurrence
-    without decay.  If grid is given, it is merged into the computation
-    grid and each solution is returned restricted to it.
+        sig(u) w' = weight * src(u) + (L - I)(a(u) w),    w(0) = w0 (K, d+2),
+
+    where L moves each slot's flux a_i w_i into slot i+1 (the aggregate
+    slot's a is 0, so it keeps what it gains), sig (m,), a (m, d+2) and src
+    (m, d+2) hold coefficient rows, low order first, and weight (K,) scales
+    the source of each solution.  Order j comes from the orders below it:
+    from the equation at order j-1, j sig_0 w_j = known terms, or where
+    sig_0 = 0 (sigma's root at an empty start, a regular singular point)
+    from the one at order j, the lower-bidiagonal system
+    (j sig_1 + a_i) w_{j,i} - a_{i-1} w_{j,i-1} = known terms, whose
+    solutions from w0 = 0 are the analytic ones (a Frobenius start).
     """
+    frob = int(sig[0] == 0.0)
+    w = np.empty((SERIES_TERMS,) + w0.shape)
+    w[0] = w0
+    for j in range(1, SERIES_TERMS):
+        e = j - 1 + frob        # the order of the equation that sets w_j
+        rhs = np.zeros(w0.shape)
+        for k in range(frob, min(e, len(a) - 1) + 1):
+            flux = a[k] * w[e - k]
+            rhs -= flux
+            rhs[:, 1:] += flux[:, :-1]
+        if e < len(src):
+            rhs += np.multiply.outer(weight, src[e])
+        for k in range(1 + frob, min(e + 1, len(sig) - 1) + 1):
+            rhs -= (sig[k] * (e + 1 - k)) * w[e + 1 - k]
+        if not frob:
+            np.divide(rhs, sig[0] * j, out=w[j])
+            continue
+        diag = sig[1] * j + a[0]
+        w[j, :, 0] = rhs[:, 0] / diag[0]
+        for i in range(1, diag.size):
+            w[j, :, i] = (rhs[:, i] + a[0, i - 1] * w[j, :, i - 1]) / diag[i]
+    return w
 
-    def __init__(self, schedule: Schedule, profile: InitialProfile, grid=None,
-                 rel_spacing: float = 0.02, rel_floor: float = 1e-12):
-        self.schedule, self.profile = schedule, profile
-        self.requested = None if grid is None else _times(grid)
-        self.grid = graded_grid(schedule, profile, rel_spacing=rel_spacing,
-                                rel_floor=rel_floor, extra=self.requested)
-        # the grid index at which the cells start: t1's (the grid holds
-        # it) after a linear first segment, else 0
-        self.start = (int(np.searchsorted(self.grid, schedule.breakpoints[1]))
-                      if _linear_start(schedule, profile) else 0)
-        fine = self.grid[self.start :]
-        lo, hi = fine[:-1], fine[1:]
-        self.width = hi - lo
-        mid = 0.5 * (hi + lo)
-        nodes = mid[None, :] + (0.5 * self.width)[None, :] * _GL_X[:, None]  # (15, K)
 
-        # cells of one segment are contiguous: the grid holds every breakpoint
-        seg_idx = schedule.segment_index(mid)
-        self.cells = {k: slice(*np.searchsorted(seg_idx, [k, k + 1]).tolist())
-                      for k in np.unique(seg_idx).tolist()}
-        self.coeffs, self.sig = [], np.empty_like(nodes)
-        for k, c in self.cells.items():
-            seg = schedule.segments[k]
-            if seg.is_constant:
-                p, beta = float(seg.p_coeffs[0]), float(seg.beta_coeffs[0])
-            else:
-                p, beta = (_polyval(f, nodes[:, c]) for f in (seg.p_coeffs, seg.beta_coeffs))
-            self.coeffs.append((p, beta))
-            self.sig[:, c] = sigma(profile, nodes[:, c], beta)
-        W1, W2 = _decay_integrals(schedule, profile, lo, hi, nodes, self.sig, self.cells)
-        self.W1_cell, self.W2_cell = W1[0], W2[0]
-        # -W at the nodes, so a level's decay is exp(i*(-W1) + (-W2))
-        self.W1_neg = np.negative(W1[1:], out=W1[1:])
-        self.W2_neg = np.negative(W2[1:], out=W2[1:])
-        self.levels = []         # level i's values on the grid, i < len(levels)
+def _horner(w, u, rows) -> np.ndarray:
+    """sum_n w[n, rows] u^n by Horner's rule, for Taylor coefficients w
+    (SERIES_TERMS, K, d+2) and u that broadcasts against the rows."""
+    out = np.take(w[-1], rows, axis=0)
+    for coeffs in w[-2::-1]:
+        out *= u
+        out += np.take(coeffs, rows, axis=0)
+    return out
 
-    def _contrib(self, i, decay, z, buf):
-        """Per cell, the Gauss rule of g_i, times the level's decay
-        exp(-(i*W1 + W2)) at the nodes if decay is set, with g_i read off
-        level i-1's cubics.  z and buf are (15, K) arrays, overwritten."""
-        if i > 0 and self.cells:
-            s = self.start
-            cubic = _segment_cubics(self.grid[s:], self.cells, self.levels[i - 1][s:])
-            _on_fractions(cubic, self.width, _GL_U[:, None], z)
-        f = _inflow(i, self.coeffs, self.cells, z, self.sig)
-        if decay:
-            np.multiply(i, self.W1_neg, out=buf)
-            buf += self.W2_neg
-            f = np.multiply(f, np.exp(buf, out=buf), out=buf)
-        return _cell_sums(f, self.width)
 
-    def _scan(self, head, m, c):
-        """A level's values on the grid: head on the points up to the
-        cells' start, then the affine scan across the cells from there."""
-        z = np.empty(self.grid.size)
-        z[: self.start + 1] = head
-        _affine_scan(m, c, z[self.start :])
-        return z
+def _system(P, B, S, t0, r, d):
+    """(sig, a, src) of _taylor for a step from t0 in u = (t - t0)/r:
+    sigma/r, the A_i, and the sources (1-p) sigma, p sigma of slots 0 and
+    1 per unit r, with p, beta, sigma (the Polynomials P, B, S) composed
+    with t0 + r u.  (1-p) sigma has the highest degree: p < 1."""
+    X = Polynomial([t0, r])
+    P, B, S = P(X), B(X), S(X)
+    q, qb, s0, s1 = (x.coef for x in (1.0 - P, (1.0 - P) * B, (1.0 - P) * S, P * S))
+    a = np.zeros((s0.size, d + 2))
+    a[: q.size, : d + 1] = np.outer(q, np.arange(d + 1))
+    a[: qb.size, : d + 1] += qb[:, None]
+    src = np.zeros_like(a)
+    src[:, 0], src[: s1.size, 1] = s0, s1
+    return S.coef / r, a, src / r
 
-    def solve(self, d: int) -> LLNSolution:
-        """Limit trajectory truncated at d: levels 0..d and the aggregate slot."""
-        if d < 0:
-            raise ValueError("d must be >= 0")
-        # each slot's values up to the cells' start, one row per slot:
-        # slope * t when they start at t1 > 0, else the profile at t = 0
-        if self.start:
-            heads = np.multiply.outer(_start_slopes(self.schedule, d),
-                                      self.grid[: self.start + 1])
-        else:
-            heads = self.profile.truncated(d)[:, None]
-        z, buf = np.empty(self.W1_neg.shape), np.empty(self.W1_neg.shape)
-        for i in range(len(self.levels), d + 1):
-            m_cell = np.exp(-(i * self.W1_cell + self.W2_cell))
-            contrib = self._contrib(i, True, z, buf)
-            self.levels.append(self._scan(heads[i], m_cell, contrib))
-        # the aggregate slot integrates its inflow without decay
-        contrib = self._contrib(d + 1, False, z, buf)
-        del z, buf    # before the solution's values are stacked
-        aggregate = self._scan(heads[d + 1], np.ones(contrib.size), contrib)
-        values = np.column_stack(self.levels[: d + 1] + [aggregate])
-        if self.requested is None:
-            return LLNSolution(d=d, grid=self.grid, values=values, method="closed-form")
-        # the grid holds every requested time
-        pos = np.searchsorted(self.grid, self.requested)
-        return LLNSolution(d=d, grid=self.requested, values=values[pos],
-                           method="closed-form")
+
+def _segment_steps(seg, profile, a, b, z, d, times):
+    """The series across the segment's [a, b] from the value z at a: the
+    starts and scales of the steps that hold the times (in [a, b], b only
+    at 1) or b, their Taylor coefficients (SERIES_TERMS, steps, d+2), and
+    the value at b.
+
+    A step from t0 expands in u = (t - t0)/r, where r is the distance to
+    sigma's nearest root (one at t0 itself, sigma(0) = 0 at an empty
+    start, excluded; b - a if there is none other), and reaches u =
+    min(SERIES_REACH, SERIES_DECAY_REACH / alpha_d) with p and beta at t0.
+    On a constant segment sigma = (1+beta) r (1+u) in every step,
+    whose system then differs from the first's only by its source, which
+    scales with r: the steps march by one product each with the
+    propagator from the d+2 unit starts and the unit source, expanded
+    once, and only the steps that hold a time are expanded from their
+    start values.  A polynomial segment expands each step in turn.
+    """
+    P, B = Polynomial(seg.p_coeffs), Polynomial(seg.beta_coeffs)
+    S = (1.0 + B) * Polynomial([0.0, 1.0]) + profile.c_weighted + profile.c_total * B
+    # sigma > 0 for t > 0, so a zero constant term is the root at t = 0
+    roots = (np.append(Polynomial(S.coef[1:]).roots(), 0.0) if S.coef[0] == 0.0
+             else S.roots())
+    starts, scales, reaches = [a], [], []
+    while True:
+        dist = np.abs(starts[-1] - roots)
+        scales.append(dist[dist > 0.0].min() if np.any(dist > 0.0) else b - a)
+        p, beta = float(P(starts[-1])), float(B(starts[-1]))
+        reaches.append(min(SERIES_REACH,
+                           SERIES_DECAY_REACH * (1.0 + beta) / ((1.0 - p) * (d + beta))))
+        if starts[-1] + reaches[-1] * scales[-1] >= b:
+            break
+        starts.append(starts[-1] + reaches[-1] * scales[-1])
+    starts, scales = np.array(starts), np.array(scales)
+    if seg.is_constant:
+        system = _system(P, B, S, a, scales[0], d)
+        unit = _horner(_taylor(*system, np.eye(d + 3, d + 2), np.eye(d + 3)[-1]),
+                       reaches[0], np.arange(d + 3))
+        values = np.empty((starts.size, d + 2))
+        values[0] = z
+        for k in range(1, starts.size):
+            values[k] = values[k - 1] @ unit[:-1] + scales[k - 1] * unit[-1]
+        used = np.unique(np.append(np.searchsorted(starts, times, "right") - 1, starts.size - 1))
+        starts, scales = starts[used], scales[used]
+        w = _taylor(*system, values[used], scales)
+    else:
+        ws = []
+        for t, r, reach in zip(starts, scales, reaches):
+            ws.append(_taylor(*_system(P, B, S, t, r, d), z[None, :], np.array([r])))
+            z = _horner(ws[-1], reach, [0])[0]
+        w = np.concatenate(ws, axis=1)
+    return starts, scales, w, _horner(w, (b - starts[-1]) / scales[-1], [w.shape[1] - 1])[0]
 
 
 def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
                      grid=None, rel_spacing: float = 0.02,
                      rel_floor: float = 1e-12) -> LLNSolution:
-    """Evaluate the closed-form limit trajectory on a grid (see LLNKernel)."""
-    return LLNKernel(schedule, profile, grid, rel_spacing, rel_floor).solve(d)
+    """The limit trajectory at depth d by its own power series (see the
+    module docstring) on the requested times (grid), or without them on
+    graded_grid's knots at rel_spacing and rel_floor, a rated limit
+    path's.  A time at a breakpoint reads the next segment's first step
+    at u = 0, its start value: the end of the segment before."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    times = (graded_grid(schedule, profile, rel_spacing=rel_spacing, rel_floor=rel_floor)
+             if grid is None else _times(grid))
+    brks, last = schedule.breakpoints, len(schedule.segments) - 1
+    seg_of = np.minimum(np.searchsorted(brks, times, "right") - 1, last)
+    values = np.empty((times.size, d + 2))
+    z, first = profile.truncated(d), 0
+    if _linear_start(schedule, profile):
+        slopes = _start_slopes(schedule, d)
+        known = seg_of == 0
+        values[known] = np.multiply.outer(times[known], slopes)
+        z, first = slopes * brks[1], 1
+    steps = []
+    for k in range(first, last + 1):
+        *step, z = _segment_steps(schedule.segments[k], profile, float(brks[k]),
+                                  float(brks[k + 1]), z, d, times[seg_of == k])
+        steps.append(step)
+    if steps:
+        starts, scales, ws = zip(*steps)
+        starts, scales = np.concatenate(starts), np.concatenate(scales)
+        on = seg_of >= first
+        step = np.searchsorted(starts, times[on], "right") - 1
+        values[on] = _horner(np.concatenate(ws, axis=1),
+                             ((times[on] - starts[step]) / scales[step])[:, None], step)
+    return LLNSolution(d=d, grid=times, values=values, method="series")
 
 
 def _rhs(t, y, segment, profile, d):
@@ -556,7 +450,7 @@ def solve_lln_numeric(d: int, schedule: Schedule, profile: InitialProfile,
     """Integrate the limit ODE system by the Dormand-Prince 5(4) pair
     (_dormand_prince).
 
-    Independent of the closed-form route: the right side is evaluated
+    Independent of the series route: the right side is evaluated
     directly and the integrator restarts at every schedule breakpoint,
     stepping onto every grid time.  When sigma(0) = 0 the system is
     singular at the origin; sigma(0) = 0 forces an empty profile, and

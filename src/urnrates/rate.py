@@ -93,10 +93,18 @@ def _nu0_rows(v):
     every increment weight nonnegative).  The rows are one new array the
     shape of v."""
     # 1 - [v]_i as the suffix sum of v above i, which keeps exact zeros
-    # above the last occupied level (where u_i = 0 too), written backwards
-    # into w's first d+1 slots; the aggregate slot takes the complement
+    # above the last occupied level (where u_i = 0 too); the aggregate slot
+    # takes the complement.  Over more rows than slots (a path's pieces), d
+    # row adds on a contiguous (d+1, K) copy make a cumsum's additions in
+    # its order 3x faster; a few long rows (a law's) keep the cumsum
     w = np.empty_like(v)
-    np.cumsum(v[..., :0:-1], axis=-1, out=w[..., -2::-1])
+    if v.ndim == 2 and v.shape[0] > v.shape[1]:
+        suffix = v[:, 1:].T.copy()
+        for i in range(suffix.shape[0] - 2, -1, -1):
+            suffix[i] += suffix[i + 1]
+        w[:, :-1] = suffix.T
+    else:
+        np.cumsum(v[..., :0:-1], axis=-1, out=w[..., -2::-1])
     w[..., -1] = 1.0 - w[..., :-1].sum(axis=-1)
     ok = (np.abs(v.sum(axis=-1) - 1.0) <= PATH_TOL) & np.all(w >= -PATH_TOL, axis=-1)
     return np.maximum(w, 0.0, out=w), ok

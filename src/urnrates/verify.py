@@ -51,14 +51,12 @@ def seed_counts(d: int) -> tuple:
 # --------------------------------------------------------------------------
 
 def _limit_path_rates(sched: Schedule, profile: InitialProfile, depths) -> list:
-    """(d, I_d of the closed-form limit path) per depth, the paths taken
-    from one LLN kernel, which is freed before the first rate.  The
-    schedule is piecewise constant, so each I_d is path_rate_exact's."""
-    kernel = lln.LLNKernel(sched, profile, rel_spacing=2e-3)
-    sols = [kernel.solve(d) for d in depths]
-    del kernel
-    return [(sol.d, rate.path_rate_exact(sol.path(), sched, profile).value)
-            for sol in sols]
+    """(d, I_d of the limit path) per depth, the paths taken
+    from one solve at the deepest depth, truncated.  The schedule is
+    piecewise constant, so each I_d is path_rate_exact's."""
+    sol = lln.solve_lln_closed(max(depths), sched, profile, rel_spacing=2e-3)
+    return [(d, rate.path_rate_exact(sol.truncated(d).path(), sched, profile).value)
+            for d in depths]
 
 
 def criterion_1(budget: str = "default") -> CheckResult:

@@ -103,7 +103,8 @@ def test_ode_route_does_not_call_closed_route(monkeypatch):
 
 
 def test_closed_vs_ode_mixed_constant_and_polynomial_segments():
-    # both decay branches (exact logarithms and nested Gauss rules) in one solve
+    # both kinds of step (one propagator per constant segment, one series
+    # per step on a polynomial one) in one solve
     grid = np.array([0.0, 0.05, 0.3, 0.5, 0.7, 0.85, 1.0])
     for prof in (EMPTY, InitialProfile.from_masses((0.3, 0.1, 0.05))):
         for d in (1, 6):
@@ -221,77 +222,18 @@ def test_ode_step_cap_raises_naming_the_interval(monkeypatch):
         solve_lln_numeric(6, CLASSICAL, PROFILE)
 
 
-# Horner's rule in the node fraction, on coefficients scaled by powers of
-# the cell width, against scipy's evaluation at the kernel's nodes: at most
-# 23 ulps of the value on figure 1 and 54 on the polynomial case, measured
-# at d = 6
-PCHIP_ULPS = 128
-
-
-@pytest.mark.parametrize("sched, prof, segments", [
-    (TWO_PHASE, EMPTY, 1), (THREE, InitialProfile.from_masses((0.3, 0.1, 0.05)), 3)],
-    ids=["figure1", "polynomial"])
-def test_pchip_on_node_offsets_matches_scipy(monkeypatch, sched, prof, segments):
-    # every level builds one monotone cubic per graded schedule segment
-    # (on figure 1 from empty the first segment is linear and has no
-    # cells), whose coefficient rows must be scipy's PchipInterpolator's to
-    # the last bit, and evaluates them at the Gauss nodes of every cell at
-    # once, node-major (15, cells), within PCHIP_ULPS of scipy's values
-    # there, segment by segment
-    from scipy.interpolate import PchipInterpolator
-
-    d = 6
-    fine = graded_grid(sched, profile=prof)
-    # the cells start at the first graded segment's breakpoint
-    first = int(np.searchsorted(fine, sched.breakpoints[len(sched.segments) - segments]))
-    lo, hi = fine[first:-1], fine[first + 1:]
-    nodes = (0.5 * (hi + lo))[None, :] + (0.5 * (hi - lo))[None, :] * lln._GL_X[:, None]
-    pchip, on_fractions = lln._pchip, lln._on_fractions
-    built, levels = [], []
-
-    def recorded(x, y):
-        built.append((PchipInterpolator(x, y), int(np.searchsorted(fine, x[0])), x.size - 1))
-        return pchip(x, y)
-
-    def assert_near(got, want):
-        assert np.all(np.abs(got - want) <= PCHIP_ULPS * np.spacing(np.abs(want)))
-
-    def checked(cubic, width, u, out):
-        on_fractions(cubic, width, u, out)
-        level = built[-segments:]    # this level's cubics, in segment order
-        assert out.shape == nodes.shape
-        starts = [start for _, start, _ in level]
-        sizes = [size for *_, size in level]
-        # the segments' cells run over the grid from there in order
-        assert starts == [first + sum(sizes[:j]) for j in range(segments)]
-        assert sum(sizes) == nodes.shape[1]
-        for interp, start, size in level:
-            cells = slice(start - first, start - first + size)
-            assert_array_equal(np.stack([c[cells] for c in cubic]), interp.c)
-            assert_near(out[:, cells], interp(nodes[:, cells]))
-        levels.append(starts)
-        return out
-
-    monkeypatch.setattr(lln, "_pchip", recorded)
-    monkeypatch.setattr(lln, "_on_fractions", checked)
-    solve_lln_closed(d, sched, prof)
-    assert len(built) == (d + 1) * segments
-    assert len(levels) == d + 1 and all(len(starts) == segments for starts in levels)
-
-
 @pytest.mark.parametrize("sched", [CLASSICAL, TWO_PHASE], ids=["homogeneous", "figure1"])
 def test_empty_start_first_cell_is_the_linear_solution(sched):
     # from an empty profile on a constant first segment the limit is
-    # zeta_i = b_i t exactly up to the first breakpoint t1: every grid
-    # value there, levels and aggregate slot, is slope * t to the last
-    # bit, on the kernel's own grid and on requested times inside (0, t1)
+    # zeta_i = b_i t exactly up to the first breakpoint t1: every value
+    # there, levels and aggregate slot, is slope * t to the last bit, on
+    # graded_grid's knots and on requested times inside (0, t1)
     t1 = sched.breakpoints[1]
     p0, beta0 = (float(v) for v in sched.coefficients(0.0))
     requested = np.array([0.0, 0.002, 0.005, 0.01, 0.3, 0.55, 1.0])
     for grid, inside in ((None, 0), (requested, 2)):
-        kernel = lln.LLNKernel(sched, EMPTY, grid=grid, rel_spacing=2e-3)
         for d in (0, 5, 20):
-            sol = kernel.solve(d)
+            sol = solve_lln_closed(d, sched, EMPTY, grid=grid, rel_spacing=2e-3)
             b = b_sequence(EnvelopeParams(p0, p0, beta0, beta0, 0.0), d)
             # the aggregate slot gains level d's outflow, and at d = 0 the
             # new-urn ball
@@ -302,19 +244,14 @@ def test_empty_start_first_cell_is_the_linear_solution(sched):
 
 
 def test_linear_first_segment_has_no_cells(monkeypatch):
-    # the kernel's cells start at the first breakpoint after a linear first
-    # segment, so a one-segment constant schedule from empty has none, and
-    # its solve builds no cubic
-    figure1 = lln.LLNKernel(TWO_PHASE, EMPTY)
-    assert figure1.grid[figure1.start] == 0.01
-    assert figure1.width.size == figure1.grid.size - 1 - figure1.start
-    homogeneous = lln.LLNKernel(CLASSICAL, EMPTY)
-    assert homogeneous.width.size == 0 and not homogeneous.cells
+    # graded_grid places no knot inside a linear first segment, and a
+    # one-segment constant schedule from empty expands no series at all
+    assert_array_equal(graded_grid(TWO_PHASE, EMPTY)[:2], [0.0, 0.01])
 
     def refuse(*args):
-        raise AssertionError("a kernel without cells builds no cubic")
-    monkeypatch.setattr(lln, "_pchip", refuse)
-    sol = homogeneous.solve(20)
+        raise AssertionError("a linear schedule expands no series")
+    monkeypatch.setattr(lln, "_taylor", refuse)
+    sol = solve_lln_closed(20, CLASSICAL, EMPTY)
     assert_array_equal(sol.grid, [0.0, 1.0])
 
 
@@ -327,12 +264,13 @@ TWO_STEP = Schedule.from_segments([(0.0, 0.2, 1.5), (0.4, 0.05, 0.5)])
 @pytest.mark.parametrize("sched", [CLASSICAL, TWO_PHASE, POLY, THREE, TWO_STEP],
                          ids=["homogeneous", "figure1", "polynomial", "three", "two-step"])
 def test_kernel_meets_no_singular_intermediate(sched, prof, grid):
-    # no cell starts where sigma vanishes, so building and solving the
-    # kernel divides by no zero and overflows or loses nothing to nan
+    # the series divides only by sigma away from its roots (a Frobenius
+    # start solves at sigma(0) = 0 instead), so solving and truncating
+    # divide by no zero and overflow or lose nothing to nan
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        kernel = lln.LLNKernel(sched, prof, grid=grid)
+        sol = solve_lln_closed(20, sched, prof, grid=grid)
         for d in (0, 5, 20):
-            assert np.all(np.isfinite(kernel.solve(d).values))
+            assert np.all(np.isfinite(sol.truncated(d).values))
 
 
 def test_graded_grid_floors_a_polynomial_first_segment():
@@ -343,118 +281,115 @@ def test_graded_grid_floors_a_polynomial_first_segment():
     assert grid.size > 10_000
 
 
+# truncated(d) of a depth-20 solve against the solve at depth d, whose
+# steps reach further (the reach shrinks with the depth): within 2.2e-16
+# on these cases, measured
+TRUNCATION_ATOL = 1e-15
+
+
 @pytest.mark.parametrize("grid", [None, np.array([0.0, 0.005, 0.01, 0.3, 0.55, 1.0])],
                          ids=["fine", "requested"])
 @pytest.mark.parametrize("sched, prof", [
     (TWO_PHASE, EMPTY), (THREE, InitialProfile.from_masses((0.3, 0.1, 0.05)))],
     ids=["figure1", "polynomial"])
 def test_one_kernel_matches_separate_solves(sched, prof, grid):
-    # levels never depend on d, so one kernel solving the depths in any
-    # order, repeats included, returns the separate solves to the last bit
-    kernel = lln.LLNKernel(sched, prof, grid=grid)
+    # one solve at the deepest depth serves every shallower one through
+    # truncated(d), in any order, repeats included
+    deep = solve_lln_closed(20, sched, prof, grid=grid)
     for d in (20, 0, 5, 20):
-        got = kernel.solve(d)
+        got = deep.truncated(d)
         want = solve_lln_closed(d, sched, prof, grid=grid)
         assert got.d == d and got.method == want.method
         assert_array_equal(got.grid, want.grid)
-        assert_array_equal(got.values, want.values)
-    assert len(kernel.levels) == 21
+        assert_allclose(got.values, want.values, rtol=0, atol=TRUNCATION_ATOL)
+    assert_array_equal(deep.truncated(20).values, deep.values)
+    with pytest.raises(ValueError, match="depth"):
+        deep.truncated(21)
 
 
-def test_level_loop_memory_is_the_levels_and_a_few_node_arrays():
-    # above the built kernel, solve(20) on figure 1's criterion-1 grid
-    # holds the 21 levels it keeps, two (15, K) scratch arrays and
-    # per-cell rows: 3.0 node arrays besides the levels, measured (a loop
-    # that allocates its node arrays afresh each level reads 4.7)
-    kernel = lln.LLNKernel(TWO_PHASE, EMPTY, rel_spacing=2e-3)
-    cells = kernel.grid.size - 1
+@pytest.mark.parametrize("prof, spacing", [(EMPTY, 2e-3), (PROFILE, 2e-4)],
+                         ids=["empty-2e-3", "profile-2e-4"])
+def test_series_peak_is_the_values_and_a_few_row_arrays(prof, spacing):
+    # above the values it returns, a solve at d = 20 on figure 1's graded
+    # knots holds the Horner pass' two (times, d+2) arrays, the Taylor
+    # coefficients of the steps that hold a time and per-time indices:
+    # 2.81 values' worth at 2e-3 (2,307 knots) and 2.22 at 2e-4 (6,995),
+    # measured
+    solve_lln_closed(20, TWO_PHASE, prof, rel_spacing=spacing)    # first-call allocations
     tracemalloc.start()
     try:
-        kernel.solve(20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    levels = 21 * (cells + 1) * 8
-    assert peak <= levels + 3.5 * 15 * cells * 8
-
-
-@pytest.mark.parametrize("sched, prof, node_arrays", [
-    (TWO_PHASE, EMPTY, 3), (THREE, InitialProfile.from_masses((0.3, 0.1, 0.05)), 5)],
-    ids=["figure1", "polynomial"])
-def test_kernel_holds_few_node_arrays(sched, prof, node_arrays):
-    # a built kernel keeps sigma and the two negated decay integrals at
-    # the nodes (p and beta too on the cells of a polynomial segment) and
-    # a few per-cell rows, the cubics' slope weights among them; at
-    # criterion 1's spacing, figure 1's kernel holds 3.5 node arrays'
-    # worth and the polynomial one 4.3, where one that also stored the
-    # Gauss weights and the offsets' powers held 7.3
-    lln.LLNKernel(sched, prof, rel_spacing=2e-3)    # after first-call allocations
-    tracemalloc.start()
-    try:
-        kernel = lln.LLNKernel(sched, prof, rel_spacing=2e-3)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    cells = kernel.grid.size - 1
-    assert held <= (node_arrays * 15 + 8) * cells * 8
-
-
-@pytest.mark.parametrize("sched", [TWO_PHASE, CLASSICAL], ids=["figure1", "homogeneous"])
-def test_kernel_build_peaks_near_what_it_keeps(sched):
-    # the decay integrals are written in place, segment by segment, into
-    # the (16, K) arrays the kernel keeps: from a nonempty profile, where
-    # every segment is graded, at rel_spacing 2e-4 (about 7,000 cells) a
-    # second build peaks 1.27 node arrays above what it keeps on figure 1
-    # and on homogeneous, measured; one that gathered the cells through a
-    # mask into separate node temporaries read 4.68.  At 2e-3 (about 700
-    # cells) numpy's iterator buffers for the broadcast products, about
-    # 120 KB at that size, alone exceed the bound
-    prof = InitialProfile.from_masses((0.3, 0.1, 0.05))
-    lln.LLNKernel(sched, prof, rel_spacing=2e-4)    # after first-call allocations
-    tracemalloc.start()
-    try:
-        kernel = lln.LLNKernel(sched, prof, rel_spacing=2e-4)
+        sol = solve_lln_closed(20, TWO_PHASE, prof, rel_spacing=spacing)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    cells = kernel.grid.size - 1
-    assert cells > 5_000
-    assert peak - kept <= 1.5 * 15 * cells * 8
+    assert peak - kept <= 3.5 * sol.values.nbytes
 
 
-def _pchip_cases():
-    """(x, y) pairs reaching every branch of the slope rule, then random
-    data on graded and uniform grids."""
-    cases = [
-        ([0.0, 0.7], [1.0, -2.0]),                   # two points: the line
-        ([0.0, 0.5], [3.0, 3.0]),                    # two points, flat
-        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0, 1.0, 2.0]),   # flat run
-        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0, 0.0]),   # sign changes
-        ([0.0, 1.0, 2.0], [0.0, 1.0, 6.0]),          # end slope of wrong sign: 0
-        ([0.0, 1.0, 2.0], [0.0, 1.0, -9.0]),         # end slope over 3*m0: 3*m0
-        ([0.0, 1.0, 3.0], [0.0, 1.0, 1.5]),          # end slope kept
-        ([0.0, 1e-12, 1e-6, 0.5, 1.0], [0.0, 1e-12, 2e-6, 0.6, 0.6]),
-    ]
-    rng = np.random.default_rng(20261018)
-    for size in (2, 3, 4, 7, 30, 200):
-        for _ in range(4):
-            x = np.cumsum(rng.exponential(size=size) * 10.0 ** rng.uniform(-12, 0, size))
-            y = rng.normal(size=size)
-            y[rng.random(size) < 0.2] = 0.0              # flat stretches and ties
-            cases.append((x, y))
-            cases.append((x, np.cumsum(np.abs(y)) * 1e-9))   # monotone, small
-    return [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in cases]
+SCHEDULES = {"homogeneous": CLASSICAL, "figure1": TWO_PHASE, "polynomial": POLY,
+             "three": THREE, "two-step": TWO_STEP}
+# every breakpoint of these schedules and its upper ulp neighbour
+ROUTE_TIMES = np.unique(np.concatenate([np.linspace(0.0, 1.0, 21),
+                                        [np.nextafter(t, 1.0) for t in (0.01, 0.3, 0.4, 0.7)]]))
 
 
-def test_pchip_coefficients_match_scipy():
-    # second route: scipy's PchipInterpolator, coefficient for coefficient
-    from scipy.interpolate import PchipInterpolator
+def _dop853_route(d, sched, prof, grid):
+    """scipy's DOP853 at rtol 1e-13, atol 1e-16 on _rhs, segment by
+    segment.  From an empty profile it starts from the linear solution at
+    t1 after a constant first segment (where it is exact) and at 1e-8 on
+    a polynomial one (within O(1e-16) there)."""
+    from scipy.integrate import solve_ivp
 
-    for x, y in _pchip_cases():
-        assert_array_equal(np.stack(lln._pchip(x, y)), PchipInterpolator(x, y).c)
-    # the two end-slope corrections did fire
-    assert lln._pchip(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 6.0]))[2][0] == 0.0
-    assert lln._pchip(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, -9.0]))[2][0] == 3.0
+    left, y = 0.0, prof.truncated(d)
+    if prof.c_total == 0.0:
+        left = sched.breakpoints[1] if sched.segments[0].is_constant else 1e-8
+        y = lln._start_slopes(sched, d) * left
+    out = np.empty((grid.size, d + 2))
+    known = grid <= left
+    out[known] = np.outer(grid[known] / left, y) if left > 0.0 else y
+    for seg, right in zip(sched.segments, sched.breakpoints[1:]):
+        if right <= left:
+            continue
+        res = solve_ivp(lln._rhs, (left, right), y, method="DOP853", dense_output=True,
+                        rtol=1e-13, atol=1e-16, args=(seg, prof, d))
+        assert res.success
+        inside = (grid > left) & (grid <= right)
+        if inside.any():
+            out[inside] = res.sol(grid[inside]).T
+        y, left = res.y[:, -1], right
+    return out
+
+
+@pytest.mark.parametrize("d", [0, 5, 30, 120])
+@pytest.mark.parametrize("prof", [EMPTY, PROFILE], ids=["empty", "profile"])
+@pytest.mark.parametrize("name", SCHEDULES)
+def test_series_matches_dop853_and_the_ode_route(name, prof, d):
+    # the series against two other routes, every slot (the aggregate
+    # included) at ROUTE_TIMES.  Measured: within 8.9e-15 of DOP853 at
+    # d <= 30, but 4.8e-13 on the polynomial schedule from empty at d = 0,
+    # where the reference starts at 1e-8, and within 1.2e-14 at d = 120
+    # but 8.2e-13 on figure 1 from empty (on 101 times DOP853 reads 4.9e-12
+    # off both LLN routes there, which agree within 6.8e-13); within
+    # 2.9e-11 of the ODE route, whose tolerances are 1e-10 and 1e-13; mass
+    # deviation at most 6.7e-16
+    sched = SCHEDULES[name]
+    got = solve_lln_closed(d, sched, prof, grid=ROUTE_TIMES)
+    start_at_root = prof is EMPTY and name == "polynomial"
+    bound = 2e-14 if d <= 30 and not start_at_root else 1e-12
+    assert_allclose(got.values, _dop853_route(d, sched, prof, ROUTE_TIMES), rtol=0, atol=bound)
+    ode = solve_lln_numeric(d, sched, prof, grid=ROUTE_TIMES)
+    assert_allclose(got.values, ode.values, rtol=0, atol=1e-10)
+    assert got.mass_deviation(prof) <= 1e-15
+
+
+@pytest.mark.parametrize("sched, prof, d, t", [(THREE, EMPTY, 5, 0.7), (TWO_STEP, PROFILE, 1, 0.4)],
+                         ids=["three-empty", "two-step-profile"])
+def test_requested_time_one_ulp_past_a_breakpoint(sched, prof, d, t):
+    # a time one ulp above a breakpoint is one more Horner evaluation on
+    # its step: within 7.4e-13 and 1.1e-12 of the ODE route, measured
+    grid = np.array([0.0, t, np.nextafter(t, 1.0), 0.71, 1.0])
+    got = solve_lln_closed(d, sched, prof, grid=grid)
+    want = solve_lln_numeric(d, sched, prof, grid=grid)
+    assert_allclose(got.values, want.values, rtol=0, atol=5e-12)
 
 
 @pytest.mark.parametrize("solve", [solve_lln_closed, solve_lln_numeric],
@@ -481,12 +416,18 @@ def test_new_urn_ball_reaches_aggregate_slot_at_d0():
 
 
 def test_grid_restriction_matches_superset_solve():
+    # the steps do not depend on the requested times, and each time reads
+    # its own step's series, so a subset of the times gets the same bits
     grid = np.array([0.0, 0.25, 0.5, 1.0])
-    coarse = solve_lln_closed(5, TWO_PHASE, EMPTY, grid=grid)
-    finer = solve_lln_closed(5, TWO_PHASE, EMPTY,
-                             grid=np.array([0.0, 0.1, 0.25, 0.5, 0.9, 1.0]))
-    assert_allclose(coarse.grid, grid)
-    assert_allclose(coarse.values, finer.values[[0, 2, 3, 5]], atol=1e-8)
+    for sched, prof in ((TWO_PHASE, EMPTY), (THREE, PROFILE), (THREE, EMPTY)):
+        coarse = solve_lln_closed(5, sched, prof, grid=grid)
+        finer = solve_lln_closed(5, sched, prof,
+                                 grid=np.array([0.0, 0.1, 0.25, 0.5, 0.9, 1.0]))
+        assert_array_equal(coarse.grid, grid)
+        assert_array_equal(coarse.values, finer.values[[0, 2, 3, 5]])
+        own = solve_lln_closed(5, sched, prof)
+        assert_array_equal(solve_lln_closed(5, sched, prof, grid=own.grid[::7]).values,
+                           own.values[::7])
 
 
 def test_lln_path_is_admissible():
@@ -599,17 +540,17 @@ def test_envelopes_bracket_partial_sums():
 
 
 def test_envelopes_bracket_from_nonempty_profile():
-    # deep levels from a profile, where the transients carry far; the ODE
-    # route is the reference, since the closed form's own grid error at
-    # the default spacing exceeds the slack
+    # deep levels from a profile, where the transients carry far, on both
+    # LLN routes (on a constant schedule the envelopes are the limit: the
+    # series' partial sums read at most 6.7e-16 above the upper one)
     d = 60
     grid = np.array([0.1, 0.5, 1.0])
     sched = Schedule.constant(0.2, 1.5)
-    sol = solve_lln_numeric(d, sched, PROFILE, grid=grid)
     env = power_law_envelopes(sched, PROFILE, grid, d)
-    cs = np.cumsum(sol.values[:, : d + 1], axis=1)
-    assert np.all(np.cumsum(env.upper.values, axis=1) >= cs - 1e-12)
-    assert np.all(np.cumsum(env.lower.values, axis=1) <= cs + 1e-12)
+    for solve in (solve_lln_closed, solve_lln_numeric):
+        cs = np.cumsum(solve(d, sched, PROFILE, grid=grid).values[:, : d + 1], axis=1)
+        assert np.all(np.cumsum(env.upper.values, axis=1) >= cs - 1e-12)
+        assert np.all(np.cumsum(env.lower.values, axis=1) <= cs + 1e-12)
 
 
 def test_envelopes_collapse_for_constant_schedule():

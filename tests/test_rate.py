@@ -12,7 +12,6 @@ from scipy.integrate import quad
 
 from urnrates import cli, rate
 from urnrates.lln import (
-    LLNKernel,
     ReferenceLaw,
     dirac_law,
     geometric_law,
@@ -82,6 +81,16 @@ def _concatenated_nu0_rows(v):
     w = np.concatenate([w, 1.0 - w.sum(axis=-1, keepdims=True)], axis=-1)
     ok = (np.abs(v.sum(axis=-1) - 1.0) <= PATH_TOL) & np.all(w >= -PATH_TOL, axis=-1)
     return np.maximum(w, 0.0, out=w), ok
+
+
+def test_nu0_rows_match_the_cumsum_form_on_criterion_1_paths():
+    # the suffix sums as row adds over the long axis make the same IEEE
+    # additions, in the same order, as a cumsum along the short one
+    for path, _, _ in criterion_1_paths():
+        slopes = path.slopes
+        got, want = rate._nu0_rows(slopes), _concatenated_nu0_rows(slopes)
+        assert_array_equal(got[0], want[0])
+        assert_array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("d", [0, 1, 5, 8, 20, 230])
@@ -435,9 +444,9 @@ def test_log_affine_matches_decimal_logarithms(lo):
 
 def criterion_1_paths():
     for sched in (classical_schedule(), figure1_schedule()):
-        kernel = LLNKernel(sched, EMPTY, rel_spacing=2e-3)
+        sol = solve_lln_closed(20, sched, EMPTY, rel_spacing=2e-3)
         for d in (0, 5, 20):
-            yield kernel.solve(d).path(), sched, EMPTY
+            yield sol.truncated(d).path(), sched, EMPTY
 
 
 def profile_lln_paths():
@@ -495,10 +504,13 @@ def test_exact_route_diverges_where_kronrod_does():
     assert rate._piece_laws(negative, EMPTY)[0] is not None
     quad = path_rate_Id(negative, CLASSICAL, EMPTY)
     assert quad.diverged and math.isinf(quad.value) and quad.deepest == 0
-    # the nonempty profile's limit path at d = 5, rejected by _piece_laws
+    # the nonempty profile's limit path at d = 8: its slopes pass
+    # _piece_laws, but the aggregate slot's first-piece slope (about 3e-18)
+    # is below the round-off of the complements that both routes' laws
+    # read, so a panel is unreachable on both
     profile = InitialProfile.from_masses((0.3, 0.1, 0.05))
-    rejected = solve_lln_closed(5, CLASSICAL, profile, rel_spacing=2e-3).path()
-    assert rate._piece_laws(rejected, profile)[0] is None
+    rejected = solve_lln_closed(8, CLASSICAL, profile, rel_spacing=2e-3).path()
+    assert rate._piece_laws(rejected, profile)[0] is not None
     # a path that does not start at the profile: without the start rule the
     # exact route wrote -0.3466 (phi_0 = 0.5 against sigma = 0 at t = 0)
     away = Path.from_knots([0.0, 1.0], [[0.5, 0.0, 0.0], [1.0, 0.25, 0.25]])

@@ -5,9 +5,10 @@ what each writes (the verify battery: its printed lines, timings
 stripped; one command rates a seeded path read from a CSV), then the
 exact oracle's terminal atoms on a piecewise-constant and on the
 polynomial schedule, then the ODE route's values on figure 1
-and on the polynomial config, then the closed-form kernel's values at
-criterion 1's spacing on figure 1, on the polynomial config and on the
-homogeneous schedule from a nonempty profile, then the streamed tube
+and on the polynomial config, then the power-series route's values on
+graded_grid's knots at criterion 1's spacing on figure 1, on the
+polynomial config and on the homogeneous schedule from a nonempty
+profile, then the streamed tube
 distances of an ensemble around figure 1's limit path.
 Run it on two checkouts and diff the listings to check that a change
 leaves the numbers byte-identical:
@@ -44,7 +45,7 @@ POLYNOMIAL = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
 TWO_STEP = {"schedule": [{"t_start": 0, "p": 0.2, "beta": 1.5},
                          {"t_start": 0.4, "p": 0.05, "beta": 0.5}],
             "profile": {"c": [0.3, 0.1, 0.05]}}
-# the homogeneous schedule from a nonempty profile: graded constant cells
+# the homogeneous schedule from a nonempty profile: series steps from t = 0
 HOMOGENEOUS_PROFILE = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 1.0}],
                        "profile": {"c": [0.3, 0.1, 0.05]}}
 # rates the seeded path that path_csv() writes, on the classical schedule
@@ -151,11 +152,11 @@ def ode_route(config: dict, d: int) -> str:
     return hashlib.sha256(sol.values.tobytes()).hexdigest()
 
 
-def kernel_route(config: dict) -> str:
-    """sha256 over the closed-form kernel's values at d = 20 on its own
-    grid at rel_spacing 2e-3, criterion 1's spacing."""
+def series_route(config: dict) -> str:
+    """sha256 over the power-series route's values at d = 20 on
+    graded_grid's knots at rel_spacing 2e-3, criterion 1's spacing."""
     schedule, profile, _ = config_from_dict(config)
-    sol = lln.LLNKernel(schedule, profile, rel_spacing=2e-3).solve(20)
+    sol = lln.solve_lln_closed(20, schedule, profile, rel_spacing=2e-3)
     return hashlib.sha256(sol.values.tobytes()).hexdigest()
 
 
@@ -190,9 +191,9 @@ def main() -> int:
     print("lln-ode-figure1-d30", ode_route(FIGURE1, 30), flush=True)
     # steps a polynomial segment and lands on both of its breakpoints
     print("lln-ode-polynomial-d12", ode_route(POLYNOMIAL, 12), flush=True)
-    print("lln-kernel-figure1-d20", kernel_route(FIGURE1), flush=True)
-    print("lln-kernel-polynomial-d20", kernel_route(POLYNOMIAL), flush=True)
-    print("lln-kernel-homogeneous-profile-d20", kernel_route(HOMOGENEOUS_PROFILE), flush=True)
+    print("lln-series-figure1-d20", series_route(FIGURE1), flush=True)
+    print("lln-series-polynomial-d20", series_route(POLYNOMIAL), flush=True)
+    print("lln-series-homogeneous-profile-d20", series_route(HOMOGENEOUS_PROFILE), flush=True)
     print("tube-distances-figure1-n2000-d5", tube_distances(FIGURE1), flush=True)
     return 0
 
