@@ -30,7 +30,7 @@ _SECTION_KEYS = {
     "simulate": {"n", "d", "samples", "seed"},
     "lln": {"d", "times"},
     "rate": {"preset", "path_csv", "d", "tol"},
-    "envelope": {"d", "times"},
+    "envelope": {"d"},
     "verify": {"budget"},
 }
 
@@ -227,12 +227,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _occupancy_slices(args, cfg, section: str):
+def cmd_lln(args) -> int:
+    cfg = _load_config(args.config)
     sched, profile, _ = _model_parts(cfg, args.preset)
-    d = _opt(args, cfg, section, "d", 30, _size, low=0)
+    d = _opt(args, cfg, "lln", "d", 30, _size, low=0)
     default = [0.01, 0.1, 1.0] if args.preset == "figure1" else [0.1, 0.5, 1.0]
-    times = _opt(args, cfg, section, "times", default,
-                 lambda ts: [float(t) for t in ts])
+    times = _opt(args, cfg, "lln", "times", default, lambda ts: [float(t) for t in ts])
     if not times:
         raise UsageError("times must hold at least one time")
     try:
@@ -240,12 +240,6 @@ def _occupancy_slices(args, cfg, section: str):
     except ValueError as exc:
         raise UsageError(str(exc))
     env = lln.power_law_envelopes(sched, profile, grid, d)
-    return sched, profile, d, times, env
-
-
-def cmd_lln(args) -> int:
-    cfg = _load_config(args.config)
-    sched, profile, d, times, env = _occupancy_slices(args, cfg, "lln")
     names = [f"lln_t{t:g}.csv" for t in times]
     if len(set(names)) < len(names):
         raise UsageError(f"times {times} give two slices the same file name")
@@ -275,18 +269,22 @@ def cmd_lln(args) -> int:
 
 def cmd_envelope(args) -> int:
     cfg = _load_config(args.config)
-    _, _, d, _, env = _occupancy_slices(args, cfg, "envelope")
+    sched, profile, _ = _model_parts(cfg, args.preset)
+    d = _opt(args, cfg, "envelope", "d", 30, _size, low=0)
+    # slopes and exponents only: the comparison laws at no times
+    env = lln.power_law_envelopes(sched, profile, (), d)
+    up, low = env.upper, env.lower
     out = _outdir(args)
     _write_csv(out / "envelope_slopes.csv", ["k", "slope_low", "slope_high"],
-               [np.arange(d + 1), env.eta_prime, env.eta])
+               [np.arange(d + 1), low.b, up.b])
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "envelope",
         "d": d,
-        "lower_tail_exponent": env.lower_tail_exponent,
-        "upper_tail_exponent": env.upper_tail_exponent,
-        "eta": list(env.eta),
-        "eta_prime": list(env.eta_prime),
+        "lower_tail_exponent": low.params.tail_exponent,
+        "upper_tail_exponent": up.params.tail_exponent,
+        "eta": list(up.b),
+        "eta_prime": list(low.b),
     }
     (out / "envelope.json").write_text(emit_json(report))
     print(f"wrote {out / 'envelope_slopes.csv'} and {out / 'envelope.json'}")
@@ -325,8 +323,10 @@ def cmd_rate(args) -> int:
             raise UsageError(f"{key} must be a string (got {val!r})")
     d = _opt(args, cfg, "rate", "d", 20, _size, low=0)
     tol = _opt(args, cfg, "rate", "tol", 1e-6, float)
-    if not (math.isfinite(tol) and tol >= rate.MIN_TOL):
-        raise UsageError(f"tol must be finite and at least {rate.MIN_TOL:g} (got {tol})")
+    try:
+        rate.check_tol(tol)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     out = _outdir(args)
 
     report = {"schema_version": SCHEMA_VERSION, "command": "rate"}
@@ -357,7 +357,7 @@ def cmd_rate(args) -> int:
                              "state, which does not start at the config's profile")
         rep = rate.path_rate_Iinf(law, sched, profile, tol=tol)
         report.update({
-            "preset": preset, "method": "kronrod", "value": rep.value,
+            "preset": preset, "method": rep.method, "value": rep.value,
             "condensation_term": rep.condensation,
             "escape_mass": rep.escape_mass, "converged": rep.converged,
             "trace": [[dd, val] for dd, val in rep.trace],
@@ -372,14 +372,9 @@ def cmd_rate(args) -> int:
     else:
         raise UsageError("rate needs --preset or a path_csv in the config")
     if path is not None:
-        # closed-form piece integrals where p and beta are constant on each
-        # segment, Gauss-Kronrod quadrature across polynomial segments
-        if sched.is_piecewise_constant:
-            method, rep = "exact", rate.path_rate_exact(path, sched, profile)
-        else:
-            method, rep = "kronrod", rate.path_rate_Id(path, sched, profile, tol=path_tol)
+        rep = rate.path_rate(path, sched, profile, tol=path_tol)
         report.update({
-            "d": path.d, "method": method, "value": rep.value,
+            "d": path.d, "method": rep.method, "value": rep.value,
             "condensation_term": rep.condensation,
             "error": rep.error, "num_panels": rep.num_panels, "diverged": rep.diverged,
             "renormalized": rep.renormalized,

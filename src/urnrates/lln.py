@@ -106,37 +106,25 @@ class LLNSolution:
 
 @dataclass(frozen=True)
 class WeightCheck:
-    """Weight accounting for a truncated solution.
+    """Weight accounting for a truncated solution on its grid.
 
-    raw_deficit(t)   = t + c_weighted - sum_{i<=d} i*zeta_i(t)
-    adjusted(t)      = raw_deficit - (d+1)*zetabar  (weight left over after
-                       counting every aggregated urn at its minimum size)
+    adjusted(t)      = t + c_weighted - sum_{i<=d} i*zeta_i(t) - (d+1)*zetabar
+                       (weight left over after counting every aggregated
+                       urn at its minimum size)
     tail_bound(t)    = (d+1)*zetabar(t)
     """
 
-    times: np.ndarray
-    raw_deficit: np.ndarray
     adjusted: np.ndarray
     tail_bound: np.ndarray
     max_adjusted: float
-    condensed: bool
 
 
 def weighted_sum_check(sol: LLNSolution, profile: InitialProfile) -> WeightCheck:
     d = sol.d
-    idx = np.arange(d + 1)
-    visible = sol.values[:, : d + 1] @ idx
-    raw = sol.grid + profile.c_weighted - visible
+    visible = sol.values[:, : d + 1] @ np.arange(d + 1)
     tail_bound = (d + 1) * sol.values[:, d + 1]
-    adjusted = raw - tail_bound
-    return WeightCheck(
-        times=sol.grid,
-        raw_deficit=raw,
-        adjusted=adjusted,
-        tail_bound=tail_bound,
-        max_adjusted=float(np.abs(adjusted).max()),
-        condensed=profile.condensed_flag,
-    )
+    adjusted = sol.grid + profile.c_weighted - visible - tail_bound
+    return WeightCheck(adjusted, tail_bound, float(np.abs(adjusted).max()))
 
 
 def _linear_start(schedule: Schedule, profile: InitialProfile) -> bool:
@@ -612,12 +600,11 @@ def constant_coefficient_solution(params: EnvelopeParams, profile: InitialProfil
 
 @dataclass(frozen=True)
 class Envelopes:
+    """The two comparison laws; each carries its linear slopes (b) and,
+    in its params, its density's tail exponent."""
+
     upper: ChiSolution          # bounds partial sums of zeta from above
     lower: ChiSolution          # bounds partial sums of zeta from below
-    eta: np.ndarray             # upper linear slopes
-    eta_prime: np.ndarray       # lower linear slopes
-    upper_tail_exponent: float  # density decay of the upper comparison law
-    lower_tail_exponent: float
 
 
 def power_law_envelopes(schedule: Schedule, profile: InitialProfile,
@@ -626,7 +613,8 @@ def power_law_envelopes(schedule: Schedule, profile: InitialProfile,
 
     The upper system slows the drain (smallest p, largest offset) and the
     lower system speeds it up, so their partial sums bracket those of the
-    true trajectory.
+    true trajectory.  The slopes and tail exponents do not depend on
+    grid, which may be empty.
     """
     up = EnvelopeParams(schedule.p_min, schedule.p_max,
                         schedule.beta_min, schedule.beta_max,
@@ -634,14 +622,8 @@ def power_law_envelopes(schedule: Schedule, profile: InitialProfile,
     low = EnvelopeParams(schedule.p_max, schedule.p_min,
                          schedule.beta_max, schedule.beta_min,
                          min(profile.c_weighted, profile.c_total))
-    chi_up = constant_coefficient_solution(up, profile, grid, d)
-    chi_low = constant_coefficient_solution(low, profile, grid, d)
-    return Envelopes(
-        upper=chi_up, lower=chi_low,
-        eta=chi_up.b, eta_prime=chi_low.b,
-        upper_tail_exponent=up.tail_exponent,
-        lower_tail_exponent=low.tail_exponent,
-    )
+    return Envelopes(upper=constant_coefficient_solution(up, profile, grid, d),
+                     lower=constant_coefficient_solution(low, profile, grid, d))
 
 
 # ---------------------------------------------------------------------------

@@ -226,19 +226,13 @@ class InitialProfile:
         """The small configuration: no limiting mass (c = c_weighted = 0)."""
         return cls.from_masses(())
 
-    def mass_up_to(self, d: int) -> float:
-        return math.fsum(self.c[: d + 1])
-
-    def tail_mass(self, d: int) -> float:
-        """Mass in sizes above d (the aggregate slot's initial value)."""
-        return max(self.c_total - self.mass_up_to(d), 0.0)
-
     def truncated(self, d: int) -> np.ndarray:
-        """Initial vector (c_0, ..., c_d, tail) of length d+2."""
+        """Initial vector (c_0, ..., c_d, tail) of length d+2, the tail the
+        mass in sizes above d."""
         out = np.zeros(d + 2)
         m = min(d + 1, len(self.c))
         out[:m] = self.c[:m]
-        out[d + 1] = self.tail_mass(d)
+        out[d + 1] = math.fsum(self.c[d + 1:])
         return out
 
 

@@ -208,21 +208,18 @@ def straight_road_probability(n: int, schedule: Schedule):
 
 @dataclass(frozen=True)
 class EmpiricalRate:
-    """-(1/n) log P_n along n_values, with a Richardson-style trend readout."""
+    """-(1/n) log P_n along the n list, with a Richardson-style trend readout."""
 
-    n_values: tuple
-    probabilities: tuple
     rates: tuple
     extrapolated: float
-    extrapolation_sequence: tuple
     increasing: bool
     diverging: bool
 
 
 def rate_readout(n_list, probs) -> EmpiricalRate:
     """Finite-size rate readout of exact probabilities P_n, one per n in
-    n_list: the rates -(1/n) log P_n, their Richardson sequence and
-    whether they increase and diverge."""
+    n_list: the rates -(1/n) log P_n, the last term of their Richardson
+    sequence and whether they increase and diverge."""
     rates = [-math.log(pnf) / n if pnf > 0 else math.inf
              for n, pnf in zip(n_list, probs)]
     # Richardson step under the model r_n = r_inf + a/n
@@ -237,11 +234,8 @@ def rate_readout(n_list, probs) -> EmpiricalRate:
         b > a for a, b in zip(extrap, extrap[1:])
     )
     return EmpiricalRate(
-        n_values=tuple(n_list),
-        probabilities=tuple(probs),
         rates=tuple(rates),
         extrapolated=extrap[-1] if extrap else (rates[-1] if rates else math.nan),
-        extrapolation_sequence=tuple(extrap),
         increasing=increasing,
         diverging=diverging,
     )

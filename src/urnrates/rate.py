@@ -10,12 +10,13 @@ of the slope) and the complement on the aggregate slot; u is the natural
 transition law of the scheme along the path, model.transition_law at
 (phi, sigma).  nu0 and L are computed for whole arrays of slopes and
 times at once.  The path functional integrates L over [0,1] on panels,
-the path's knot intervals split at schedule breakpoints, by two routes.
-Where p and beta are constant on every schedule segment, path_rate_exact
-sums closed-form integrals of log(affine) per panel; path_rate_Id, its
-paired check and the route across polynomial segments, runs an adaptive
-Gauss-Kronrod rule that refines all panels of one bisection depth
-together, interpolating phi on each panel's known path piece.  Both judge
+the path's knot intervals split at schedule breakpoints, by two routes,
+and path_rate picks between them.  Where p and beta are constant on every
+schedule segment, path_rate_exact sums closed-form integrals of
+log(affine) per panel; path_rate_Id, its paired check and the route across
+polynomial segments, runs an adaptive Gauss-Kronrod rule that refines all
+panels of one bisection depth together, interpolating phi on each panel's
+known path piece.  RateReport.method names the route that ran.  Both judge
 reachability by one rule at the panel ends, and both carry the
 condensation charge, the aggregate slot's share of L, on the same panels.
 The untruncated functional of a reference law is the truncated one at
@@ -74,9 +75,6 @@ _WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])           # 7 weights
 
 # Panels evaluated per vectorized batch; bounds the node arrays' memory.
 _BLOCK = 256
-# Panels whose two ends are judged per batch: as many ends as a block has
-# Kronrod nodes, which keeps a batch's peak memory at a quadrature block's
-_ENDS_BATCH = 15 * _BLOCK // 2
 
 # Bisection depths path_rate_Id may refine to
 MAX_DEPTH = 48
@@ -180,12 +178,24 @@ def _on_kronrod_nodes(a, b, fn):
     a[rows], _BLOCK panels at a time, and fn may add trailing axes."""
     half = 0.5 * (b - a)
     nodes = 0.5 * (b + a)[:, None] + half[:, None] * _XK[None, :]
-    return half, np.concatenate([fn(nodes[lo:lo + _BLOCK], slice(lo, lo + _BLOCK))
-                                 for lo in range(0, a.size, _BLOCK)])
+    return half, np.concatenate([fn(nodes[rows], rows) for rows in _batches(a.size)])
+
+
+def _batches(size: int) -> list:
+    """Slices of _BLOCK panels covering size panels."""
+    return [slice(lo, lo + _BLOCK) for lo in range(0, size, _BLOCK)]
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is finite and at least MIN_TOL."""
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise ValueError(f"tol must be finite and at least MIN_TOL = {MIN_TOL:g} "
+                         f"(got {tol})")
 
 
 @dataclass
 class RateReport:
+    method: str         # the route: "exact" (closed form) or "kronrod"
     value: float
     error: float
     num_panels: int
@@ -210,16 +220,15 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
     endpoint singularities are bisected down to a width floor, at most
     MAX_DEPTH times.  The condensation charge h(nu0_{d+1}, u_{d+1}) is
     integrated on the panels accepted for the total; refinement looks at
-    the total only.  A tol below MIN_TOL is rejected.
+    the total only.  A tol below MIN_TOL is rejected (check_tol).
     """
-    if not (math.isfinite(tol) and tol >= MIN_TOL):
-        raise ValueError(f"tol must be finite and at least MIN_TOL = {MIN_TOL:g} "
-                         f"(got {tol})")
+    check_tol(tol)
     a, b, piece = _panels(path, schedule)
     w, renormalized = _piece_laws(path, profile)
     if w is None or any(np.any(_panel_ends(a[s], b[s], piece[s], path, schedule, profile)[2]
                                & (w[piece[s]] > 0.0)) for s in _batches(a.size)):
-        return RateReport(math.inf, math.inf, a.size, 0, True, renormalized=renormalized)
+        return RateReport("kronrod", math.inf, math.inf, a.size, 0, True,
+                          renormalized=renormalized)
 
     def cost(nodes, rows):  # rows of the current depth's (a, b, piece)
         k = piece[rows, None]
@@ -239,8 +248,8 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
         finite = np.isfinite(f)
         if not finite.any(axis=1).all():
             # structurally impossible move on a whole panel
-            return RateReport(math.inf, math.inf, num_done + a.size, depth, True,
-                              renormalized=renormalized)
+            return RateReport("kronrod", math.inf, math.inf, num_done + a.size, depth,
+                              True, renormalized=renormalized)
         all_finite = finite.all(axis=1)
         vk = np.where(all_finite, half * (f * _WK[None, :]).sum(axis=1), math.inf)
         vg = half * (np.where(finite, f, 0.0)[:, _GAUSS_IDX] * _WG[None, :]).sum(axis=1)
@@ -262,7 +271,7 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
         depth += 1
 
     value, error, charge = (math.fsum(row) for row in np.concatenate(kept, axis=1))
-    return RateReport(value, error, num_done, depth, False, floor_hits, charge,
+    return RateReport("kronrod", value, error, num_done, depth, False, floor_hits, charge,
                       renormalized)
 
 
@@ -299,11 +308,6 @@ def _log_affine(lo, hi):
             r_far = r[far]
             q[far] = np.where(r_far > 0.0, 1.0 + r_far * np.log(r_far) / e[far], 1.0)
     return big, q
-
-
-def _batches(size: int) -> list:
-    """Slices of _ENDS_BATCH panels covering size panels."""
-    return [slice(lo, lo + _ENDS_BATCH) for lo in range(0, size, _ENDS_BATCH)]
 
 
 def _panel_ends(lo, hi, k, path: Path, schedule: Schedule, profile: InitialProfile):
@@ -350,8 +354,6 @@ def path_rate_exact(path: Path, schedule: Schedule, profile: InitialProfile) -> 
                          "(path_rate_Id integrates polynomial segments)")
     a, b, piece = _panels(path, schedule)
     w, renormalized = _piece_laws(path, profile)
-    if w is None:
-        return RateReport(math.inf, math.inf, a.size, 0, True, renormalized=renormalized)
 
     def panel_costs(rows):  # (cost, charge) of the panels a[rows], (B, 2)
         lo, hi, k = a[rows], b[rows], piece[rows]
@@ -372,11 +374,25 @@ def path_rate_exact(path: Path, schedule: Schedule, profile: InitialProfile) -> 
         terms[pos & unreachable] = math.inf
         return np.stack([terms.sum(axis=1), terms[:, -1]], axis=1)
 
-    costs = np.concatenate([panel_costs(rows) for rows in _batches(a.size)])
-    if not np.isfinite(costs[:, 0]).all():
-        return RateReport(math.inf, math.inf, a.size, 0, True, renormalized=renormalized)
+    costs = None if w is None else np.concatenate([panel_costs(rows)
+                                                   for rows in _batches(a.size)])
+    if costs is None or not np.isfinite(costs[:, 0]).all():
+        return RateReport("exact", math.inf, math.inf, a.size, 0, True,
+                          renormalized=renormalized)
     value, charge = (math.fsum(col) for col in costs.T)
-    return RateReport(value, 0.0, a.size, 0, False, 0, charge, renormalized)
+    return RateReport("exact", value, 0.0, a.size, 0, False, 0, charge, renormalized)
+
+
+def path_rate(path: Path, schedule: Schedule, profile: InitialProfile,
+              tol: float = 1e-10) -> RateReport:
+    """I_d of the path: path_rate_exact's closed form where p and beta are
+    constant on every schedule segment, else path_rate_Id's quadrature at
+    tol.  The report's method names the route; tol is checked (check_tol)
+    on either."""
+    check_tol(tol)
+    if schedule.is_piecewise_constant:
+        return path_rate_exact(path, schedule, profile)
+    return path_rate_Id(path, schedule, profile, tol)
 
 
 def project_path(path: Path, d: int) -> Path:
@@ -450,6 +466,7 @@ class IinfReport:
     escape_mass: float
     condensation: float         # condensation charge at the final depth
     error: float
+    method: str                 # route of the final rung's I_d
 
 
 def condensation_term(path: Path, schedule: Schedule, profile: InitialProfile) -> float:
@@ -472,11 +489,9 @@ def path_rate_Iinf(law, schedule: Schedule, profile: InitialProfile,
     path (one quadrature each).  converged means the quadrature error plus
     the unstored urn weight, which bounds the levels above D as in
     linear_path_rate_classical's truncation_error, is within tol; a
-    diverged rate is exact.  tol must be at least MIN_TOL.
+    diverged rate is exact.  tol must be at least MIN_TOL (check_tol).
     """
-    if not (math.isfinite(tol) and tol >= MIN_TOL):
-        raise ValueError(f"tol must be finite and at least MIN_TOL = {MIN_TOL:g} "
-                         f"(got {tol})")
+    check_tol(tol)
     gamma, tail_count, ball_mass = _gamma_profile(law)
     depth = gamma.size - 1
     full = linear_target_path(law, depth)
@@ -487,7 +502,8 @@ def path_rate_Iinf(law, schedule: Schedule, profile: InitialProfile,
         trace.append((d, rep.value))
     converged = rep.diverged or rep.error + tail_count <= tol
     escape = min(1.0, max(0.0, 1.0 - ball_mass))
-    return IinfReport(rep.value, trace, converged, escape, rep.condensation, rep.error)
+    return IinfReport(rep.value, trace, converged, escape, rep.condensation, rep.error,
+                      rep.method)
 
 
 @dataclass

@@ -52,10 +52,10 @@ def seed_counts(d: int) -> tuple:
 
 def _limit_path_rates(sched: Schedule, profile: InitialProfile, depths) -> list:
     """(d, I_d of the limit path) per depth, the paths taken
-    from one solve at the deepest depth, truncated.  The schedule is
-    piecewise constant, so each I_d is path_rate_exact's."""
+    from one solve at the deepest depth, truncated, and each I_d by
+    rate.path_rate's route for the schedule."""
     sol = lln.solve_lln_closed(max(depths), sched, profile, rel_spacing=2e-3)
-    return [(d, rate.path_rate_exact(sol.truncated(d).path(), sched, profile).value)
+    return [(d, rate.path_rate(sol.truncated(d).path(), sched, profile).value)
             for d in depths]
 
 
@@ -192,14 +192,13 @@ def criterion_7(budget: str = "default") -> CheckResult:
     slack = 1e-9
     upper_ok = bool(np.all(mid <= hi + slack))
     lower_ok = bool(np.all(lo <= mid + slack))
-    exp_ok = (abs(env.upper_tail_exponent - 10.0) < 1e-12
-              and abs(env.lower_tail_exponent - 3.0) < 1e-12)
+    up_exp, low_exp = env.upper.params.tail_exponent, env.lower.params.tail_exponent
+    exp_ok = abs(up_exp - 10.0) < 1e-12 and abs(low_exp - 3.0) < 1e-12
     ok = upper_ok and lower_ok and exp_ok
     details = (f"lower<=zeta<=upper partial sums (slack 1e-9): "
                f"upper {'ok' if upper_ok else 'VIOLATED'}, "
                f"lower {'ok' if lower_ok else 'VIOLATED'}; "
-               f"tail exponents = {env.lower_tail_exponent:.12g}, "
-               f"{env.upper_tail_exponent:.12g} (want 3, 10); "
+               f"tail exponents = {low_exp:.12g}, {up_exp:.12g} (want 3, 10); "
                f"max upper margin used = {float((mid - hi).max()):.2e}")
     return CheckResult(name, ok, details, seconds=time.perf_counter() - t0)
 

@@ -453,6 +453,9 @@ HUGE = 10**400
     pytest.param(["lln"], None, {"lln": {"times": []}}, id="config-lln-times-empty"),
     pytest.param(["envelope"], None, {"envelope": {"times": []}},
                  id="config-envelope-times-empty"),
+    # envelope writes slopes and exponents only, so it takes no times
+    pytest.param(["envelope"], None, {"envelope": {"times": [0.5]}},
+                 id="config-envelope-times"),
     pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": HUGE}},
                  id="config-tol-huge"),
     # sizes beyond an array's: numpy raised ValueError or OverflowError

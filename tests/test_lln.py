@@ -535,8 +535,22 @@ def test_envelopes_bracket_partial_sums():
     assert np.all(np.cumsum(env.upper.values, axis=1) >= cs - 1e-12)
     assert np.all(np.cumsum(env.lower.values, axis=1) <= cs + 1e-12)
     # beta in [1, 8], p = 0: density exponents 1 + (1+beta)
-    assert_allclose(env.upper_tail_exponent, 10.0)
-    assert_allclose(env.lower_tail_exponent, 3.0)
+    assert_allclose(env.upper.params.tail_exponent, 10.0)
+    assert_allclose(env.lower.params.tail_exponent, 3.0)
+
+
+@pytest.mark.parametrize("sched, prof", [(TWO_PHASE, EMPTY), (Schedule.constant(0.2, 1.5), PROFILE)],
+                         ids=["two-phase-empty", "constant-profile"])
+def test_envelopes_on_no_times_keep_slopes_and_exponents(sched, prof):
+    # urnrates envelope writes only slopes and exponents, read from laws
+    # solved at no times
+    d = 12
+    some = power_law_envelopes(sched, prof, np.linspace(0.0, 1.0, 5), d)
+    none = power_law_envelopes(sched, prof, (), d)
+    for got, want in ((none.upper, some.upper), (none.lower, some.lower)):
+        assert got.values.shape == (0, d + 1)
+        assert_array_equal(got.b, want.b)
+        assert got.params == want.params
 
 
 def test_envelopes_bracket_from_nonempty_profile():
@@ -557,7 +571,7 @@ def test_envelopes_collapse_for_constant_schedule():
     grid = np.linspace(0.0, 1.0, 9)
     d = 6
     env = power_law_envelopes(CLASSICAL, EMPTY, grid, d)
-    assert_allclose(env.eta, env.eta_prime, rtol=1e-14)
+    assert_allclose(env.upper.b, env.lower.b, rtol=1e-14)
     sol = solve_lln_closed(d, CLASSICAL, EMPTY, grid=grid)
     assert_allclose(env.upper.values, sol.values[:, : d + 1], atol=1e-12)
 

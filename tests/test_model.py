@@ -246,6 +246,12 @@ def test_profile_totals_and_truncation():
     assert not prof.condensed_flag
 
 
+def test_profile_tail_is_the_sum_of_the_masses_above():
+    # as a complement of the total, 0.5 + 1e-17 - 0.5 rounded the tail to 0
+    tail = InitialProfile.from_masses((0.5, 1e-17)).truncated(0)
+    assert tail.tolist() == [0.5, 1e-17]
+
+
 def test_condensed_profile_flag():
     prof = InitialProfile.from_masses((0.5,), c_weighted=1.0)
     assert prof.condensed_flag

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path as FsPath
@@ -24,8 +25,10 @@ from urnrates.model import (
     InitialProfile,
     Path,
     Schedule,
+    config_from_dict,
     entropy_terms,
     increments,
+    validate_path,
 )
 from urnrates.rate import (
     MIN_TOL,
@@ -34,6 +37,7 @@ from urnrates.rate import (
     linear_target_path,
     local_cost,
     natural_law,
+    path_rate,
     path_rate_exact,
     path_rate_Id,
     path_rate_Iinf,
@@ -318,7 +322,7 @@ def test_geometric_series_closed_form():
 
 def test_geometric_limit_matches_series():
     out = path_rate_Iinf(geometric_law(), CLASSICAL, EMPTY, tol=1e-7)
-    assert out.converged
+    assert out.converged and out.method == "kronrod"
     assert_allclose(out.value, geometric_reference_value(), atol=1e-6)
     # truncated rates increase towards the limit
     vals = [v for _, v in out.trace]
@@ -538,6 +542,76 @@ def test_routes_agree_on_a_sliver_below_zero():
     assert exact.value == quad.value or abs(exact.value - quad.value) <= 1e-13
 
 
+def test_path_rate_takes_the_exact_route_on_constant_segments():
+    for path, sched, profile in criterion_1_paths():
+        got = path_rate(path, sched, profile)
+        assert got.method == "exact"
+        assert got == path_rate_exact(path, sched, profile)
+
+
+def test_path_rate_takes_kronrod_across_polynomial_segments():
+    # the polynomial config of tools/fingerprint.py and its limit path at d = 2
+    sched, profile, _ = config_from_dict({
+        "schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
+                     {"t_start": 0.3, "p": [0.1, 0.2], "beta": [1.0, 0.5]},
+                     {"t_start": 0.7, "p": 0.2, "beta": 2.0}],
+        "profile": {"c": [0.3, 0.1, 0.05]}})
+    path = solve_lln_closed(2, sched, profile, rel_spacing=2e-3).path()
+    for tol in (1e-10, 1e-8):
+        got = path_rate(path, sched, profile, tol=tol)
+        assert got.method == "kronrod" and not got.diverged
+        assert got == path_rate_Id(path, sched, profile, tol=tol)
+
+
+def test_exact_route_peak_memory_is_a_few_paths():
+    # figure 1's d = 20 limit path (0.41 MB of values): panel ends are
+    # judged _BLOCK panels at a time, as the quadrature's nodes are (the
+    # batches of 1,920 panels before read 8.3 values' worth, measured)
+    sched = figure1_schedule()
+    path = solve_lln_closed(20, sched, EMPTY, rel_spacing=2e-3).path()
+    want = path_rate_exact(path, sched, EMPTY)    # first-call allocations
+    tracemalloc.start()
+    try:
+        got = path_rate_exact(path, sched, EMPTY)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 4 * path.values.nbytes
+
+
+def _two_route_paths(rng):
+    """Random 1-3-piece paths from the empty state at d <= 7: criterion 8's
+    admissible paths, raw Dirichlet slopes (often not admissible) and
+    admissible slopes moved by 1e-3 along a zero-sum direction."""
+    for d in range(8):
+        for _ in range(40):
+            yield _random_admissible_path(rng, d)
+            pieces = int(rng.integers(1, 4))
+            knots = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, pieces - 1)),
+                                    [1.0]])
+            raw = rng.dirichlet(np.ones(d + 2), size=pieces)
+            moved = _random_admissible_path(rng, d).slopes[:pieces]
+            noise = rng.normal(size=moved.shape)
+            noise -= noise.mean(axis=1, keepdims=True)
+            moved += 1e-3 * noise / np.abs(noise).max()
+            for slopes in (raw, moved):
+                values = np.zeros((pieces + 1, d + 2))
+                values[1:] = np.cumsum(slopes * np.diff(knots)[:, None], axis=0)
+                yield Path.from_knots(knots, values)
+
+
+def test_admissibility_agrees_with_the_rate_routes():
+    # validate_path and _piece_laws (which both I_d routes read) state the
+    # admissible class twice: they must draw one line
+    verdicts = [(validate_path(path, EMPTY).is_admissible,
+                 rate._piece_laws(path, EMPTY)[0] is not None)
+                for path in _two_route_paths(np.random.default_rng(20261020))]
+    assert [v for v in verdicts if v[0] != v[1]] == []
+    admissible = sum(v[0] for v in verdicts)
+    assert 0 < admissible < len(verdicts)
+
+
 def test_exact_route_rejects_polynomial_schedules():
     polynomial = Schedule.from_segments([(0.0, 0.0, 8.0), (0.5, (0.1, 0.2), 1.0)])
     path = linear_target_path(geometric_law(), 3)
@@ -590,6 +664,11 @@ def test_rate_arguments_are_checked():
             path_rate_Id(path, CLASSICAL, EMPTY, tol=bad)
         with pytest.raises(ValueError, match="tol"):
             path_rate_Iinf(star_law(), CLASSICAL, EMPTY, tol=bad)
+        # on either route, and before anything is computed
+        with pytest.raises(ValueError, match="tol"):
+            path_rate(path, CLASSICAL, EMPTY, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            rate.check_tol(bad)
     # the floor itself is met: no panel is split down to the width floor
     assert path_rate_Id(path, CLASSICAL, EMPTY, tol=MIN_TOL).floor_hits == 0
 
