@@ -181,6 +181,15 @@ def _size(val) -> int:
     return val
 
 
+def _envelopes(sched, profile, grid, d):
+    """lln.power_law_envelopes; a profile they cannot start from is a usage error."""
+    try:
+        return lln.power_law_envelopes(sched, profile, grid, d)
+    except ValueError as exc:
+        raise UsageError(f"no power-law envelopes from the profile c = {list(profile.c)}, "
+                         f"c_weighted = {profile.c_weighted:g}: {exc}")
+
+
 def _outdir(args) -> FsPath:
     out = FsPath(args.out if args.out else ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -239,7 +248,7 @@ def cmd_lln(args) -> int:
         grid = lln._times(times)
     except ValueError as exc:
         raise UsageError(str(exc))
-    env = lln.power_law_envelopes(sched, profile, grid, d)
+    env = _envelopes(sched, profile, grid, d)
     names = [f"lln_t{t:g}.csv" for t in times]
     if len(set(names)) < len(names):
         raise UsageError(f"times {times} give two slices the same file name")
@@ -272,7 +281,7 @@ def cmd_envelope(args) -> int:
     sched, profile, _ = _model_parts(cfg, args.preset)
     d = _opt(args, cfg, "envelope", "d", 30, _size, low=0)
     # slopes and exponents only: the comparison laws at no times
-    env = lln.power_law_envelopes(sched, profile, (), d)
+    env = _envelopes(sched, profile, (), d)
     up, low = env.upper, env.lower
     out = _outdir(args)
     _write_csv(out / "envelope_slopes.csv", ["k", "slope_low", "slope_high"],
@@ -322,12 +331,13 @@ def cmd_rate(args) -> int:
         if val is not None and not isinstance(val, str):
             raise UsageError(f"{key} must be a string (got {val!r})")
     d = _opt(args, cfg, "rate", "d", 20, _size, low=0)
-    tol = _opt(args, cfg, "rate", "tol", 1e-6, float)
-    try:
-        rate.check_tol(tol)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    out = _outdir(args)
+    tol = {}    # the config's tol reaches the route that runs, else its default holds
+    if "tol" in cfg.get("rate", {}):
+        tol["tol"] = _opt(args, cfg, "rate", "tol", None, float)
+        try:
+            rate.check_tol(tol["tol"])
+        except ValueError as exc:
+            raise UsageError(str(exc))
 
     report = {"schema_version": SCHEMA_VERSION, "command": "rate"}
     if preset and path_csv:
@@ -335,7 +345,7 @@ def cmd_rate(args) -> int:
     path = None
     if path_csv:
         report["input"] = path_csv
-        path, path_tol = _path_from_csv(path_csv), min(tol, 1e-8)
+        path = _path_from_csv(path_csv)
     elif preset in ("star", "straight-road", "geometric") or (
             preset or "").startswith("stretched"):
         if preset == "star":
@@ -355,7 +365,7 @@ def cmd_rate(args) -> int:
         if profile.truncated(law.values.size - 1).max() > PATH_TOL:
             raise UsageError(f"preset {preset} rates a straight path from the empty "
                              "state, which does not start at the config's profile")
-        rep = rate.path_rate_Iinf(law, sched, profile, tol=tol)
+        rep = rate.path_rate_Iinf(law, sched, profile, **tol)
         report.update({
             "preset": preset, "method": rep.method, "value": rep.value,
             "condensation_term": rep.condensation,
@@ -365,14 +375,13 @@ def cmd_rate(args) -> int:
         })
     elif preset == "lln":
         report["preset"] = "lln"
-        sol = lln.solve_lln_closed(d, sched, profile, rel_spacing=2e-3)
-        path, path_tol = sol.path(), 1e-10
+        path = lln.solve_lln_closed(d, sched, profile).path()
     elif preset:
         raise UsageError(f"unknown rate preset: {preset}")
     else:
         raise UsageError("rate needs --preset or a path_csv in the config")
     if path is not None:
-        rep = rate.path_rate(path, sched, profile, tol=path_tol)
+        rep = rate.path_rate(path, sched, profile, **tol)
         report.update({
             "d": path.d, "method": rep.method, "value": rep.value,
             "condensation_term": rep.condensation,
@@ -380,6 +389,7 @@ def cmd_rate(args) -> int:
             "renormalized": rep.renormalized,
         })
 
+    out = _outdir(args)
     (out / "rate.json").write_text(emit_json(report))
     value = report["value"]
     print(f"rate value: {'inf' if math.isinf(value) else format(value, '.17g')}")

@@ -48,7 +48,11 @@ from .model import InitialProfile, Path, Schedule, _polyval, sigma
 SERIES_TERMS = 40
 SERIES_REACH, SERIES_DECAY_REACH = 1.0 / 3.0, 3.0
 
-# graded_grid raises rather than cut a segment short at this many cells
+# graded_grid's default relative cell width, so that solve_lln_closed's
+# no-grid knots are the rated limit path's (criterion 1, `rate --preset lln`),
+# whose chords cost about h^2: 2.0e-9 on figure 1 at d = 20, 2.0e-7 at 0.02.
+# graded_grid raises rather than cut a segment short at MAX_CELLS_PER_SEGMENT cells
+LIMIT_PATH_SPACING = 2e-3
 MAX_CELLS_PER_SEGMENT = 100_000
 
 # solve_lln_numeric: the Runge-Kutta tolerances, the start time of the
@@ -92,17 +96,6 @@ class LLNSolution:
         total = self.values.sum(axis=1)
         return float(np.abs(total - (self.grid + profile.c_total)).max())
 
-    def truncated(self, d: int) -> "LLNSolution":
-        """The trajectory at depth d <= self.d: levels 0..d, and as the
-        aggregate slot the sum of the levels above d and this one's slot,
-        which the limit system gains exactly as depth d's slot does (the
-        fluxes between them telescope), as a sum of nonnegative terms."""
-        if not 0 <= d <= self.d:
-            raise ValueError(f"depth {d} is not in [0, {self.d}]")
-        values = self.values[:, : d + 2].copy()
-        self.values[:, d + 1 :].sum(axis=1, out=values[:, d + 1])
-        return LLNSolution(d=d, grid=self.grid, values=values, method=self.method)
-
 
 @dataclass(frozen=True)
 class WeightCheck:
@@ -136,8 +129,9 @@ def _linear_start(schedule: Schedule, profile: InitialProfile) -> bool:
             and schedule.segments[0].is_constant)
 
 
-def graded_grid(schedule: Schedule, profile: InitialProfile, rel_spacing: float = 0.02,
-                rel_floor: float = 1e-12, extra=None) -> np.ndarray:
+def graded_grid(schedule: Schedule, profile: InitialProfile,
+                rel_spacing: float = LIMIT_PATH_SPACING, rel_floor: float = 1e-12,
+                extra=None) -> np.ndarray:
     """Grid on [0,1] refined after each schedule breakpoint.
 
     Cell widths grow like rel_spacing * (effective age), where age is the
@@ -303,13 +297,14 @@ def _segment_steps(seg, profile, a, b, z, d, times):
 
 
 def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
-                     grid=None, rel_spacing: float = 0.02,
+                     grid=None, rel_spacing: float = LIMIT_PATH_SPACING,
                      rel_floor: float = 1e-12) -> LLNSolution:
     """The limit trajectory at depth d by its own power series (see the
     module docstring) on the requested times (grid), or without them on
-    graded_grid's knots at rel_spacing and rel_floor, a rated limit
-    path's.  A time at a breakpoint reads the next segment's first step
-    at u = 0, its start value: the end of the segment before."""
+    graded_grid's knots at rel_spacing and rel_floor.  At their defaults
+    its path() is the rated limit path, and rate.project_path folds it to
+    a shallower depth.  A time at a breakpoint reads the next segment's
+    first step at u = 0, its start value: the end of the segment before."""
     if d < 0:
         raise ValueError("d must be >= 0")
     times = (graded_grid(schedule, profile, rel_spacing=rel_spacing, rel_floor=rel_floor)

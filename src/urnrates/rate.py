@@ -92,17 +92,9 @@ def _nu0_rows(v):
     shape of v."""
     # 1 - [v]_i as the suffix sum of v above i, which keeps exact zeros
     # above the last occupied level (where u_i = 0 too); the aggregate slot
-    # takes the complement.  Over more rows than slots (a path's pieces), d
-    # row adds on a contiguous (d+1, K) copy make a cumsum's additions in
-    # its order 3x faster; a few long rows (a law's) keep the cumsum
+    # takes the complement
     w = np.empty_like(v)
-    if v.ndim == 2 and v.shape[0] > v.shape[1]:
-        suffix = v[:, 1:].T.copy()
-        for i in range(suffix.shape[0] - 2, -1, -1):
-            suffix[i] += suffix[i + 1]
-        w[:, :-1] = suffix.T
-    else:
-        np.cumsum(v[..., :0:-1], axis=-1, out=w[..., -2::-1])
+    np.cumsum(v[..., :0:-1], axis=-1, out=w[..., -2::-1])
     w[..., -1] = 1.0 - w[..., :-1].sum(axis=-1)
     ok = (np.abs(v.sum(axis=-1) - 1.0) <= PATH_TOL) & np.all(w >= -PATH_TOL, axis=-1)
     return np.maximum(w, 0.0, out=w), ok
@@ -396,8 +388,11 @@ def path_rate(path: Path, schedule: Schedule, profile: InitialProfile,
 
 
 def project_path(path: Path, d: int) -> Path:
-    """Fold levels above d into the aggregate slot (counts are additive).
-    The projection shares the path's knot times."""
+    """The path at depth d <= path.d: levels 0..d, and as the aggregate
+    slot the sum of the levels above d and the path's slot.  The limit
+    system's slot at depth d gains exactly that sum (the fluxes between
+    the levels telescope), so this folds a limit path too, as a sum of
+    nonnegative terms.  The projection shares the path's knot times."""
     if not 0 <= d <= path.d:
         raise ValueError(f"cannot project a depth-{path.d} path to depth {d}")
     vals = np.empty((path.times.size, d + 2))

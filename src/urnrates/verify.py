@@ -25,7 +25,7 @@ class CheckResult:
     details: str
     skipped: bool = False
     expected_failure: bool = False
-    seconds: float = 0.0
+    seconds: float = 0.0        # set by run_all
 
     def line(self) -> str:
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
@@ -51,11 +51,11 @@ def seed_counts(d: int) -> tuple:
 # --------------------------------------------------------------------------
 
 def _limit_path_rates(sched: Schedule, profile: InitialProfile, depths) -> list:
-    """(d, I_d of the limit path) per depth, the paths taken
-    from one solve at the deepest depth, truncated, and each I_d by
-    rate.path_rate's route for the schedule."""
-    sol = lln.solve_lln_closed(max(depths), sched, profile, rel_spacing=2e-3)
-    return [(d, rate.path_rate(sol.truncated(d).path(), sched, profile).value)
+    """(d, I_d of the limit path) per depth, the paths projected
+    (rate.project_path) from one solve at the deepest depth, and each I_d
+    by rate.path_rate's route for the schedule."""
+    path = lln.solve_lln_closed(max(depths), sched, profile).path()
+    return [(d, rate.path_rate(rate.project_path(path, d), sched, profile).value)
             for d in depths]
 
 
@@ -76,13 +76,12 @@ def criterion_1(budget: str = "default") -> CheckResult:
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 30.0
     details = f"max I_d = {worst:.3e} (tol 1e-8), {elapsed:.1f}s; " + "; ".join(rows)
-    return CheckResult(name, ok, details, seconds=elapsed)
+    return CheckResult(name, ok, details)
 
 
 def criterion_2(budget: str = "default") -> CheckResult:
     """Full-escape (star) rate equals log 2, by series and by limit trace."""
     name = "criterion 2 star-rate-analytic"
-    t0 = time.perf_counter()
     series = rate.linear_path_rate_classical((1.0, 0.0))
     err_series = abs(series.value - math.log(2.0))
     rep = rate.path_rate_Iinf(lln.star_law(), classical_schedule(),
@@ -92,13 +91,12 @@ def criterion_2(budget: str = "default") -> CheckResult:
     details = (f"series |err| = {err_series:.2e} (tol 1e-12), "
                f"trace |err| = {err_trace:.2e} (tol 1e-6), "
                f"converged={rep.converged} at d={rep.trace[-1][0]}")
-    return CheckResult(name, ok, details, seconds=time.perf_counter() - t0)
+    return CheckResult(name, ok, details)
 
 
 def criterion_3(budget: str = "default") -> CheckResult:
     """Exact designated-urn monopoly probability 2^-n for n = 2..14."""
     name = "criterion 3 star-oracle"
-    t0 = time.perf_counter()
     sched = classical_schedule()
     n_max = 10 if budget == "reduced" else 14
     probs = {n: oracle.star_probability(n, sched) for n in range(2, n_max + 1)}
@@ -108,13 +106,12 @@ def criterion_3(budget: str = "default") -> CheckResult:
     details = (f"2^-n exact for n=2..{n_max}"
                + (f" EXCEPT {bad}" if bad else "")
                + f"; -(1/n)log P = {rates[0]:.12f}..{rates[1]:.12f} (log 2 = {math.log(2):.12f})")
-    return CheckResult(name, ok, details, seconds=time.perf_counter() - t0)
+    return CheckResult(name, ok, details)
 
 
 def criterion_4(budget: str = "default") -> CheckResult:
     """All-singleton road: probability 1/n!, rates diverge, series is +inf."""
     name = "criterion 4 straight-road"
-    t0 = time.perf_counter()
     sched = classical_schedule()
     n_list = list(range(2, 11))
     probs = [oracle.straight_road_probability(n, sched) for n in n_list]
@@ -126,7 +123,7 @@ def criterion_4(budget: str = "default") -> CheckResult:
     details = (f"1/n! exact for n=2..10{' EXCEPT ' + str(bad) if bad else ''}; "
                f"rates increasing={emp.increasing}, diverging={emp.diverging}, "
                f"last rate={emp.rates[-1]:.4f}; series value={series.value}")
-    return CheckResult(name, ok, details, seconds=time.perf_counter() - t0)
+    return CheckResult(name, ok, details)
 
 
 def criterion_5(budget: str = "default") -> CheckResult:
@@ -140,7 +137,6 @@ def criterion_5(budget: str = "default") -> CheckResult:
     reported honestly rather than loosened.
     """
     name = "criterion 5 conservation"
-    t0 = time.perf_counter()
     d = 30
     ts = np.array([0.1, 0.5, 1.0])
     profile = InitialProfile.empty()
@@ -155,14 +151,12 @@ def criterion_5(budget: str = "default") -> CheckResult:
                f"deficit/tail-bound ratios at t=0.1,0.5,1: "
                + ", ".join(f"{r:.6f}" for r in ratios)
                + f" (bound needs <= 1, analytic value (d+2)/(d+1) = {(d+2)/(d+1):.6f})")
-    return CheckResult(name, ok, details, expected_failure=not bound_ok,
-                       seconds=time.perf_counter() - t0)
+    return CheckResult(name, ok, details, expected_failure=not bound_ok)
 
 
 def criterion_6(budget: str = "default") -> CheckResult:
     """Stationary occupancy fractions 4/((i+1)(i+2)(i+3)) for i <= 10."""
     name = "criterion 6 stationary-fractions"
-    t0 = time.perf_counter()
     d = 12
     profile = InitialProfile.empty()
     sol = lln.solve_lln_closed(d, classical_schedule(), profile,
@@ -173,13 +167,12 @@ def criterion_6(budget: str = "default") -> CheckResult:
     err = float(np.abs(got - target).max())
     ok = err <= 1e-6
     details = f"max |zeta_i(1) - 4/((i+1)(i+2)(i+3))| = {err:.2e} (tol 1e-6), i <= 10"
-    return CheckResult(name, ok, details, seconds=time.perf_counter() - t0)
+    return CheckResult(name, ok, details)
 
 
 def criterion_7(budget: str = "default") -> CheckResult:
     """Power-law envelopes bracket the partial sums; exponents 3 and 10."""
     name = "criterion 7 envelopes"
-    t0 = time.perf_counter()
     d = 30
     sched = figure1_schedule()
     profile = InitialProfile.empty()
@@ -200,7 +193,7 @@ def criterion_7(budget: str = "default") -> CheckResult:
                f"lower {'ok' if lower_ok else 'VIOLATED'}; "
                f"tail exponents = {low_exp:.12g}, {up_exp:.12g} (want 3, 10); "
                f"max upper margin used = {float((mid - hi).max()):.2e}")
-    return CheckResult(name, ok, details, seconds=time.perf_counter() - t0)
+    return CheckResult(name, ok, details)
 
 
 def _random_admissible_path(rng, d: int) -> Path:
@@ -227,7 +220,6 @@ def _random_admissible_path(rng, d: int) -> Path:
 def criterion_8(budget: str = "default") -> CheckResult:
     """Truncation monotonicity of the local cost on random paths."""
     name = "criterion 8 truncation-monotone"
-    t0 = time.perf_counter()
     rng = np.random.default_rng(20250811)
     sched = classical_schedule()
     profile = InitialProfile.empty()
@@ -251,7 +243,7 @@ def criterion_8(budget: str = "default") -> CheckResult:
     ok = worst <= 1e-12
     details = (f"max over {num_paths} paths, 64 times, r<s<=20 of "
                f"L_r - L_s = {worst:.2e} (tol 1e-12)")
-    return CheckResult(name, ok, details, seconds=time.perf_counter() - t0)
+    return CheckResult(name, ok, details)
 
 
 def criterion_9(budget: str = "default") -> CheckResult:
@@ -275,14 +267,13 @@ def criterion_9(budget: str = "default") -> CheckResult:
     ok = tv <= 5e-3 and elapsed < 60.0
     details = (f"TV = {tv:.2e} over {len(keys)} states, 1e6 samples "
                f"(tol 5e-3), {elapsed:.1f}s")
-    return CheckResult(name, ok, details, seconds=elapsed)
+    return CheckResult(name, ok, details)
 
 
 def criterion_10(budget: str = "default") -> CheckResult:
     """Stretched-exponential target: normalized, weight-1, finite rate on
     which the path quadrature and the closed series agree."""
     name = "criterion 10 stretched-exponential"
-    t0 = time.perf_counter()
     law = lln.stretched_exponential(0.5)
     norm_err = abs(law.total() - 1.0)
     weight_err = abs((law.mean() - law.total()) - 1.0)
@@ -295,7 +286,7 @@ def criterion_10(budget: str = "default") -> CheckResult:
                f"(tol 1e-10), |sum i*gamma_i - 1| = {weight_err:.2e} (tol 1e-6), "
                f"rate = {rep.value:.8f} converged={rep.converged} "
                f"at d={rep.trace[-1][0]}, |I_inf - series| = {gap:.2e} (tol 1e-6)")
-    return CheckResult(name, ok, details, seconds=time.perf_counter() - t0)
+    return CheckResult(name, ok, details)
 
 
 def criterion_11(budget: str = "default") -> CheckResult:
@@ -304,7 +295,6 @@ def criterion_11(budget: str = "default") -> CheckResult:
     name = "criterion 11 lln-concentration"
     if budget == "reduced":
         return CheckResult(name, True, "skipped at reduced budget", skipped=True)
-    t0 = time.perf_counter()
     n, d, runs = 2000, 5, 100
     sched = classical_schedule()
     initial = seed_counts(d)
@@ -317,7 +307,7 @@ def criterion_11(budget: str = "default") -> CheckResult:
     ok = mean < 0.05
     details = (f"mean sup-L1 distance over {runs} runs at n={n}: "
                f"{mean:.4f} (tol 0.05), max {float(dists.max()):.4f}")
-    return CheckResult(name, ok, details, seconds=time.perf_counter() - t0)
+    return CheckResult(name, ok, details)
 
 
 CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
@@ -326,6 +316,12 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(budget: str = "default") -> list:
+    """Each criterion's result at the budget, its seconds timed here."""
     if budget not in ("default", "reduced"):
         raise ValueError("budget must be 'default' or 'reduced'")
-    return [fn(budget) for fn in CRITERIA]
+    results = []
+    for fn in CRITERIA:
+        t0 = time.perf_counter()
+        results.append(fn(budget))
+        results[-1].seconds = time.perf_counter() - t0
+    return results

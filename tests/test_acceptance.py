@@ -100,3 +100,5 @@ def test_battery_names_are_stable():
     results = verify.run_all("reduced")
     assert len(results) == 11
     assert [r.name.split()[1] for r in results] == [str(k) for k in range(1, 12)]
+    # run_all times each criterion, skipped ones included
+    assert all(r.seconds > 0.0 for r in results)

@@ -472,6 +472,14 @@ HUGE = 10**400
     pytest.param(["rate", "--preset", "star"], None,
                  {"schedule": CLASSICAL_SPEC, "profile": {"c": [0.3, 0.1, 0.05]}},
                  id="rate-star-from-profile"),
+    # all the profile's mass at size 0: urns without balls, which the lower
+    # envelope cannot start from
+    pytest.param(["lln", "--d", "2"], None,
+                 {"schedule": CLASSICAL_SPEC, "profile": {"c": [0.3]}},
+                 id="lln-profile-all-at-size-0"),
+    pytest.param(["envelope", "--d", "2"], None,
+                 {"schedule": CLASSICAL_SPEC, "profile": {"c": [0.3]}},
+                 id="envelope-profile-all-at-size-0"),
 ])
 @pytest.mark.filterwarnings("error::UserWarning")
 def test_malformed_input_exits_two(tmp_path, argv, csv_text, config):
@@ -481,8 +489,10 @@ def test_malformed_input_exits_two(tmp_path, argv, csv_text, config):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
-    assert main(argv + ["--out", str(tmp_path)]) == 2
-    assert {f.name for f in tmp_path.iterdir()} <= {"path.csv", "cfg.json"}
+    # a command makes its output directory only once its inputs are valid
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_verify_reduced_budget_reports_expected_failure(tmp_path, capsys):
@@ -599,3 +609,24 @@ def test_lln_path_of_nonempty_profile_costs_nothing(tmp_path, d):
                  "--out", str(out)]) == 0
     value = float(read_json(out / "rate.json")["value"])
     assert math.isfinite(value) and value <= 1e-6
+
+
+def test_rate_tol_reaches_the_limit_path_route(tmp_path):
+    # constant -> polynomial -> constant from a profile, so the limit path
+    # takes the Kronrod route at the config's tol; without one it keeps
+    # path_rate's default 1e-10
+    spec = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
+                         {"t_start": 0.3, "p": [0.1, 0.2], "beta": [1.0, 0.5]},
+                         {"t_start": 0.7, "p": 0.2, "beta": 2.0}],
+            "profile": {"c": [0.3, 0.1, 0.05]}}
+    reports = {}
+    for tol in (None, 1e-4, 1e-9):
+        cfg = tmp_path / f"cfg-{tol}.json"
+        cfg.write_text(json.dumps(spec if tol is None else {**spec, "rate": {"tol": tol}}))
+        out = tmp_path / f"out-{tol}"
+        assert main(["rate", "--config", str(cfg), "--preset", "lln", "--d", "2",
+                     "--out", str(out)]) == 0
+        reports[tol] = (out / "rate.json").read_text()
+    assert reports[1e-4] != reports[1e-9]
+    assert read_json(tmp_path / "out-None" / "rate.json")["method"] == "kronrod"
+    assert read_json(tmp_path / "out-None" / "rate.json")["value"] == 1.1977324680576401e-07

@@ -23,6 +23,7 @@ from urnrates.lln import (
     weighted_sum_check,
 )
 from urnrates.model import InitialProfile, Schedule, sigma, validate_path
+from urnrates.rate import project_path
 
 CLASSICAL = Schedule.constant(0.0, 1.0)
 TWO_PHASE = Schedule.from_segments([(0.0, 0.0, 8.0), (0.01, 0.0, 1.0)])
@@ -268,9 +269,9 @@ def test_kernel_meets_no_singular_intermediate(sched, prof, grid):
     # start solves at sigma(0) = 0 instead), so solving and truncating
     # divide by no zero and overflow or lose nothing to nan
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        sol = solve_lln_closed(20, sched, prof, grid=grid)
+        path = solve_lln_closed(20, sched, prof, grid=grid).path()
         for d in (0, 5, 20):
-            assert np.all(np.isfinite(sol.truncated(d).values))
+            assert np.all(np.isfinite(project_path(path, d).values))
 
 
 def test_graded_grid_floors_a_polynomial_first_segment():
@@ -281,9 +282,9 @@ def test_graded_grid_floors_a_polynomial_first_segment():
     assert grid.size > 10_000
 
 
-# truncated(d) of a depth-20 solve against the solve at depth d, whose
-# steps reach further (the reach shrinks with the depth): within 2.2e-16
-# on these cases, measured
+# project_path to depth d of a depth-20 limit path against the path of the
+# solve at depth d, whose steps reach further (the reach shrinks with the
+# depth): within 3.4e-16 on these cases, measured
 TRUNCATION_ATOL = 1e-15
 
 
@@ -294,17 +295,17 @@ TRUNCATION_ATOL = 1e-15
     ids=["figure1", "polynomial"])
 def test_one_kernel_matches_separate_solves(sched, prof, grid):
     # one solve at the deepest depth serves every shallower one through
-    # truncated(d), in any order, repeats included
-    deep = solve_lln_closed(20, sched, prof, grid=grid)
+    # project_path, in any order, repeats included
+    deep = solve_lln_closed(20, sched, prof, grid=grid).path()
     for d in (20, 0, 5, 20):
-        got = deep.truncated(d)
-        want = solve_lln_closed(d, sched, prof, grid=grid)
-        assert got.d == d and got.method == want.method
-        assert_array_equal(got.grid, want.grid)
+        got = project_path(deep, d)
+        want = solve_lln_closed(d, sched, prof, grid=grid).path()
+        assert got.d == d
+        assert_array_equal(got.times, want.times)
         assert_allclose(got.values, want.values, rtol=0, atol=TRUNCATION_ATOL)
-    assert_array_equal(deep.truncated(20).values, deep.values)
+    assert_array_equal(project_path(deep, 20).values, deep.values)
     with pytest.raises(ValueError, match="depth"):
-        deep.truncated(21)
+        project_path(deep, 21)
 
 
 @pytest.mark.parametrize("prof, spacing", [(EMPTY, 2e-3), (PROFILE, 2e-4)],
@@ -707,9 +708,10 @@ def test_graded_grid_extra_points_kept():
 
 def test_graded_grid_profile_offsets_initial_refinement():
     # on a polynomial first segment, which empty starts still grade
+    # (the first-cell bounds below are sized for rel_spacing 0.02)
     prof = InitialProfile.from_masses((0.3, 0.2))
-    fine = graded_grid(POLY, profile=EMPTY)
-    coarse = graded_grid(POLY, profile=prof)
+    fine = graded_grid(POLY, profile=EMPTY, rel_spacing=0.02)
+    coarse = graded_grid(POLY, profile=prof, rel_spacing=0.02)
     # positive sigma(0) means no sub-scale cells are needed at t = 0
     assert coarse.size < fine.size
     assert coarse[1] - coarse[0] > 1e-3

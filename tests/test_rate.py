@@ -88,8 +88,8 @@ def _concatenated_nu0_rows(v):
 
 
 def test_nu0_rows_match_the_cumsum_form_on_criterion_1_paths():
-    # the suffix sums as row adds over the long axis make the same IEEE
-    # additions, in the same order, as a cumsum along the short one
+    # tall inputs (more pieces than slots): the suffix sums written in
+    # place make the same IEEE additions, in the same order, as a cumsum
     for path, _, _ in criterion_1_paths():
         slopes = path.slopes
         got, want = rate._nu0_rows(slopes), _concatenated_nu0_rows(slopes)
@@ -100,11 +100,12 @@ def test_nu0_rows_match_the_cumsum_form_on_criterion_1_paths():
 @pytest.mark.parametrize("d", [0, 1, 5, 8, 20, 230])
 def test_nu0_rows_written_in_place_match_the_concatenated_form(d):
     # suffix sums written backwards into one array give the same bits, on
-    # Dirichlet rows, rows nudged off the simplex, and a single row
+    # Dirichlet rows, rows nudged off the simplex, a single row, a few rows
+    # (wide at d = 230) and a stack of rows
     rng = np.random.default_rng(d)
     v = rng.dirichlet(np.ones(d + 2), size=500)
     v[::3] += rng.normal(scale=1e-9, size=v[::3].shape)
-    for slopes in (v, v[0]):
+    for slopes in (v, v[0], v[:50], v.reshape(20, 25, d + 2)):
         got, want = rate._nu0_rows(slopes), _concatenated_nu0_rows(slopes)
         assert got[0].tobytes() == want[0].tobytes()
         assert_array_equal(got[1], want[1])
@@ -448,9 +449,9 @@ def test_log_affine_matches_decimal_logarithms(lo):
 
 def criterion_1_paths():
     for sched in (classical_schedule(), figure1_schedule()):
-        sol = solve_lln_closed(20, sched, EMPTY, rel_spacing=2e-3)
+        path = solve_lln_closed(20, sched, EMPTY).path()
         for d in (0, 5, 20):
-            yield sol.truncated(d).path(), sched, EMPTY
+            yield project_path(path, d), sched, EMPTY
 
 
 def profile_lln_paths():

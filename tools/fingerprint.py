@@ -6,7 +6,7 @@ stripped; one command rates a seeded path read from a CSV), then the
 exact oracle's terminal atoms on a piecewise-constant and on the
 polynomial schedule, then the ODE route's values on figure 1
 and on the polynomial config, then the power-series route's values on
-graded_grid's knots at criterion 1's spacing on figure 1, on the
+the rated limit path's knots on figure 1, on the
 polynomial config and on the homogeneous schedule from a nonempty
 profile, then the streamed tube
 distances of an ensemble around figure 1's limit path.
@@ -154,9 +154,10 @@ def ode_route(config: dict, d: int) -> str:
 
 def series_route(config: dict) -> str:
     """sha256 over the power-series route's values at d = 20 on
-    graded_grid's knots at rel_spacing 2e-3, criterion 1's spacing."""
+    graded_grid's knots at lln.LIMIT_PATH_SPACING, the rated limit path's
+    (solve_lln_closed's default)."""
     schedule, profile, _ = config_from_dict(config)
-    sol = lln.solve_lln_closed(20, schedule, profile, rel_spacing=2e-3)
+    sol = lln.solve_lln_closed(20, schedule, profile)
     return hashlib.sha256(sol.values.tobytes()).hexdigest()
 
 
