@@ -331,6 +331,8 @@ def cmd_rate(args) -> int:
         if val is not None and not isinstance(val, str):
             raise UsageError(f"{key} must be a string (got {val!r})")
     d = _opt(args, cfg, "rate", "d", 20, _size, low=0)
+    if preset != "lln" and (args.d is not None or "d" in cfg.get("rate", {})):
+        raise UsageError("d applies to --preset lln only (a path CSV or law has its own)")
     tol = {}    # the config's tol reaches the route that runs, else its default holds
     if "tol" in cfg.get("rate", {}):
         tol["tol"] = _opt(args, cfg, "rate", "tol", None, float)

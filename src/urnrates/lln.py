@@ -310,7 +310,7 @@ def solve_lln_closed(d: int, schedule: Schedule, profile: InitialProfile,
     times = (graded_grid(schedule, profile, rel_spacing=rel_spacing, rel_floor=rel_floor)
              if grid is None else _times(grid))
     brks, last = schedule.breakpoints, len(schedule.segments) - 1
-    seg_of = np.minimum(np.searchsorted(brks, times, "right") - 1, last)
+    seg_of = schedule.segment_index(times)
     values = np.empty((times.size, d + 2))
     z, first = profile.truncated(d), 0
     if _linear_start(schedule, profile):
@@ -723,24 +723,25 @@ def _stretched_products(mu: float, r: float, powers: list, stop: float = math.in
 
 
 def stretched_exponential(r: float) -> ReferenceLaw:
-    """Size law q(k) = (mu / k^r) prod_{j<=k} (1+mu/j^r)^(-1), r in (0,1).
+    """Size law q(k) = (mu / k^r) P_k, P_k = prod_{j<=k} (1+mu/j^r)^(-1).
 
-    mu is calibrated so the law is normalized (equivalently, has mean 2):
-    the normalization sum is strictly decreasing in mu, so bisection
-    applies after doubling out an upper bracket.  Each step walks the
-    products until their sum passes 1 or they are negligible; the law is
-    the same walk at the calibrated mu.  The walks share one table of k^r,
-    grown by doubling, from Python's pow: np.power misses libm's last bit.
+    For r in (0,1).  q(k) = P_{k-1} - P_k telescopes to total 1 for every
+    mu, and the mean is 1 + sum_{k>=1} P_k, so mu is calibrated to make
+    that sum 1 (mean 2, unit ball mass): it decreases strictly in mu, so
+    bisection applies after doubling out an upper bracket.  Each step walks
+    the products until their sum passes 1 or they are negligible; the law
+    is the same walk at mu.  The walks share one table of k^r, grown by
+    doubling, from Python's pow: np.power misses libm's last bit.
     """
     if not (0.0 < r < 1.0):
         raise ValueError("r must lie in (0, 1)")
 
     powers = []
-    lo, hi = 0.0, 1.0          # normalization decreases in mu; sum(0+) = inf
+    lo, hi = 0.0, 1.0          # sum P_k decreases in mu; sum(0+) = inf
     while _stretched_products(hi, r, powers, stop=1.0) is None:
         lo, hi = hi, hi * 2.0
         if hi > 1e12:
-            raise RuntimeError("failed to bracket the normalizing constant")
+            raise RuntimeError("failed to bracket the calibrating constant")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _stretched_products(mid, r, powers, stop=1.0) is None:

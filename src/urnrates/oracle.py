@@ -30,14 +30,13 @@ DEFAULT_MAX_D = 2
 class ExactDistribution:
     """Exact law of the terminal state.
 
-    atoms maps a counts tuple (or (counts, marked_balls) when marked)
+    atoms maps a counts tuple (or (counts, marked_balls) for the marked chain)
     to its probability as a Fraction; as_floats gives the float law.
     """
 
     n: int
     d: int
     atoms: dict
-    marked: bool = False
 
     def total(self):
         return self.probability(lambda key: True)
@@ -165,7 +164,7 @@ def enumerate_exact(n: int, d: int, schedule: Schedule, initial, *,
     if sum(layer.values()) != denom:
         raise RuntimeError("terminal probabilities do not sum to 1")
     atoms = {key: Fraction(num, denom) for key, num in layer.items()}
-    return ExactDistribution(n=n, d=d, atoms=atoms, marked=marked)
+    return ExactDistribution(n=n, d=d, atoms=atoms)
 
 
 def enumerate_naive(n: int, d: int, schedule: Schedule, initial) -> ExactDistribution:
@@ -189,7 +188,7 @@ def enumerate_naive(n: int, d: int, schedule: Schedule, initial) -> ExactDistrib
             descend(nxt, j + 1, prob * Fraction(w, total))
 
     descend(state0.counts, 0, Fraction(1))
-    return ExactDistribution(n=n, d=d, atoms=atoms, marked=False)
+    return ExactDistribution(n=n, d=d, atoms=atoms)
 
 
 def star_probability(n: int, schedule: Schedule):

@@ -11,8 +11,8 @@ transition law of the scheme along the path, model.transition_law at
 (phi, sigma).  nu0 and L are computed for whole arrays of slopes and
 times at once.  The path functional integrates L over [0,1] on panels,
 the path's knot intervals split at schedule breakpoints, by two routes,
-and path_rate picks between them.  Where p and beta are constant on every
-schedule segment, path_rate_exact sums closed-form integrals of
+and path_rate picks one for every I_d here.  Where p and beta are constant
+on every schedule segment, path_rate_exact sums closed-form integrals of
 log(affine) per panel; path_rate_Id, its paired check and the route across
 polynomial segments, runs an adaptive Gauss-Kronrod rule that refines all
 panels of one bisection depth together, interpolating phi on each panel's
@@ -466,10 +466,9 @@ class IinfReport:
 
 def condensation_term(path: Path, schedule: Schedule, profile: InitialProfile) -> float:
     """Cost carried by the aggregate slot alone (the condensation charge),
-    +inf where the path diverges.  path_rate_Id integrates it on the same
-    panels as the total, so this accessor runs that one quadrature; it
-    stays for callers that want the charge alone."""
-    return path_rate_Id(path, schedule, profile).condensation
+    +inf where the path diverges: one path_rate, whose routes both carry
+    it on the total's panels, for callers that want the charge alone."""
+    return path_rate(path, schedule, profile).condensation
 
 
 def path_rate_Iinf(law, schedule: Schedule, profile: InitialProfile,
@@ -481,10 +480,10 @@ def path_rate_Iinf(law, schedule: Schedule, profile: InitialProfile,
     linear_target_path(law, D) holds all of it, the unstored urns in the
     aggregate slot, and its I_D is the law's rate.  The trace is I_d on
     the ladder d = 0, 1, 2, 4, ..., D, each rung a projection of that
-    path (one quadrature each).  converged means the quadrature error plus
-    the unstored urn weight, which bounds the levels above D as in
-    linear_path_rate_classical's truncation_error, is within tol; a
-    diverged rate is exact.  tol must be at least MIN_TOL (check_tol).
+    path rated by path_rate, its Kronrod route at min(1e-9, tol/100).
+    converged means the route's error plus the unstored urn weight, which
+    bounds the levels above D as in linear_path_rate_classical's
+    truncation_error, is within tol (a diverged rate is exact); tol >= MIN_TOL.
     """
     check_tol(tol)
     gamma, tail_count, ball_mass = _gamma_profile(law)
@@ -493,7 +492,7 @@ def path_rate_Iinf(law, schedule: Schedule, profile: InitialProfile,
     quad_tol = max(MIN_TOL, min(1e-9, 0.01 * tol))
     trace = []
     for d in sorted({0, depth} | {2 ** k for k in range(depth.bit_length())}):
-        rep = path_rate_Id(project_path(full, d), schedule, profile, tol=quad_tol)
+        rep = path_rate(project_path(full, d), schedule, profile, tol=quad_tol)
         trace.append((d, rep.value))
     converged = rep.diverged or rep.error + tail_count <= tol
     escape = min(1.0, max(0.0, 1.0 - ball_mass))

@@ -44,7 +44,6 @@ class SimRun:
     """One trajectory: the (n+1, d+2) integer counts for j = 0..n plus the
     scaled path."""
 
-    seed: int
     counts: np.ndarray
     interpolated: Path
 
@@ -272,7 +271,7 @@ def run(n: int, d: int, schedule: Schedule, initial, seed: int) -> SimRun:
     counts = _walk(n, d, schedule, initial, seed)
     counts.setflags(write=False)
     path = Path.from_knots(np.arange(n + 1) / n, counts / n)
-    return SimRun(seed=seed, counts=counts, interpolated=path)
+    return SimRun(counts=counts, interpolated=path)
 
 
 def run_ensemble_terminal(n, d, schedule, initial, num_samples, seed):

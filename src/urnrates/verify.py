@@ -272,7 +272,7 @@ def criterion_9(budget: str = "default") -> CheckResult:
 
 def criterion_10(budget: str = "default") -> CheckResult:
     """Stretched-exponential target: normalized, weight-1, finite rate on
-    which the path quadrature and the closed series agree."""
+    which the closed-form I_inf ladder and the closed series agree."""
     name = "criterion 10 stretched-exponential"
     law = lln.stretched_exponential(0.5)
     norm_err = abs(law.total() - 1.0)

@@ -185,7 +185,8 @@ def test_rate_preset_star(tmp_path):
     assert_allclose(report["condensation_term"], math.log(2.0), rtol=1e-6)
     assert report["converged"] is True
     assert_allclose(report["escape_mass"], 1.0)
-    assert report["method"] == "kronrod"
+    # the ladder takes path_rate's closed form on this constant schedule
+    assert report["method"] == "exact"
 
 
 def test_rate_preset_road_is_inf_string(tmp_path):
@@ -342,6 +343,14 @@ HUGE = 10**400
     pytest.param(["envelope", "--d", "-1"], None, None, id="envelope-d-negative"),
     pytest.param(["rate", "--preset", "lln", "--d", "-1"], None, None,
                  id="rate-d-negative"),
+    # d sets only the lln preset's depth: a path CSV and a law preset carry
+    # their own, so a d given with them would be ignored silently
+    pytest.param(["rate", "--d", "3"], HEADER + "0,0,0,0\n0.5,0.25,0.25,0\n1,0.75,0,0.25\n",
+                 None, id="rate-d-with-path-csv"),
+    pytest.param(["rate", "--preset", "star", "--d", "3"], None, None,
+                 id="rate-d-with-law-preset"),
+    pytest.param(["rate", "--preset", "geometric"], None, {"rate": {"d": 7}},
+                 id="config-rate-d-with-law-preset"),
     pytest.param(["simulate"], None, {"simulate": {"n": "abc"}}, id="config-n-text"),
     pytest.param(["lln"], None, {"lln": {"times": ["soon"]}}, id="config-times-text"),
     pytest.param(["lln"], None, {"lln": {"times": [1.0, 2.0]}}, id="config-times-above-one"),

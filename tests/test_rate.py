@@ -274,7 +274,11 @@ def test_condensation_charge_matches_quad(sched):
     rep = path_rate_Id(path, sched, EMPTY)
     assert not rep.diverged and rep.deepest > 0   # refined panels carry it too
     assert abs(rep.condensation - reference) <= 1e-12
-    assert condensation_term(path, sched, EMPTY) == rep.condensation
+    # the route path_rate picks (the closed form on figure 1) carries it too,
+    # and condensation_term reads it from there
+    picked = path_rate(path, sched, EMPTY)
+    assert abs(picked.condensation - reference) <= 1e-12
+    assert condensation_term(path, sched, EMPTY) == picked.condensation
 
 
 def test_one_quadrature_pass_per_rate(tmp_path, monkeypatch):
@@ -290,6 +294,30 @@ def test_one_quadrature_pass_per_rate(tmp_path, monkeypatch):
     calls.clear()
     out = path_rate_Iinf(geometric_law(), CLASSICAL, EMPTY, tol=1e-7)
     assert len(calls) == len(out.trace)
+
+
+@pytest.mark.parametrize("law", [
+    pytest.param(star_law, id="star"),
+    pytest.param(geometric_law, id="geometric"),
+    pytest.param(lambda: stretched_exponential(0.5), id="stretched-0.5"),
+])
+def test_iinf_ladder_takes_the_route_path_rate_picks(law):
+    # each rung is path_rate on the projected straight path: the closed form
+    # on a constant schedule, Kronrod at the ladder's quad_tol on a
+    # polynomial one, bit for bit against the explicit ladders
+    law = law()
+    depth = law.values.size - 1
+    full = linear_target_path(law, depth)
+    rungs = sorted({0, depth} | {2 ** k for k in range(depth.bit_length())})
+    out = path_rate_Iinf(law, CLASSICAL, EMPTY)
+    assert out.method == "exact"
+    assert out.trace == [(d, path_rate_exact(project_path(full, d), CLASSICAL, EMPTY).value)
+                         for d in rungs]
+    poly = Schedule.from_segments([(0.0, (0.1, 0.2), (1.0, 0.5))])
+    out = path_rate_Iinf(law, poly, EMPTY, tol=1e-6)
+    assert out.method == "kronrod"
+    assert out.trace == [(d, path_rate_Id(project_path(full, d), poly, EMPTY, tol=1e-9).value)
+                         for d in rungs]
 
 
 # ----------------------------------------------------------- road target
@@ -323,7 +351,7 @@ def test_geometric_series_closed_form():
 
 def test_geometric_limit_matches_series():
     out = path_rate_Iinf(geometric_law(), CLASSICAL, EMPTY, tol=1e-7)
-    assert out.converged and out.method == "kronrod"
+    assert out.converged and out.method == "exact"
     assert_allclose(out.value, geometric_reference_value(), atol=1e-6)
     # truncated rates increase towards the limit
     vals = [v for _, v in out.trace]

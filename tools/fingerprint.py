@@ -48,10 +48,12 @@ TWO_STEP = {"schedule": [{"t_start": 0, "p": 0.2, "beta": 1.5},
 # the homogeneous schedule from a nonempty profile: series steps from t = 0
 HOMOGENEOUS_PROFILE = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 1.0}],
                        "profile": {"c": [0.3, 0.1, 0.05]}}
+# the polynomial schedule from empty, where a law preset's straight path starts
+POLYNOMIAL_EMPTY = {"schedule": POLYNOMIAL["schedule"]}
 # rates the seeded path that path_csv() writes, on the classical schedule
 PATH_CSV = {"rate": {"path_csv": "path.csv"}}
 CONFIGS = {"figure1.json": FIGURE1, "polynomial.json": POLYNOMIAL, "two-step.json": TWO_STEP,
-           "path-csv.json": PATH_CSV}
+           "polynomial-empty.json": POLYNOMIAL_EMPTY, "path-csv.json": PATH_CSV}
 
 RUNS = [
     ("simulate-figure1-n20000", ["simulate", "--preset", "figure1", "--n", "20000"]),
@@ -89,6 +91,9 @@ RUNS = [
     ("rate-star", ["rate", "--preset", "star"]),
     *((f"rate-stretched-{r}", ["rate", "--preset", f"stretched:{r}"])
       for r in ("0.5", "0.7", "0.8")),
+    # the I_inf ladder on Kronrod's route, which polynomial segments take
+    ("rate-geometric-polynomial",
+     ["rate", "--config", "polynomial-empty.json", "--preset", "geometric"]),
     ("verify-default", ["verify", "--budget", "default"]),
 ]
 
