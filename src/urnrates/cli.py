@@ -22,7 +22,8 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import lln, rate, simulator, verify
-from .model import PATH_TOL, InitialProfile, Path, config_from_dict, resolve_initial
+from .model import (PATH_TOL, InitialProfile, Path, _json_number, config_from_dict,
+                    resolve_initial)
 
 SCHEMA_VERSION = 1
 
@@ -149,22 +150,22 @@ def _model_parts(cfg: dict, preset: str | None):
     try:
         return config_from_dict(model_keys)
     except (TypeError, ValueError, OverflowError) as exc:
-        # a TypeError here is a JSON value of the wrong type, such as null
-        # where a number belongs; an OverflowError a JSON integer too large
-        # for a float
+        # a JSON value of the wrong type (null or true for a number) raises
+        # ValueError or TypeError; a JSON integer too large for a float, OverflowError
         raise UsageError(f"bad model config: {exc}")
 
 
 def _opt(args, cfg, section, key, default, kind=None, low=None):
     """The flag's value, else the config section's, else the default;
-    converted by kind when given, and at least low when given."""
+    converted by kind when given (int and float by model._json_number),
+    and at least low when given."""
     val = getattr(args, key, None)
     if val is None:
         val = cfg.get(section, {}).get(key, default)
     if kind is None:
         return val
     try:
-        val = kind(val)
+        val = _json_number(val, key, kind is int) if kind in (int, float) else kind(val)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"bad value for {key}: {val!r}")
     if low is not None and val < low:
@@ -173,9 +174,9 @@ def _opt(args, cfg, section, key, default, kind=None, low=None):
 
 
 def _size(val) -> int:
-    """val as an int that numpy takes as an array size or dimension, at
+    """val, a JSON integer, as an array size or dimension numpy takes: at
     most np.iinfo(np.intp).max (a JSON integer can be far larger)."""
-    val = int(val)
+    val = _json_number(val, "a size", integer=True)
     if val > np.iinfo(np.intp).max:
         raise ValueError(f"{val} is larger than an array size can be")
     return val
@@ -241,7 +242,8 @@ def cmd_lln(args) -> int:
     sched, profile, _ = _model_parts(cfg, args.preset)
     d = _opt(args, cfg, "lln", "d", 30, _size, low=0)
     default = [0.01, 0.1, 1.0] if args.preset == "figure1" else [0.1, 0.5, 1.0]
-    times = _opt(args, cfg, "lln", "times", default, lambda ts: [float(t) for t in ts])
+    times = _opt(args, cfg, "lln", "times", default,
+                 lambda ts: [_json_number(t, "a time") for t in ts])
     if not times:
         raise UsageError("times must hold at least one time")
     try:
@@ -312,7 +314,7 @@ def _path_from_csv(fname: str) -> Path:
                 quotechar='"')
     except (OSError, ValueError, StopIteration) as exc:
         raise UsageError(f"cannot read path CSV {fname}: {exc}")
-    if not header or header[0] != "t" or header[-1] != "x_bar":
+    if header != ["t", *(f"x_{i}" for i in range(len(header) - 2)), "x_bar"]:
         raise UsageError("path CSV must have header t,x_0,...,x_d,x_bar")
     if cells.shape[1] != len(header):
         raise UsageError(f"every row of path CSV {fname} needs {len(header)} cells")

@@ -5,10 +5,11 @@ urn (probability p(j/n)) or into an existing urn chosen proportionally
 to (balls + beta(j/n)).  This module holds the parameter schedule, the
 limiting initial degree profile, integer count states truncated at a
 size cutoff d, the one-step transition law over the d+2 increments,
-piecewise-linear scaled trajectories, and the shared admissibility checks
-for deviation paths.  Schedule.coefficients evaluates p and beta together
-for times of any shape, by one segment lookup and one Horner pass over a
-zero-padded coefficient table.
+piecewise-linear scaled trajectories, and the admissible slope class of
+deviation paths (_nu0_rows), stated once for validate_path and the rate.
+Schedule.coefficients evaluates p and beta together for times of any
+shape, by one segment lookup and one Horner pass over a zero-padded
+coefficient table.
 """
 from __future__ import annotations
 
@@ -410,38 +411,48 @@ def _knot_violations(path: Path, profile: InitialProfile, tol: float) -> list:
     return violations
 
 
+def _nu0_rows(v, tol: float = PATH_TOL):
+    """The admissible slope class, which validate_path, local_cost and both
+    I_d routes read.  For each slope row in the last axis of v: nu0, the
+    cost-minimizing increment law whose mean is the row rescaled to total
+    1 (a new array, not clipped: weights at or below 0 count as 0 where
+    read); the row's total; and whether the row is admissible, its total
+    within tol of 1 and every weight of nu0 (which sum to 1) at least
+    -tol."""
+    v = np.asarray(v, dtype=float)
+    total = v.sum(axis=-1)
+    # nu0_i = 1 - [v]_i for i <= d as the suffix sum of v/total above i
+    # (exact zeros above the last occupied level, where u_i = 0 too), a
+    # cumsum in place over the quotients written in reverse; the aggregate
+    # slot takes the complement
+    w = np.empty_like(v)
+    up = w[..., -2::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(v[..., :0:-1], total[..., None], out=up)
+    np.cumsum(up, axis=-1, out=up)
+    w[..., -1] = 1.0 - w[..., :-1].sum(axis=-1)
+    return w, total, (np.abs(total - 1.0) <= tol) & np.all(w >= -tol, axis=-1)
+
+
 def validate_path(path: Path, profile: InitialProfile, tol: float = PATH_TOL) -> AdmissibilityReport:
     """Check membership in the admissible deviation class at truncation d.
 
-    Conditions, per linear piece (derivatives are constant there):
-    start at the truncated profile; components nonnegative; cumulative
-    slopes [v]_i in [0,1] for i <= d; slopes sum to 1; the total escape
-    rate sum_i (1 - [v]_i) at most 1.
+    The path starts at the truncated profile and is nonnegative
+    (_knot_violations), and each piece's slope is admissible by _nu0_rows
+    at tol; a piece that is not is reported under the rules its rescaled
+    row breaks: cumulative slopes [v]_i = 1 - nu0_i in [0,1] for i <= d,
+    slopes summing to 1, escape rate sum_{i<=d} (1 - [v]_i) at most 1.
     """
     violations = _knot_violations(path, profile, tol)
-
-    v = path.slopes
+    w, total, ok = _nu0_rows(path.slopes, tol)
     mids = 0.5 * (path.times[:-1] + path.times[1:])
-    partial = np.cumsum(v, axis=1)  # [v]_i for i = 0..d+1
-
-    inner = partial[:, : path.d + 1]
-    low = inner.min(axis=1)
-    high = inner.max(axis=1)
-    for k in np.nonzero(low < -tol)[0]:
-        violations.append(("cumulative_slope_lower", float(mids[k]), float(-low[k])))
-    for k in np.nonzero(high > 1.0 + tol)[0]:
-        violations.append(("cumulative_slope_upper", float(mids[k]), float(high[k] - 1.0)))
-
-    total = partial[:, -1]
-    terr = np.abs(total - 1.0)
-    for k in np.nonzero(terr > tol)[0]:
-        violations.append(("slope_sum", float(mids[k]), float(terr[k])))
-
-    escape = (1.0 - inner).sum(axis=1)
-    for k in np.nonzero(escape > 1.0 + tol)[0]:
-        violations.append(("escape_rate", float(mids[k]), float(escape[k] - 1.0)))
-
-    return AdmissibilityReport(not violations, tuple(violations))
+    for name, excess in (("cumulative_slope_lower", w[:, :-1].max(axis=1) - 1.0),
+                         ("cumulative_slope_upper", -w[:, :-1].min(axis=1)),
+                         ("slope_sum", np.abs(total - 1.0)),
+                         ("escape_rate", -w[:, -1])):
+        for k in np.nonzero(~ok & (excess > tol))[0]:
+            violations.append((name, float(mids[k]), float(excess[k])))
+    return AdmissibilityReport(bool(ok.all()) and not violations, tuple(violations))
 
 
 def realize_initial(profile: InitialProfile, n: int, d: int) -> TruncatedState:
@@ -512,6 +523,16 @@ def resolve_initial(initial, n: int, d: int) -> TruncatedState:
     return TruncatedState(counts, balls)
 
 
+def _json_number(value, name: str, integer: bool = False):
+    """A JSON number as a float (a JSON integer as an int if integer), else
+    ValueError naming it: bool is an int subclass, and int() and float()
+    would read true as 1, 2.7 as 2 urns and "1e-3" as a number."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{name} must be a JSON {'integer' if integer else 'number'} "
+                         f"(got {value!r})")
+    return int(value) if integer else float(value)
+
+
 def config_from_dict(cfg: dict):
     """Parse the JSON config schema into (Schedule, InitialProfile, seed_config).
 
@@ -537,7 +558,9 @@ def config_from_dict(cfg: dict):
         extra = set(entry) - keys
         if extra:
             raise ValueError(f"unknown schedule keys: {sorted(extra)}")
-        specs.append((entry["t_start"], entry["p"], entry["beta"]))
+        specs.append(tuple(
+            [_json_number(c, k) for c in entry[k]] if isinstance(entry[k], (list, tuple))
+            else _json_number(entry[k], k) for k in ("t_start", "p", "beta")))
     schedule = Schedule.from_segments(specs)
 
     prof_cfg = cfg.get("profile", {})
@@ -548,14 +571,16 @@ def config_from_dict(cfg: dict):
         raise ValueError(f"unknown profile keys: {sorted(extra)}")
     if not isinstance(prof_cfg.get("c", []), list):
         raise ValueError("the profile's 'c' must be a list of masses")
-    profile = InitialProfile.from_masses(prof_cfg.get("c", ()), prof_cfg.get("c_weighted"))
+    c_weighted = prof_cfg.get("c_weighted")
+    profile = InitialProfile.from_masses(
+        [_json_number(x, "a profile mass") for x in prof_cfg.get("c", ())],
+        None if c_weighted is None else _json_number(c_weighted, "c_weighted"))
 
     seed_config = cfg.get("seed_config")
     if seed_config is not None:
-        # bool is an int subclass, and int() would truncate 2.7 to 2 urns
-        if not isinstance(seed_config, (list, tuple)) or not all(
-                isinstance(z, int) and not isinstance(z, bool) for z in seed_config):
+        if not isinstance(seed_config, (list, tuple)):
             raise ValueError(f"seed_config must be a list of integer counts "
                              f"(got {seed_config!r})")
-        seed_config = tuple(seed_config)
+        seed_config = tuple(_json_number(z, "a seed_config count", integer=True)
+                            for z in seed_config)
     return schedule, profile, seed_config

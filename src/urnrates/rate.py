@@ -8,20 +8,22 @@ The cost of holding the scaled trajectory at phi with slope v at time t is
 which is attained at nu0 with nu0_i = 1 - [v]_i for i <= d (partial sums
 of the slope) and the complement on the aggregate slot; u is the natural
 transition law of the scheme along the path, model.transition_law at
-(phi, sigma).  nu0 and L are computed for whole arrays of slopes and
-times at once.  The path functional integrates L over [0,1] on panels,
-the path's knot intervals split at schedule breakpoints, by two routes,
-and path_rate picks one for every I_d here.  Where p and beta are constant
-on every schedule segment, path_rate_exact sums closed-form integrals of
-log(affine) per panel; path_rate_Id, its paired check and the route across
-polynomial segments, runs an adaptive Gauss-Kronrod rule that refines all
-panels of one bisection depth together, interpolating phi on each panel's
-known path piece.  RateReport.method names the route that ran.  Both judge
-reachability by one rule at the panel ends, and both carry the
-condensation charge, the aggregate slot's share of L, on the same panels.
-The untruncated functional of a reference law is the truncated one at
-the law's own depth, where the aggregate slot holds the urns the law
-does not store.
+(phi, sigma).  L is finite only where nu0 is a law, the rule
+model._nu0_rows states once for validate_path and every route here.  nu0
+and L are computed for whole arrays of slopes and times at once.  The
+path functional integrates L over [0,1] on panels, the path's knot
+intervals split at schedule breakpoints, by two routes, and path_rate
+picks one for every I_d here.  Where p and beta are constant on every
+schedule segment, path_rate_exact sums closed-form integrals of
+log(affine) per panel; path_rate_Id, its paired check and the route
+across polynomial segments, runs an adaptive Gauss-Kronrod rule that
+refines all panels of one bisection depth together, interpolating phi on
+each panel's known path piece.  RateReport.method names the route that
+ran.  Both judge reachability by one rule at the panel ends, and both
+carry the condensation charge, the aggregate slot's share of L, on the
+same panels.  The untruncated functional of a reference law is the
+truncated one at the law's own depth, where the aggregate slot holds the
+urns the law does not store.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ from .model import (
     Path,
     Schedule,
     _knot_violations,
+    _nu0_rows,
     entropy_terms,
     selection_rates,
     sigma,
@@ -79,47 +82,15 @@ _BLOCK = 256
 # Bisection depths path_rate_Id may refine to
 MAX_DEPTH = 48
 
-# Interpolated limit trajectories carry slope-sum noise at the quadrature
-# scale: _piece_laws renormalizes slope rows within this of total 1
-SLOPE_SUM_TOL = 1e-6
-
-
-def _nu0_rows(v):
-    """nu0, the cost-minimizing increment law with mean equal to the slope,
-    for each slope row in the last axis of v, clipped at 0, and the mask of
-    rows that are admissible within PATH_TOL (summing to 1 and leaving
-    every increment weight nonnegative).  The rows are one new array the
-    shape of v."""
-    # 1 - [v]_i as the suffix sum of v above i, which keeps exact zeros
-    # above the last occupied level (where u_i = 0 too); the aggregate slot
-    # takes the complement
-    w = np.empty_like(v)
-    np.cumsum(v[..., :0:-1], axis=-1, out=w[..., -2::-1])
-    w[..., -1] = 1.0 - w[..., :-1].sum(axis=-1)
-    ok = (np.abs(v.sum(axis=-1) - 1.0) <= PATH_TOL) & np.all(w >= -PATH_TOL, axis=-1)
-    return np.maximum(w, 0.0, out=w), ok
-
 
 def _piece_laws(path: Path, profile: InitialProfile):
-    """(nu0 of each linear piece of the path, its slope renormalized to
-    total 1, or None if the path is inadmissible (it then costs +inf); the
-    number of slope rows rescaled).
-
-    Slope rows within SLOPE_SUM_TOL of total 1 are renormalized before the
-    strict admissibility check, anything further off fails.  A path that
-    does not start at the profile or goes negative (validate_path's
-    initial_value and nonnegative rules) fails too.
-    """
-    slopes = path.slopes
-    total = slopes.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # in place: slopes is this call's own copy, and a second (pieces, d+2)
-        # array would raise the rate's memory peak
-        v = np.divide(slopes, total, out=slopes)
-    w, ok = _nu0_rows(v)
-    off = np.abs(total[:, 0] - 1.0)
-    rescaled = int(np.count_nonzero((off > 0.0) & (off <= SLOPE_SUM_TOL)))
-    ok = np.all(ok & (off <= SLOPE_SUM_TOL)) and not _knot_violations(path, profile, PATH_TOL)
+    """(nu0 of each linear piece of the path, or None if validate_path
+    would reject the path (it then costs +inf), from one pass over the
+    slopes; the number of slope rows whose total was not 1, which
+    _nu0_rows rescales)."""
+    w, total, ok = _nu0_rows(path.slopes)
+    rescaled = int(np.count_nonzero(total != 1.0))
+    ok = ok.all() and not _knot_violations(path, profile, PATH_TOL)
     return (w if ok else None), rescaled
 
 
@@ -148,7 +119,7 @@ def local_cost(t, phi, slope, schedule: Schedule, profile: InitialProfile):
     phi and slope carry the shape of t plus the d+2 components (or
     broadcast to it).  A scalar t gives a float.
     """
-    w, ok = _nu0_rows(np.asarray(slope, dtype=float))
+    w, _, ok = _nu0_rows(slope)
     u = natural_law(t, phi, schedule, profile)
     cost = np.where(ok, entropy_terms(w, u).sum(axis=-1), math.inf)
     return float(cost) if cost.ndim == 0 else cost

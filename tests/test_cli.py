@@ -376,6 +376,10 @@ HUGE = 10**400
     pytest.param(["rate"], HEADER + "0,0,0\n1,0.5,0.5\n", None,
                  id="csv-rows-one-cell-short"),
     pytest.param(["rate"], HEADER, None, id="csv-no-knots"),
+    # the header is checked whole, not only at its ends
+    pytest.param(["rate"], "t,x_0,y,x_bar\n0,0,0,0\n1,1,0,0\n", None, id="csv-header-y"),
+    pytest.param(["rate"], "t,x_0,x_0,x_bar\n0,0,0,0\n1,1,0,0\n", None,
+                 id="csv-header-repeated-level"),
     # a '#' row is no comment, and digit underscores are no CSV number
     pytest.param(["rate"], HEADER + "0,0,0,0\n#0.5,0.25,0.25,0\n1,0.5,0.5,0\n", None,
                  id="csv-comment-row"),
@@ -467,6 +471,25 @@ HUGE = 10**400
                  id="config-envelope-times"),
     pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": HUGE}},
                  id="config-tol-huge"),
+    # a JSON bool or string is no number, and sizes and seeds are JSON
+    # integers: each of these ran with the value int() or float() made of it
+    pytest.param(["simulate"], None, {"simulate": {"n": 20.7}}, id="config-n-fraction"),
+    pytest.param(["simulate"], None, {"simulate": {"n": True}}, id="config-n-bool"),
+    pytest.param(["rate"], None, {"rate": {"preset": "lln", "d": 2.5}},
+                 id="config-rate-d-fraction"),
+    pytest.param(["simulate", "--n", "20"], None, {"simulate": {"seed": 1.5}},
+                 id="config-seed-fraction"),
+    pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": True}},
+                 id="config-tol-bool"),
+    pytest.param(["rate", "--preset", "star"], None, {"rate": {"tol": "1e-3"}},
+                 id="config-tol-number-text"),
+    pytest.param(["lln"], None, {"lln": {"times": [True, 0.5]}}, id="config-times-bool"),
+    pytest.param(["lln"], None, {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": True}]},
+                 id="config-schedule-beta-bool"),
+    pytest.param(["lln"], None, {"schedule": [{"t_start": False, "p": 0.0, "beta": 1.0}]},
+                 id="config-schedule-start-bool"),
+    pytest.param(["lln"], None, {"schedule": CLASSICAL_SPEC, "profile": {"c": [True, 0.5]}},
+                 id="config-profile-c-bool"),
     # sizes beyond an array's: numpy raised ValueError or OverflowError
     pytest.param(["simulate"], None, {"simulate": {"n": HUGE}}, id="config-n-huge"),
     pytest.param(["simulate", "--n", "20"], None, {"simulate": {"samples": HUGE}},
@@ -604,7 +627,7 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 @pytest.mark.parametrize("d", [5, pytest.param(8, marks=pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 7: the aggregate slot's slope on the first piece, about "
     "3e-18, is below the round-off of the complements of sums that carry it "
-    "(nu0's 1 - sum in rate._nu0_rows, u's 1 - sum in model.transition_law, "
+    "(nu0's 1 - sum in model._nu0_rows, u's 1 - sum in model.transition_law, "
     "N_bar = sigma - sum on the exact route), so a panel reads unreachable "
     "and the rate is inf although the LLN values are accurate")))])
 def test_lln_path_of_nonempty_profile_costs_nothing(tmp_path, d):

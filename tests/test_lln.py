@@ -433,7 +433,7 @@ def test_grid_restriction_matches_superset_solve():
 
 def test_lln_path_is_admissible():
     sol = solve_lln_closed(15, TWO_PHASE, EMPTY)
-    rep = validate_path(sol.path(), EMPTY, tol=1e-6)
+    rep = validate_path(sol.path(), EMPTY)
     assert rep.is_admissible, rep.violations
 
 

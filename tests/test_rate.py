@@ -25,6 +25,7 @@ from urnrates.model import (
     InitialProfile,
     Path,
     Schedule,
+    _nu0_rows,
     config_from_dict,
     entropy_terms,
     increments,
@@ -62,14 +63,14 @@ def test_minimizer_reproduces_slope():
             v[0] = 1.0 - w_target[0]
             v[1 : d + 1] = w_target[:-1] - w_target[1:]
             v[d + 1] = w_target[-1]
-            nu, ok = rate._nu0_rows(v)
-            assert ok
+            nu, total, ok = _nu0_rows(v)
+            assert ok and abs(total - 1.0) <= 1e-15
             assert_allclose(f.T @ nu, v, atol=1e-12)
             assert_allclose(nu.sum(), 1.0, atol=1e-12)
 
 
 def test_minimizer_rejects_inadmissible_slopes():
-    _, ok = rate._nu0_rows(np.array([
+    _, _, ok = _nu0_rows(np.array([
         [0.5, 0.0, 0.0, 0.0],       # sums to 0.5
         [1.2, -0.2, 0.0, 0.0],      # partial sum above 1
         [0.0, 0.0, 0.0, 1.0],       # escape beyond one ball
@@ -79,36 +80,44 @@ def test_minimizer_rejects_inadmissible_slopes():
 
 
 def _concatenated_nu0_rows(v):
-    """nu0 rows as a reversed cumsum view and a concatenated copy: the
-    earlier form of rate._nu0_rows, which held three arrays the size of v."""
-    w = np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
+    """nu0 rows of the rows rescaled to total 1, as a reversed cumsum view
+    and a concatenated copy (an earlier form of _nu0_rows, which held three
+    arrays the size of v), the row totals and the admissibility mask."""
+    total = v.sum(axis=-1, keepdims=True)
+    r = v / total
+    w = np.cumsum(r[..., :0:-1], axis=-1)[..., ::-1]
     w = np.concatenate([w, 1.0 - w.sum(axis=-1, keepdims=True)], axis=-1)
-    ok = (np.abs(v.sum(axis=-1) - 1.0) <= PATH_TOL) & np.all(w >= -PATH_TOL, axis=-1)
-    return np.maximum(w, 0.0, out=w), ok
+    total = total[..., 0]
+    return w, total, (np.abs(total - 1.0) <= PATH_TOL) & np.all(w >= -PATH_TOL, axis=-1)
+
+
+def _assert_same_rows(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert_array_equal(got[2], want[2])
 
 
 def test_nu0_rows_match_the_cumsum_form_on_criterion_1_paths():
-    # tall inputs (more pieces than slots): the suffix sums written in
-    # place make the same IEEE additions, in the same order, as a cumsum
+    # tall inputs (more pieces than slots): the quotients summed in place
+    # make the same IEEE operations, in the same order, as a cumsum of the
+    # rescaled rows
     for path, _, _ in criterion_1_paths():
         slopes = path.slopes
-        got, want = rate._nu0_rows(slopes), _concatenated_nu0_rows(slopes)
-        assert_array_equal(got[0], want[0])
-        assert_array_equal(got[1], want[1])
+        _assert_same_rows(_nu0_rows(slopes), _concatenated_nu0_rows(slopes))
 
 
 @pytest.mark.parametrize("d", [0, 1, 5, 8, 20, 230])
 def test_nu0_rows_written_in_place_match_the_concatenated_form(d):
     # suffix sums written backwards into one array give the same bits, on
-    # Dirichlet rows, rows nudged off the simplex, a single row, a few rows
-    # (wide at d = 230) and a stack of rows
+    # Dirichlet rows, rows nudged off the simplex (and off total 1), a
+    # single row, a few rows (wide at d = 230), a stack of rows and a
+    # column slice of it (criterion 8 costs such slices)
     rng = np.random.default_rng(d)
     v = rng.dirichlet(np.ones(d + 2), size=500)
     v[::3] += rng.normal(scale=1e-9, size=v[::3].shape)
-    for slopes in (v, v[0], v[:50], v.reshape(20, 25, d + 2)):
-        got, want = rate._nu0_rows(slopes), _concatenated_nu0_rows(slopes)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert_array_equal(got[1], want[1])
+    stack = v.reshape(20, 25, d + 2)
+    for slopes in (v, v[0], v[:50], stack, stack[..., : max(2, d // 2)]):
+        _assert_same_rows(_nu0_rows(slopes), _concatenated_nu0_rows(slopes))
 
 
 def test_natural_law_hand_value():
@@ -265,7 +274,7 @@ def test_condensation_charge_matches_quad(sched):
     cuts = np.union1d(path.times, sched.breakpoints)
 
     def charge(t):
-        nu0 = rate._nu0_rows(path.slope_at(t))[0]
+        nu0 = _nu0_rows(path.slope_at(t))[0]
         u = natural_law(t, path.at(t), sched, EMPTY)
         return float(entropy_terms(nu0[-1], u[..., -1]))
 
@@ -631,14 +640,66 @@ def _two_route_paths(rng):
 
 
 def test_admissibility_agrees_with_the_rate_routes():
-    # validate_path and _piece_laws (which both I_d routes read) state the
-    # admissible class twice: they must draw one line
+    # validate_path, _piece_laws and both I_d routes read one rule
+    # (model._nu0_rows): they must draw one line, and on these paths no
+    # admissible one meets an unreachable move
     verdicts = [(validate_path(path, EMPTY).is_admissible,
-                 rate._piece_laws(path, EMPTY)[0] is not None)
+                 rate._piece_laws(path, EMPTY)[0] is not None,
+                 not path_rate_exact(path, CLASSICAL, EMPTY).diverged,
+                 not path_rate_Id(path, CLASSICAL, EMPTY).diverged)
                 for path in _two_route_paths(np.random.default_rng(20261020))]
-    assert [v for v in verdicts if v[0] != v[1]] == []
+    assert [v for v in verdicts if len(set(v)) > 1] == []
     admissible = sum(v[0] for v in verdicts)
     assert 0 < admissible < len(verdicts)
+
+
+# urns of every size up to 3, so each increment stays reachable
+BOUNDARY_PROFILE = InitialProfile.from_masses((0.3, 0.1, 0.05, 0.05))
+BOUNDARY_SCHEDULE = Schedule.constant(0.2, 1.0)
+
+
+def _boundary_path(rule, delta):
+    """A straight path from BOUNDARY_PROFILE that breaks one admissibility
+    rule by delta: at depth 2 a slope row (rescaled to total 1 unless the
+    rule is its total) or the start.  No admissible slope takes a knot
+    below 0 without moving a ball out of the empty slot (a cost of +inf),
+    so the negative knot is the start's aggregate slot at depth 3, which
+    is also off the profile."""
+    if rule == "nonnegative":
+        x0 = BOUNDARY_PROFILE.truncated(3) - delta * np.eye(5)[4]
+        return Path.from_knots([0.0, 1.0], [x0, x0 + np.eye(5)[0]])
+    x0 = BOUNDARY_PROFILE.truncated(2)
+    slope = {"slope_sum": [1.0 + delta, 0.0, 0.0, 0.0],
+             "cumulative_slope_upper": [1.0 + delta, -delta, 0.0, 0.0],   # [v]_0 = 1 + delta
+             "escape_rate": [0.0, 1.0 - delta, delta, 0.0],             # escape 1 + delta
+             "initial_value": [1.0, 0.0, 0.0, 0.0]}[rule]
+    if rule == "initial_value":
+        x0 = x0 + [delta, 0.0, 0.0, 0.0]
+    return Path.from_knots([0.0, 1.0], [x0, x0 + slope])
+
+
+@pytest.mark.parametrize("rule", ["slope_sum", "cumulative_slope_upper", "escape_rate",
+                                  "initial_value", "nonnegative"])
+def test_admissibility_boundary_is_one_line(rule):
+    # half the tolerance inside is admissible and costs a finite rate on
+    # every route; twice the tolerance outside is named by validate_path
+    # and costs +inf on every route (local_cost judges slopes alone)
+    sched, prof = BOUNDARY_SCHEDULE, BOUNDARY_PROFILE
+    t = np.array([0.25, 0.75])
+    for delta, admissible in ((0.5 * PATH_TOL, True), (2.0 * PATH_TOL, False)):
+        path = _boundary_path(rule, delta)
+        rep = validate_path(path, prof)
+        assert rep.is_admissible is admissible
+        names = {v[0] for v in rep.violations}
+        assert names == (set() if admissible else
+                         {"initial_value", "nonnegative"} if rule == "nonnegative" else {rule})
+        assert (rate._piece_laws(path, prof)[0] is not None) is admissible
+        for route in (path_rate_exact(path, sched, prof), path_rate_Id(path, sched, prof)):
+            assert route.diverged is not admissible
+            assert math.isfinite(route.value) is admissible
+        cost = local_cost(t, path.at(t), path.slopes[0], sched, prof)
+        slope_rule = rule not in ("initial_value", "nonnegative")
+        assert np.isfinite(cost).tolist() == [admissible or not slope_rule] * 2
 
 
 def test_exact_route_rejects_polynomial_schedules():
@@ -703,11 +764,14 @@ def test_rate_arguments_are_checked():
 
 
 def test_slope_sum_noise_tolerance():
-    # quadrature-scale slope noise is renormalized away ...
-    near = Path.from_knots([0.0, 1.0], [[0.0] * 4, [1.0 + 3e-7, 0.0, 0.0, 0.0]])
-    rep = path_rate_Id(near, CLASSICAL, EMPTY)
-    assert_allclose(rep.value, LOG2, atol=1e-5)
-    # ... but slopes genuinely off the simplex charge +inf
-    off = Path.from_knots([0.0, 1.0], [[0.0] * 4, [1.01, 0.0, 0.0, 0.0]])
-    rep = path_rate_Id(off, CLASSICAL, EMPTY)
-    assert math.isinf(rep.value) and rep.diverged
+    # slope totals within PATH_TOL of 1 are rescaled, and rate as before ...
+    near = Path.from_knots([0.0, 1.0], [[0.0] * 4, [1.0 + 5e-10, 0.0, 0.0, 0.0]])
+    assert path_rate_exact(near, CLASSICAL, EMPTY).value == 0.6931471810599453
+    assert path_rate_Id(near, CLASSICAL, EMPTY).value == 0.6931471810599452
+    # ... but slopes further off the simplex charge +inf on every route
+    for total in (1.0 + 2e-9, 1.0 + 3e-7, 1.01):
+        off = Path.from_knots([0.0, 1.0], [[0.0] * 4, [total, 0.0, 0.0, 0.0]])
+        for rep in (path_rate_exact(off, CLASSICAL, EMPTY), path_rate_Id(off, CLASSICAL, EMPTY)):
+            assert math.isinf(rep.value) and rep.diverged
+        assert math.isinf(local_cost(0.5, off.at(0.5), off.slopes[0], CLASSICAL, EMPTY))
+        assert not validate_path(off, EMPTY).is_admissible

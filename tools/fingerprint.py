@@ -9,7 +9,8 @@ and on the polynomial config, then the power-series route's values on
 the rated limit path's knots on figure 1, on the
 polynomial config and on the homogeneous schedule from a nonempty
 profile, then the streamed tube
-distances of an ensemble around figure 1's limit path.
+distances of an ensemble around figure 1's limit path, then the
+admissibility verdicts and rates of seeded short paths.
 Run it on two checkouts and diff the listings to check that a change
 leaves the numbers byte-identical:
 
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from urnrates import cli, lln, oracle, simulator
+from urnrates import cli, lln, model, oracle, rate, simulator, verify
 from urnrates.model import Schedule, config_from_dict
 
 FIGURE1 = {"schedule": [{"t_start": 0.0, "p": 0.0, "beta": 8.0},
@@ -178,6 +179,40 @@ def tube_distances(config: dict) -> str:
     return hashlib.sha256(dist.tobytes()).hexdigest()
 
 
+def admissibility() -> str:
+    """sha256 over validate_path's verdict and violation names and
+    path_rate's (value, diverged, renormalized) on the homogeneous schedule
+    from the empty state, for 960 seeded 1-3-piece paths at d <= 7:
+    criterion 8's admissible paths, raw Dirichlet slopes (often not
+    admissible) and admissible slopes moved by 1e-3 along a zero-sum
+    direction."""
+    rng = np.random.default_rng(20261020)
+    schedule, profile = verify.classical_schedule(), model.InitialProfile.empty()
+    paths = []
+    for d in range(8):
+        for _ in range(40):
+            paths.append(verify._random_admissible_path(rng, d))
+            pieces = int(rng.integers(1, 4))
+            knots = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, pieces - 1)),
+                                    [1.0]])
+            raw = rng.dirichlet(np.ones(d + 2), size=pieces)
+            moved = verify._random_admissible_path(rng, d).slopes[:pieces]
+            noise = rng.normal(size=moved.shape)
+            noise -= noise.mean(axis=1, keepdims=True)
+            moved += 1e-3 * noise / np.abs(noise).max()
+            for slopes in (raw, moved):
+                values = np.zeros((pieces + 1, d + 2))
+                values[1:] = np.cumsum(slopes * np.diff(knots)[:, None], axis=0)
+                paths.append(model.Path.from_knots(knots, values))
+    digest = hashlib.sha256()
+    for path in paths:
+        check = model.validate_path(path, profile)
+        rep = rate.path_rate(path, schedule, profile)
+        digest.update(repr((check.is_admissible, [v[0] for v in check.violations],
+                            rep.value, rep.diverged, rep.renormalized)).encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -201,6 +236,7 @@ def main() -> int:
     print("lln-series-polynomial-d20", series_route(POLYNOMIAL), flush=True)
     print("lln-series-homogeneous-profile-d20", series_route(HOMOGENEOUS_PROFILE), flush=True)
     print("tube-distances-figure1-n2000-d5", tube_distances(FIGURE1), flush=True)
+    print("admissibility", admissibility(), flush=True)
     return 0
 
 
