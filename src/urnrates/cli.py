@@ -254,7 +254,7 @@ def cmd_lln(args) -> int:
     names = [f"lln_t{t:g}.csv" for t in times]
     if len(set(names)) < len(names):
         raise UsageError(f"times {times} give two slices the same file name")
-    sol = lln.solve_lln_closed(d, sched, profile, grid=np.asarray(times))
+    sol = lln.solve_lln_closed(d, sched, profile, grid=grid)
     out = _outdir(args)
     files = []
     for idx, name in enumerate(names):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-# Default absolute tolerance on path derivative constraints.
+# Absolute tolerance of the admissible path class, on slopes and knots alike.
 PATH_TOL = 1e-9
 
 
@@ -397,28 +397,28 @@ class AdmissibilityReport:
         return max((v[2] for v in self.violations), default=0.0)
 
 
-def _knot_violations(path: Path, profile: InitialProfile, tol: float) -> list:
-    """validate_path's initial_value and nonnegative violations: the path
-    must start at the truncated profile and be nonnegative at its knots,
-    where a piecewise-linear path takes its extremes."""
+def _knot_violations(path: Path, profile: InitialProfile) -> list:
+    """validate_path's initial_value and nonnegative violations (within
+    PATH_TOL the path starts at the truncated profile and is nonnegative
+    at its knots, where a piecewise-linear path takes its extremes)."""
     violations = []
     err = float(np.abs(path.values[0] - profile.truncated(path.d)).max())
-    if err > tol:
+    if err > PATH_TOL:
         violations.append(("initial_value", 0.0, err))
     neg = path.values.min(axis=1)
-    for k in np.nonzero(neg < -tol)[0]:
+    for k in np.nonzero(neg < -PATH_TOL)[0]:
         violations.append(("nonnegative", float(path.times[k]), float(-neg[k])))
     return violations
 
 
-def _nu0_rows(v, tol: float = PATH_TOL):
+def _nu0_rows(v):
     """The admissible slope class, which validate_path, local_cost and both
     I_d routes read.  For each slope row in the last axis of v: nu0, the
     cost-minimizing increment law whose mean is the row rescaled to total
     1 (a new array, not clipped: weights at or below 0 count as 0 where
     read); the row's total; and whether the row is admissible, its total
-    within tol of 1 and every weight of nu0 (which sum to 1) at least
-    -tol."""
+    within PATH_TOL of 1 and every weight of nu0 (which sum to 1) at least
+    -PATH_TOL."""
     v = np.asarray(v, dtype=float)
     total = v.sum(axis=-1)
     # nu0_i = 1 - [v]_i for i <= d as the suffix sum of v/total above i
@@ -431,26 +431,26 @@ def _nu0_rows(v, tol: float = PATH_TOL):
         np.divide(v[..., :0:-1], total[..., None], out=up)
     np.cumsum(up, axis=-1, out=up)
     w[..., -1] = 1.0 - w[..., :-1].sum(axis=-1)
-    return w, total, (np.abs(total - 1.0) <= tol) & np.all(w >= -tol, axis=-1)
+    return w, total, (np.abs(total - 1.0) <= PATH_TOL) & np.all(w >= -PATH_TOL, axis=-1)
 
 
-def validate_path(path: Path, profile: InitialProfile, tol: float = PATH_TOL) -> AdmissibilityReport:
-    """Check membership in the admissible deviation class at truncation d.
+def validate_path(path: Path, profile: InitialProfile) -> AdmissibilityReport:
+    """Check membership in the admissible deviation class at truncation d,
+    each rule within PATH_TOL (the I_d routes rate its projection).
 
     The path starts at the truncated profile and is nonnegative
-    (_knot_violations), and each piece's slope is admissible by _nu0_rows
-    at tol; a piece that is not is reported under the rules its rescaled
-    row breaks: cumulative slopes [v]_i = 1 - nu0_i in [0,1] for i <= d,
-    slopes summing to 1, escape rate sum_{i<=d} (1 - [v]_i) at most 1.
-    """
-    violations = _knot_violations(path, profile, tol)
-    w, total, ok = _nu0_rows(path.slopes, tol)
+    (_knot_violations), and each piece's slope is admissible by _nu0_rows;
+    a piece that is not is reported under the rules its rescaled row
+    breaks: cumulative slopes [v]_i = 1 - nu0_i in [0,1] for i <= d,
+    slopes summing to 1, escape rate sum_{i<=d} (1 - [v]_i) at most 1."""
+    violations = _knot_violations(path, profile)
+    w, total, ok = _nu0_rows(path.slopes)
     mids = 0.5 * (path.times[:-1] + path.times[1:])
     for name, excess in (("cumulative_slope_lower", w[:, :-1].max(axis=1) - 1.0),
                          ("cumulative_slope_upper", -w[:, :-1].min(axis=1)),
                          ("slope_sum", np.abs(total - 1.0)),
                          ("escape_rate", -w[:, -1])):
-        for k in np.nonzero(~ok & (excess > tol))[0]:
+        for k in np.nonzero(~ok & (excess > PATH_TOL))[0]:
             violations.append((name, float(mids[k]), float(excess[k])))
     return AdmissibilityReport(bool(ok.all()) and not violations, tuple(violations))
 

@@ -19,11 +19,11 @@ log(affine) per panel; path_rate_Id, its paired check and the route
 across polynomial segments, runs an adaptive Gauss-Kronrod rule that
 refines all panels of one bisection depth together, interpolating phi on
 each panel's known path piece.  RateReport.method names the route that
-ran.  Both judge reachability by one rule at the panel ends, and both
-carry the condensation charge, the aggregate slot's share of L, on the
-same panels.  The untruncated functional of a reference law is the
-truncated one at the law's own depth, where the aggregate slot holds the
-urns the law does not store.
+ran.  Both rate an admissible path at its projection (_piece_laws: start
+on the profile, knots clipped at 0) and carry the condensation charge,
+the aggregate slot's share of L, on the same panels.  The untruncated
+functional of a reference law is the truncated one at the law's own
+depth, where the aggregate slot holds the urns the law does not store.
 """
 from __future__ import annotations
 
@@ -84,14 +84,17 @@ MAX_DEPTH = 48
 
 
 def _piece_laws(path: Path, profile: InitialProfile):
-    """(nu0 of each linear piece of the path, or None if validate_path
-    would reject the path (it then costs +inf), from one pass over the
-    slopes; the number of slope rows whose total was not 1, which
-    _nu0_rows rescales)."""
+    """(the projection both routes rate: start set to the truncated profile,
+    knots clipped at 0; nu0 of each piece, from the path's own slopes; the
+    number of slope rows whose total was not 1, which _nu0_rows rescales),
+    the first two None where validate_path rejects the path (cost +inf)."""
     w, total, ok = _nu0_rows(path.slopes)
     rescaled = int(np.count_nonzero(total != 1.0))
-    ok = ok.all() and not _knot_violations(path, profile, PATH_TOL)
-    return (w if ok else None), rescaled
+    if not ok.all() or _knot_violations(path, profile):
+        return None, None, rescaled
+    values = np.maximum(path.values, 0.0)     # -0.0 becomes +0.0 too
+    values[0] = profile.truncated(path.d)
+    return Path(path.d, path.times, values), w, rescaled
 
 
 def natural_law(t, phi, schedule: Schedule, profile: InitialProfile) -> np.ndarray:
@@ -175,27 +178,25 @@ def path_rate_Id(path: Path, schedule: Schedule, profile: InitialProfile,
 
     Panels start as knot intervals split at schedule breakpoints (the
     integrand jumps there), each carrying its constant minimizing law; all
-    unfinished panels of one bisection depth are refined together.  Before
-    any quadrature, a panel where some w_i > 0 (i <= d) meets N_i < 0 at an
-    end makes the path diverge, by path_rate_exact's rule (_panel_ends),
-    so a sliver below zero that no node lands in still costs +inf.  A
-    panel whose nodes all cost +inf is declared divergent, and isolated
-    endpoint singularities are bisected down to a width floor, at most
-    MAX_DEPTH times.  The condensation charge h(nu0_{d+1}, u_{d+1}) is
-    integrated on the panels accepted for the total; refinement looks at
-    the total only.  A tol below MIN_TOL is rejected (check_tol).
+    unfinished panels of one bisection depth are refined together, phi
+    interpolated on the path's projection (_piece_laws).  A panel whose
+    nodes all cost +inf (some w_i > 0 on a slot at 0 throughout) is
+    declared divergent, and isolated endpoint singularities are bisected
+    down to a width floor, at most MAX_DEPTH times.  The condensation
+    charge h(nu0_{d+1}, u_{d+1}) is integrated on the panels accepted for
+    the total; refinement looks at the total only.  A tol below MIN_TOL is
+    rejected (check_tol).
     """
     check_tol(tol)
     a, b, piece = _panels(path, schedule)
-    w, renormalized = _piece_laws(path, profile)
-    if w is None or any(np.any(_panel_ends(a[s], b[s], piece[s], path, schedule, profile)[2]
-                               & (w[piece[s]] > 0.0)) for s in _batches(a.size)):
+    proj, w, renormalized = _piece_laws(path, profile)
+    if w is None:
         return RateReport("kronrod", math.inf, math.inf, a.size, 0, True,
                           renormalized=renormalized)
 
     def cost(nodes, rows):  # rows of the current depth's (a, b, piece)
         k = piece[rows, None]
-        u = natural_law(nodes, path.on_piece(nodes, k), schedule, profile)
+        u = natural_law(nodes, proj.on_piece(nodes, k), schedule, profile)
         terms = entropy_terms(w[k], u)
         total_charge = np.empty(terms.shape[:-1] + (2,))
         total_charge[..., 0] = terms.sum(axis=-1)
@@ -273,55 +274,37 @@ def _log_affine(lo, hi):
     return big, q
 
 
-def _panel_ends(lo, hi, k, path: Path, schedule: Schedule, profile: InitialProfile):
-    """sigma (2, B) and the numerators N_i = u_i*sigma (2, B, d+2) at both
-    ends of the panels [lo, hi] on path pieces k, with p and beta at each
-    panel's midpoint, and the (B, d+2) mask of slots i <= d where N_i < 0
-    at an end: the reachability rule of both I_d routes, under which a
-    panel where such a slot has w_i > 0 costs +inf.
-
-    N_0 = p*sigma + (1-p)*beta*phi_0 and N_i = (1-p)(i+beta)*phi_i for
-    1 <= i <= d, formed as transition_law forms u.  For i >= 1 the sign of
-    N_i is the sign of phi_i on any segment; slot 0 on a polynomial
-    segment is judged with the midpoint coefficients.  N_bar, the last
-    slot, is left for the caller to set.
-    """
-    p, beta = schedule.coefficients(0.5 * (lo + hi))
-    ends = np.stack([lo, hi])
-    sig = sigma(profile, ends, beta)
-    num = selection_rates(p, beta, path.d) * path.on_piece(ends, k)
-    num[..., 0] += p * sig
-    unreachable = np.any(num < 0.0, axis=0)
-    unreachable[:, -1] = False
-    return sig, num, unreachable
-
-
 def path_rate_exact(path: Path, schedule: Schedule, profile: InitialProfile) -> RateReport:
     """I_d of the path in closed form, on a piecewise-constant schedule.
 
     path_rate_Id's panels (knot intervals split at schedule breakpoints)
-    hold p and beta constant and the path linear, so sigma and the
-    numerator N_i = u_i*sigma of each natural-law entry are affine in t
-    (_panel_ends), and N_bar = sigma - sum_{i<=d} N_i clipped at 0, as
+    hold p and beta constant and the path's projection (_piece_laws)
+    linear and nonnegative, so sigma and the numerators N_i = u_i*sigma,
+    formed as transition_law forms u, are affine in t and, for i <= d,
+    nonnegative; N_bar = sigma - sum_{i<=d} N_i is clipped at 0, as
     transition_law clips u_bar.  The panel's minimizing law w is
     constant, so its cost is sum_i w_i*(h*log w_i + int log sigma -
     int log N_i), each integral of the log of an affine function in
     closed form (_log_affine); the condensation charge is the w_bar term.
-    A panel where some w_i > 0 meets N_i < 0 at an end, or N_i = 0 at both,
-    costs +inf and the path diverges.  There is no quadrature error, depth
-    or floor hit.  path_rate_Id is the paired route, and the only one for
-    polynomial schedule segments, on which this raises ValueError.
+    A panel where some w_i > 0 meets N_i = 0 at both ends costs
+    log(w_i*sigma/0) = +inf and the path diverges.  There is no
+    quadrature error, depth or floor hit.  path_rate_Id is the paired
+    route, and the only one for polynomial schedule segments, on which
+    this raises ValueError.
     """
     if not schedule.is_piecewise_constant:
         raise ValueError("path_rate_exact needs a piecewise-constant schedule "
                          "(path_rate_Id integrates polynomial segments)")
     a, b, piece = _panels(path, schedule)
-    w, renormalized = _piece_laws(path, profile)
+    proj, w, renormalized = _piece_laws(path, profile)
 
     def panel_costs(rows):  # (cost, charge) of the panels a[rows], (B, 2)
         lo, hi, k = a[rows], b[rows], piece[rows]
-        sig, num, unreachable = _panel_ends(lo, hi, k, path, schedule, profile)
-        np.maximum(num, 0.0, out=num)
+        p, beta = schedule.coefficients(0.5 * (lo + hi))
+        ends = np.stack([lo, hi])
+        sig = sigma(profile, ends, beta)    # (2, B); num is (2, B, d+2)
+        num = selection_rates(p, beta, path.d) * proj.on_piece(ends, k)
+        num[..., 0] += p * sig
         rest = num[..., -1]    # N_bar, the complement
         np.subtract(sig, np.einsum("...i->...", num[..., :-1]), out=rest)
         np.maximum(rest, 0.0, out=rest)
@@ -334,7 +317,6 @@ def path_rate_exact(path: Path, schedule: Schedule, profile: InitialProfile) -> 
             terms = ((hi - lo)[:, None] * wk) * (np.log(wk * big_s[:, None] / big_n)
                                                  - q_s[:, None] + q_n)
         terms[~pos] = 0.0
-        terms[pos & unreachable] = math.inf
         return np.stack([terms.sum(axis=1), terms[:, -1]], axis=1)
 
     costs = None if w is None else np.concatenate([panel_costs(rows)

@@ -625,10 +625,10 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 
 
 @pytest.mark.parametrize("d", [5, pytest.param(8, marks=pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 7: the aggregate slot's slope on the first piece, about "
+    "ROADMAP item 2: the aggregate slot's slope on the first piece, about "
     "3e-18, is below the round-off of the complements of sums that carry it "
     "(nu0's 1 - sum in model._nu0_rows, u's 1 - sum in model.transition_law, "
-    "N_bar = sigma - sum on the exact route), so a panel reads unreachable "
+    "N_bar = sigma - sum on the exact route), so a panel costs +inf "
     "and the rate is inf although the LLN values are accurate")))])
 def test_lln_path_of_nonempty_profile_costs_nothing(tmp_path, d):
     # the limit path costs only its interpolation error between knots:

@@ -536,20 +536,23 @@ def test_exact_route_matches_kronrod_on_benchmark_paths(monkeypatch):
 
 
 def test_exact_route_diverges_where_kronrod_does():
-    # phi_1 starts just below 0 while mass escapes past level 1, so the
-    # natural law cannot make that move on [0, 4e-13]; both routes read it
-    # at the first panel's start, so Kronrod stops before any bisection
+    # phi_1 starts 1e-13 below 0 while mass escapes past level 1: within
+    # PATH_TOL, so both routes rate the projection, which starts at 0, and
+    # agree on a finite value (the sliver [0, 4e-13] below 0, where the
+    # natural law cannot make that move, is not on the projection)
     start = np.array([0.0, -1e-13, 0.0])
     slope = np.array([0.5, 0.25, 0.25])
     negative = Path.from_knots([0.0, 1e-6, 1.0],
                                [start, start + 1e-6 * slope, start + slope])
     assert rate._piece_laws(negative, EMPTY)[0] is not None
+    exact = path_rate_exact(negative, CLASSICAL, EMPTY)
     quad = path_rate_Id(negative, CLASSICAL, EMPTY)
-    assert quad.diverged and math.isinf(quad.value) and quad.deepest == 0
+    assert not exact.diverged and not quad.diverged
+    assert abs(exact.value - quad.value) <= 1e-12
     # the nonempty profile's limit path at d = 8: its slopes pass
     # _piece_laws, but the aggregate slot's first-piece slope (about 3e-18)
     # is below the round-off of the complements that both routes' laws
-    # read, so a panel is unreachable on both
+    # read, so a panel costs +inf on both
     profile = InitialProfile.from_masses((0.3, 0.1, 0.05))
     rejected = solve_lln_closed(8, CLASSICAL, profile, rel_spacing=2e-3).path()
     assert rate._piece_laws(rejected, profile)[0] is not None
@@ -557,7 +560,7 @@ def test_exact_route_diverges_where_kronrod_does():
     # exact route wrote -0.3466 (phi_0 = 0.5 against sigma = 0 at t = 0)
     away = Path.from_knots([0.0, 1.0], [[0.5, 0.0, 0.0], [1.0, 0.25, 0.25]])
     assert rate._piece_laws(away, EMPTY)[0] is None
-    for path, prof in ((negative, EMPTY), (rejected, profile), (away, EMPTY)):
+    for path, prof in ((rejected, profile), (away, EMPTY)):
         exact = path_rate_exact(path, CLASSICAL, prof)
         assert exact.diverged and math.isinf(exact.value) and math.isinf(exact.condensation)
         quad = path_rate_Id(path, CLASSICAL, prof)
@@ -571,12 +574,12 @@ def test_exact_route_diverges_where_kronrod_does():
 
 def test_routes_agree_on_a_sliver_below_zero():
     # phi_1 < 0 on the sliver [0, 4e-13] while w_1 = 0.25, and the start is
-    # within PATH_TOL: no Kronrod node lands in the sliver (the quadrature
-    # alone read 0.1733), but both routes judge the panel ends by one rule
+    # within PATH_TOL: no Kronrod node lands in the sliver, and both routes
+    # rate the projection, which starts at 0 and has no sliver
     start = np.array([0.0, -1e-13, 0.0])
     sliver = Path.from_knots([0.0, 1.0], [start, start + np.array([0.5, 0.25, 0.25])])
     exact, quad = path_rate_exact(sliver, CLASSICAL, EMPTY), path_rate_Id(sliver, CLASSICAL, EMPTY)
-    assert exact.diverged == quad.diverged
+    assert not exact.diverged and not quad.diverged
     assert exact.value == quad.value or abs(exact.value - quad.value) <= 1e-13
 
 
@@ -602,9 +605,10 @@ def test_path_rate_takes_kronrod_across_polynomial_segments():
 
 
 def test_exact_route_peak_memory_is_a_few_paths():
-    # figure 1's d = 20 limit path (0.41 MB of values): panel ends are
-    # judged _BLOCK panels at a time, as the quadrature's nodes are (the
-    # batches of 1,920 panels before read 8.3 values' worth, measured)
+    # figure 1's d = 20 limit path (0.41 MB of values) and its projection,
+    # which the route rates: panel ends are judged _BLOCK panels at a time,
+    # as the quadrature's nodes are (the batches of 1,920 panels before
+    # read 8.3 values' worth; the projection adds 0.6: 3.24, measured)
     sched = figure1_schedule()
     path = solve_lln_closed(20, sched, EMPTY, rel_spacing=2e-3).path()
     want = path_rate_exact(path, sched, EMPTY)    # first-call allocations
@@ -659,47 +663,111 @@ BOUNDARY_SCHEDULE = Schedule.constant(0.2, 1.0)
 
 
 def _boundary_path(rule, delta):
-    """A straight path from BOUNDARY_PROFILE that breaks one admissibility
-    rule by delta: at depth 2 a slope row (rescaled to total 1 unless the
-    rule is its total) or the start.  No admissible slope takes a knot
-    below 0 without moving a ball out of the empty slot (a cost of +inf),
-    so the negative knot is the start's aggregate slot at depth 3, which
-    is also off the profile."""
+    """(path, profile): a path that breaks one admissibility rule by delta.
+    From BOUNDARY_PROFILE a straight path, at depth 2 a slope row (rescaled
+    to total 1 unless the rule is its total) or the start, and at depth 3
+    the start's aggregate slot below 0 (also off the profile); a two-piece
+    path at depth 2 whose first piece draws x_2 down to -delta and whose
+    second stops drawing it (drawn_slot); and a straight path from the
+    empty profile that starts delta off it (empty_start)."""
     if rule == "nonnegative":
         x0 = BOUNDARY_PROFILE.truncated(3) - delta * np.eye(5)[4]
-        return Path.from_knots([0.0, 1.0], [x0, x0 + np.eye(5)[0]])
+        return Path.from_knots([0.0, 1.0], [x0, x0 + np.eye(5)[0]]), BOUNDARY_PROFILE
+    if rule == "empty_start":
+        x0 = np.array([delta, 0.0, 0.0])
+        return Path.from_knots([0.0, 1.0], [x0, x0 + [0.5, 0.25, 0.25]]), EMPTY
     x0 = BOUNDARY_PROFILE.truncated(2)
+    if rule == "drawn_slot":
+        q = 0.1 + 2.0 * delta         # x_2 = 0.05 - q/2 = -delta at t = 1/2
+        x1 = x0 + 0.5 * np.array([q, 1.0 - q, -q, q])
+        path = Path.from_knots([0.0, 0.5, 1.0], [x0, x1, x1 + [0.5, 0.0, 0.0, 0.0]])
+        return path, BOUNDARY_PROFILE
     slope = {"slope_sum": [1.0 + delta, 0.0, 0.0, 0.0],
              "cumulative_slope_upper": [1.0 + delta, -delta, 0.0, 0.0],   # [v]_0 = 1 + delta
              "escape_rate": [0.0, 1.0 - delta, delta, 0.0],             # escape 1 + delta
              "initial_value": [1.0, 0.0, 0.0, 0.0]}[rule]
     if rule == "initial_value":
         x0 = x0 + [delta, 0.0, 0.0, 0.0]
-    return Path.from_knots([0.0, 1.0], [x0, x0 + slope])
+    return Path.from_knots([0.0, 1.0], [x0, x0 + slope]), BOUNDARY_PROFILE
+
+
+# the rules validate_path names for each row at twice the tolerance
+BOUNDARY_VIOLATIONS = {"nonnegative": {"initial_value", "nonnegative"},
+                       "drawn_slot": {"nonnegative"}, "empty_start": {"initial_value"}}
 
 
 @pytest.mark.parametrize("rule", ["slope_sum", "cumulative_slope_upper", "escape_rate",
-                                  "initial_value", "nonnegative"])
+                                  "initial_value", "nonnegative", "drawn_slot",
+                                  "empty_start"])
 def test_admissibility_boundary_is_one_line(rule):
-    # half the tolerance inside is admissible and costs a finite rate on
+    # half the tolerance inside is admissible and costs one finite rate on
     # every route; twice the tolerance outside is named by validate_path
     # and costs +inf on every route (local_cost judges slopes alone)
-    sched, prof = BOUNDARY_SCHEDULE, BOUNDARY_PROFILE
+    sched = BOUNDARY_SCHEDULE
     t = np.array([0.25, 0.75])
     for delta, admissible in ((0.5 * PATH_TOL, True), (2.0 * PATH_TOL, False)):
-        path = _boundary_path(rule, delta)
+        path, prof = _boundary_path(rule, delta)
         rep = validate_path(path, prof)
         assert rep.is_admissible is admissible
         names = {v[0] for v in rep.violations}
-        assert names == (set() if admissible else
-                         {"initial_value", "nonnegative"} if rule == "nonnegative" else {rule})
+        assert names == (set() if admissible else BOUNDARY_VIOLATIONS.get(rule, {rule}))
         assert (rate._piece_laws(path, prof)[0] is not None) is admissible
-        for route in (path_rate_exact(path, sched, prof), path_rate_Id(path, sched, prof)):
+        exact, quad = path_rate_exact(path, sched, prof), path_rate_Id(path, sched, prof)
+        for route in (exact, quad):
             assert route.diverged is not admissible
             assert math.isfinite(route.value) is admissible
-        cost = local_cost(t, path.at(t), path.slopes[0], sched, prof)
-        slope_rule = rule not in ("initial_value", "nonnegative")
+        assert not admissible or abs(exact.value - quad.value) <= 1e-12
+        cost = local_cost(t, path.at(t), path.slope_at(t), sched, prof)
+        slope_rule = rule in ("slope_sum", "cumulative_slope_upper", "escape_rate")
         assert np.isfinite(cost).tolist() == [admissible or not slope_rule] * 2
+
+
+def _projection_sweep(rng):
+    """(path, schedule, profile) for 90 admissible paths moved by at most
+    PATH_TOL/2, three kinds in turn at d = 1..5: from a nonempty profile,
+    a first piece that draws slot j down to -delta at its end knot and a
+    second that stops drawing it; criterion 8's path from the empty state
+    shifted by a vector within delta; and that path with every slope
+    scaled by 1 +- delta."""
+    for n in range(90):
+        d = 1 + n // 3 % 5
+        delta = 0.5 * PATH_TOL * rng.uniform(0.0, 1.0)
+        if n % 3 == 0:
+            f = increments(d)
+            j = int(rng.integers(1, d + 1))
+            while True:    # until no other slot is below 0 at a knot
+                c = rng.uniform(0.02, 0.1, d + 2)
+                nu1, nu2 = rng.dirichlet(np.ones(d + 2), size=2)
+                nu1[j - 1] = 0.0       # slot j loses nu1[j], gains nothing
+                nu1[j] += 1.0
+                nu1 /= nu1.sum()
+                nu2[j] = 0.0
+                nu2 /= nu2.sum()
+                t1 = (c[j] + delta) / nu1[j]
+                x1 = c + t1 * (nu1 @ f)
+                x1[j] = -delta
+                x2 = x1 + (1.0 - t1) * (nu2 @ f)
+                if t1 < 0.95 and np.delete(np.stack([x1, x2]), j, axis=1).min() >= 0.0:
+                    break
+            yield (Path.from_knots([0.0, t1, 1.0], [c, x1, x2]), BOUNDARY_SCHEDULE,
+                   InitialProfile.from_masses(c))
+            continue
+        base = _random_admissible_path(rng, d)
+        if n % 3 == 1:
+            values = base.values + rng.uniform(-delta, delta, d + 2)
+        else:
+            values = base.values * (1.0 + rng.choice([-delta, delta]))
+        yield Path.from_knots(base.times, values), CLASSICAL, EMPTY
+
+
+def test_paths_within_tolerance_rate_at_their_projection():
+    # every path is admissible, and both routes rate its projection (start
+    # on the profile, knots clipped at 0) to one finite value
+    for path, sched, prof in _projection_sweep(np.random.default_rng(39)):
+        assert validate_path(path, prof).is_admissible
+        exact, quad = path_rate_exact(path, sched, prof), path_rate_Id(path, sched, prof)
+        assert not exact.diverged and not quad.diverged
+        assert abs(exact.value - quad.value) <= 1e-12
 
 
 def test_exact_route_rejects_polynomial_schedules():

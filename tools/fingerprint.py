@@ -10,7 +10,8 @@ the rated limit path's knots on figure 1, on the
 polynomial config and on the homogeneous schedule from a nonempty
 profile, then the streamed tube
 distances of an ensemble around figure 1's limit path, then the
-admissibility verdicts and rates of seeded short paths.
+admissibility verdicts and rates of seeded short paths, then those of
+seeded paths within PATH_TOL of the admissible class.
 Run it on two checkouts and diff the listings to check that a change
 leaves the numbers byte-identical:
 
@@ -213,6 +214,52 @@ def admissibility() -> str:
     return digest.hexdigest()
 
 
+def projection() -> str:
+    """sha256 over validate_path's verdict and both I_d routes' (value,
+    diverged) on 90 seeded admissible paths moved by at most PATH_TOL/2,
+    three kinds in turn at d = 1..5: from a nonempty profile, a first
+    piece that draws slot j down to -delta at its end knot and a second
+    that stops drawing it (p = 0.2, beta = 1); criterion 8's path from the
+    empty state shifted by a vector within delta; and that path with every
+    slope scaled by 1 +- delta (the homogeneous schedule)."""
+    rng = np.random.default_rng(39)
+    drain, homogeneous = Schedule.constant(0.2, 1.0), verify.classical_schedule()
+    digest = hashlib.sha256()
+    for n in range(90):
+        d = 1 + n // 3 % 5
+        delta = 0.5 * model.PATH_TOL * rng.uniform(0.0, 1.0)
+        if n % 3 == 0:
+            f = model.increments(d)
+            j = int(rng.integers(1, d + 1))
+            while True:
+                c = rng.uniform(0.02, 0.1, d + 2)
+                nu1, nu2 = rng.dirichlet(np.ones(d + 2), size=2)
+                nu1[j - 1] = 0.0
+                nu1[j] += 1.0
+                nu1 /= nu1.sum()
+                nu2[j] = 0.0
+                nu2 /= nu2.sum()
+                t1 = (c[j] + delta) / nu1[j]
+                x1 = c + t1 * (nu1 @ f)
+                x1[j] = -delta
+                x2 = x1 + (1.0 - t1) * (nu2 @ f)
+                if t1 < 0.95 and np.delete(np.stack([x1, x2]), j, axis=1).min() >= 0.0:
+                    break
+            path = model.Path.from_knots([0.0, t1, 1.0], [c, x1, x2])
+            schedule, profile = drain, model.InitialProfile.from_masses(c)
+        else:
+            base = verify._random_admissible_path(rng, d)
+            values = (base.values + rng.uniform(-delta, delta, d + 2) if n % 3 == 1
+                      else base.values * (1.0 + rng.choice([-delta, delta])))
+            path = model.Path.from_knots(base.times, values)
+            schedule, profile = homogeneous, model.InitialProfile.empty()
+        exact = rate.path_rate_exact(path, schedule, profile)
+        quad = rate.path_rate_Id(path, schedule, profile)
+        digest.update(repr((model.validate_path(path, profile).is_admissible,
+                            exact.value, exact.diverged, quad.value, quad.diverged)).encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -237,6 +284,7 @@ def main() -> int:
     print("lln-series-homogeneous-profile-d20", series_route(HOMOGENEOUS_PROFILE), flush=True)
     print("tube-distances-figure1-n2000-d5", tube_distances(FIGURE1), flush=True)
     print("admissibility", admissibility(), flush=True)
+    print("projection", projection(), flush=True)
     return 0
 
 
